@@ -7,9 +7,13 @@ import sys
 from .experiments import ExperimentConfig, report, run, sweep
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} is not strict JSON")
+
+
 def _load_config(path, seed=None):
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_constant=_reject_constant)
     if seed is not None:
         raw.setdefault("statistics", {})["seed"] = seed
     return raw
@@ -77,7 +81,11 @@ def main(argv=None):
         return 0 if record.passed else 1
 
     if args.command == "sweep":
-        raw = _load_config(args.config, args.seed)
+        try:
+            raw = _load_config(args.config, args.seed)
+        except ValueError as exc:
+            print(f"invalid config: {exc}", file=sys.stderr)
+            return 2
         records, errors = sweep(
             raw, args.axis, _parse_values(args.values), args.outdir, args.workers
         )

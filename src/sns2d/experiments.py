@@ -1,6 +1,7 @@
 """Experiment orchestration: validated configs, deterministic runs, reports.
 
-Configs are strict JSON documents (schema_version 1, unknown keys rejected).
+Configs are strict JSON documents (schema_version 1; unknown keys, non-finite
+numbers and non-integer counts rejected).
 A run writes results.csv / summary.json / config.json atomically into a
 directory named by the config hash; (config, seed) determines every numeric
 output byte.
@@ -63,6 +64,14 @@ KINDS = (
 
 _REQUIRED = object()
 
+# Entries that must be real integers (bool excluded).
+_INTEGER_KEYS = (
+    ("statistics", "replicas"),
+    ("statistics", "seed"),
+    ("numerics", "cutoff"),
+    ("numerics", "grid_factor"),
+)
+
 
 def _take(d, allowed, context):
     """Strict dict extraction: unknown keys rejected, defaults applied."""
@@ -84,6 +93,17 @@ def _take(d, allowed, context):
     return out
 
 
+def _reject_non_finite(node, context):
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ValueError(f"{context}: non-finite number {node!r}")
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _reject_non_finite(val, f"{context}.{key}")
+    elif isinstance(node, (list, tuple)):
+        for i, val in enumerate(node):
+            _reject_non_finite(val, f"{context}[{i}]")
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -96,6 +116,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _reject_non_finite(raw, "config")
         top = _take(
             raw,
             {
@@ -200,6 +221,10 @@ class ExperimentConfig:
         )
 
     def validate(self):
+        for section, key in _INTEGER_KEYS:
+            value = getattr(self, section)[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
         self.integrator()  # raises on bad numerics
         if self.numerics["cutoff"] < 1:
             raise ValueError("numerics.cutoff must be >= 1")
@@ -505,8 +530,9 @@ def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
             )
         summary["alphas"].append(alpha)
         summary["ks_pvalue"][str(alpha)] = float(ks.pvalue)
-        summary["max_variance_rel_err"] = max(
-            summary["max_variance_rel_err"], float(np.max(rel))
+        # np.maximum keeps a NaN, which then fails the threshold below
+        summary["max_variance_rel_err"] = float(
+            np.maximum(summary["max_variance_rel_err"], np.max(rel))
         )
     summary["passed"] = summary["max_variance_rel_err"] <= th["max_variance_rel_err"] and all(
         v >= th["min_ks_pvalue"] for v in summary["ks_pvalue"].values()
@@ -955,7 +981,8 @@ def write_csv_atomic(path, rows):
 
 
 def write_json_atomic(path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n")
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _json_default(obj):
@@ -1010,8 +1037,9 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     }
     results_csv = os.path.join(run_dir, "results.csv")
     summary_json = os.path.join(run_dir, "summary.json")
-    write_csv_atomic(results_csv, rows)
+    # first, so that a non-finite summary leaves no results behind
     write_json_atomic(summary_json, summary)
+    write_csv_atomic(results_csv, rows)
     _atomic_write(os.path.join(run_dir, "config.json"), config.canonical_json() + "\n")
     record = RunRecord(
         kind=config.kind,

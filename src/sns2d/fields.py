@@ -1,9 +1,8 @@
 """Divergence-free spectral velocity fields and Fourier tensor fields."""
 
 import numpy as np
-from scipy.fft import fft2, ifft2
 
-from .grid import SpectralGrid, grid_for
+from .grid import SpectralGrid, grid_for, transform_plan
 
 
 class SpectralField:
@@ -118,17 +117,7 @@ class SpectralField:
         g = self.grid
         if size is None:
             size = g.physical_size(grid_factor)
-        pos, neg = g.embedding(size)
-        v1 = self.coeffs * g.basis1
-        v2 = self.coeffs * g.basis2
-        u = np.zeros((2, size * size), dtype=np.complex128)
-        u[0, pos] = v1
-        u[0, neg] = np.conj(v1)
-        u[1, pos] = v2
-        u[1, neg] = np.conj(v2)
-        u = u.reshape(2, size, size)
-        phys = ifft2(u, axes=(1, 2)).real * (size * size)
-        return phys
+        return transform_plan(g.cutoff, g.cutoff, size).synthesize(self.coeffs)
 
 
 def divergence_residual(field: SpectralField) -> float:
@@ -194,10 +183,6 @@ class TensorField:
         n = self.grid.cutoff
         return np.real(self.comps[:, :, n, n]).copy()
 
-    def component_grid(self, i: int, j: int, size: int) -> np.ndarray:
-        """Physical samples of component (i, j) on a size x size grid."""
-        return scalar_to_grid(self.comps[i, j], size)
-
     def __sub__(self, other):
         if not isinstance(other, TensorField):
             raise TypeError("expected a TensorField")
@@ -208,29 +193,6 @@ class TensorField:
     def hermitian_defect(self) -> float:
         flipped = np.conj(self.comps[:, :, ::-1, ::-1])
         return float(np.max(np.abs(self.comps - flipped)))
-
-
-def scalar_to_grid(centered: np.ndarray, size: int) -> np.ndarray:
-    """Sample a scalar field given centered coefficients on a size x size grid."""
-    S = centered.shape[0]
-    n = (S - 1) // 2
-    if size < S:
-        raise ValueError(f"size {size} too small for {S} retained frequencies")
-    freqs = np.arange(-n, n + 1)
-    rows = freqs % size
-    work = np.zeros((size, size), dtype=np.complex128)
-    work[np.ix_(rows, rows)] = centered
-    return ifft2(work).real * (size * size)
-
-
-def scalar_from_grid(phys: np.ndarray, cutoff: int) -> np.ndarray:
-    """Centered Fourier coefficients (|k_i| <= cutoff) of grid samples."""
-    size = phys.shape[0]
-    if size < 2 * cutoff + 1:
-        raise ValueError("grid too coarse for requested cutoff")
-    work = fft2(phys) / (size * size)
-    freqs = np.arange(-cutoff, cutoff + 1) % size
-    return work[np.ix_(freqs, freqs)]
 
 
 FIELD_HEADER = "sns2d-field v1"

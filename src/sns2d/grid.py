@@ -4,12 +4,15 @@ Fields live on the integer frequency lattice with the zero mode removed.
 Only half of the lattice is stored: the coefficient at -k is the complex
 conjugate of the coefficient at k, so the stored half determines a
 real-valued field.  The stored half is {k2 > 0} union {k2 == 0, k1 > 0}.
+
+``TransformPlan`` is the one path between stored coefficients and samples on
+a uniform physical grid; every physical-space computation goes through it.
 """
 
 import functools
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,7 +48,6 @@ class SpectralGrid:
         self.basis2 = (1j / TWO_PI) * self.perp2
         self.n_modes = self.k1.size
         self._index = None
-        self._embed = {}
 
     def __repr__(self):
         return f"SpectralGrid(cutoff={self.cutoff}, n_modes={self.n_modes})"
@@ -63,34 +65,93 @@ class SpectralGrid:
     def physical_size(self, grid_factor: int = 2) -> int:
         """FFT-friendly physical grid size, at least 2*cutoff + 1.
 
-        The lower bound keeps the mode embedding collision-free and makes
+        The lower bound keeps the synthesis collision-free and makes
         trapezoid quadrature of quadratic quantities exact.
         """
         if grid_factor < 2:
             raise ValueError("grid_factor must be >= 2")
         return next_fast_len(max(grid_factor * self.cutoff, 2 * self.cutoff + 1))
 
-    def embedding(self, size: int):
-        """Flat scatter indices into an FFT array of shape (size, size).
-
-        Returns (pos, neg): indices of the stored modes and of their
-        conjugates.  Requires size >= 2*cutoff + 1 so that no two retained
-        modes collide modulo size.
-        """
-        if size < 2 * self.cutoff + 1:
-            raise ValueError(
-                f"physical size {size} too small for cutoff {self.cutoff}"
-            )
-        cached = self._embed.get(size)
-        if cached is None:
-            pos = (self.k1 % size) * size + (self.k2 % size)
-            neg = ((-self.k1) % size) * size + ((-self.k2) % size)
-            cached = (pos, neg)
-            self._embed[size] = cached
-        return cached
-
 
 @functools.lru_cache(maxsize=None)
 def grid_for(cutoff: int) -> SpectralGrid:
     """Shared immutable grid instance for the given truncation."""
     return SpectralGrid(cutoff)
+
+
+class TransformPlan:
+    """Real-FFT synthesis and analysis on a size x size grid.
+
+    Covers the stored modes with max(|k1|, |k2|) <= kmax.  The stored half
+    {k2 > 0} union {k2 == 0, k1 > 0} is the half of the spectrum ``rfft2``
+    keeps, so coefficients scatter straight into its (size, size // 2 + 1)
+    layout and only the k2 == 0 column needs its conjugates filled.
+    """
+
+    def __init__(self, grid: SpectralGrid, kmax: int, size: int):
+        if not 1 <= kmax <= grid.cutoff:
+            raise ValueError(f"band limit {kmax} invalid for cutoff {grid.cutoff}")
+        if size < 2 * kmax + 1:
+            # two retained modes would collide modulo size
+            raise ValueError(f"physical size {size} too small for cutoff {kmax}")
+        keep = (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax)
+        self.keep = slice(None) if keep.all() else keep
+        k1, k2 = grid.k1[keep], grid.k2[keep]
+        self.n_modes = grid.n_modes
+        self.kmax = kmax
+        self.size = size
+        self.shape = (size, size // 2 + 1)
+        self.pos = (k1 % size) * self.shape[1] + k2
+        self.k = np.stack([k1, k2]).astype(np.float64)
+        self.velocity = np.stack([grid.basis1[keep], grid.basis2[keep]])
+        # velocity[l, j] multiplied by i k_l: the symbol of d_l u_j
+        self.gradient = 1j * self.k[:, None] * self.velocity[None, :]
+        # <d, e_k> = -2pi i (d1 k2 - d2 k1)/|k| for a plain vector coefficient d
+        kabs = grid.kabs[keep]
+        self.projection = np.stack([-TWO_PI * 1j * k2 / kabs, TWO_PI * 1j * k1 / kabs])
+
+    def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
+        """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per row j.
+
+        ``coeffs`` (..., n_modes) covers every stored mode; ``symbols``
+        (default: the velocity basis, shape (2, n_kept)) covers the kept
+        modes, and its leading axes index the output grids.  Returns shape
+        (..., *symbols.shape[:-1], size, size).
+        """
+        if symbols is None:
+            symbols = self.velocity
+        vals = coeffs[..., None, self.keep] * symbols
+        work = np.zeros(vals.shape[:-1] + self.shape, dtype=np.complex128)
+        rows = work.reshape(-1, self.shape[0] * self.shape[1])
+        for row, v in zip(rows, vals.reshape(-1, vals.shape[-1])):
+            row[self.pos] = v
+        n, M = self.kmax, self.size
+        # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
+        work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
+        return irfft2(work, s=(M, M)) * (M * M)
+
+    def analyze(self, phys: np.ndarray, with_mean: bool = False):
+        """Fourier coefficients of the kept stored modes of real grids (..., size, size).
+
+        Returns shape (..., n_kept); with ``with_mean`` also the k = 0
+        coefficients, shape (...).
+        """
+        M = self.size
+        spec = rfft2(phys) * (1.0 / (M * M))
+        coeffs = spec.reshape(spec.shape[:-2] + (-1,))[..., self.pos]
+        return (coeffs, spec[..., 0, 0]) if with_mean else coeffs
+
+    def project(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """Divergence-free part of a plain vector field given on the kept modes.
+
+        Returns coefficients on all stored modes, zero outside the band.
+        """
+        out = np.zeros(self.n_modes, dtype=np.complex128)
+        out[self.keep] = self.projection[0] * d1 + self.projection[1] * d2
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def transform_plan(cutoff: int, kmax: int, size: int) -> TransformPlan:
+    """Shared plan for the modes of grid_for(cutoff) within kmax on a size x size grid."""
+    return TransformPlan(grid_for(cutoff), kmax, size)

@@ -2,20 +2,22 @@
 
 Products are formed on a padded physical grid large enough that no aliased
 frequency lands inside the retained band, so the discrete bilinear term is
-the exact Galerkin truncation of the continuum one.  Under the two-thirds
-rule inputs and outputs are restricted to |k_i| <= floor(2N/3), which keeps
-repeated applications closed in a fixed band and makes the energy and
-enstrophy orthogonality identities hold to roundoff.
+the exact Galerkin truncation of the continuum one.  Every transform goes
+through the real-FFT ``TransformPlan`` of ``sns2d.grid``: synthesize the
+factors, multiply pointwise, analyze the products back onto the stored
+modes.  Under the two-thirds rule inputs and outputs are restricted to
+|k_i| <= floor(2N/3), which keeps repeated applications closed in a fixed
+band and makes the energy and enstrophy orthogonality identities hold to
+roundoff.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import next_fast_len
 
 from .fields import SpectralField, TensorField
-from .grid import TWO_PI, grid_for
+from .grid import transform_plan
 
 
 @dataclass(frozen=True)
@@ -42,120 +44,50 @@ class DealiasRule:
         raise ValueError(f"unknown dealias kind {kind!r}")
 
 
-class _ProductPlan:
-    """Cached index tables for quadratic products at one (cutoff, kmax)."""
-
-    def __init__(self, cutoff: int, kmax: int):
-        g = grid_for(cutoff)
-        self.grid = g
-        self.kmax = kmax
-        # alias-free for products of fields band-limited to kmax
-        self.size = next_fast_len(3 * kmax + 1)
-        keep = (np.abs(g.k1) <= kmax) & (np.abs(g.k2) <= kmax)
-        self.keep = keep
-        k1, k2 = g.k1[keep], g.k2[keep]
-        M = self.size
-        self.pos = (k1 % M) * M + (k2 % M)
-        self.neg = ((-k1) % M) * M + ((-k2) % M)
-        self.basis1 = g.basis1[keep]
-        self.basis2 = g.basis2[keep]
-        kabs = g.kabs[keep]
-        # divergence-free projection of a plain vector d_hat:
-        # <d, e_k> = -2pi i (d1 k2 - d2 k1)/|k|
-        self.proj1 = -TWO_PI * 1j * k2 / kabs
-        self.proj2 = TWO_PI * 1j * k1 / kabs
-        # spectral derivative symbols on the padded grid
-        f = np.fft.fftfreq(M, d=1.0 / M).astype(np.float64)
-        self.f1 = f[:, None]
-        self.f2 = f[None, :]
-        # centered gather for tensor output (all |m_i| <= kmax, including 0)
-        n = cutoff
-        self.S = 2 * n + 1
-        rng = np.arange(-kmax, kmax + 1)
-        self.t_rows = np.ix_(rng % M, rng % M)
-        self.t_dest = np.ix_(rng + n, rng + n)
+def _plan_for(grid, rule: DealiasRule):
+    kmax = rule.effective_cutoff
+    # alias-free for products of fields band-limited to kmax
+    return transform_plan(grid.cutoff, kmax, next_fast_len(3 * kmax + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _plan(cutoff: int, kmax: int) -> _ProductPlan:
-    return _ProductPlan(cutoff, kmax)
-
-
-def _plan_for(grid, rule: DealiasRule) -> _ProductPlan:
-    if rule.effective_cutoff > grid.cutoff or rule.effective_cutoff < 1:
-        raise ValueError(
-            f"dealias cutoff {rule.effective_cutoff} invalid for grid "
-            f"cutoff {grid.cutoff}"
-        )
-    return _plan(grid.cutoff, rule.effective_cutoff)
-
-
-def _velocity_grids(plan, coeffs):
-    """Physical samples of both velocity components, band-limited per plan."""
-    M = plan.size
-    cs = coeffs[plan.keep]
-    work = np.zeros((2, M * M), dtype=np.complex128)
-    v1 = cs * plan.basis1
-    v2 = cs * plan.basis2
-    work[0, plan.pos] = v1
-    work[0, plan.neg] = np.conj(v1)
-    work[1, plan.pos] = v2
-    work[1, plan.neg] = np.conj(v2)
-    return ifft2(work.reshape(2, M, M), axes=(1, 2)).real * (M * M)
+def _minus_div(plan, t11, t12, t21, t22):
+    """-P div of a product tensor given the kept coefficients of t_ij = u_i v_j."""
+    k1, k2 = plan.k
+    return plan.project(-1j * (k1 * t11 + k2 * t21), -1j * (k1 * t12 + k2 * t22))
 
 
 def b_core(coeffs: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
     """b(u, u) on raw half-lattice coefficients (hot path for the solvers)."""
     plan = _plan_for(grid, rule)
-    M = plan.size
-    u = _velocity_grids(plan, coeffs)
-    scale = 1.0 / (M * M)
-    t11 = fft2(u[0] * u[0]) * scale
-    t12 = fft2(u[0] * u[1]) * scale
-    t22 = fft2(u[1] * u[1]) * scale
-    d1 = 1j * (plan.f1 * t11 + plan.f2 * t12)
-    d2 = 1j * (plan.f1 * t12 + plan.f2 * t22)
-    out = np.zeros_like(coeffs)
-    out[plan.keep] = -(
-        plan.proj1 * d1.ravel()[plan.pos] + plan.proj2 * d2.ravel()[plan.pos]
-    )
-    return out
+    u = plan.synthesize(coeffs)
+    # u x u is symmetric: three products, t12 = t21
+    t = plan.analyze(u[[0, 0, 1]] * u[[0, 1, 1]])
+    return _minus_div(plan, t[0], t[1], t[1], t[2])
 
 
 def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
     plan = _plan_for(grid, rule)
-    M = plan.size
-    u = _velocity_grids(plan, cu)
-    v = _velocity_grids(plan, cv)
-    scale = 1.0 / (M * M)
-    t11 = fft2(u[0] * v[0]) * scale
-    t12 = fft2(u[0] * v[1]) * scale
-    t21 = fft2(u[1] * v[0]) * scale
-    t22 = fft2(u[1] * v[1]) * scale
-    d1 = 1j * (plan.f1 * t11 + plan.f2 * t21)
-    d2 = 1j * (plan.f1 * t12 + plan.f2 * t22)
-    out = np.zeros_like(cu)
-    out[plan.keep] = -(
-        plan.proj1 * d1.ravel()[plan.pos] + plan.proj2 * d2.ravel()[plan.pos]
-    )
-    return out
+    u = plan.synthesize(cu)
+    v = plan.synthesize(cv)
+    t = plan.analyze(u[:, None] * v[None, :])
+    return _minus_div(plan, t[0, 0], t[0, 1], t[1, 0], t[1, 1])
 
 
 def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> TensorField:
     """Pointwise tensor u(x) x v(x) back in Fourier space, truncated per rule."""
     u._check(v)
-    plan = _plan_for(u.grid, rule)
-    M = plan.size
-    ug = _velocity_grids(plan, u.coeffs)
-    vg = _velocity_grids(plan, v.coeffs)
-    scale = 1.0 / (M * M)
-    S = plan.S
-    comps = np.zeros((2, 2, S, S), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            that = fft2(ug[i] * vg[j]) * scale
-            comps[i, j][plan.t_dest] = that[plan.t_rows]
-    return TensorField(u.grid, comps)
+    g = u.grid
+    plan = _plan_for(g, rule)
+    ug = plan.synthesize(u.coeffs)
+    vg = plan.synthesize(v.coeffs)
+    t, mean = plan.analyze(ug[:, None] * vg[None, :], with_mean=True)
+    n = g.cutoff
+    k1, k2 = g.k1[plan.keep], g.k2[plan.keep]
+    comps = np.zeros((2, 2, 2 * n + 1, 2 * n + 1), dtype=np.complex128)
+    comps[:, :, n + k1, n + k2] = t
+    comps[:, :, n - k1, n - k2] = np.conj(t)
+    comps[:, :, n, n] = mean
+    return TensorField(g, comps)
 
 
 def b_bilinear(u: SpectralField, v: SpectralField, rule: DealiasRule) -> SpectralField:
@@ -176,32 +108,13 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule) -> np.ndarray:
     because every product is alias-free within the retained band.
     """
     plan = _plan_for(grid, rule)
-    M = plan.size
-    u = _velocity_grids(plan, cu)
-    ws = cw[plan.keep]
-    w1 = ws * plan.basis1
-    w2 = ws * plan.basis2
-    what = np.zeros((2, M * M), dtype=np.complex128)
-    what[0, plan.pos] = w1
-    what[0, plan.neg] = np.conj(w1)
-    what[1, plan.pos] = w2
-    what[1, plan.neg] = np.conj(w2)
-    what = what.reshape(2, M, M)
+    u = plan.synthesize(cu)
     # G[l, j] = d_l w_j on the padded grid
-    G = np.empty((2, 2, M, M))
-    for j in range(2):
-        G[0, j] = ifft2(1j * plan.f1 * what[j]).real * (M * M)
-        G[1, j] = ifft2(1j * plan.f2 * what[j]).real * (M * M)
+    G = plan.synthesize(cw, plan.gradient)
     r1 = u[0] * (2.0 * G[0, 0]) + u[1] * (G[1, 0] + G[0, 1])
     r2 = u[0] * (G[0, 1] + G[1, 0]) + u[1] * (2.0 * G[1, 1])
-    scale = 1.0 / (M * M)
-    rhat1 = fft2(r1) * scale
-    rhat2 = fft2(r2) * scale
-    out = np.zeros_like(cu)
-    out[plan.keep] = (
-        plan.proj1 * rhat1.ravel()[plan.pos] + plan.proj2 * rhat2.ravel()[plan.pos]
-    )
-    return out
+    rhat = plan.analyze(np.stack((r1, r2)))
+    return plan.project(rhat[0], rhat[1])
 
 
 def b_linearized_adjoint(u: SpectralField, w: SpectralField, rule: DealiasRule) -> SpectralField:

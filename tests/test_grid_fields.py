@@ -1,8 +1,13 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import sns2d
 from sns2d import SpectralField, grid_for, save_field, load_field, taylor_green
 from sns2d.fields import divergence_residual
+from sns2d.grid import transform_plan
 
 
 def test_half_lattice_covers_exactly_half():
@@ -80,6 +85,89 @@ def test_taylor_green_matches_closed_form():
         [1.3 * np.sin(X1) * np.cos(X2), -1.3 * np.cos(X1) * np.sin(X2)]
     )
     assert np.max(np.abs(phys - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [15, 16])
+def test_axis_and_oblique_modes_match_closed_form(size):
+    # (3, 0) sits on the k2 = 0 axis, whose conjugate the synthesis fills in
+    u = SpectralField.from_modes(4, {(3, 0): 0.7 - 0.4j, (1, 2): 0.5j})
+    phys = u.to_grid(size)
+    x = 2.0 * np.pi * np.arange(size) / size
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    axis = (0.4 * np.cos(3 * X1) - 0.7 * np.sin(3 * X1)) / np.pi
+    oblique = -0.5 * np.cos(X1 + 2 * X2) / (np.pi * np.sqrt(5.0))
+    expected = np.stack([2.0 * oblique, -axis - oblique])
+    assert np.max(np.abs(phys - expected)) < 1e-14
+
+
+def test_to_grid_rejects_a_grid_that_aliases():
+    u = SpectralField.from_modes(4, {(3, 0): 1.0})
+    assert u.to_grid(9).shape == (2, 9, 9)
+    with pytest.raises(ValueError, match="too small"):
+        u.to_grid(8)
+
+
+def test_plan_analysis_inverts_synthesis_on_kept_modes(random_field):
+    u = random_field(cutoff=6)
+    plan = transform_plan(6, 4, 13)
+    g = u.grid
+    kept = (np.abs(g.k1) <= 4) & (np.abs(g.k2) <= 4)
+    scalar = plan.synthesize(u.coeffs, np.ones((1, int(kept.sum()))))
+    assert scalar.shape == (1, 13, 13)
+    coeffs, mean = plan.analyze(scalar, with_mean=True)
+    assert np.allclose(coeffs[0], u.coeffs[kept], rtol=0, atol=1e-14)
+    assert abs(mean[0]) < 1e-14
+
+
+_FFT_MODULES = {"scipy.fft", "numpy.fft", "scipy.fftpack"}
+_FFT_ALLOWED = {"next_fast_len"}
+
+
+def _fft_uses(tree):
+    """(line, name) of every FFT-module import or attribute other than next_fast_len."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in _FFT_MODULES:
+            uses += [(node.lineno, a.name) for a in node.names if a.name not in _FFT_ALLOWED]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "numpy"):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in ("fft", "fftpack")]
+        elif isinstance(node, ast.Import):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in _FFT_MODULES]
+        elif isinstance(node, ast.Attribute) and node.attr not in _FFT_ALLOWED:
+            inner = node.value
+            if isinstance(inner, ast.Attribute) and inner.attr in ("fft", "fftpack"):
+                uses.append((node.lineno, node.attr))
+    return uses
+
+
+def test_fft_transforms_live_only_in_the_grid_module():
+    src = pathlib.Path(sns2d.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "grid.py":
+            uses = _fft_uses(ast.parse(path.read_text()))
+            offenders += [f"{path.name}:{line} {name}" for line, name in uses]
+    assert offenders == []
+    grid_calls = [
+        node.func.id
+        for node in ast.walk(ast.parse((src / "grid.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("rfft2", "irfft2")
+    ]
+    assert sorted(grid_calls) == ["irfft2", "rfft2"]
+
+
+def test_fft_guard_sees_each_way_of_reaching_a_transform():
+    for text in (
+        "from scipy.fft import fft2",
+        "from numpy.fft import irfft",
+        "import scipy.fft",
+        "from scipy import fft",
+        "y = np.fft.ifft2(x)",
+        "y = scipy.fft.rfft2(x)",
+    ):
+        assert _fft_uses(ast.parse(text)), text
+    assert _fft_uses(ast.parse("from scipy.fft import next_fast_len")) == []
 
 
 def test_field_serialization_roundtrip(tmp_path, random_field):

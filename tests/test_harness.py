@@ -3,9 +3,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sns2d.experiments import ExperimentConfig, report, run, set_by_path, sweep
+import sns2d.experiments as experiments
+from sns2d.experiments import (
+    ExperimentConfig,
+    report,
+    run,
+    set_by_path,
+    sweep,
+    write_json_atomic,
+)
 
 
 def minimal_ou_config(seed=1):
@@ -58,6 +67,60 @@ def test_validation_names_the_violated_inequality():
     }
     with pytest.raises(ValueError, match=r"sigma > max\(-2/p, 2/p - 1\)"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("noise", "epsilon", float("nan")), ("numerics", "dt", float("inf")),
+     ("params", "alphas", [0.0, -float("inf")])],
+)
+def test_config_rejects_non_finite_numbers(section, key, value):
+    raw = minimal_ou_config()
+    raw[section][key] = value
+    with pytest.raises(ValueError, match=f"config.{section}.{key}.*non-finite"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("statistics", "replicas", 1.5), ("statistics", "replicas", 3000.0),
+     ("statistics", "seed", True), ("statistics", "seed", "1"),
+     ("numerics", "cutoff", True), ("numerics", "cutoff", 6.0),
+     ("numerics", "grid_factor", 2.5), ("numerics", "grid_factor", False)],
+)
+def test_config_rejects_non_integer_counts(section, key, value):
+    raw = minimal_ou_config()
+    raw[section][key] = value
+    with pytest.raises(ValueError, match=f"{section}.{key} must be an integer"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_json_writer_refuses_nan_and_keeps_finite_output(tmp_path):
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError):
+        write_json_atomic(path, {"x": np.float64("nan")})
+    assert not path.exists()
+    write_json_atomic(path, {"b": np.float64(0.1), "a": [1, 2.5e-17]})
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2.5e-17\n  ],\n  "b": 0.1\n}\n'
+
+
+def test_nan_variance_fails_ou_checks_and_is_never_written(tmp_path, monkeypatch):
+    exact = experiments.mode_variances
+
+    def poisoned(g, spec, alpha):
+        out = exact(g, spec, alpha)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(experiments, "mode_variances", poisoned)
+    cfg = ExperimentConfig.from_dict(minimal_ou_config())
+    _, summary = experiments._run_ou_checks(cfg)
+    assert np.isnan(summary["max_variance_rel_err"])
+    assert summary["passed"] is False
+    with pytest.raises(ValueError):
+        run(cfg, str(tmp_path))
+    (run_dir,) = tmp_path.iterdir()
+    assert list(run_dir.iterdir()) == []
 
 
 def test_config_hash_deterministic_and_seed_sensitive():
@@ -178,6 +241,20 @@ def test_cli_rejects_invalid_config(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert _cli("validate", "-c", str(cfg_path)).returncode == 2
     assert _cli("run", "-c", str(cfg_path)).returncode == 2
+
+
+def test_cli_rejects_non_finite_constants(tmp_path):
+    runs = str(tmp_path / "runs")
+    cfg_path = tmp_path / "bad.json"
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        body = json.dumps(minimal_ou_config()).replace('"epsilon": 0.4', f'"epsilon": {constant}')
+        cfg_path.write_text(body)
+        out = _cli("validate", "-c", str(cfg_path))
+        assert out.returncode == 2 and "is not strict JSON" in out.stderr, constant
+    assert _cli("run", "-c", str(cfg_path), "-o", runs).returncode == 2
+    sweep_args = ("--axis", "noise.delta", "--values", "0.1", "-o", runs)
+    assert _cli("sweep", "-c", str(cfg_path), *sweep_args).returncode == 2
+    assert not os.path.exists(runs)
 
 
 def test_cli_failing_threshold_exit_code(tmp_path):
