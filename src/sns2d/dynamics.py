@@ -1,9 +1,10 @@
 """Time integration: skeleton, stochastic, controlled and shifted equations.
 
-All solvers use exponential integrators: the Stokes part is applied exactly
-per mode and, for the stochastic equations, the linear-plus-noise part is
-advanced with the exact Ornstein-Uhlenbeck transition, so time discretization
-error enters only through the nonlinear term.
+Every time march goes through one exponential-step kernel, ``march``: the
+Stokes part is applied exactly per mode and, for the stochastic equations,
+the linear-plus-noise part is advanced with the exact Ornstein-Uhlenbeck
+transition, so time discretization error enters only through the nonlinear
+term.
 """
 
 import math
@@ -22,10 +23,11 @@ SCHEMES = ("exponential_euler", "etd2")
 
 
 class IntegrationBlowupError(RuntimeError):
-    def __init__(self, t, norm):
+    def __init__(self, t, norm, where=""):
         super().__init__(
-            f"solution blew up at t={t:.6g} (|u|_H={norm:.3e}); "
-            "the truncated dynamics are globally well-posed, so reduce dt"
+            f"solution blew up at t={t:.6g} (|u|_H={norm:.3e})"
+            + (f" in {where}" if where else "")
+            + "; the truncated dynamics are globally well-posed, so reduce dt"
         )
         self.t = t
         self.norm = norm
@@ -164,13 +166,14 @@ class Trajectory:
         return float(np.max(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2, axis=1))))
 
     def sup_norm(self, norm_fn) -> float:
-        return max(norm_fn(self.state(i)) for i in range(self.coeffs.shape[0]))
+        return float(np.max([norm_fn(self.state(i)) for i in range(self.coeffs.shape[0])]))
 
     def sup_distance(self, other: "Trajectory", norm_fn) -> float:
         self._compatible(other)
-        return max(
-            norm_fn(self.state(i) - other.state(i))
-            for i in range(self.coeffs.shape[0])
+        return float(
+            np.max(
+                [norm_fn(self.state(i) - other.state(i)) for i in range(self.coeffs.shape[0])]
+            )
         )
 
     def _compatible(self, other):
@@ -182,9 +185,10 @@ class Trajectory:
             raise ValueError("trajectories have different time steps")
 
 
-def _psi1(z: np.ndarray) -> np.ndarray:
-    """(1 - exp(-z))/z, accurate for small z."""
-    return -np.expm1(-z) / z
+def exp_weights(z: np.ndarray):
+    """Exponential-step weights at z = rate * dt: (exp(-z), psi1(z)) with
+    psi1(z) = (1 - exp(-z))/z, accurate for small z."""
+    return np.exp(-z), -np.expm1(-z) / z
 
 
 def _psi2(z: np.ndarray) -> np.ndarray:
@@ -196,55 +200,70 @@ def _psi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _integrate(
+def march(
     grid,
-    u0_coeffs,
+    u0,
     n_steps,
     dt,
-    cfg: IntegratorConfig,
-    rhs,
+    forcing=None,
+    cfg: IntegratorConfig = None,
+    rate=None,
     noise_std=None,
     gen=None,
     phi_values=None,
 ):
-    """Shared exponential-integrator march.
+    """The exponential step behind every time march (Cox and Matthews 2002).
 
-    rhs(u, step) returns every forcing contribution except the exact linear
-    decay and the exact Gaussian injection.  phi_values is only used for the
-    per-step energy-budget diagnostic.
+    Each step is u <- exp(-rate dt) u + dt psi1(rate dt) F(u, step), plus the
+    ETD2 correction when cfg selects it, plus noise_std * xi with one
+    ``unit_complex_normals(gen, n_modes)`` draw.  rate defaults to |k|^2;
+    forcing=None drops F (a pure Ornstein-Uhlenbeck or free-decay march).
+    After each step the state must have a finite H norm within
+    cfg.blowup_threshold (finite only, without cfg); cfg.record_diagnostics
+    records the per-step diagnostics, whose energy budget pairs with
+    phi_values.  Returns (states (n_steps + 1, n_modes), diagnostics or None).
     """
     n_modes = grid.n_modes
-    out = np.empty((n_steps + 1, n_modes), dtype=np.complex128)
-    out[0] = u0_coeffs
-    z = grid.ksq * dt
-    decay = np.exp(-z)
-    psi1 = _psi1(z)
-    psi2 = _psi2(z) if cfg.scheme == "etd2" else None
+    z = (grid.ksq if rate is None else rate) * dt
+    decay, psi1 = exp_weights(z)
+    gain = dt * psi1
+    etd2 = cfg is not None and cfg.scheme == "etd2"
+    gain2 = dt * _psi2(z) if etd2 else None
     diag = (
         {"t": [], "h_norm": [], "v_norm": [], "l4_norm": [], "energy_residual": []}
-        if cfg.record_diagnostics
+        if cfg is not None and cfg.record_diagnostics
         else None
     )
-    u = np.array(u0_coeffs, dtype=np.complex128)
-    limit_sq = cfg.blowup_threshold**2
+    limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
+    out = np.empty((n_steps + 1, n_modes), dtype=np.complex128)
+    out[0] = u0
+    u = out[0]
     for step in range(n_steps):
-        F = rhs(u, step)
-        if cfg.scheme == "exponential_euler":
-            unew = decay * u + dt * psi1 * F
-        else:
-            pred = decay * u + dt * psi1 * F
-            Fp = rhs(pred, step)
-            unew = pred + dt * psi2 * (Fp - F)
+        unew = decay * u
+        if forcing is not None:
+            F = forcing(u, step)
+            unew += gain * F
+            if etd2:
+                unew += gain2 * (forcing(unew, step) - F)
         if noise_std is not None:
-            unew = unew + noise_std * unit_complex_normals(gen, n_modes)
-        nrm_sq = 2.0 * float(np.sum(np.abs(unew) ** 2))
-        if not np.isfinite(nrm_sq) or nrm_sq > limit_sq:
+            unew += noise_std * unit_complex_normals(gen, n_modes)
+        nrm_sq = 2.0 * np.vdot(unew, unew).real
+        if not nrm_sq <= limit_sq:  # also catches NaN
             raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)))
         if diag is not None:
             _record_diag(diag, grid, u, unew, step, dt, phi_values, cfg)
         out[step + 1] = unew
-        u = unew
+        u = out[step + 1]
     return out, diag
+
+
+def skeleton_forcing(grid, cfg: IntegratorConfig, values):
+    """F(u, step) = b(u) + values[step], the forcing of the skeleton-type
+    marches (b dropped when cfg disables the nonlinearity)."""
+    if cfg.disable_nonlinearity:
+        return lambda u, step: values[step]
+    rule = cfg.rule(grid.cutoff)
+    return lambda u, step: b_core(u, grid, rule) + values[step]
 
 
 def _record_diag(diag, grid, u, unew, step, dt, phi_values, cfg):
@@ -276,16 +295,14 @@ def _check_control(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig):
 def duhamel_gamma(phi: ControlPath) -> Trajectory:
     """Mild heat convolution of a control: t -> int_0^t exp((t-s)A) phi(s) ds.
 
-    Exact per mode for the piecewise-constant control (one exponential
-    quadrature per step); starts from zero.
+    Exact per mode for the piecewise-constant control: the march from zero
+    with F = phi.
     """
     grid = phi.grid
-    z = grid.ksq * phi.dt
-    decay = np.exp(-z)
-    psi1 = _psi1(z)
-    out = np.zeros((phi.n_steps + 1, grid.n_modes), dtype=np.complex128)
-    for step in range(phi.n_steps):
-        out[step + 1] = decay * out[step] + phi.dt * psi1 * phi.values[step]
+    vals = phi.values
+    out, _ = march(
+        grid, np.zeros(grid.n_modes), phi.n_steps, phi.dt, lambda u, step: vals[step]
+    )
     return Trajectory(grid, phi.dt, out, metadata={"kind": "duhamel"})
 
 
@@ -306,16 +323,8 @@ def step_skeleton(
         dt = cfg.dt
     if dt > cfg.dt * (1.0 + 1e-12):
         raise ValueError(f"step {dt} exceeds the configured stability step {cfg.dt}")
-    rule = cfg.rule(u.grid.cutoff)
-    phi_vals = phi_t.coeffs[None, :]
-
-    def rhs(vec, step):
-        F = phi_vals[0]
-        if not cfg.disable_nonlinearity:
-            F = F + b_core(vec, u.grid, rule)
-        return F
-
-    out, _ = _integrate(u.grid, u.coeffs, 1, dt, cfg, rhs)
+    forcing = skeleton_forcing(u.grid, cfg, phi_t.coeffs[None, :])
+    out, _ = march(u.grid, u.coeffs, 1, dt, forcing, cfg)
     return SpectralField(u.grid, out[1])
 
 
@@ -323,16 +332,10 @@ def solve_skeleton(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig) -
     """Deterministic controlled flow du/dt = Au + b(u) + phi on phi's grid."""
     _check_control(u0, phi, cfg)
     grid = u0.grid
-    rule = cfg.rule(grid.cutoff)
     vals = phi.values
-
-    if cfg.disable_nonlinearity:
-        rhs = lambda vec, step: vals[step]
-    else:
-        rhs = lambda vec, step: b_core(vec, grid, rule) + vals[step]
-
-    out, diag = _integrate(
-        grid, u0.coeffs, phi.n_steps, phi.dt, cfg, rhs, phi_values=vals
+    out, diag = march(
+        grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, vals), cfg,
+        phi_values=vals,
     )
     return Trajectory(
         grid,
@@ -384,14 +387,8 @@ def solve_controlled(
     """
     _check_control(u0, phi, cfg)
     grid = u0.grid
-    rule = cfg.rule(grid.cutoff)
     lam = noise_mod.covariance_weights(grid, spec)
     forced = phi.values * lam[None, :]
-
-    if cfg.disable_nonlinearity:
-        rhs = lambda vec, step: forced[step]
-    else:
-        rhs = lambda vec, step: b_core(vec, grid, rule) + forced[step]
 
     use_noise = noise and spec.epsilon > 0.0
     if use_noise:
@@ -399,17 +396,16 @@ def solve_controlled(
         _, noise_std = noise_mod.ou_transition(grid, spec, 0.0, phi.dt)
     else:
         gen, noise_std = None, None
-    out, diag = _integrate(
-        grid,
-        u0.coeffs,
-        phi.n_steps,
-        phi.dt,
-        cfg,
-        rhs,
-        noise_std=noise_std,
-        gen=gen,
-        phi_values=forced,
-    )
+    try:
+        out, diag = march(
+            grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, forced), cfg,
+            noise_std=noise_std, gen=gen, phi_values=forced,
+        )
+    except IntegrationBlowupError as exc:
+        if not isinstance(rng, RngStream):
+            raise
+        where = f"seed={rng.seed} stream={rng.stream_id}"
+        raise IntegrationBlowupError(exc.t, exc.norm, where) from exc
     meta = {
         "kind": "controlled",
         "scheme": cfg.scheme,
@@ -445,14 +441,17 @@ def solve_shifted(
     cfg: IntegratorConfig,
     rng,
 ) -> ShiftedSolution:
-    """Random equation for v = u - z - Phi:
+    """Random equation for v = u - z - Phi (Da Prato and Debussche 2002):
 
         dv/dt = Av + b(v + z + Phi) + alpha z,   v(0) = u0 - z(0),
 
     with z the stationary OU path (damping alpha) and Phi the Duhamel
     convolution of the weighted control.  The summed path v + z + Phi is the
     controlled solution up to time-discretization error (exactly, for
-    alpha = 0 with the exponential Euler scheme).
+    alpha = 0 with the exponential Euler scheme).  All three pieces are
+    marches of the one exponential step: z with rate |k|^2 + alpha, no
+    forcing and the exact OU injection; Phi from zero; v with the shifted
+    nonlinearity as forcing.
     """
     _check_control(u0, phi, cfg)
     if alpha < 0:
@@ -462,12 +461,9 @@ def solve_shifted(
     n = phi.n_steps
     init_gen, step_gen = _step_stream(rng)
 
-    z_path = np.empty((n + 1, grid.n_modes), dtype=np.complex128)
-    z_path[0] = noise_mod.stationary_batch(grid, spec, alpha, init_gen, 1)[0]
-    decay, std = noise_mod.ou_transition(grid, spec, alpha, dt)
-    for step in range(n):
-        g = std * unit_complex_normals(step_gen, grid.n_modes)
-        z_path[step + 1] = decay * z_path[step] + g
+    z0 = noise_mod.stationary_batch(grid, spec, alpha, init_gen, 1)[0]
+    _, std = noise_mod.ou_transition(grid, spec, alpha, dt)
+    z_path, _ = march(grid, z0, n, dt, rate=grid.ksq + alpha, noise_std=std, gen=step_gen)
     z_meta = {"kind": "ou", "alpha": alpha, "epsilon": spec.epsilon, "delta": spec.delta}
     if isinstance(rng, RngStream):
         z_meta["seed"] = rng.seed
@@ -484,7 +480,7 @@ def solve_shifted(
         return F
 
     v0 = u0.coeffs - z_path[0]
-    out, diag = _integrate(grid, v0, n, dt, cfg, rhs)
+    out, diag = march(grid, v0, n, dt, rhs, cfg)
     v_traj = Trajectory(
         grid,
         dt,
@@ -504,10 +500,8 @@ def shifted_apriori_ratio(sol: ShiftedSolution, u0: SpectralField, alpha: float,
     LHS = |v(t)|_H^2 + int_0^t |v|_V^2 and
     RHS = exp(|z|^4_{L4L4}) (|u0|_H^2 + |z(0)|_H^2 + (alpha^2+1)|z|^4_{L4L4} + 1).
     """
-    worst = 0.0
-    for _, lhs, rhs in _apriori_terms(sol, u0, alpha, grid_factor):
-        worst = max(worst, lhs / rhs)
-    return worst
+    ratios = [lhs / rhs for _, lhs, rhs in _apriori_terms(sol, u0, alpha, grid_factor)]
+    return float(np.max(ratios, initial=0.0))
 
 
 def shifted_l4_ratio(sol: ShiftedSolution, u0: SpectralField, alpha: float,

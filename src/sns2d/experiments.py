@@ -49,19 +49,6 @@ from .nonlinear import DealiasRule
 from .spectral import BesovParams, tensor_sobolev_norm
 
 SCHEMA_VERSION = 1
-KINDS = (
-    "ou_checks",
-    "renorm",
-    "lp_moment",
-    "besov_moment",
-    "converge_h",
-    "converge_besov",
-    "wick_decay",
-    "instanton",
-    "laplace",
-    "tube",
-)
-
 _REQUIRED = object()
 
 # Entries that must be real integers (bool excluded).
@@ -138,7 +125,7 @@ class ExperimentConfig:
             )
         kind = top["kind"]
         if kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
+            raise ValueError(f"unknown experiment kind {kind!r}; choose from {tuple(KINDS)}")
         numerics = _take(
             top["numerics"],
             {
@@ -220,6 +207,12 @@ class ExperimentConfig:
             eta=self.noise["eta"],
         )
 
+    def threshold_values(self) -> dict:
+        """The kind's thresholds with defaults filled in; unknown names
+        rejected.  cfg.thresholds itself keeps only what the config set, so
+        the config hash does not depend on the defaults."""
+        return _take(self.thresholds, KINDS[self.kind].thresholds, f"thresholds({self.kind})")
+
     def validate(self):
         for section, key in _INTEGER_KEYS:
             value = getattr(self, section)[key]
@@ -228,9 +221,16 @@ class ExperimentConfig:
         self.integrator()  # raises on bad numerics
         if self.numerics["cutoff"] < 1:
             raise ValueError("numerics.cutoff must be >= 1")
+        t_final, dt = self.numerics["t_final"], self.numerics["dt"]
+        if not t_final > 0 or round(t_final / dt) < 2:
+            raise ValueError(
+                f"numerics.t_final must be > 0 and span at least 2 steps of "
+                f"dt={dt}, got {t_final}"
+            )
         if self.statistics["replicas"] < 1:
             raise ValueError("statistics.replicas must be >= 1")
-        self.params = _PARAM_SCHEMAS[self.kind](self)
+        self.params = KINDS[self.kind].params(self)
+        self.threshold_values()
         return self
 
 
@@ -398,20 +398,6 @@ def _params_tube(cfg):
     return p
 
 
-_PARAM_SCHEMAS = {
-    "ou_checks": _params_ou,
-    "renorm": _params_renorm,
-    "lp_moment": _params_lp_moment,
-    "besov_moment": _params_besov_moment,
-    "converge_h": _params_converge_h,
-    "converge_besov": _params_converge_besov,
-    "wick_decay": _params_wick_decay,
-    "instanton": _params_instanton,
-    "laplace": _params_laplace,
-    "tube": _params_tube,
-}
-
-
 # --------------------------------------------------------------------------
 # field / control builders
 
@@ -482,11 +468,7 @@ def build_control(cutoff, dt, n_steps, descr, stream: RngStream) -> ControlPath:
 def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
     from scipy.stats import ks_2samp
 
-    th = _take(
-        cfg.thresholds,
-        {"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.01},
-        "thresholds(ou_checks)",
-    )
+    th = cfg.threshold_values()
     g = grid_for(cfg.numerics["cutoff"])
     spec = cfg.spec()
     replicas = cfg.statistics["replicas"]
@@ -541,11 +523,7 @@ def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_renorm(cfg: ExperimentConfig, run_dir=None):
-    th = _take(
-        cfg.thresholds,
-        {"pair_agreement": 1e-8, "max_wick_zscore": 3.0, "crosscheck_tol": 1e-10},
-        "thresholds(renorm)",
-    )
+    th = cfg.threshold_values()
     p = cfg.params
     gamma = cfg.noise["gamma"]
     rows = []
@@ -557,7 +535,7 @@ def _run_renorm(cfg: ExperimentConfig, run_dir=None):
             values.append(theta)
             rows.append({"kind": "theta", "delta": delta, "cutoff": cut, "value": theta,
                          "stderr": None, "zscore": None})
-        worst_pair = max(worst_pair, max(values) - min(values))
+        worst_pair = float(np.maximum(worst_pair, np.max(values) - np.min(values)))
 
     # Monte Carlo: zero-mode diagonal of the renormalized square is centered
     spec = cfg.spec()
@@ -598,29 +576,26 @@ def _run_renorm(cfg: ExperimentConfig, run_dir=None):
         cs = z.coeffs[keep]
         direct11 = float(np.abs(cs) ** 2 @ w11) - spec.epsilon * theta_trunc
         direct22 = float(np.abs(cs) ** 2 @ w22) - spec.epsilon * theta_trunc
-        worst_cross = max(
-            worst_cross, abs(zm[0, 0] - direct11), abs(zm[1, 1] - direct22)
+        worst_cross = float(
+            np.max([worst_cross, abs(zm[0, 0] - direct11), abs(zm[1, 1] - direct22)])
         )
 
-    zscores = [r["zscore"] for r in rows if r["zscore"] is not None]
+    # numpy reductions keep a NaN, which then fails its threshold
+    max_z = float(np.max([r["zscore"] for r in rows if r["zscore"] is not None]))
     summary = {
         "pair_agreement": worst_pair,
-        "max_wick_zscore": max(zscores),
+        "max_wick_zscore": max_z,
         "wick_crosscheck_err": worst_cross,
         "symmetrized_form": True,
         "passed": worst_pair <= th["pair_agreement"]
-        and max(zscores) <= th["max_wick_zscore"]
+        and max_z <= th["max_wick_zscore"]
         and worst_cross <= th["crosscheck_tol"],
     }
     return rows, summary
 
 
 def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
-    th = _take(
-        cfg.thresholds,
-        {"max_closed_form_rel_err": 0.05, "max_ratio_spread": 3.0},
-        "thresholds(lp_moment)",
-    )
+    th = cfg.threshold_values()
     stream = RngStream(cfg.statistics["seed"])
     rows = []
     ratios = []
@@ -638,8 +613,9 @@ def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
         rows.extend(rep.rows())
         ratios.append(rep.ratio)
         if rep.closed_form is not None:
-            worst_rel = max(worst_rel, abs(rep.estimate - rep.closed_form) / rep.closed_form)
-    spread = max(ratios) / min(ratios)
+            rel = abs(rep.estimate - rep.closed_form) / rep.closed_form
+            worst_rel = float(np.maximum(worst_rel, rel))
+    spread = float(np.max(ratios) / np.min(ratios))
     summary = {
         "ratio_spread": spread,
         "max_closed_form_rel_err": worst_rel,
@@ -650,7 +626,7 @@ def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_besov_moment(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"max_ratio_spread": 10.0}, "thresholds(besov_moment)")
+    th = cfg.threshold_values()
     stream = RngStream(cfg.statistics["seed"])
     schedule = cfg.schedule()
     p = cfg.params
@@ -672,7 +648,7 @@ def _run_besov_moment(cfg: ExperimentConfig, run_dir=None):
         )
         rows.extend(rep.rows())
         ratios.append(rep.ratio)
-    spread = max(ratios) / min(ratios)
+    spread = float(np.max(ratios) / np.min(ratios))
     summary = {"ratio_spread": spread, "passed": spread <= th["max_ratio_spread"]}
     return rows, summary
 
@@ -681,7 +657,7 @@ def _convergence_common(cfg):
     stream = RngStream(cfg.statistics["seed"])
     cutoff = cfg.numerics["cutoff"]
     integ = cfg.integrator()
-    n_steps = max(2, round(cfg.numerics["t_final"] / integ.dt))
+    n_steps = round(cfg.numerics["t_final"] / integ.dt)
     u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
     phi = build_control(cutoff, integ.dt, n_steps, cfg.params["control"], stream.child(901))
     return stream, integ, u0, phi
@@ -704,7 +680,7 @@ def _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi):
 
 
 def _run_converge_h(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"slope_sigmas": 2.0}, "thresholds(converge_h)")
+    th = cfg.threshold_values()
     stream, integ, u0, phi = _convergence_common(cfg)
     if cfg.io["dump_trajectories"] and run_dir:
         _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi)
@@ -730,7 +706,7 @@ def _run_converge_h(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_converge_besov(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"slope_sigmas": 2.0}, "thresholds(converge_besov)")
+    th = cfg.threshold_values()
     stream, integ, u0, phi = _convergence_common(cfg)
     if cfg.io["dump_trajectories"] and run_dir:
         _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi)
@@ -758,7 +734,7 @@ def _run_converge_besov(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_wick_decay(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"slope_sigmas": 2.0}, "thresholds(wick_decay)")
+    th = cfg.threshold_values()
     stream = RngStream(cfg.statistics["seed"])
     schedule = cfg.schedule()
     g = grid_for(cfg.numerics["cutoff"])
@@ -793,7 +769,7 @@ def _run_wick_decay(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_instanton(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"max_gradient_rel_err": 1e-5}, "thresholds(instanton)")
+    th = cfg.threshold_values()
     stream = RngStream(cfg.statistics["seed"])
     cutoff = cfg.numerics["cutoff"]
     integ = cfg.integrator()
@@ -801,7 +777,7 @@ def _run_instanton(cfg: ExperimentConfig, run_dir=None):
     u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
     tgt_descr = cfg.params["target"]
     if tgt_descr.get("kind") == "free_decay":
-        n = max(2, round(t_final / integ.dt))
+        n = round(t_final / integ.dt)
         free = solve_skeleton(u0, ControlPath.zero(cutoff, integ.dt, n), integ)
         target = free.final()
     else:
@@ -863,7 +839,7 @@ def _run_instanton(cfg: ExperimentConfig, run_dir=None):
             )
             fd = (Jp - Jm) / (2 * h)
             pred = integ.dt * 2.0 * float(np.real(np.sum(grad * np.conj(direction))))
-            worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-300))
+            worst = float(np.maximum(worst, abs(fd - pred) / max(abs(fd), 1e-300)))
         summary["gradient_rel_err"] = worst
         summary["passed"] = rep.converged and worst <= th["max_gradient_rel_err"]
     else:
@@ -872,7 +848,7 @@ def _run_instanton(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_laplace(cfg: ExperimentConfig, run_dir=None):
-    th = _take(cfg.thresholds, {"allow_variance_flag": True}, "thresholds(laplace)")
+    th = cfg.threshold_values()
     stream = RngStream(cfg.statistics["seed"])
     cutoff = cfg.numerics["cutoff"]
     integ = cfg.integrator()
@@ -904,12 +880,11 @@ def _run_laplace(cfg: ExperimentConfig, run_dir=None):
 
 
 def _run_tube(cfg: ExperimentConfig, run_dir=None):
-    _take(cfg.thresholds, {}, "thresholds(tube)")
     stream = RngStream(cfg.statistics["seed"])
     cutoff = cfg.numerics["cutoff"]
     integ = cfg.integrator()
     u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
-    n = max(2, round(cfg.numerics["t_final"] / integ.dt))
+    n = round(cfg.numerics["t_final"] / integ.dt)
     center = solve_skeleton(u0, ControlPath.zero(cutoff, integ.dt, n), integ)
     if cfg.io["dump_trajectories"] and run_dir:
         from .dynamics import save_trajectory
@@ -940,17 +915,36 @@ def _run_tube(cfg: ExperimentConfig, run_dir=None):
     return rows, summary
 
 
-_RUNNERS = {
-    "ou_checks": _run_ou_checks,
-    "renorm": _run_renorm,
-    "lp_moment": _run_lp_moment,
-    "besov_moment": _run_besov_moment,
-    "converge_h": _run_converge_h,
-    "converge_besov": _run_converge_besov,
-    "wick_decay": _run_wick_decay,
-    "instanton": _run_instanton,
-    "laplace": _run_laplace,
-    "tube": _run_tube,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its param schema, threshold defaults and runner."""
+
+    params: object
+    thresholds: dict
+    run: object
+
+
+KINDS = {
+    "ou_checks": _Kind(
+        _params_ou, {"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.01}, _run_ou_checks
+    ),
+    "renorm": _Kind(
+        _params_renorm,
+        {"pair_agreement": 1e-8, "max_wick_zscore": 3.0, "crosscheck_tol": 1e-10},
+        _run_renorm,
+    ),
+    "lp_moment": _Kind(
+        _params_lp_moment,
+        {"max_closed_form_rel_err": 0.05, "max_ratio_spread": 3.0},
+        _run_lp_moment,
+    ),
+    "besov_moment": _Kind(_params_besov_moment, {"max_ratio_spread": 10.0}, _run_besov_moment),
+    "converge_h": _Kind(_params_converge_h, {"slope_sigmas": 2.0}, _run_converge_h),
+    "converge_besov": _Kind(_params_converge_besov, {"slope_sigmas": 2.0}, _run_converge_besov),
+    "wick_decay": _Kind(_params_wick_decay, {"slope_sigmas": 2.0}, _run_wick_decay),
+    "instanton": _Kind(_params_instanton, {"max_gradient_rel_err": 1e-5}, _run_instanton),
+    "laplace": _Kind(_params_laplace, {"allow_variance_flag": True}, _run_laplace),
+    "tube": _Kind(_params_tube, {}, _run_tube),
 }
 
 
@@ -1028,7 +1022,7 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     h = config.config_hash()
     run_dir = os.path.join(outdir, f"{config.kind}-{h[:12]}")
     os.makedirs(run_dir, exist_ok=True)
-    rows, summary = _RUNNERS[config.kind](config, run_dir)
+    rows, summary = KINDS[config.kind].run(config, run_dir)
     summary = {
         "kind": config.kind,
         "config_hash": h,

@@ -7,7 +7,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import noise as noise_mod
-from .dynamics import ControlPath, IntegratorConfig, Trajectory, solve_controlled, solve_skeleton, solve_stochastic
+from .dynamics import (
+    ControlPath,
+    IntegrationBlowupError,
+    IntegratorConfig,
+    Trajectory,
+    exp_weights,
+    march,
+    skeleton_forcing,
+    solve_controlled,
+    solve_skeleton,
+    solve_stochastic,
+)
 from .fields import SpectralField
 from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core
 from .noise import NoiseSpec, RngStream
@@ -131,18 +142,6 @@ class MinimizeReport:
     history: list = field(default_factory=list)
 
 
-def _forward_states(phi_vals, u0_coeffs, grid, rule, decay, psi1, dt, disable_b):
-    n = phi_vals.shape[0]
-    states = np.empty((n + 1, grid.n_modes), dtype=np.complex128)
-    states[0] = u0_coeffs
-    for step in range(n):
-        F = phi_vals[step]
-        if not disable_b:
-            F = F + b_core(states[step], grid, rule)
-        states[step + 1] = decay * states[step] + dt * psi1 * F
-    return states
-
-
 def action_objective_and_gradient(
     phi_vals: np.ndarray,
     u0: SpectralField,
@@ -153,25 +152,22 @@ def action_objective_and_gradient(
 ):
     """Penalized objective J = (1/2)|phi|^2_{L2H} + weight |u(T) - target|_H^2
     and its gradient in the discrete L^2(0,T;H) metric, via the adjoint of the
-    exponential-Euler recursion."""
+    exponential-Euler recursion.  A forward pass that blows up raises
+    IntegrationBlowupError."""
     if cfg.scheme != "exponential_euler":
         raise ValueError("the adjoint gradient is implemented for exponential_euler")
     grid = u0.grid
-    rule = cfg.rule(grid.cutoff)
     dt = cfg.dt
-    z = grid.ksq * dt
-    decay = np.exp(-z)
-    psi1 = -np.expm1(-z) / z
-    states = _forward_states(
-        phi_vals, u0.coeffs, grid, rule, decay, psi1, dt, cfg.disable_nonlinearity
-    )
+    n = phi_vals.shape[0]
+    states, _ = march(grid, u0.coeffs, n, dt, skeleton_forcing(grid, cfg, phi_vals), cfg)
     mismatch = states[-1] - target.coeffs
     endpoint_sq = 2.0 * float(np.sum(np.abs(mismatch) ** 2))
     control_sq = dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2))
     J = 0.5 * control_sq + weight * endpoint_sq
     if not want_gradient:
         return J, None, states
-    n = phi_vals.shape[0]
+    rule = cfg.rule(grid.cutoff)
+    decay, psi1 = exp_weights(grid.ksq * dt)
     grad = np.empty_like(phi_vals)
     lam = 2.0 * weight * mismatch
     for step in range(n - 1, -1, -1):
@@ -222,9 +218,12 @@ def minimize_action(
             accepted = False
             while step_size >= opt.min_step:
                 trial = phi_vals - step_size * grad
-                J_trial, _, _ = action_objective_and_gradient(
-                    trial, u0, target, weight, cfg, want_gradient=False
-                )
+                try:
+                    J_trial, _, _ = action_objective_and_gradient(
+                        trial, u0, target, weight, cfg, want_gradient=False
+                    )
+                except IntegrationBlowupError:  # a runaway trial is a rejected step
+                    J_trial = math.inf
                 if J_trial <= J - opt.armijo_constant * step_size * gnorm_sq:
                     accepted = True
                     break

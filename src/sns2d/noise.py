@@ -561,20 +561,20 @@ def besov_moment_check(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "
             f"sigma_prime={sigma_prime}"
         )
+    from .dynamics import march
     from .spectral import besov_norm
 
     g = grid_for(cutoff)
     stream = rng if isinstance(rng, RngStream) else RngStream(0)
     n_steps = max(1, round(horizon / dt))
+    _, std = ou_transition(g, spec, alpha, dt)
     sups = np.empty(replicas)
     for i in range(replicas):
         gen = as_generator(stream.child(i)) if isinstance(rng, RngStream) else as_generator(rng)
-        z = SpectralField(g, stationary_batch(g, spec, alpha, gen, 1)[0])
-        best = besov_norm(z, sigma, p, grid_factor)
-        for _ in range(n_steps):
-            z = ou_step(z, spec, alpha, dt, gen)
-            best = max(best, besov_norm(z, sigma, p, grid_factor))
-        sups[i] = best**kappa
+        z0 = stationary_batch(g, spec, alpha, gen, 1)[0]
+        path, _ = march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
+        norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
+        sups[i] = np.max(norms) ** kappa
     s, tail = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
     bound = (spec.epsilon * s) ** (kappa / 2.0)
     est = float(np.mean(sups))

@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import sns2d
 from sns2d import (
     ControlPath,
     IntegratorConfig,
@@ -22,13 +25,15 @@ from sns2d import (
 )
 from sns2d.dynamics import (
     IntegrationBlowupError,
+    Trajectory,
     diagnostics_rows,
     load_trajectory,
+    march,
     save_trajectory,
     shifted_apriori_ratio,
 )
 from sns2d.ldp import fit_loglog
-from sns2d.noise import covariance_weights
+from sns2d.noise import covariance_weights, ou_step, ou_transition
 
 
 def generic_field(cutoff=8, amplitude=0.3, seed=2):
@@ -431,3 +436,123 @@ def test_trajectory_metadata_records_stream():
     assert traj.metadata["stream"] == (3,)
     assert traj.metadata["epsilon"] == 0.1
     assert traj.metadata["scheme"] == "exponential_euler"
+
+
+def test_march_ou_path_matches_repeated_ou_steps():
+    g = taylor_green(6, 1.0).grid
+    spec = NoiseSpec(epsilon=0.3, delta=0.1, gamma=1.0)
+    alpha, dt = 0.7, 0.05
+    z0 = SpectralField.random(6, np.random.default_rng(1), amplitude=0.2)
+    _, std = ou_transition(g, spec, alpha, dt)
+    path, diag = march(
+        g, z0.coeffs, 4, dt, rate=g.ksq + alpha, noise_std=std,
+        gen=np.random.default_rng(5),
+    )
+    assert diag is None
+    gen = np.random.default_rng(5)
+    z = z0
+    for i in range(1, 5):
+        z = ou_step(z, spec, alpha, dt, gen)
+        assert np.array_equal(path[i], z.coeffs)
+
+
+def test_march_guard_raises_on_non_finite_state_without_config():
+    g = taylor_green(4, 1.0).grid
+    nan_forcing = lambda u, step: np.full(g.n_modes, np.nan if step == 2 else 0.0)
+    with pytest.raises(IntegrationBlowupError) as err:
+        march(g, np.zeros(g.n_modes), 5, 0.1, nan_forcing)
+    assert err.value.t == pytest.approx(0.3)
+    huge, _ = march(g, np.full(g.n_modes, 1e8), 1, 0.1)
+    assert np.all(np.isfinite(huge))
+
+
+def _recurrence_loops(tree):
+    """Functions holding a forward per-step recurrence: a loop that stores the
+    next state into slot [i + 1], or rebinds a name to a one-step function
+    (ou_step, step_skeleton) applied to itself."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Assign):
+                    continue
+                tgt, val = node.targets[0], node.value
+                next_slot = (
+                    isinstance(tgt, ast.Subscript)
+                    and isinstance(tgt.slice, ast.BinOp)
+                    and isinstance(tgt.slice.op, ast.Add)
+                    and isinstance(tgt.slice.right, ast.Constant)
+                    and tgt.slice.right.value == 1
+                )
+                self_step = (
+                    isinstance(tgt, ast.Name)
+                    and isinstance(val, ast.Call)
+                    and getattr(val.func, "id", getattr(val.func, "attr", None))
+                    in ("ou_step", "step_skeleton")
+                    and any(isinstance(a, ast.Name) and a.id == tgt.id for a in val.args)
+                )
+                if next_slot or self_step:
+                    found.append(func.name)
+                    break
+            else:
+                continue
+            break
+    return found
+
+
+def test_march_is_the_only_time_march_in_the_package():
+    src = pathlib.Path(sns2d.__file__).parent
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _recurrence_loops(ast.parse(path.read_text()))
+    ]
+    assert found == ["dynamics.py:march"]
+    # the step weights are computed by exp_weights, not again in the ldp layer;
+    # laplace_check's np.exp is the exponential functional's weight
+    exp_calls = [
+        (func.name, node.func.attr)
+        for func in ast.walk(ast.parse((src / "ldp.py").read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("exp", "expm1")
+    ]
+    assert exp_calls == [("laplace_check", "exp")]
+
+
+def test_recurrence_guard_sees_each_old_form_of_a_march():
+    for text in (
+        "def duhamel(out, n):\n"
+        "    for step in range(n):\n"
+        "        out[step + 1] = decay * out[step] + dt * psi1 * vals[step]\n",
+        "def besov(z, n):\n"
+        "    for _ in range(n):\n"
+        "        z = ou_step(z, spec, alpha, dt, gen)\n",
+        "def skel(u, n):\n"
+        "    while n:\n"
+        "        u = noise.step_skeleton(u, phi, cfg)\n",
+    ):
+        assert _recurrence_loops(ast.parse(text)) != [], text
+    adjoint = (
+        "def adjoint(lam, n):\n"
+        "    for step in range(n - 1, -1, -1):\n"
+        "        grad[step] = phi[step] + psi1 * lam\n"
+        "        lam = decay * lam\n"
+    )
+    assert _recurrence_loops(ast.parse(adjoint)) == []
+
+
+def test_sup_norms_keep_a_nan():
+    cfg = IntegratorConfig(dt=0.05)
+    traj = solve_skeleton(taylor_green(4, 0.5), ControlPath.zero(4, 0.05, 3), cfg)
+    norm = lambda f: np.nan if np.array_equal(f.coeffs, traj.coeffs[1]) else 1.0
+    assert np.isnan(traj.sup_norm(norm))
+    zero = Trajectory(traj.grid, traj.dt, np.zeros_like(traj.coeffs))
+    assert np.isnan(traj.sup_distance(zero, norm))
+    h = lambda f: sobolev_norm(f, 0.0)
+    assert traj.sup_norm(h) == pytest.approx(max(traj.h_norms()), rel=1e-14)

@@ -397,3 +397,68 @@ def test_dump_trajectories_flag(tmp_path):
 
     traj = load_trajectory(os.path.join(record.run_dir, "skeleton.csv"))
     assert traj.n_steps == 10
+
+
+def test_validate_rejects_a_misspelled_threshold(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "configs", "converge_h.json")) as fh:
+        raw = json.load(fh)
+    raw["thresholds"] = {"slope_sigma": 2.0}
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = _cli("validate", "-c", str(cfg_path))
+    assert out.returncode == 2
+    assert "thresholds(converge_h): unknown keys ['slope_sigma']" in out.stderr
+    runs = tmp_path / "runs"
+    assert _cli("run", "-c", str(cfg_path), "-o", str(runs)).returncode == 2
+    assert not runs.exists()
+
+
+def test_threshold_defaults_stay_out_of_the_config():
+    raw = minimal_ou_config()
+    raw["thresholds"] = {"min_ks_pvalue": 0.005}
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.thresholds == {"min_ks_pvalue": 0.005}
+    assert cfg.threshold_values() == {"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.005}
+    raw["thresholds"] = {"slope_sigmas": 2.0}  # another kind's threshold
+    with pytest.raises(ValueError, match=r"thresholds\(ou_checks\): unknown keys"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("t_final", [-1.0, 0.0, 0.02, 0.029])
+def test_config_rejects_a_horizon_below_two_steps(t_final):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
+    raw["numerics"]["t_final"] = t_final
+    with pytest.raises(ValueError, match="numerics.t_final must be > 0"):
+        ExperimentConfig.from_dict(raw)
+    raw["numerics"]["t_final"] = 0.04
+    assert ExperimentConfig.from_dict(raw).numerics["t_final"] == 0.04
+
+
+def test_blowup_names_the_replica_stream(tmp_path):
+    from sns2d.dynamics import IntegrationBlowupError
+
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
+    raw["noise"]["epsilon"] = 1e14
+    with pytest.raises(IntegrationBlowupError, match=r"blew up .* in seed=12 stream=\(1, 0\)"):
+        run(ExperimentConfig.from_dict(raw), str(tmp_path))
+
+
+def test_nan_moment_ratio_fails_lp_moment_and_is_never_written(tmp_path, monkeypatch):
+    exact = experiments.lp_log_moment_check
+
+    def poisoned(spec, *args, **kwargs):
+        rep = exact(spec, *args, **kwargs)
+        if spec.delta == 0.01:
+            rep.ratio = float("nan")
+        return rep
+
+    monkeypatch.setattr(experiments, "lp_log_moment_check", poisoned)
+    cfg = ExperimentConfig.from_dict(lp_moment_config())
+    _, summary = experiments._run_lp_moment(cfg)
+    assert np.isnan(summary["ratio_spread"])
+    assert summary["passed"] is False
+    with pytest.raises(ValueError):
+        run(cfg, str(tmp_path))
+    (run_dir,) = tmp_path.iterdir()
+    assert list(run_dir.iterdir()) == []

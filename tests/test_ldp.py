@@ -427,3 +427,28 @@ def test_laplace_endpoint_gap_shrinks_with_noise():
         lhs.append(vals.min() - eps * np.log(float(np.mean(w))))
     assert all(v >= 0.0 for v in lhs)
     assert lhs[2] < lhs[1] < lhs[0]
+
+
+def test_objective_states_are_the_skeleton_path():
+    u0 = generic_field(cutoff=6)
+    cfg = IntegratorConfig(dt=0.02)
+    phi = unit_complex_normals(np.random.default_rng(3), (10, u0.grid.n_modes))
+    J, grad, states = action_objective_and_gradient(phi, u0, taylor_green(6, 0.2), 5.0, cfg)
+    traj = solve_skeleton(u0, ControlPath(u0.grid, cfg.dt, phi), cfg)
+    assert np.array_equal(states, traj.coeffs)
+    _, _, trial_states = action_objective_and_gradient(
+        phi, u0, taylor_green(6, 0.2), 5.0, cfg, want_gradient=False
+    )
+    assert np.array_equal(trial_states, traj.coeffs)
+
+
+def test_runaway_line_search_trial_is_a_rejected_step():
+    # huge trial steps blow the forward pass up; each is backtracked, and the
+    # descent ends where it does when such trials only fail the Armijo test
+    _, rep = minimize_action(
+        taylor_green(4, 0.5), taylor_green(4, 0.8), 0.1, IntegratorConfig(dt=0.01),
+        OptimizerSettings(initial_step=1e6, max_iterations=50),
+    )
+    assert rep.converged
+    assert rep.iterations == 176
+    assert rep.action == pytest.approx(18.262696944472083, rel=1e-10)
