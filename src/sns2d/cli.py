@@ -4,6 +4,7 @@ import argparse
 import json
 import sys
 
+from .dynamics import IntegrationBlowupError
 from .experiments import ExperimentConfig, report, run, sweep
 
 
@@ -75,7 +76,11 @@ def main(argv=None):
         except (ValueError, KeyError) as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
-        record = run(cfg, args.outdir)
+        try:
+            record = run(cfg, args.outdir)
+        except (IntegrationBlowupError, ValueError, OSError) as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return 1
         print(f"run dir: {record.run_dir}")
         print(f"passed:  {record.passed}")
         return 0 if record.passed else 1

@@ -16,7 +16,7 @@ from . import noise as noise_mod
 from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
-from .noise import NoiseSpec, RngStream, as_generator, unit_complex_normals
+from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
 from .spectral import h_norm_of, lp_norm, sobolev_norm
 
 SCHEMES = ("exponential_euler", "etd2")
@@ -283,6 +283,14 @@ def _record_diag(diag, grid, u, unew, step, dt, phi_values, cfg):
     diag["energy_residual"].append(res)
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of dt that span t_final; a horizon that is not
+    positive or rounds to no step at all raises."""
+    if not t_final > 0 or round(t_final / dt) < 1:
+        raise ValueError(f"horizon t_final={t_final} spans no step of dt={dt}")
+    return round(t_final / dt)
+
+
 def _check_control(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig):
     if phi.grid.cutoff != u0.grid.cutoff:
         raise ValueError("control and initial condition cutoffs differ")
@@ -346,18 +354,6 @@ def solve_skeleton(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig) -
     )
 
 
-def _step_stream(rng) -> tuple:
-    """(initial-sampling generator, stepping generator) from one stream.
-
-    Splitting lets the controlled and shifted solvers consume identical
-    per-step noise even though only the latter draws an initial condition.
-    """
-    if isinstance(rng, RngStream):
-        return rng.child(0).generator(), rng.child(1).generator()
-    gen = as_generator(rng)
-    return gen, gen
-
-
 def solve_stochastic(
     u0: SpectralField,
     spec: NoiseSpec,
@@ -367,7 +363,7 @@ def solve_stochastic(
 ) -> Trajectory:
     """du = [Au + b(u)] dt + sqrt(eps) dw, exact OU treatment of the linear
     plus noise part, explicit nonlinearity."""
-    phi = ControlPath.zero(u0.grid.cutoff, cfg.dt, max(1, round(t_final / cfg.dt)))
+    phi = ControlPath.zero(u0.grid.cutoff, cfg.dt, step_count(t_final, cfg.dt))
     return solve_controlled(u0, phi, spec, cfg, rng)
 
 
@@ -385,6 +381,7 @@ def solve_controlled(
     drops the stochastic term as a diagnostic, which reduces the run to the
     skeleton driven by Q phi.
     """
+    require_stream(rng)
     _check_control(u0, phi, cfg)
     grid = u0.grid
     lam = noise_mod.covariance_weights(grid, spec)
@@ -392,7 +389,7 @@ def solve_controlled(
 
     use_noise = noise and spec.epsilon > 0.0
     if use_noise:
-        _, gen = _step_stream(rng)
+        gen = rng.child(1).generator()  # the steps; child(0) is solve_shifted's z0
         _, noise_std = noise_mod.ou_transition(grid, spec, 0.0, phi.dt)
     else:
         gen, noise_std = None, None
@@ -402,8 +399,6 @@ def solve_controlled(
             noise_std=noise_std, gen=gen, phi_values=forced,
         )
     except IntegrationBlowupError as exc:
-        if not isinstance(rng, RngStream):
-            raise
         where = f"seed={rng.seed} stream={rng.stream_id}"
         raise IntegrationBlowupError(exc.t, exc.norm, where) from exc
     meta = {
@@ -411,10 +406,9 @@ def solve_controlled(
         "scheme": cfg.scheme,
         "epsilon": spec.epsilon,
         "delta": spec.delta,
+        "seed": rng.seed,
+        "stream": rng.stream_id,
     }
-    if isinstance(rng, RngStream):
-        meta["seed"] = rng.seed
-        meta["stream"] = rng.stream_id
     return Trajectory(grid, phi.dt, out, metadata=meta, diagnostics=diag)
 
 
@@ -453,21 +447,24 @@ def solve_shifted(
     forcing and the exact OU injection; Phi from zero; v with the shifted
     nonlinearity as forcing.
     """
+    require_stream(rng)
     _check_control(u0, phi, cfg)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     grid = u0.grid
     dt = phi.dt
     n = phi.n_steps
-    init_gen, step_gen = _step_stream(rng)
+    # z0 from child(0), the steps from child(1): the per-step noise is then
+    # solve_controlled's, although only this solver draws an initial condition
+    init_gen, step_gen = rng.child(0).generator(), rng.child(1).generator()
 
     z0 = noise_mod.stationary_batch(grid, spec, alpha, init_gen, 1)[0]
     _, std = noise_mod.ou_transition(grid, spec, alpha, dt)
     z_path, _ = march(grid, z0, n, dt, rate=grid.ksq + alpha, noise_std=std, gen=step_gen)
-    z_meta = {"kind": "ou", "alpha": alpha, "epsilon": spec.epsilon, "delta": spec.delta}
-    if isinstance(rng, RngStream):
-        z_meta["seed"] = rng.seed
-        z_meta["stream"] = rng.stream_id
+    z_meta = {
+        "kind": "ou", "alpha": alpha, "epsilon": spec.epsilon, "delta": spec.delta,
+        "seed": rng.seed, "stream": rng.stream_id,
+    }
     z_traj = Trajectory(grid, dt, z_path, metadata=z_meta)
 
     conv = phi_eps(phi, spec)

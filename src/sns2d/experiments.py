@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import ControlPath, IntegratorConfig, solve_skeleton
+from .dynamics import (
+    ControlPath,
+    IntegratorConfig,
+    save_trajectory,
+    solve_controlled,
+    solve_skeleton,
+    step_count,
+)
 from .fields import SpectralField, load_field, taylor_green
 from .grid import grid_for
 from .ldp import (
@@ -45,7 +52,6 @@ from .noise import (
     stationary_batch,
     wick_square,
 )
-from .nonlinear import DealiasRule
 from .spectral import BesovParams, tensor_sobolev_norm
 
 SCHEMA_VERSION = 1
@@ -462,31 +468,86 @@ def build_control(cutoff, dt, n_steps, descr, stream: RngStream) -> ControlPath:
 
 
 # --------------------------------------------------------------------------
-# runners
+# run context and runners
 
 
-def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
+class _RunContext:
+    """What every runner shares, built once by ``run`` from a validated config.
+
+    It owns the root stream ``RngStream(seed)`` and names its reserved
+    children, the integrator and the step count of the horizon, the
+    thresholds with their defaults, and the trajectories to dump.  Kinds that
+    sweep members without a reserved child use ``member(i)``, child i of the
+    root.
+    """
+
+    RESERVED = {
+        "sweep": 1, "wick": 100, "crosscheck": 101,
+        "initial": 900, "control": 901, "target": 902, "gradient": 903,
+    }
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.th = cfg.threshold_values()
+        self.root = RngStream(cfg.statistics["seed"])
+        self.integ = cfg.integrator()
+        self.n_steps = step_count(cfg.numerics["t_final"], self.integ.dt)
+        self.cutoff = cfg.numerics["cutoff"]
+        self.dumps = {}
+
+    def member(self, i) -> RngStream:
+        return self.root.child(i)
+
+    def stream(self, name) -> RngStream:
+        return self.root.child(self.RESERVED[name])
+
+    def initial(self) -> SpectralField:
+        return build_initial(self.cutoff, self.cfg.params["initial"], self.stream("initial"))
+
+    def target(self, descr) -> SpectralField:
+        return build_initial(self.cutoff, descr, self.stream("target"))
+
+    def free_decay(self, u0):
+        """The skeleton path of u0 without control over the horizon."""
+        zero = ControlPath.zero(self.cutoff, self.integ.dt, self.n_steps)
+        return solve_skeleton(u0, zero, self.integ)
+
+    def slope_summary(self, slope, slope_stderr, **extra) -> dict:
+        """A decay sweep's summary; it passes when the fitted log-log slope is
+        positive by slope_sigmas standard errors."""
+        return {**extra, "slope": slope, "slope_stderr": slope_stderr,
+                "passed": slope - self.th["slope_sigmas"] * slope_stderr > 0.0}
+
+    def dump(self, name, make):
+        """Record make() as <name>.csv for the run directory when
+        io.dump_trajectories is set; make is called here or not at all."""
+        if self.cfg.io["dump_trajectories"]:
+            self.dumps[name] = make()
+
+
+def _chunks(total):
+    """Batch sizes of the chunked stationary draws: 2000 at a time."""
+    return [min(2000, total - done) for done in range(0, total, 2000)]
+
+
+def _run_ou_checks(ctx: _RunContext):
     from scipy.stats import ks_2samp
 
-    th = cfg.threshold_values()
-    g = grid_for(cfg.numerics["cutoff"])
+    cfg, th = ctx.cfg, ctx.th
+    g = grid_for(ctx.cutoff)
     spec = cfg.spec()
     replicas = cfg.statistics["replicas"]
     dt = cfg.numerics["dt"]
-    stream = RngStream(cfg.statistics["seed"])
-    chunk = 2000
     rows = []
     summary = {"alphas": [], "ks_pvalue": {}, "max_variance_rel_err": 0.0}
     for idx, alpha in enumerate(cfg.params["alphas"]):
-        s = stream.child(idx)
+        s = ctx.member(idx)
         gen_a = s.child(0).generator()
         gen_b = s.child(1).generator()
         var_acc = np.zeros(g.n_modes)
         stepped_norms = []
         fresh_norms = []
-        done = 0
-        while done < replicas:
-            m = min(chunk, replicas - done)
+        for m in _chunks(replicas):
             Z = stationary_batch(g, spec, alpha, gen_a, m)
             var_acc += np.sum(np.abs(Z) ** 2, axis=0)
             Zs = ou_step_batch(Z, g, spec, alpha, dt, gen_a)
@@ -494,7 +555,6 @@ def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
             fresh_norms.append(
                 2.0 * np.sum(np.abs(stationary_batch(g, spec, alpha, gen_b, m)) ** 2, axis=1)
             )
-            done += m
         emp = var_acc / replicas
         exact = mode_variances(g, spec, alpha)
         rel = np.abs(emp - exact) / exact
@@ -522,8 +582,8 @@ def _run_ou_checks(cfg: ExperimentConfig, run_dir=None):
     return rows, summary
 
 
-def _run_renorm(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
+def _run_renorm(ctx: _RunContext):
+    cfg, th = ctx.cfg, ctx.th
     p = cfg.params
     gamma = cfg.noise["gamma"]
     rows = []
@@ -539,24 +599,20 @@ def _run_renorm(cfg: ExperimentConfig, run_dir=None):
 
     # Monte Carlo: zero-mode diagonal of the renormalized square is centered
     spec = cfg.spec()
-    g = grid_for(cfg.numerics["cutoff"])
-    rule = DealiasRule.make(cfg.numerics["dealias"], g.cutoff)
+    g = grid_for(ctx.cutoff)
+    rule = ctx.integ.rule(g.cutoff)
     keep = (np.abs(g.k1) <= rule.effective_cutoff) & (np.abs(g.k2) <= rule.effective_cutoff)
     w11 = (g.k2**2 / g.ksq / (2.0 * np.pi**2))[keep]
     w22 = (g.k1**2 / g.ksq / (2.0 * np.pi**2))[keep]
     theta_trunc = renorm_constant(spec.delta, gamma, rule.effective_cutoff)
-    gen = RngStream(cfg.statistics["seed"]).child(100).generator()
+    gen = ctx.stream("wick").generator()
     R = p["wick_replicas"]
-    chunk = 2000
     sums = {"m11": [], "m22": []}
-    done = 0
-    while done < R:
-        m = min(chunk, R - done)
+    for m in _chunks(R):
         Z = stationary_batch(g, spec, 0.0, gen, m)[:, keep]
         a2 = np.abs(Z) ** 2
         sums["m11"].append(a2 @ w11 - spec.epsilon * theta_trunc)
         sums["m22"].append(a2 @ w22 - spec.epsilon * theta_trunc)
-        done += m
     for name in ("m11", "m22"):
         vals = np.concatenate(sums[name])
         mean = float(np.mean(vals))
@@ -567,7 +623,7 @@ def _run_renorm(cfg: ExperimentConfig, run_dir=None):
         )
 
     # the coefficient formula above must agree with the tensor operation
-    gen2 = RngStream(cfg.statistics["seed"]).child(101).generator()
+    gen2 = ctx.stream("crosscheck").generator()
     worst_cross = 0.0
     for _ in range(p["crosscheck_replicas"]):
         z = SpectralField(g, stationary_batch(g, spec, 0.0, gen2, 1)[0])
@@ -594,9 +650,8 @@ def _run_renorm(cfg: ExperimentConfig, run_dir=None):
     return rows, summary
 
 
-def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream = RngStream(cfg.statistics["seed"])
+def _run_lp_moment(ctx: _RunContext):
+    cfg, th = ctx.cfg, ctx.th
     rows = []
     ratios = []
     worst_rel = 0.0
@@ -606,8 +661,8 @@ def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
             spec,
             cfg.params["p"],
             cfg.statistics["replicas"],
-            stream.child(i),
-            cfg.numerics["cutoff"],
+            ctx.member(i),
+            ctx.cutoff,
             grid_factor=cfg.numerics["grid_factor"],
         )
         rows.extend(rep.rows())
@@ -625,9 +680,8 @@ def _run_lp_moment(cfg: ExperimentConfig, run_dir=None):
     return rows, summary
 
 
-def _run_besov_moment(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream = RngStream(cfg.statistics["seed"])
+def _run_besov_moment(ctx: _RunContext):
+    cfg = ctx.cfg
     schedule = cfg.schedule()
     p = cfg.params
     rows, ratios = [], []
@@ -640,112 +694,71 @@ def _run_besov_moment(cfg: ExperimentConfig, run_dir=None):
             p["p"],
             p["kappa"],
             cfg.numerics["t_final"],
-            cfg.numerics["dt"],
+            ctx.integ.dt,
             cfg.statistics["replicas"],
-            stream.child(i),
-            cfg.numerics["cutoff"],
+            ctx.member(i),
+            ctx.cutoff,
             grid_factor=cfg.numerics["grid_factor"],
         )
         rows.extend(rep.rows())
         ratios.append(rep.ratio)
     spread = float(np.max(ratios) / np.min(ratios))
-    summary = {"ratio_spread": spread, "passed": spread <= th["max_ratio_spread"]}
+    summary = {"ratio_spread": spread, "passed": spread <= ctx.th["max_ratio_spread"]}
     return rows, summary
 
 
-def _convergence_common(cfg):
-    stream = RngStream(cfg.statistics["seed"])
-    cutoff = cfg.numerics["cutoff"]
-    integ = cfg.integrator()
-    n_steps = round(cfg.numerics["t_final"] / integ.dt)
-    u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
-    phi = build_control(cutoff, integ.dt, n_steps, cfg.params["control"], stream.child(901))
-    return stream, integ, u0, phi
-
-
-def _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi):
-    """Optional per-run dumps: the skeleton path and replica 0 of each sweep
-    member (reproduced from the same substreams the sweep used)."""
-    from .dynamics import save_trajectory, solve_controlled
-
+def _run_convergence(ctx: _RunContext, experiment, **options):
+    """The sweep of one controlled path against its skeleton.  Dumps the
+    skeleton and replica 0 of each sweep member, reproduced from the
+    substreams the sweep uses."""
+    cfg, integ = ctx.cfg, ctx.integ
+    u0 = ctx.initial()
+    phi = build_control(
+        ctx.cutoff, integ.dt, ctx.n_steps, cfg.params["control"], ctx.stream("control")
+    )
+    ctx.dump("skeleton", lambda: solve_skeleton(u0, phi, integ))
     schedule = cfg.schedule()
-    skeleton = solve_skeleton(u0, phi, integ)
-    save_trajectory(skeleton, os.path.join(run_dir, "skeleton.csv"))
     for i, eps in enumerate(sorted(cfg.noise["epsilons"], reverse=True)):
         spec = NoiseSpec.at_epsilon(
             eps, schedule, gamma=cfg.noise["gamma"], eta=cfg.noise["eta"]
         )
-        traj = solve_controlled(u0, phi, spec, integ, stream.child(1).child(i).child(0))
-        save_trajectory(traj, os.path.join(run_dir, f"controlled_{i}.csv"))
-
-
-def _run_converge_h(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream, integ, u0, phi = _convergence_common(cfg)
-    if cfg.io["dump_trajectories"] and run_dir:
-        _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi)
-    report = h_convergence_experiment(
-        u0,
-        phi,
-        cfg.schedule(),
-        cfg.noise["eta"],
-        cfg.noise["epsilons"],
-        cfg.statistics["replicas"],
-        integ,
-        stream.child(1),
-        gamma=cfg.noise["gamma"],
-        force=cfg.params["force"],
+        replica = ctx.stream("sweep").child(i).child(0)
+        ctx.dump(f"controlled_{i}", lambda: solve_controlled(u0, phi, spec, integ, replica))
+    report = experiment(
+        u0, phi, schedule=schedule, epsilons=cfg.noise["epsilons"],
+        replicas=cfg.statistics["replicas"], cfg=integ, rng=ctx.stream("sweep"),
+        gamma=cfg.noise["gamma"], **options,
     )
-    summary = {
-        "norm": report.norm,
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "passed": report.slope - th["slope_sigmas"] * report.slope_stderr > 0.0,
-    }
-    return report.rows(), summary
+    return report.rows(), ctx.slope_summary(report.slope, report.slope_stderr, norm=report.norm)
 
 
-def _run_converge_besov(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream, integ, u0, phi = _convergence_common(cfg)
-    if cfg.io["dump_trajectories"] and run_dir:
-        _dump_convergence_paths(cfg, run_dir, stream, integ, u0, phi)
-    p = cfg.params
+def _run_converge_h(ctx: _RunContext):
+    cfg = ctx.cfg
+    return _run_convergence(
+        ctx, h_convergence_experiment, eta=cfg.noise["eta"], force=cfg.params["force"]
+    )
+
+
+def _run_converge_besov(ctx: _RunContext):
+    p = ctx.cfg.params
     besov = BesovParams(sigma=p["sigma"], p=p["p"], alpha=p["alpha"], beta=p["beta"])
-    report = besov_convergence_experiment(
-        u0,
-        phi,
-        besov,
-        cfg.schedule(),
-        cfg.noise["epsilons"],
-        cfg.statistics["replicas"],
-        integ,
-        stream.child(1),
-        gamma=cfg.noise["gamma"],
-        grid_factor=cfg.numerics["grid_factor"],
+    return _run_convergence(
+        ctx, besov_convergence_experiment, besov=besov,
+        grid_factor=ctx.cfg.numerics["grid_factor"],
     )
-    summary = {
-        "norm": report.norm,
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "passed": report.slope - th["slope_sigmas"] * report.slope_stderr > 0.0,
-    }
-    return report.rows(), summary
 
 
-def _run_wick_decay(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream = RngStream(cfg.statistics["seed"])
+def _run_wick_decay(ctx: _RunContext):
+    cfg = ctx.cfg
     schedule = cfg.schedule()
-    g = grid_for(cfg.numerics["cutoff"])
-    rule = DealiasRule.make(cfg.numerics["dealias"], g.cutoff)
+    g = grid_for(ctx.cutoff)
+    rule = ctx.integ.rule(g.cutoff)
     sigma = cfg.params["sigma"]
     R = cfg.statistics["replicas"]
     rows, eps_sorted, means = [], sorted(cfg.params["epsilons"], reverse=True), []
-    stderrs = []
     for i, eps in enumerate(eps_sorted):
         spec = NoiseSpec.at_epsilon(eps, schedule, gamma=cfg.noise["gamma"])
-        gen = stream.child(i).generator()
+        gen = ctx.member(i).generator()
         vals = np.empty(R)
         for r in range(R):
             z = SpectralField(g, stationary_batch(g, spec, 0.0, gen, 1)[0])
@@ -753,47 +766,27 @@ def _run_wick_decay(cfg: ExperimentConfig, run_dir=None):
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(R))
         means.append(mean)
-        stderrs.append(se)
         rows.append(
             {"epsilon": eps, "delta": spec.delta, "mean_norm": mean, "stderr": se,
              "replicas": R}
         )
-    slope, slope_se = fit_loglog(eps_sorted, means)
-    summary = {
-        "sigma": sigma,
-        "slope": slope,
-        "slope_stderr": slope_se,
-        "passed": slope - th["slope_sigmas"] * slope_se > 0.0,
-    }
-    return rows, summary
+    return rows, ctx.slope_summary(*fit_loglog(eps_sorted, means), sigma=sigma)
 
 
-def _run_instanton(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream = RngStream(cfg.statistics["seed"])
-    cutoff = cfg.numerics["cutoff"]
-    integ = cfg.integrator()
-    t_final = cfg.numerics["t_final"]
-    u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
+def _run_instanton(ctx: _RunContext):
+    cfg, integ = ctx.cfg, ctx.integ
+    u0 = ctx.initial()
     tgt_descr = cfg.params["target"]
     if tgt_descr.get("kind") == "free_decay":
-        n = round(t_final / integ.dt)
-        free = solve_skeleton(u0, ControlPath.zero(cutoff, integ.dt, n), integ)
-        target = free.final()
+        target = ctx.free_decay(u0).final()
     else:
-        target = build_initial(cutoff, tgt_descr, stream.child(902))
+        target = ctx.target(tgt_descr)
     opt = OptimizerSettings(
         max_iterations=cfg.params["max_iterations"],
         endpoint_tolerance=cfg.params["endpoint_tolerance"],
     )
-    phi_star, rep = minimize_action(u0, target, t_final, integ, opt)
-    if cfg.io["dump_trajectories"] and run_dir:
-        from .dynamics import save_trajectory
-
-        save_trajectory(
-            solve_skeleton(u0, phi_star, integ),
-            os.path.join(run_dir, "instanton.csv"),
-        )
+    phi_star, rep = minimize_action(u0, target, cfg.numerics["t_final"], integ, opt)
+    ctx.dump("instanton", lambda: solve_skeleton(u0, phi_star, integ))
     rows = [
         {"iteration": i, "round": h["round"], "objective": h["objective"], "weight": h["weight"]}
         for i, h in enumerate(rep.history)
@@ -819,7 +812,7 @@ def _run_instanton(cfg: ExperimentConfig, run_dir=None):
         from .ldp import action_objective_and_gradient
         from .noise import unit_complex_normals
 
-        gen = stream.child(903).generator()
+        gen = ctx.stream("gradient").generator()
         # check away from the minimizer, where the gradient is generic
         base = phi_star.values + 0.2 * unit_complex_normals(gen, phi_star.values.shape)
         J0, grad, _ = action_objective_and_gradient(
@@ -841,58 +834,50 @@ def _run_instanton(cfg: ExperimentConfig, run_dir=None):
             pred = integ.dt * 2.0 * float(np.real(np.sum(grad * np.conj(direction))))
             worst = float(np.maximum(worst, abs(fd - pred) / max(abs(fd), 1e-300)))
         summary["gradient_rel_err"] = worst
-        summary["passed"] = rep.converged and worst <= th["max_gradient_rel_err"]
+        summary["passed"] = rep.converged and worst <= ctx.th["max_gradient_rel_err"]
     else:
         summary["passed"] = rep.converged
     return rows, summary
 
 
-def _run_laplace(cfg: ExperimentConfig, run_dir=None):
-    th = cfg.threshold_values()
-    stream = RngStream(cfg.statistics["seed"])
-    cutoff = cfg.numerics["cutoff"]
-    integ = cfg.integrator()
+def _run_laplace(ctx: _RunContext):
+    cfg = ctx.cfg
     f = cfg.params["functional"]
     if f["kind"] == "constant":
         functional = ConstantFunctional(f["value"])
     else:
-        target = build_initial(cutoff, f["target"], stream.child(902))
+        target = ctx.target(f["target"])
         functional = ClippedEndpointDistance(target, scale=f["scale"], clip=f["clip"])
-    u0 = SpectralField.zero(cutoff)
+    u0 = SpectralField.zero(ctx.cutoff)
     report = laplace_check(
         functional,
         u0,
         cfg.schedule(),
         cfg.params["epsilons"],
         cfg.statistics["replicas"],
-        integ,
+        ctx.integ,
         cfg.numerics["t_final"],
-        stream.child(1),
+        ctx.stream("sweep"),
         gamma=cfg.noise["gamma"],
         n_candidates=cfg.params["candidates"],
     )
     summary = {
         "rhs": report.rhs,
         "variance_flag": report.variance_flag,
-        "passed": th["allow_variance_flag"] or not report.variance_flag,
+        "passed": ctx.th["allow_variance_flag"] or not report.variance_flag,
     }
     return report.rows(), summary
 
 
-def _run_tube(cfg: ExperimentConfig, run_dir=None):
-    stream = RngStream(cfg.statistics["seed"])
-    cutoff = cfg.numerics["cutoff"]
-    integ = cfg.integrator()
-    u0 = build_initial(cutoff, cfg.params["initial"], stream.child(900))
-    n = round(cfg.numerics["t_final"] / integ.dt)
-    center = solve_skeleton(u0, ControlPath.zero(cutoff, integ.dt, n), integ)
-    if cfg.io["dump_trajectories"] and run_dir:
-        from .dynamics import save_trajectory
-
-        save_trajectory(center, os.path.join(run_dir, "center.csv"))
+def _run_tube(ctx: _RunContext):
+    cfg = ctx.cfg
+    u0 = ctx.initial()
+    center = ctx.free_decay(u0)
+    ctx.dump("center", lambda: center)
     radii = sorted(cfg.params["radii"])
     first = tube_probability(
-        u0, center, radii[0], cfg.spec(), integ, cfg.statistics["replicas"], stream.child(1)
+        u0, center, radii[0], cfg.spec(), ctx.integ, cfg.statistics["replicas"],
+        ctx.stream("sweep"),
     )
     rows = []
     last_p = -1.0
@@ -1009,7 +994,10 @@ class RunRecord:
     version: str = __version__
     created: str = ""
     seed: int = 0
-    seed_scheme: str = "SeedSequence(seed, spawn_key=stream path); replica r of sweep member i draws from child(i).child(r)"
+    seed_scheme: str = (
+        "SeedSequence(seed, spawn_key=stream path); every draw comes from a fixed child path "
+        "of RngStream(seed), set per kind by member and replica indices (README: Stream layout)"
+    )
     results_csv: str = ""
     summary_json: str = ""
 
@@ -1018,11 +1006,23 @@ class RunRecord:
 
 
 def run(config: ExperimentConfig, outdir: str) -> RunRecord:
-    """Execute one experiment; writes results into <outdir>/<kind>-<hash12>."""
+    """Execute one experiment; writes results into <outdir>/<kind>-<hash12>.
+
+    The directory is created only once the runner has returned, so a run that
+    raises leaves nothing behind.  An outdir that cannot take it is refused
+    before the run."""
+    probe = os.path.abspath(outdir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise OSError(
+            f"cannot create a run directory under {outdir!r}: {probe!r} is not a writable directory"
+        )
     h = config.config_hash()
+    ctx = _RunContext(config)
+    rows, summary = KINDS[config.kind].run(ctx)
     run_dir = os.path.join(outdir, f"{config.kind}-{h[:12]}")
     os.makedirs(run_dir, exist_ok=True)
-    rows, summary = KINDS[config.kind].run(config, run_dir)
     summary = {
         "kind": config.kind,
         "config_hash": h,
@@ -1035,6 +1035,8 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     write_json_atomic(summary_json, summary)
     write_csv_atomic(results_csv, rows)
     _atomic_write(os.path.join(run_dir, "config.json"), config.canonical_json() + "\n")
+    for name, traj in ctx.dumps.items():
+        save_trajectory(traj, os.path.join(run_dir, f"{name}.csv"))
     record = RunRecord(
         kind=config.kind,
         config_hash=h,

@@ -18,10 +18,11 @@ from .dynamics import (
     solve_controlled,
     solve_skeleton,
     solve_stochastic,
+    step_count,
 )
 from .fields import SpectralField
 from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core
-from .noise import NoiseSpec, RngStream
+from .noise import NoiseSpec, require_stream
 from .spectral import BesovParams, besov_norm, h_norm_of, sobolev_norm
 
 
@@ -197,7 +198,7 @@ def minimize_action(
     carries the discrete action (1/2)|phi*|^2 of the minimizer.
     """
     grid = u0.grid
-    n = max(2, round(t_final / cfg.dt))
+    n = step_count(t_final, cfg.dt)
     phi_vals = (
         phi0.values.copy() if phi0 is not None else np.zeros((n, grid.n_modes), dtype=np.complex128)
     )
@@ -304,8 +305,9 @@ def fit_loglog(xs, ys):
 
 
 def _sweep_distances(u0, phi, schedule, gamma, eta, epsilons, replicas, cfg, rng, distance):
+    """Replica r of member i (epsilons descending) runs on rng.child(i).child(r)."""
+    stream = require_stream(rng)
     skeleton = solve_skeleton(u0, phi, cfg)
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
     means, stderrs, deltas = [], [], []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
         spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma, eta=eta)
@@ -460,7 +462,7 @@ def tube_probability(
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    stream = require_stream(rng)
     dists = np.empty(replicas)
     for r in range(replicas):
         traj = solve_stochastic(u0, spec, cfg, center.t_final, stream.child(r))
@@ -534,7 +536,7 @@ def laplace_check(
     Flags the sweep when the exponential estimator's effective sample size
     degenerates.
     """
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    stream = require_stream(rng)
     lhs, ess_list = [], []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
         spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)
@@ -549,7 +551,7 @@ def laplace_check(
         ess_list.append(ess)
 
     # variational side
-    n = max(2, round(t_final / cfg.dt))
+    n = step_count(t_final, cfg.dt)
     free = solve_skeleton(u0, ControlPath.zero(u0.cutoff, cfg.dt, n), cfg)
     free_end = free.coeffs[-1]
     if isinstance(functional, ConstantFunctional):

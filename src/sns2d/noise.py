@@ -114,8 +114,9 @@ class RngStream:
     """Reproducible random stream: (seed, stream_id) fixes every draw.
 
     stream_id is a tuple so substreams can be derived without collisions;
-    ``child(i)`` appends i.  Functions taking ``rng`` accept either an
-    RngStream (stateless: a fresh generator per call) or a numpy Generator
+    ``child(i)`` appends i.  The replica-level Monte Carlo entry points take
+    an RngStream (stateless: a fresh generator per call, and a path that
+    names the replica); the low-level samplers also take a numpy Generator
     (stateful: consumed sequentially).
     """
 
@@ -134,6 +135,14 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream_id)
         return np.random.default_rng(ss)
+
+
+def require_stream(rng) -> RngStream:
+    """The stream of a replica-level Monte Carlo entry point; a bare seed or
+    a Generator has no path to derive replicas from, so it is refused."""
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected an RngStream, got {type(rng).__name__}")
+    return rng
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -555,22 +564,23 @@ def besov_moment_check(
     tail_cutoff: int = 512,
 ) -> MomentReport:
     """Estimate E sup_{t <= T} |z(t)|_{B^sigma_p}^kappa against the mode-sum
-    bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0."""
+    bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
+    Replica i draws its start and its steps from rng.child(i)."""
     if not (sigma < sigma_prime < 0):
         raise ValueError(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "
             f"sigma_prime={sigma_prime}"
         )
-    from .dynamics import march
+    from .dynamics import march, step_count
     from .spectral import besov_norm
 
+    stream = require_stream(rng)
     g = grid_for(cutoff)
-    stream = rng if isinstance(rng, RngStream) else RngStream(0)
-    n_steps = max(1, round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     _, std = ou_transition(g, spec, alpha, dt)
     sups = np.empty(replicas)
     for i in range(replicas):
-        gen = as_generator(stream.child(i)) if isinstance(rng, RngStream) else as_generator(rng)
+        gen = stream.child(i).generator()
         z0 = stationary_batch(g, spec, alpha, gen, 1)[0]
         path, _ = march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
         norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]

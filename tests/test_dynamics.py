@@ -31,6 +31,7 @@ from sns2d.dynamics import (
     march,
     save_trajectory,
     shifted_apriori_ratio,
+    step_count,
 )
 from sns2d.ldp import fit_loglog
 from sns2d.noise import covariance_weights, ou_step, ou_transition
@@ -556,3 +557,33 @@ def test_sup_norms_keep_a_nan():
     assert np.isnan(traj.sup_distance(zero, norm))
     h = lambda f: sobolev_norm(f, 0.0)
     assert traj.sup_norm(h) == pytest.approx(max(traj.h_norms()), rel=1e-14)
+
+
+@pytest.mark.parametrize("t_final", [-5.0, 0.0, 0.001])
+def test_a_horizon_without_a_step_raises(t_final):
+    with pytest.raises(ValueError, match="spans no step"):
+        step_count(t_final, 0.01)
+    spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
+    with pytest.raises(ValueError, match="spans no step"):
+        solve_stochastic(taylor_green(4, 0.5), spec, IntegratorConfig(dt=0.01), t_final,
+                         RngStream(0))
+
+
+def test_step_count_rounds_the_horizon():
+    assert step_count(0.5, 0.01) == 50
+    assert step_count(0.006, 0.01) == 1
+    assert step_count(0.029, 0.01) == 3
+
+
+@pytest.mark.parametrize("rng", [0, np.random.default_rng(0), None])
+def test_stochastic_solvers_take_only_a_stream(rng):
+    u0 = taylor_green(4, 0.5)
+    spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
+    cfg = IntegratorConfig(dt=0.01)
+    phi = ControlPath.zero(4, 0.01, 3)
+    with pytest.raises(TypeError, match="expected an RngStream"):
+        solve_stochastic(u0, spec, cfg, 0.03, rng)
+    with pytest.raises(TypeError, match="expected an RngStream"):
+        solve_controlled(u0, phi, spec, cfg, rng, noise=False)
+    with pytest.raises(TypeError, match="expected an RngStream"):
+        solve_shifted(u0, phi, spec, 0.0, cfg, rng)

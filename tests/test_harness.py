@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -114,7 +116,7 @@ def test_nan_variance_fails_ou_checks_and_is_never_written(tmp_path, monkeypatch
 
     monkeypatch.setattr(experiments, "mode_variances", poisoned)
     cfg = ExperimentConfig.from_dict(minimal_ou_config())
-    _, summary = experiments._run_ou_checks(cfg)
+    _, summary = experiments._run_ou_checks(experiments._RunContext(cfg))
     assert np.isnan(summary["max_variance_rel_err"])
     assert summary["passed"] is False
     with pytest.raises(ValueError):
@@ -455,10 +457,124 @@ def test_nan_moment_ratio_fails_lp_moment_and_is_never_written(tmp_path, monkeyp
 
     monkeypatch.setattr(experiments, "lp_log_moment_check", poisoned)
     cfg = ExperimentConfig.from_dict(lp_moment_config())
-    _, summary = experiments._run_lp_moment(cfg)
+    _, summary = experiments._run_lp_moment(experiments._RunContext(cfg))
     assert np.isnan(summary["ratio_spread"])
     assert summary["passed"] is False
     with pytest.raises(ValueError):
         run(cfg, str(tmp_path))
     (run_dir,) = tmp_path.iterdir()
     assert list(run_dir.iterdir()) == []
+
+
+def test_cli_run_failure_names_the_stream_and_leaves_no_directory(tmp_path):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
+    raw["noise"]["epsilon"] = 1e14
+    cfg_path = tmp_path / "blowup.json"
+    cfg_path.write_text(json.dumps(raw))
+    runs = tmp_path / "runs"
+    out = _cli("run", "-c", str(cfg_path), "-o", str(runs))
+    assert out.returncode == 1
+    assert out.stderr.startswith("run failed: ")
+    assert "seed=12 stream=(1, 0)" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not runs.exists()
+
+
+def test_run_refuses_an_outdir_under_a_file_before_running(tmp_path, monkeypatch):
+    def never(ctx):
+        pytest.fail("the runner ran")
+
+    kind = experiments.KINDS["renorm"]
+    monkeypatch.setitem(
+        experiments.KINDS, "renorm", experiments._Kind(kind.params, kind.thresholds, never)
+    )
+    cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS["renorm"])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    for outdir in (blocker, blocker / "runs"):
+        with pytest.raises(OSError, match="is not a writable directory"):
+            run(cfg, str(outdir))
+    assert blocker.read_text() == "keep"
+
+
+def test_cli_run_with_a_file_as_outdir_fails_without_traceback(tmp_path):
+    cfg_path = tmp_path / "renorm.json"
+    cfg_path.write_text(json.dumps(SMOKE_CONFIGS["renorm"]))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = _cli("run", "-c", str(cfg_path), "-o", str(blocker))
+    assert out.returncode == 1
+    assert out.stderr.startswith("run failed: ")
+    assert "Traceback" not in out.stderr
+    assert blocker.read_text() == "keep"
+
+
+def test_run_context_names_the_reserved_streams():
+    ctx = experiments._RunContext(ExperimentConfig.from_dict(SMOKE_CONFIGS["tube"]))
+    assert ctx.root == experiments.RngStream(12)
+    assert ctx.member(3).stream_id == (3,)
+    ids = {name: ctx.stream(name).stream_id for name in ctx.RESERVED}
+    assert ids == {
+        "sweep": (1,), "wick": (100,), "crosscheck": (101,), "initial": (900,),
+        "control": (901,), "target": (902,), "gradient": (903,),
+    }
+    assert ctx.n_steps == 10 and ctx.th == {}
+    ctx.dump("never", lambda: pytest.fail("dumps are off"))
+    assert ctx.dumps == {}
+
+
+def _stream_guard_offences(experiments_src, ldp_src):
+    """Where a run reaches for a stream or a run directory outside the run
+    context, or the ldp layer coerces a seed into a stream."""
+    offences = []
+    for top in ast.parse(experiments_src).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RngStream"
+                and owner != "_RunContext"
+            ):
+                offences.append(f"experiments:{owner} RngStream(")
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_run_"):
+            params = [a.arg for a in top.args.args + top.args.kwonlyargs]
+            if "run_dir" in params:
+                offences.append(f"experiments:{top.name} run_dir")
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == "seed"
+                ):
+                    offences.append(f"experiments:{top.name} seed")
+    for node in ast.walk(ast.parse(ldp_src)):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and "RngStream" in ast.unparse(node.args[1])
+        ):
+            offences.append("ldp isinstance RngStream")
+    return offences
+
+
+def test_streams_come_only_from_the_run_context():
+    src = pathlib.Path(experiments.__file__).parent
+    offences = _stream_guard_offences(
+        (src / "experiments.py").read_text(), (src / "ldp.py").read_text()
+    )
+    assert offences == []
+
+
+def test_stream_guard_sees_each_old_form():
+    old_runner = (
+        "def _run_tube(cfg, run_dir=None):\n"
+        "    stream = RngStream(cfg.statistics['seed'])\n"
+    )
+    assert _stream_guard_offences(old_runner, "") == [
+        "experiments:_run_tube RngStream(", "experiments:_run_tube run_dir",
+        "experiments:_run_tube seed",
+    ]
+    helper = "def _common(cfg):\n    return noise.RngStream(0)\n"
+    assert _stream_guard_offences(helper, "") == ["experiments:_common RngStream("]
+    coercion = "def f(rng):\n    return rng if isinstance(rng, RngStream) else None\n"
+    assert _stream_guard_offences("", coercion) == ["ldp isinstance RngStream"]

@@ -452,3 +452,26 @@ def test_runaway_line_search_trial_is_a_rejected_step():
     assert rep.converged
     assert rep.iterations == 176
     assert rep.action == pytest.approx(18.262696944472083, rel=1e-10)
+
+
+@pytest.mark.parametrize("rng", [23, np.random.default_rng(23)])
+def test_monte_carlo_entry_points_take_only_a_stream(rng):
+    u0 = taylor_green(4, 0.4)
+    cfg = IntegratorConfig(dt=0.02)
+    phi = ControlPath.zero(4, 0.02, 3)
+    eps = [1e-1, 1e-2, 1e-3]
+    calls = (
+        lambda: h_convergence_experiment(u0, phi, PowerSchedule(0.5), 1.0, eps, 2, cfg, rng),
+        lambda: besov_convergence_experiment(
+            u0, phi, BesovParams(-0.25, 4.0, 0.3, 3.0), PowerSchedule(1.0), eps, 2, cfg, rng
+        ),
+        lambda: tube_probability(
+            u0, solve_skeleton(u0, phi, cfg), 0.1, NoiseSpec(0.01, 0.1), cfg, 2, rng
+        ),
+        lambda: laplace_check(
+            ConstantFunctional(0.0), u0, PowerSchedule(0.5), eps, 2, cfg, 0.06, rng
+        ),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an RngStream"):
+            call()

@@ -350,3 +350,12 @@ def test_lattice_power_sum_with_weight_matches_direct():
                 ksq = float(a * a + b * b)
                 direct += ksq**-0.75 / (1.0 + 0.3 * ksq**1.2) ** 2
     assert val == pytest.approx(direct, rel=1e-13)
+
+
+def test_besov_moment_check_refuses_a_bare_seed():
+    # a bare seed used to re-seed one generator per replica: 20 equal replicas
+    args = (NoiseSpec(0.1, 0.1), -0.75, -0.5, 4.0, 2.0, 0.1, 0.02, 20)
+    with pytest.raises(TypeError, match="expected an RngStream"):
+        besov_moment_check(*args, 5, 6)
+    rep = besov_moment_check(*args, RngStream(5), 6)
+    assert rep.stderr > 1e-3
