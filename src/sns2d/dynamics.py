@@ -170,11 +170,8 @@ class Trajectory:
 
     def sup_distance(self, other: "Trajectory", norm_fn) -> float:
         self._compatible(other)
-        return float(
-            np.max(
-                [norm_fn(self.state(i) - other.state(i)) for i in range(self.coeffs.shape[0])]
-            )
-        )
+        diff = self.coeffs - other.coeffs
+        return float(np.max([norm_fn(SpectralField(self.grid, row)) for row in diff]))
 
     def _compatible(self, other):
         if self.grid.cutoff != other.grid.cutoff:

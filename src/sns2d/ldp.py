@@ -199,6 +199,11 @@ def minimize_action(
     """
     grid = u0.grid
     n = step_count(t_final, cfg.dt)
+    if phi0 is not None and (phi0.n_steps != n or abs(phi0.dt - cfg.dt) > 1e-12 * cfg.dt):
+        raise ValueError(
+            f"initial control has {phi0.n_steps} steps of dt={phi0.dt}; the horizon "
+            f"t_final={t_final} needs {n} steps of dt={cfg.dt}"
+        )
     phi_vals = (
         phi0.values.copy() if phi0 is not None else np.zeros((n, grid.n_modes), dtype=np.complex128)
     )

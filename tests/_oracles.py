@@ -2,10 +2,14 @@
 
 Everything here works on centered plain Fourier coefficient arrays and sums
 convolutions directly (O(N^4)); none of it shares code with the package's
-FFT-based implementations.
+FFT-based implementations.  The exception is ``besov_norm_per_block``, the
+one-block-at-a-time Besov sum built from the package's ``dyadic_block`` and
+``lp_norm``, kept as the reference for the stacked ``besov_norm``.
 """
 
 import numpy as np
+
+from sns2d.spectral import block_count, dyadic_block, lp_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,3 +117,15 @@ def lp_norm_quadrature(field, p, size=512):
     speed = np.sqrt(vel[0].real ** 2 + vel[1].real ** 2)
     cell = (TWO_PI / size) ** 2
     return float((np.sum(speed**p) * cell) ** (1.0 / p))
+
+
+def besov_norm_per_block(u, sigma, p, grid_factor=2):
+    """(sum_q 2^(p q sigma) |block_q u|_Lp^p)^(1/p), one lp_norm per
+    non-empty block."""
+    total = 0.0
+    for q in range(block_count(u.cutoff)):
+        bq = dyadic_block(u, q)
+        if not np.any(bq.coeffs):
+            continue
+        total += 2.0 ** (p * q * sigma) * lp_norm(bq, p, grid_factor) ** p
+    return float(total ** (1.0 / p))

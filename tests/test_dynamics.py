@@ -559,6 +559,14 @@ def test_sup_norms_keep_a_nan():
     assert traj.sup_norm(h) == pytest.approx(max(traj.h_norms()), rel=1e-14)
 
 
+def test_sup_distance_is_the_sup_of_the_state_differences():
+    cfg = IntegratorConfig(dt=0.05)
+    a = solve_skeleton(taylor_green(4, 0.5), ControlPath.zero(4, 0.05, 3), cfg)
+    b = solve_skeleton(taylor_green(4, 0.3), ControlPath.zero(4, 0.05, 3), cfg)
+    h = lambda f: sobolev_norm(f, -0.5)
+    assert a.sup_distance(b, h) == max(h(a.state(i) - b.state(i)) for i in range(4))
+
+
 @pytest.mark.parametrize("t_final", [-5.0, 0.0, 0.001])
 def test_a_horizon_without_a_step_raises(t_final):
     with pytest.raises(ValueError, match="spans no step"):

@@ -221,6 +221,16 @@ def test_minimize_action_penalty_rounds_hit_endpoint():
     assert rep.action == pytest.approx(control_action(phi_star), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_steps, dt", [(3, 0.01), (10, 0.02)])
+def test_minimize_action_refuses_an_initial_control_off_the_horizon(n_steps, dt):
+    u0, target = taylor_green(4, 0.5), taylor_green(4, 0.6)
+    cfg, opt = IntegratorConfig(dt=0.01), OptimizerSettings(max_iterations=5)
+    with pytest.raises(ValueError, match="needs 10 steps of dt=0.01"):
+        minimize_action(u0, target, 0.1, cfg, opt, phi0=ControlPath.zero(4, dt, n_steps))
+    phi, _ = minimize_action(u0, target, 0.1, cfg, opt, phi0=ControlPath.zero(4, 0.01, 10))
+    assert phi.n_steps == 10
+
+
 # ------------------------------------------------------- convergence sweeps
 
 

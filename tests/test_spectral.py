@@ -16,9 +16,10 @@ from sns2d import (
     sobolev_norm,
     stokes_apply,
 )
+from sns2d.grid import TransformPlan
 from sns2d.spectral import block_count, block_of
 
-from _oracles import lp_norm_quadrature
+from _oracles import besov_norm_per_block, lp_norm_quadrature
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,6 +263,40 @@ def test_besov_triangle_inequality(seed_a, seed_b):
     sigma, p = -0.3, 4.0
     lhs = besov_norm(u + v, sigma, p)
     assert lhs <= besov_norm(u, sigma, p) + besov_norm(v, sigma, p) + 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_besov_matches_the_per_block_sum(cutoff):
+    # 8 and 16 stack every block in one synthesis call; 32 and 64 take one
+    # block per call
+    u = _field(cutoff, cutoff, decay=1.0)
+    for p in (2.0, 3.0, 4.0):
+        for sigma in (-0.25, 0.5):
+            ref = besov_norm_per_block(u, sigma, p)
+            assert abs(besov_norm(u, sigma, p) - ref) <= 1e-13 * ref
+
+
+def test_besov_of_zero_and_of_nan():
+    assert besov_norm(SpectralField.zero(16), -0.25, 4.0) == 0.0
+    c = _field(3, 16).coeffs.copy()
+    c[5] = np.nan
+    assert np.isnan(besov_norm(SpectralField.zero(16).with_coeffs(c), -0.25, 4.0))
+
+
+def test_besov_synthesis_calls_are_bounded(monkeypatch):
+    calls = []
+    synthesize = TransformPlan.synthesize
+
+    def counted(plan, coeffs, symbols=None):
+        calls.append(1 if symbols is None else symbols.shape[0])
+        return synthesize(plan, coeffs, symbols)
+
+    monkeypatch.setattr(TransformPlan, "synthesize", counted)
+    besov_norm(_field(0, 16), -0.25, 4.0)
+    assert calls == [block_count(16)]  # one call for all six blocks
+    calls.clear()
+    besov_norm(_field(0, 64), -0.25, 4.0)
+    assert calls == [1] * block_count(64)  # a 132x132 block fills a call
 
 
 def test_besov_params_validation():
