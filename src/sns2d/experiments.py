@@ -364,6 +364,13 @@ def _params_instanton(cfg):
         },
         "params(instanton)",
     )
+    for key, least in (("max_iterations", 1), ("gradient_check_directions", 0)):
+        value = p[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"instanton: {key} must be an integer >= {least}, got {value!r}")
+    tol = p["endpoint_tolerance"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ValueError(f"instanton: endpoint_tolerance must be finite and > 0, got {tol!r}")
     return p
 
 

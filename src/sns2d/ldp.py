@@ -2,6 +2,7 @@
 convergence, tube-probability and Laplace-principle experiments."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,25 @@ class OptimizerSettings:
     initial_step: float = 1.0
     min_step: float = 1e-12
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"OptimizerSettings.{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"OptimizerSettings.{name} must be finite, got {value!r}")
+        for name in ("max_iterations", "max_penalty_rounds"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"OptimizerSettings.{name} must be an integer")
+        if self.max_penalty_rounds < 1:
+            raise ValueError("OptimizerSettings.max_penalty_rounds must be >= 1")
+        # a factor of 1 never leaves the backtracking loop
+        for name in ("armijo_constant", "backtrack_factor"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"OptimizerSettings.{name} must lie in (0, 1)")
+        for name in ("initial_step", "min_step"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"OptimizerSettings.{name} must be > 0")
+
 
 @dataclass
 class MinimizeReport:
@@ -141,6 +161,52 @@ class MinimizeReport:
     iterations: int
     converged: bool
     history: list = field(default_factory=list)
+
+
+def _require_adjoint_scheme(cfg: IntegratorConfig):
+    if cfg.scheme != "exponential_euler":
+        raise ValueError("the adjoint gradient is implemented for exponential_euler")
+
+
+def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfig):
+    """Forward march of the skeleton under the control values, guarded
+    against blow-up (raises IntegrationBlowupError); (n + 1, n_modes)."""
+    grid = u0.grid
+    forcing = skeleton_forcing(grid, cfg, phi_vals)
+    return march(grid, u0.coeffs, phi_vals.shape[0], cfg.dt, forcing, cfg)[0]
+
+
+def penalized_objective(phi_vals, states, target: SpectralField, weight: float, dt: float):
+    """J = (1/2)|phi|^2_{L2H} + weight |u(T) - target|_H^2 from marched states."""
+    mismatch = states[-1] - target.coeffs
+    endpoint_sq = 2.0 * float(np.sum(np.abs(mismatch) ** 2))
+    control_sq = dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2))
+    return 0.5 * control_sq + weight * endpoint_sq
+
+
+def adjoint_gradient(
+    phi_vals, states, target: SpectralField, weight: float, cfg: IntegratorConfig
+):
+    """Gradient of ``penalized_objective`` in the discrete L^2(0,T;H) metric:
+    one backward sweep of the adjoint of the exponential-Euler recursion
+    along the marched states."""
+    _require_adjoint_scheme(cfg)
+    grid = target.grid
+    dt = cfg.dt
+    rule = cfg.rule(grid.cutoff)
+    decay, psi1 = exp_weights(grid.ksq * dt)
+    grad = np.empty_like(phi_vals)
+    lam = 2.0 * weight * (states[-1] - target.coeffs)
+    for step in range(phi_vals.shape[0] - 1, -1, -1):
+        grad[step] = phi_vals[step] + psi1 * lam
+        if step > 0:
+            propagated = decay * lam
+            if not cfg.disable_nonlinearity:
+                propagated = propagated + dt * b_linearized_adjoint_core(
+                    states[step], psi1 * lam, grid, rule
+                )
+            lam = propagated
+    return grad
 
 
 def action_objective_and_gradient(
@@ -154,32 +220,11 @@ def action_objective_and_gradient(
     """Penalized objective J = (1/2)|phi|^2_{L2H} + weight |u(T) - target|_H^2
     and its gradient in the discrete L^2(0,T;H) metric, via the adjoint of the
     exponential-Euler recursion.  A forward pass that blows up raises
-    IntegrationBlowupError."""
-    if cfg.scheme != "exponential_euler":
-        raise ValueError("the adjoint gradient is implemented for exponential_euler")
-    grid = u0.grid
-    dt = cfg.dt
-    n = phi_vals.shape[0]
-    states, _ = march(grid, u0.coeffs, n, dt, skeleton_forcing(grid, cfg, phi_vals), cfg)
-    mismatch = states[-1] - target.coeffs
-    endpoint_sq = 2.0 * float(np.sum(np.abs(mismatch) ** 2))
-    control_sq = dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2))
-    J = 0.5 * control_sq + weight * endpoint_sq
-    if not want_gradient:
-        return J, None, states
-    rule = cfg.rule(grid.cutoff)
-    decay, psi1 = exp_weights(grid.ksq * dt)
-    grad = np.empty_like(phi_vals)
-    lam = 2.0 * weight * mismatch
-    for step in range(n - 1, -1, -1):
-        grad[step] = phi_vals[step] + psi1 * lam
-        if step > 0:
-            propagated = decay * lam
-            if not cfg.disable_nonlinearity:
-                propagated = propagated + dt * b_linearized_adjoint_core(
-                    states[step], psi1 * lam, grid, rule
-                )
-            lam = propagated
+    IntegrationBlowupError.  Returns (J, gradient or None, states)."""
+    _require_adjoint_scheme(cfg)
+    states = control_states(phi_vals, u0, cfg)
+    J = penalized_objective(phi_vals, states, target, weight, cfg.dt)
+    grad = adjoint_gradient(phi_vals, states, target, weight, cfg) if want_gradient else None
     return J, grad, states
 
 
@@ -196,7 +241,12 @@ def minimize_action(
     The penalty weight doubles until the endpoint error drops below the
     configured tolerance; returns (control, MinimizeReport) where the report
     carries the discrete action (1/2)|phi*|^2 of the minimizer.
+
+    Each control is marched once: the initial one, then every line-search
+    trial.  An accepted trial keeps its states, so its gradient and each new
+    penalty round's objective and gradient cost one adjoint sweep, no march.
     """
+    _require_adjoint_scheme(cfg)
     grid = u0.grid
     n = step_count(t_final, cfg.dt)
     if phi0 is not None and (phi0.n_steps != n or abs(phi0.dt - cfg.dt) > 1e-12 * cfg.dt):
@@ -212,8 +262,10 @@ def minimize_action(
     history = []
     iterations = 0
     converged = False
+    states = control_states(phi_vals, u0, cfg)
     for round_idx in range(opt.max_penalty_rounds):
-        J, grad, states = action_objective_and_gradient(phi_vals, u0, target, weight, cfg)
+        J = penalized_objective(phi_vals, states, target, weight, dt)
+        grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
         step_size = opt.initial_step
         for _ in range(opt.max_iterations):
             iterations += 1
@@ -225,11 +277,11 @@ def minimize_action(
             while step_size >= opt.min_step:
                 trial = phi_vals - step_size * grad
                 try:
-                    J_trial, _, _ = action_objective_and_gradient(
-                        trial, u0, target, weight, cfg, want_gradient=False
-                    )
+                    trial_states = control_states(trial, u0, cfg)
                 except IntegrationBlowupError:  # a runaway trial is a rejected step
                     J_trial = math.inf
+                else:
+                    J_trial = penalized_objective(trial, trial_states, target, weight, dt)
                 if J_trial <= J - opt.armijo_constant * step_size * gnorm_sq:
                     accepted = True
                     break
@@ -237,8 +289,8 @@ def minimize_action(
             if not accepted:
                 break
             drop = J - J_trial
-            phi_vals = trial
-            J, grad, states = action_objective_and_gradient(phi_vals, u0, target, weight, cfg)
+            phi_vals, states, J = trial, trial_states, J_trial
+            grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
             history.append({"round": round_idx, "objective": J, "weight": weight})
             if drop <= opt.relative_tolerance * max(abs(J), 1e-300):
                 break

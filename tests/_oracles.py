@@ -2,14 +2,29 @@
 
 Everything here works on centered plain Fourier coefficient arrays and sums
 convolutions directly (O(N^4)); none of it shares code with the package's
-FFT-based implementations.  The exception is ``besov_norm_per_block``, the
-one-block-at-a-time Besov sum built from the package's ``dyadic_block`` and
-``lp_norm``, kept as the reference for the stacked ``besov_norm``.
+FFT-based implementations.  The exceptions are built from the package's
+own parts and kept as references for faster forms of the same arithmetic:
+
+- ``besov_norm_per_block``, the one-block-at-a-time Besov sum built from
+  ``dyadic_block`` and ``lp_norm``, the reference for the stacked
+  ``besov_norm``;
+- ``minimize_action_remarching``, the minimum-action descent that calls
+  ``action_objective_and_gradient`` for every objective and gradient and so
+  marches an accepted control again, the reference for ``minimize_action``.
 """
+
+import math
 
 import numpy as np
 
-from sns2d.spectral import block_count, dyadic_block, lp_norm
+from sns2d.dynamics import ControlPath, IntegrationBlowupError, step_count
+from sns2d.ldp import (
+    MinimizeReport,
+    OptimizerSettings,
+    action_objective_and_gradient,
+    control_action,
+)
+from sns2d.spectral import block_count, dyadic_block, h_norm_of, lp_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,3 +144,66 @@ def besov_norm_per_block(u, sigma, p, grid_factor=2):
             continue
         total += 2.0 ** (p * q * sigma) * lp_norm(bq, p, grid_factor) ** p
     return float(total ** (1.0 / p))
+
+
+def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None):
+    """Gradient descent with backtracking on the endpoint-penalized action,
+    one full ``action_objective_and_gradient`` call per objective: a trial,
+    an accepted control and each penalty round's start all march again."""
+    grid = u0.grid
+    n = step_count(t_final, cfg.dt)
+    phi_vals = (
+        phi0.values.copy() if phi0 is not None else np.zeros((n, grid.n_modes), dtype=np.complex128)
+    )
+    dt = cfg.dt
+    weight = opt.initial_penalty
+    history = []
+    iterations = 0
+    converged = False
+    for round_idx in range(opt.max_penalty_rounds):
+        J, grad, states = action_objective_and_gradient(phi_vals, u0, target, weight, cfg)
+        step_size = opt.initial_step
+        for _ in range(opt.max_iterations):
+            iterations += 1
+            gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
+            if gnorm_sq == 0.0:
+                break
+            step_size = min(step_size * 2.0, opt.initial_step * 1e6)
+            accepted = False
+            while step_size >= opt.min_step:
+                trial = phi_vals - step_size * grad
+                try:
+                    J_trial, _, _ = action_objective_and_gradient(
+                        trial, u0, target, weight, cfg, want_gradient=False
+                    )
+                except IntegrationBlowupError:
+                    J_trial = math.inf
+                if J_trial <= J - opt.armijo_constant * step_size * gnorm_sq:
+                    accepted = True
+                    break
+                step_size *= opt.backtrack_factor
+            if not accepted:
+                break
+            drop = J - J_trial
+            phi_vals = trial
+            J, grad, states = action_objective_and_gradient(phi_vals, u0, target, weight, cfg)
+            history.append({"round": round_idx, "objective": J, "weight": weight})
+            if drop <= opt.relative_tolerance * max(abs(J), 1e-300):
+                break
+        endpoint_err = h_norm_of(states[-1] - target.coeffs)
+        if endpoint_err < opt.endpoint_tolerance:
+            converged = True
+            break
+        if round_idx < opt.max_penalty_rounds - 1:
+            weight *= opt.penalty_growth
+    phi = ControlPath(grid, dt, phi_vals)
+    report = MinimizeReport(
+        action=control_action(phi),
+        endpoint_error=endpoint_err,
+        objective=J,
+        penalty_weight=weight,
+        iterations=iterations,
+        converged=converged,
+        history=history,
+    )
+    return phi, report

@@ -401,6 +401,37 @@ def test_dump_trajectories_flag(tmp_path):
     assert traj.n_steps == 10
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("max_iterations", 2.5, "max_iterations must be an integer >= 1"),
+        ("max_iterations", -1, "max_iterations must be an integer >= 1"),
+        ("max_iterations", 0, "max_iterations must be an integer >= 1"),
+        ("max_iterations", True, "max_iterations must be an integer >= 1"),
+        ("endpoint_tolerance", -1.0, "endpoint_tolerance must be finite and > 0"),
+        ("endpoint_tolerance", 0.0, "endpoint_tolerance must be finite and > 0"),
+        ("endpoint_tolerance", "1e-3", "endpoint_tolerance must be finite and > 0"),
+        ("gradient_check_directions", 1.5, "gradient_check_directions must be an integer >= 0"),
+        ("gradient_check_directions", -2, "gradient_check_directions must be an integer >= 0"),
+    ],
+)
+def test_instanton_params_are_validated(key, value, match):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["instanton"]))
+    raw["params"][key] = value
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_validate_exits_2_on_a_fractional_instanton_iteration_count(tmp_path):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["instanton"]))
+    raw["params"]["max_iterations"] = 2.5
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = _cli("validate", "-c", str(cfg_path))
+    assert out.returncode == 2
+    assert "max_iterations must be an integer >= 1, got 2.5" in out.stderr
+
+
 def test_validate_rejects_a_misspelled_threshold(tmp_path):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(repo, "configs", "converge_h.json")) as fh:

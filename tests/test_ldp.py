@@ -20,6 +20,7 @@ from sns2d import (
     taylor_green,
     tube_probability,
 )
+from sns2d import ldp
 from sns2d.dynamics import Trajectory, solve_skeleton, solve_stochastic
 from sns2d.grid import grid_for
 from sns2d.ldp import (
@@ -33,6 +34,8 @@ from sns2d.ldp import (
     wilson_interval,
 )
 from sns2d.noise import unit_complex_normals
+
+import _oracles
 
 
 def generic_field(cutoff=8, amplitude=0.3, seed=2):
@@ -219,6 +222,82 @@ def test_minimize_action_penalty_rounds_hit_endpoint():
     assert rep.endpoint_error < 5e-3
     assert rep.action > 0.0
     assert rep.action == pytest.approx(control_action(phi_star), rel=1e-12)
+
+
+def _descent_case(name):
+    """(u0, target, t_final, cfg, opt) of the descents pinned to the oracle."""
+    if name == "penalty_rounds":
+        u0 = generic_field(6, amplitude=0.2)
+        cfg = IntegratorConfig(dt=0.02)
+        target = 0.6 * solve_skeleton(u0, ControlPath.zero(6, 0.02, 10), cfg).final()
+        return u0, target, 0.2, cfg, OptimizerSettings(endpoint_tolerance=5e-3, max_iterations=200)
+    if name == "runaway_trials":
+        return (
+            taylor_green(4, 0.5), taylor_green(4, 0.8), 0.1, IntegratorConfig(dt=0.01),
+            OptimizerSettings(initial_step=1e6, max_iterations=50),
+        )
+    # neither end is a Taylor-Green state, so b(u, u) is far from roundoff
+    target = SpectralField.random(6, np.random.default_rng(5), amplitude=0.3, decay=1.0)
+    opt = OptimizerSettings(endpoint_tolerance=2e-2, max_iterations=30)
+    return generic_field(6, amplitude=0.3), target, 0.1, IntegratorConfig(dt=0.02), opt
+
+
+DESCENT_CASES = ("penalty_rounds", "runaway_trials", "generic_target")
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_minimize_action_is_the_remarching_descent_with_one_march_per_control(name, monkeypatch):
+    # the oracle's line-search trials are its objective calls without a gradient
+    case = _descent_case(name)
+    trials, marches = [], []
+    objective, march = _oracles.action_objective_and_gradient, ldp.march
+
+    def count_trials(*args, **kwargs):
+        trials.append(not kwargs.get("want_gradient", True))
+        return objective(*args, **kwargs)
+
+    def count_marches(*args, **kwargs):
+        marches.append(args)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(_oracles, "action_objective_and_gradient", count_trials)
+    phi_ref, ref = _oracles.minimize_action_remarching(*case)
+    monkeypatch.undo()
+    monkeypatch.setattr(ldp, "march", count_marches)
+    phi, rep = minimize_action(*case)
+    assert np.array_equal(phi.values, phi_ref.values)
+    assert rep == ref  # every field, the history included, exactly
+    assert len({h["round"] for h in rep.history}) > 1
+    assert sum(trials) > 0
+    assert len(marches) == sum(trials) + 1
+
+
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        ({"backtrack_factor": 1.0}, "backtrack_factor must lie in"),
+        ({"backtrack_factor": 0.0}, "backtrack_factor must lie in"),
+        ({"armijo_constant": 1.0}, "armijo_constant must lie in"),
+        ({"armijo_constant": -1e-4}, "armijo_constant must lie in"),
+        ({"max_penalty_rounds": 0}, "max_penalty_rounds must be >= 1"),
+        ({"max_penalty_rounds": 2.5}, "max_penalty_rounds must be an integer"),
+        ({"max_iterations": 10.0}, "max_iterations must be an integer"),
+        ({"initial_step": -1.0}, "initial_step must be > 0"),
+        ({"min_step": 0.0}, "min_step must be > 0"),
+        ({"initial_penalty": float("nan")}, "initial_penalty must be finite"),
+        ({"endpoint_tolerance": float("inf")}, "endpoint_tolerance must be finite"),
+        ({"penalty_growth": True}, "penalty_growth must be a number"),
+        ({"relative_tolerance": "1e-8"}, "relative_tolerance must be a number"),
+    ],
+)
+def test_optimizer_settings_refuse_a_descent_that_cannot_run(settings, match):
+    with pytest.raises(ValueError, match=match):
+        OptimizerSettings(**settings)
+
+
+def test_optimizer_settings_take_numpy_numbers():
+    opt = OptimizerSettings(max_iterations=np.int64(3), backtrack_factor=np.float64(0.25))
+    assert opt.max_iterations == 3 and opt.backtrack_factor == 0.25
 
 
 @pytest.mark.parametrize("n_steps, dt", [(3, 0.01), (10, 0.02)])
