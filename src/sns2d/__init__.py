@@ -41,6 +41,7 @@ from .dynamics import (
     duhamel_gamma,
     phi_eps,
     solve_controlled,
+    solve_controlled_block,
     solve_shifted,
     solve_skeleton,
     solve_stochastic,

@@ -23,7 +23,10 @@ SCHEMES = ("exponential_euler", "etd2")
 
 
 class IntegrationBlowupError(RuntimeError):
-    def __init__(self, t, norm, where=""):
+    """A marched state left the finite H ball; ``row`` is the failing row of
+    a block march (0 for a single start)."""
+
+    def __init__(self, t, norm, where="", row=0):
         super().__init__(
             f"solution blew up at t={t:.6g} (|u|_H={norm:.3e})"
             + (f" in {where}" if where else "")
@@ -31,6 +34,7 @@ class IntegrationBlowupError(RuntimeError):
         )
         self.t = t
         self.norm = norm
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,18 @@ def march(
     ETD2 correction when cfg selects it, plus noise_std * xi with one
     ``unit_complex_normals(gen, n_modes)`` draw.  rate defaults to |k|^2;
     forcing=None drops F (a pure Ornstein-Uhlenbeck or free-decay march).
-    After each step the state must have a finite H norm within
-    cfg.blowup_threshold (finite only, without cfg); cfg.record_diagnostics
-    records the per-step diagnostics, whose energy budget pairs with
-    phi_values.  Returns (states (n_steps + 1, n_modes), diagnostics or None).
+
+    u0 is one start (n_modes,) or a block of starts (R, n_modes) marched in
+    lockstep, forcing then taking and returning (R, n_modes) stacks.  gen is
+    one generator per row of a block (a lone generator for one start); each
+    step draws row by row in row order, so every row keeps the draws it has
+    when marched alone.  After each step every row must have a finite H norm
+    within cfg.blowup_threshold (finite only, without cfg); the first step
+    where a row fails raises, naming the lowest failing row.
+    cfg.record_diagnostics records the per-step diagnostics, whose energy
+    budget pairs with phi_values.  Returns (states (n_steps + 1, n_modes), or
+    (R, n_steps + 1, n_modes) for a block, and the diagnostics, one dict per
+    row of a block, or None).
     """
     n_modes = grid.n_modes
     z = (grid.ksq if rate is None else rate) * dt
@@ -226,15 +238,23 @@ def march(
     gain = dt * psi1
     etd2 = cfg is not None and cfg.scheme == "etd2"
     gain2 = dt * _psi2(z) if etd2 else None
-    diag = (
-        {"t": [], "h_norm": [], "v_norm": [], "l4_norm": [], "energy_residual": []}
+    u0 = np.asarray(u0)
+    single = u0.ndim == 1
+    n_rows = 1 if single else u0.shape[0]
+    gens = [gen] if single else gen
+    diags = (
+        [
+            {"t": [], "h_norm": [], "v_norm": [], "l4_norm": [], "energy_residual": []}
+            for _ in range(n_rows)
+        ]
         if cfg is not None and cfg.record_diagnostics
         else None
     )
     limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
-    out = np.empty((n_steps + 1, n_modes), dtype=np.complex128)
-    out[0] = u0
-    u = out[0]
+    # one contiguous (n_steps + 1, n_modes) path per row
+    out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
+    out[..., 0, :] = u0
+    u = out[..., 0, :]
     for step in range(n_steps):
         unew = decay * u
         if forcing is not None:
@@ -242,16 +262,25 @@ def march(
             unew += gain * F
             if etd2:
                 unew += gain2 * (forcing(unew, step) - F)
+        rows = unew.reshape(n_rows, n_modes)
         if noise_std is not None:
-            unew += noise_std * unit_complex_normals(gen, n_modes)
-        nrm_sq = 2.0 * np.vdot(unew, unew).real
-        if not nrm_sq <= limit_sq:  # also catches NaN
-            raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)))
-        if diag is not None:
-            _record_diag(diag, grid, u, unew, step, dt, phi_values, cfg)
-        out[step + 1] = unew
-        u = out[step + 1]
-    return out, diag
+            xi = np.empty_like(rows)
+            for r, g in enumerate(gens):
+                xi[r] = unit_complex_normals(g, n_modes)
+            rows += noise_std * xi
+        for r, row in enumerate(rows):
+            nrm_sq = 2.0 * np.vdot(row, row).real
+            if not nrm_sq <= limit_sq:  # also catches NaN
+                raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
+        if diags is not None:
+            old = u.reshape(n_rows, n_modes)
+            for r in range(n_rows):
+                _record_diag(diags[r], grid, old[r], rows[r], step, dt, phi_values, cfg)
+        out[..., step + 1, :] = unew
+        u = out[..., step + 1, :]
+    if diags is not None and single:
+        diags = diags[0]
+    return out, diags
 
 
 def skeleton_forcing(grid, cfg: IntegratorConfig, values):
@@ -376,9 +405,26 @@ def solve_controlled(
 
     The control is reweighted per mode by the covariance (Q phi); noise=False
     drops the stochastic term as a diagnostic, which reduces the run to the
-    skeleton driven by Q phi.
+    skeleton driven by Q phi.  The one-stream block of ``solve_controlled_block``.
     """
-    require_stream(rng)
+    return solve_controlled_block(u0, phi, spec, cfg, [rng], noise)[0]
+
+
+def solve_controlled_block(
+    u0: SpectralField,
+    phi: ControlPath,
+    spec: NoiseSpec,
+    cfg: IntegratorConfig,
+    streams,
+    noise: bool = True,
+) -> list:
+    """The controlled paths of ``solve_controlled``, one per stream, marched
+    as one block; each path is the one its stream gives alone.
+
+    A blow-up raises at the first step where any path fails and names the
+    lowest-index failing path's seed and stream.
+    """
+    streams = [require_stream(s) for s in streams]
     _check_control(u0, phi, cfg)
     grid = u0.grid
     lam = noise_mod.covariance_weights(grid, spec)
@@ -386,27 +432,34 @@ def solve_controlled(
 
     use_noise = noise and spec.epsilon > 0.0
     if use_noise:
-        gen = rng.child(1).generator()  # the steps; child(0) is solve_shifted's z0
+        # the steps; child(0) is solve_shifted's z0
+        gens = [s.child(1).generator() for s in streams]
         _, noise_std = noise_mod.ou_transition(grid, spec, 0.0, phi.dt)
     else:
-        gen, noise_std = None, None
+        gens, noise_std = None, None
+    start = np.broadcast_to(u0.coeffs, (len(streams), grid.n_modes))
     try:
-        out, diag = march(
-            grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, forced), cfg,
-            noise_std=noise_std, gen=gen, phi_values=forced,
+        out, diags = march(
+            grid, start, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, forced), cfg,
+            noise_std=noise_std, gen=gens, phi_values=forced,
         )
     except IntegrationBlowupError as exc:
-        where = f"seed={rng.seed} stream={rng.stream_id}"
-        raise IntegrationBlowupError(exc.t, exc.norm, where) from exc
-    meta = {
-        "kind": "controlled",
-        "scheme": cfg.scheme,
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
-        "seed": rng.seed,
-        "stream": rng.stream_id,
-    }
-    return Trajectory(grid, phi.dt, out, metadata=meta, diagnostics=diag)
+        failed = streams[exc.row]
+        where = f"seed={failed.seed} stream={failed.stream_id}"
+        raise IntegrationBlowupError(exc.t, exc.norm, where, exc.row) from exc
+    paths = []
+    for r, s in enumerate(streams):
+        meta = {
+            "kind": "controlled",
+            "scheme": cfg.scheme,
+            "epsilon": spec.epsilon,
+            "delta": spec.delta,
+            "seed": s.seed,
+            "stream": s.stream_id,
+        }
+        diag = None if diags is None else diags[r]
+        paths.append(Trajectory(grid, phi.dt, out[r], metadata=meta, diagnostics=diag))
+    return paths
 
 
 @dataclass

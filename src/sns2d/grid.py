@@ -16,6 +16,17 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 TWO_PI = 2.0 * np.pi
 
+# Real samples per synthesis call when fields are stacked into one call: the
+# dyadic blocks of a Besov norm and the replicas of a Monte Carlo block.
+# Bigger stacks outgrow the cache and run slower than more calls.
+SAMPLES_PER_CALL = 16384
+
+
+def stack_depth(size: int) -> int:
+    """Velocity grids of size x size (2 * size^2 real samples each) that one
+    synthesis call of SAMPLES_PER_CALL takes; one at least."""
+    return max(1, SAMPLES_PER_CALL // (2 * size * size))
+
 
 class SpectralGrid:
     """Square Galerkin truncation max(|k1|, |k2|) <= cutoff with half-lattice layout.
@@ -109,6 +120,20 @@ class TransformPlan:
         # <d, e_k> = -2pi i (d1 k2 - d2 k1)/|k| for a plain vector coefficient d
         kabs = grid.kabs[keep]
         self.projection = np.stack([-TWO_PI * 1j * k2 / kabs, TWO_PI * 1j * k1 / kabs])
+        self._rows = {"grid": (self.pos, self.shape[0] * self.shape[1]),
+                      "modes": (np.flatnonzero(keep), grid.n_modes)}
+        self._positions = {}
+
+    def _scatter(self, out, vals, layout):
+        """Write each row of vals (..., n_kept) into the same row of out at the
+        kept modes' positions in ``layout``: "grid", the rfft2 layout, or
+        "modes", the stored modes.  One 1-D scatter fills the whole stack; a
+        scatter along the last axis of a stack runs several times slower."""
+        n_rows = vals.size // vals.shape[-1]
+        if (layout, n_rows) not in self._positions:
+            pos, width = self._rows[layout]
+            self._positions[layout, n_rows] = (np.arange(n_rows)[:, None] * width + pos).ravel()
+        out.reshape(-1)[self._positions[layout, n_rows]] = vals.reshape(-1)
 
     def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
         """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per row j.
@@ -122,9 +147,7 @@ class TransformPlan:
             symbols = self.velocity
         vals = coeffs[..., None, self.keep] * symbols
         work = np.zeros(vals.shape[:-1] + self.shape, dtype=np.complex128)
-        rows = work.reshape(-1, self.shape[0] * self.shape[1])
-        for row, v in zip(rows, vals.reshape(-1, vals.shape[-1])):
-            row[self.pos] = v
+        self._scatter(work, vals, "grid")
         n, M = self.kmax, self.size
         # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
         work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
@@ -138,16 +161,18 @@ class TransformPlan:
         """
         M = self.size
         spec = rfft2(phys) * (1.0 / (M * M))
-        coeffs = spec.reshape(spec.shape[:-2] + (-1,))[..., self.pos]
+        coeffs = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.pos, axis=-1)
         return (coeffs, spec[..., 0, 0]) if with_mean else coeffs
 
     def project(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """Divergence-free part of a plain vector field given on the kept modes.
+        """Divergence-free part of plain vector fields given on the kept modes,
+        shape (..., n_kept).
 
-        Returns coefficients on all stored modes, zero outside the band.
+        Returns coefficients on all stored modes, (..., n_modes), zero outside
+        the band.
         """
-        out = np.zeros(self.n_modes, dtype=np.complex128)
-        out[self.keep] = self.projection[0] * d1 + self.projection[1] * d2
+        out = np.zeros(d1.shape[:-1] + (self.n_modes,), dtype=np.complex128)
+        self._scatter(out, self.projection[0] * d1 + self.projection[1] * d2, "modes")
         return out
 
 

@@ -16,14 +16,13 @@ from .dynamics import (
     exp_weights,
     march,
     skeleton_forcing,
-    solve_controlled,
+    solve_controlled_block,
     solve_skeleton,
-    solve_stochastic,
     step_count,
 )
 from .fields import SpectralField
-from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core
-from .noise import NoiseSpec, require_stream
+from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core, replicas_per_block
+from .noise import NoiseSpec, replica_values, require_stream
 from .spectral import BesovParams, besov_norm, h_norm_of, sobolev_norm
 
 
@@ -243,8 +242,10 @@ def minimize_action(
     carries the discrete action (1/2)|phi*|^2 of the minimizer.
 
     Each control is marched once: the initial one, then every line-search
-    trial.  An accepted trial keeps its states, so its gradient and each new
-    penalty round's objective and gradient cost one adjoint sweep, no march.
+    trial.  An accepted trial keeps its states, so a new penalty round's
+    objective costs no march, and each iteration's gradient costs one
+    adjoint sweep, swept at the top of the iteration that reads it: an
+    accepted step that ends its round costs none.
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
@@ -265,10 +266,12 @@ def minimize_action(
     states = control_states(phi_vals, u0, cfg)
     for round_idx in range(opt.max_penalty_rounds):
         J = penalized_objective(phi_vals, states, target, weight, dt)
-        grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
+        grad = None
         step_size = opt.initial_step
         for _ in range(opt.max_iterations):
             iterations += 1
+            if grad is None:
+                grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
             gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
             if gnorm_sq == 0.0:
                 break
@@ -289,8 +292,8 @@ def minimize_action(
             if not accepted:
                 break
             drop = J - J_trial
-            phi_vals, states, J = trial, trial_states, J_trial
-            grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
+            # the next iteration sweeps for the gradient, if there is one
+            phi_vals, states, J, grad = trial, trial_states, J_trial, None
             history.append({"round": round_idx, "objective": J, "weight": weight})
             if drop <= opt.relative_tolerance * max(abs(J), 1e-300):
                 break
@@ -361,6 +364,17 @@ def fit_loglog(xs, ys):
     return slope, math.sqrt(s_sq / float(np.dot(xc, xc)))
 
 
+def _replica_blocks(u0, phi, spec, cfg, streams, value) -> np.ndarray:
+    """value(path) of the controlled path of each stream, marched in blocks
+    of ``replicas_per_block``."""
+    return replica_values(
+        streams,
+        replicas_per_block(u0.grid, cfg.rule(u0.grid.cutoff)),
+        lambda block: solve_controlled_block(u0, phi, spec, cfg, block),
+        value,
+    )
+
+
 def _sweep_distances(u0, phi, schedule, gamma, eta, epsilons, replicas, cfg, rng, distance):
     """Replica r of member i (epsilons descending) runs on rng.child(i).child(r)."""
     stream = require_stream(rng)
@@ -369,10 +383,10 @@ def _sweep_distances(u0, phi, schedule, gamma, eta, epsilons, replicas, cfg, rng
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
         spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma, eta=eta)
         deltas.append(spec.delta)
-        dists = np.empty(replicas)
-        for r in range(replicas):
-            traj = solve_controlled(u0, phi, spec, cfg, stream.child(i).child(r))
-            dists[r] = distance(traj, skeleton)
+        dists = _replica_blocks(
+            u0, phi, spec, cfg, [stream.child(i).child(r) for r in range(replicas)],
+            lambda traj: distance(traj, skeleton),
+        )
         means.append(float(np.mean(dists)))
         stderrs.append(float(np.std(dists, ddof=1) / math.sqrt(replicas)))
     return sorted(epsilons, reverse=True), deltas, means, stderrs
@@ -520,10 +534,11 @@ def tube_probability(
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     stream = require_stream(rng)
-    dists = np.empty(replicas)
-    for r in range(replicas):
-        traj = solve_stochastic(u0, spec, cfg, center.t_final, stream.child(r))
-        dists[r] = traj.sup_h_distance(center)
+    zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(center.t_final, cfg.dt))
+    dists = _replica_blocks(
+        u0, zero, spec, cfg, [stream.child(r) for r in range(replicas)],
+        lambda traj: traj.sup_h_distance(center),
+    )
     return _tube_from_distances(dists, radius)
 
 
@@ -594,13 +609,15 @@ def laplace_check(
     degenerates.
     """
     stream = require_stream(rng)
+    n = step_count(t_final, cfg.dt)
+    zero = ControlPath.zero(u0.cutoff, cfg.dt, n)
     lhs, ess_list = [], []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
         spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)
-        vals = np.empty(replicas)
-        for r in range(replicas):
-            traj = solve_stochastic(u0, spec, cfg, t_final, stream.child(i).child(r))
-            vals[r] = functional(traj)
+        vals = _replica_blocks(
+            u0, zero, spec, cfg, [stream.child(i).child(r) for r in range(replicas)],
+            functional,
+        )
         w = np.exp(-(vals - vals.min()) / eps)
         ess = float(w.sum() ** 2 / np.dot(w, w))
         log_mean = math.log(float(np.mean(w))) - vals.min() / eps
@@ -608,8 +625,7 @@ def laplace_check(
         ess_list.append(ess)
 
     # variational side
-    n = step_count(t_final, cfg.dt)
-    free = solve_skeleton(u0, ControlPath.zero(u0.cutoff, cfg.dt, n), cfg)
+    free = solve_skeleton(u0, zero, cfg)
     free_end = free.coeffs[-1]
     if isinstance(functional, ConstantFunctional):
         rhs = functional.value

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpectralField, TensorField
-from .grid import grid_for
+from .grid import grid_for, stack_depth
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,17 @@ def require_stream(rng) -> RngStream:
     if not isinstance(rng, RngStream):
         raise TypeError(f"expected an RngStream, got {type(rng).__name__}")
     return rng
+
+
+def replica_values(streams, per_block, march_block, value) -> np.ndarray:
+    """value(path) of the replica of each stream, marched per_block replicas
+    at a time: march_block(streams) returns one path per stream of a block.
+    Only one block of paths is alive at a time."""
+    vals = np.empty(len(streams))
+    for lo in range(0, len(streams), per_block):
+        block = streams[lo : lo + per_block]
+        vals[lo : lo + len(block)] = [value(path) for path in march_block(block)]
+    return vals
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -565,7 +576,8 @@ def besov_moment_check(
 ) -> MomentReport:
     """Estimate E sup_{t <= T} |z(t)|_{B^sigma_p}^kappa against the mode-sum
     bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
-    Replica i draws its start and its steps from rng.child(i)."""
+    Replica i draws its start and its steps from rng.child(i); the replicas
+    are marched in blocks of ``stack_depth`` of the Besov grid."""
     if not (sigma < sigma_prime < 0):
         raise ValueError(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "
@@ -578,13 +590,22 @@ def besov_moment_check(
     g = grid_for(cutoff)
     n_steps = step_count(horizon, dt)
     _, std = ou_transition(g, spec, alpha, dt)
-    sups = np.empty(replicas)
-    for i in range(replicas):
-        gen = stream.child(i).generator()
-        z0 = stationary_batch(g, spec, alpha, gen, 1)[0]
-        path, _ = march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
+
+    def march_block(block):
+        gens = [s.generator() for s in block]
+        z0 = np.stack([stationary_batch(g, spec, alpha, gen, 1)[0] for gen in gens])
+        return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)[0]
+
+    def sup_power(path):
         norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
-        sups[i] = np.max(norms) ** kappa
+        return np.max(norms) ** kappa
+
+    sups = replica_values(
+        [stream.child(i) for i in range(replicas)],
+        stack_depth(g.physical_size(grid_factor)),
+        march_block,
+        sup_power,
+    )
     s, tail = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
     bound = (spec.epsilon * s) ** (kappa / 2.0)
     est = float(np.mean(sups))

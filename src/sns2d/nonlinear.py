@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .fields import SpectralField, TensorField
-from .grid import transform_plan
+from .grid import stack_depth, transform_plan
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,30 @@ def _plan_for(grid, rule: DealiasRule):
 
 
 def _minus_div(plan, t11, t12, t21, t22):
-    """-P div of a product tensor given the kept coefficients of t_ij = u_i v_j."""
+    """-P div of product tensors given the kept coefficients of t_ij = u_i v_j,
+    each (..., n_kept); returns (..., n_modes)."""
     k1, k2 = plan.k
     return plan.project(-1j * (k1 * t11 + k2 * t21), -1j * (k1 * t12 + k2 * t22))
 
 
 def b_core(coeffs: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
-    """b(u, u) on raw half-lattice coefficients (hot path for the solvers)."""
+    """b(u, u) on raw half-lattice coefficients (hot path for the solvers).
+
+    ``coeffs`` is one field (n_modes,) or a stack (..., n_modes); each row
+    gets the arithmetic of a call of its own, in one synthesis and one
+    analysis for the whole stack.
+    """
     plan = _plan_for(grid, rule)
     u = plan.synthesize(coeffs)
     # u x u is symmetric: three products, t12 = t21
-    t = plan.analyze(u[[0, 0, 1]] * u[[0, 1, 1]])
-    return _minus_div(plan, t[0], t[1], t[1], t[2])
+    t = plan.analyze(u[..., [0, 0, 1], :, :] * u[..., [0, 1, 1], :, :])
+    return _minus_div(plan, t[..., 0, :], t[..., 1, :], t[..., 1, :], t[..., 2, :])
+
+
+def replicas_per_block(grid, rule: DealiasRule) -> int:
+    """Replicas whose b_core stack fits one synthesis budget on the rule's
+    padded grid: 32/8/2/1 at cutoff 8/16/32/64 under the two-thirds rule."""
+    return stack_depth(_plan_for(grid, rule).size)
 
 
 def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:

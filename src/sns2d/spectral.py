@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpectralField, TensorField
-from .grid import TWO_PI, grid_for, transform_plan
-
-# Real samples per synthesis call when the dyadic blocks of a field are
-# stacked: all blocks in one call at cutoff 8 and 16, one block per call at
-# 32 and 64, where bigger stacks ran slower than one call per block.
-_SAMPLES_PER_CALL = 16384
+from .grid import TWO_PI, grid_for, stack_depth, transform_plan
 
 
 def leray_project(vector_coeffs: np.ndarray, cutoff: int) -> SpectralField:
@@ -127,12 +122,13 @@ def dyadic_block(u: SpectralField, q: int) -> SpectralField:
 def _block_symbols(cutoff: int, size: int) -> tuple:
     """Velocity symbols of the dyadic blocks 0..Q-1 of grid_for(cutoff) on a
     size x size grid, (Q, 2, n_modes) split along Q into read-only stacks of
-    at most _SAMPLES_PER_CALL real samples (one block at least)."""
+    ``stack_depth(size)`` blocks: all blocks in one call at cutoff 8 and 16,
+    one block per call at 32 and 64."""
     ksq = grid_for(cutoff).ksq
     masks = np.stack([_block_mask(ksq, q) for q in range(block_count(cutoff))])
     symbols = masks[:, None, :] * transform_plan(cutoff, cutoff, size).velocity
     symbols.flags.writeable = False
-    per_call = max(1, _SAMPLES_PER_CALL // (2 * size * size))
+    per_call = stack_depth(size)
     return tuple(symbols[i : i + per_call] for i in range(0, len(symbols), per_call))
 
 

@@ -10,21 +10,42 @@ own parts and kept as references for faster forms of the same arithmetic:
   ``besov_norm``;
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
-  marches an accepted control again, the reference for ``minimize_action``.
+  marches an accepted control again, the reference for ``minimize_action``;
+- ``march_alone``, the exponential step applied to one state with one
+  generator, and the per-replica loops built on it,
+  ``controlled_per_replica`` and ``besov_moment_check_per_replica``, the
+  references for the replica blocks of ``march``.
 """
 
 import math
 
 import numpy as np
 
-from sns2d.dynamics import ControlPath, IntegrationBlowupError, step_count
+from sns2d.dynamics import (
+    ControlPath,
+    IntegrationBlowupError,
+    _psi2,
+    exp_weights,
+    skeleton_forcing,
+    step_count,
+)
+from sns2d.fields import SpectralField
+from sns2d.grid import grid_for
 from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
     action_objective_and_gradient,
     control_action,
 )
-from sns2d.spectral import block_count, dyadic_block, h_norm_of, lp_norm
+from sns2d.noise import (
+    MomentReport,
+    covariance_weights,
+    lattice_power_sum,
+    ou_transition,
+    stationary_batch,
+    unit_complex_normals,
+)
+from sns2d.spectral import besov_norm, block_count, dyadic_block, h_norm_of, lp_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -207,3 +228,80 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
         history=history,
     )
     return phi, report
+
+
+def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_std=None,
+                gen=None):
+    """One state (n_modes,) marched by the exponential step, one draw from gen
+    per step; (n_steps + 1, n_modes).  Raises IntegrationBlowupError at the
+    first state outside the blow-up threshold."""
+    n_modes = grid.n_modes
+    z = (grid.ksq if rate is None else rate) * dt
+    decay, psi1 = exp_weights(z)
+    gain = dt * psi1
+    etd2 = cfg is not None and cfg.scheme == "etd2"
+    gain2 = dt * _psi2(z) if etd2 else None
+    limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
+    out = np.empty((n_steps + 1, n_modes), dtype=np.complex128)
+    out[0] = u0
+    u = out[0]
+    for step in range(n_steps):
+        unew = decay * u
+        if forcing is not None:
+            F = forcing(u, step)
+            unew += gain * F
+            if etd2:
+                unew += gain2 * (forcing(unew, step) - F)
+        if noise_std is not None:
+            unew += noise_std * unit_complex_normals(gen, n_modes)
+        nrm_sq = 2.0 * np.vdot(unew, unew).real
+        if not nrm_sq <= limit_sq:
+            raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)))
+        out[step + 1] = unew
+        u = out[step + 1]
+    return out
+
+
+def controlled_per_replica(u0, phi, spec, cfg, streams, noise=True):
+    """The controlled path of each stream marched on its own, stacked
+    (R, n_steps + 1, n_modes)."""
+    grid = u0.grid
+    forced = phi.values * covariance_weights(grid, spec)[None, :]
+    use_noise = noise and spec.epsilon > 0.0
+    noise_std = ou_transition(grid, spec, 0.0, phi.dt)[1] if use_noise else None
+    return np.stack([
+        march_alone(
+            grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, forced), cfg,
+            noise_std=noise_std, gen=s.child(1).generator() if use_noise else None,
+        )
+        for s in streams
+    ])
+
+
+def besov_moment_check_per_replica(spec, sigma, sigma_prime, p, kappa, horizon, dt,
+                                   replicas, rng, cutoff, alpha=0.0, grid_factor=2,
+                                   tail_cutoff=512):
+    """``besov_moment_check`` with each replica's start and steps drawn and
+    marched on its own."""
+    g = grid_for(cutoff)
+    n_steps = step_count(horizon, dt)
+    _, std = ou_transition(g, spec, alpha, dt)
+    sups = np.empty(replicas)
+    for i in range(replicas):
+        gen = rng.child(i).generator()
+        z0 = stationary_batch(g, spec, alpha, gen, 1)[0]
+        path = march_alone(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
+        norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
+        sups[i] = np.max(norms) ** kappa
+    s, _ = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
+    bound = (spec.epsilon * s) ** (kappa / 2.0)
+    est = float(np.mean(sups))
+    return MomentReport(
+        epsilon=spec.epsilon,
+        delta=spec.delta,
+        replicas=replicas,
+        estimate=est,
+        stderr=float(np.std(sups, ddof=1) / math.sqrt(replicas)),
+        bound=bound,
+        ratio=est / bound,
+    )

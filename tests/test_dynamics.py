@@ -17,6 +17,7 @@ from sns2d import (
     phi_eps,
     sobolev_norm,
     solve_controlled,
+    solve_controlled_block,
     solve_shifted,
     solve_skeleton,
     solve_stochastic,
@@ -35,6 +36,8 @@ from sns2d.dynamics import (
 )
 from sns2d.ldp import fit_loglog
 from sns2d.noise import covariance_weights, ou_step, ou_transition
+
+from _oracles import controlled_per_replica
 
 
 def generic_field(cutoff=8, amplitude=0.3, seed=2):
@@ -224,6 +227,67 @@ def test_stochastic_zero_noise_equals_skeleton():
     a = solve_stochastic(u0, spec, cfg, 0.3, RngStream(4))
     b = solve_skeleton(u0, ControlPath.zero(8, 0.01, 30), cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
+
+
+BLOCK_MARCHES = {
+    "exponential_euler": ({}, True),
+    "etd2": ({"scheme": "etd2"}, True),
+    "disable_nonlinearity": ({"disable_nonlinearity": True}, True),
+    "noise_false": ({}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MARCHES))
+def test_block_march_is_each_replica_marched_alone(name):
+    options, noise = BLOCK_MARCHES[name]
+    cfg = IntegratorConfig(dt=0.01, **options)
+    u0 = generic_field()
+    phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 12)
+    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
+    streams = [RngStream(21).child(3).child(r) for r in range(5)]
+    block = solve_controlled_block(u0, phi, spec, cfg, streams, noise)
+    ref = controlled_per_replica(u0, phi, spec, cfg, streams, noise)
+    assert np.array_equal(np.stack([p.coeffs for p in block]), ref)
+    assert all(p.coeffs.flags.c_contiguous for p in block)
+    assert [p.metadata["stream"] for p in block] == [s.stream_id for s in streams]
+    one = solve_controlled(u0, phi, spec, cfg, streams[3], noise)
+    assert np.array_equal(one.coeffs, ref[3])
+
+
+def test_a_blowup_in_a_block_names_the_first_failing_replica():
+    u0 = generic_field()
+    phi = ControlPath.zero(8, 0.01, 15)
+    spec = NoiseSpec(epsilon=0.5, delta=0.1, gamma=1.0)
+    alone = {s: solve_controlled(u0, phi, spec, IntegratorConfig(dt=0.01), s)
+             for s in (RngStream(5).child(r) for r in range(4))}
+    peak = {s: max(traj.h_norms()[1:]) for s, traj in alone.items()}
+    # the replica with the highest peak goes to row 2; only it crosses
+    ranked = sorted(peak, key=peak.get)
+    streams = ranked[:2] + [ranked[3], ranked[2]]
+    between = 0.5 * (peak[ranked[3]] + peak[ranked[2]])
+    cfg = IntegratorConfig(dt=0.01, blowup_threshold=between)
+    with pytest.raises(IntegrationBlowupError) as alone_err:
+        solve_controlled(u0, phi, spec, cfg, streams[2])
+    for s in streams[:2] + streams[3:]:
+        solve_controlled(u0, phi, spec, cfg, s)
+    with pytest.raises(IntegrationBlowupError) as err:
+        solve_controlled_block(u0, phi, spec, cfg, streams)
+    assert f"seed=5 stream={streams[2].stream_id}" in str(err.value)
+    assert err.value.row == 2
+    assert (err.value.t, err.value.norm) == (alone_err.value.t, alone_err.value.norm)
+
+    # several rows fail: the first step any row fails at, its lowest row
+    cfg = IntegratorConfig(dt=0.01, blowup_threshold=min(peak.values()) * (1 - 1e-9))
+    first = {}
+    for r, s in enumerate(streams):
+        with pytest.raises(IntegrationBlowupError) as each:
+            solve_controlled(u0, phi, spec, cfg, s)
+        first.setdefault(each.value.t, r)
+    t_fail = min(first)
+    with pytest.raises(IntegrationBlowupError) as err:
+        solve_controlled_block(u0, phi, spec, cfg, streams)
+    assert (err.value.t, err.value.row) == (t_fail, first[t_fail])
+    assert f"stream={streams[first[t_fail]].stream_id}" in str(err.value)
 
 
 def test_stochastic_matches_ou_law_when_nonlinearity_disabled():
@@ -482,12 +546,17 @@ def _recurrence_loops(tree):
                 if not isinstance(node, ast.Assign):
                     continue
                 tgt, val = node.targets[0], node.value
-                next_slot = (
-                    isinstance(tgt, ast.Subscript)
-                    and isinstance(tgt.slice, ast.BinOp)
-                    and isinstance(tgt.slice.op, ast.Add)
-                    and isinstance(tgt.slice.right, ast.Constant)
-                    and tgt.slice.right.value == 1
+                # slot [i + 1], also as one index of a tuple: [..., i + 1, :]
+                index = (
+                    tgt.slice.elts if isinstance(getattr(tgt, "slice", None), ast.Tuple)
+                    else [getattr(tgt, "slice", None)]
+                )
+                next_slot = isinstance(tgt, ast.Subscript) and any(
+                    isinstance(i, ast.BinOp)
+                    and isinstance(i.op, ast.Add)
+                    and isinstance(i.right, ast.Constant)
+                    and i.right.value == 1
+                    for i in index
                 )
                 self_step = (
                     isinstance(tgt, ast.Name)
@@ -537,6 +606,12 @@ def test_recurrence_guard_sees_each_old_form_of_a_march():
         "def skel(u, n):\n"
         "    while n:\n"
         "        u = noise.step_skeleton(u, phi, cfg)\n",
+        "def block(out, n):\n"
+        "    for step in range(n):\n"
+        "        out[:, step + 1] = decay * out[:, step]\n",
+        "def rows(out, n):\n"
+        "    for step in range(n):\n"
+        "        out[..., step + 1, :] = decay * out[..., step, :]\n",
     ):
         assert _recurrence_loops(ast.parse(text)) != [], text
     adjoint = (

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import sns2d
 from sns2d import (
     BesovParams,
     ControlPath,
@@ -270,6 +274,36 @@ def test_minimize_action_is_the_remarching_descent_with_one_march_per_control(na
     assert len({h["round"] for h in rep.history}) > 1
     assert sum(trials) > 0
     assert len(marches) == sum(trials) + 1
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_minimize_action_sweeps_the_adjoint_once_per_iteration(name, monkeypatch):
+    # weights of the adjoint sweeps: each penalty round has its own weight
+    sweeps = []
+    gradient = ldp.adjoint_gradient
+
+    def count_sweeps(phi_vals, states, target, weight, cfg):
+        sweeps.append(weight)
+        return gradient(phi_vals, states, target, weight, cfg)
+
+    monkeypatch.setattr(ldp, "adjoint_gradient", count_sweeps)
+    case = _descent_case(name)
+    _, ref = _oracles.minimize_action_remarching(*case)
+    # the remarching descent sweeps at each round's start and each accepted step
+    remarching = len(sweeps)
+    rounds = len(set(sweeps))
+    assert remarching == rounds + len(ref.history)
+    sweeps.clear()
+    _, rep = minimize_action(*case)
+    assert rep == ref
+    assert len(set(sweeps)) == rounds
+    # a round sweeps once per iteration: at its start and after each accepted
+    # step it goes on from; one that ends on an accepted step sweeps for none
+    for weight in set(sweeps):
+        accepted = sum(h["weight"] == weight for h in rep.history)
+        assert sweeps.count(weight) in (accepted, accepted + 1)
+    assert len(sweeps) == rep.iterations
+    assert len(sweeps) < remarching
 
 
 @pytest.mark.parametrize(
@@ -564,3 +598,72 @@ def test_monte_carlo_entry_points_take_only_a_stream(rng):
     for call in calls:
         with pytest.raises(TypeError, match="expected an RngStream"):
             call()
+
+
+def test_tube_blocks_are_each_replica_marched_alone():
+    # 35 replicas at cutoff 8: a block of 32 and one of 3
+    u0 = taylor_green(8, 0.4)
+    cfg = IntegratorConfig(dt=0.02)
+    center = solve_skeleton(u0, ControlPath.zero(8, 0.02, 5), cfg)
+    spec = NoiseSpec(epsilon=0.01, delta=0.1, gamma=1.0)
+    stream = RngStream(12).child(1)
+    rep = tube_probability(u0, center, 0.05, spec, cfg, 35, stream)
+    paths = _oracles.controlled_per_replica(
+        u0, ControlPath.zero(8, 0.02, 5), spec, cfg, [stream.child(r) for r in range(35)]
+    )
+    dists = [Trajectory(center.grid, 0.02, p).sup_h_distance(center) for p in paths]
+    assert np.array_equal(rep.distances, dists)
+
+
+MARCHES = ("solve_controlled", "solve_stochastic", "march")
+
+
+def _replica_march_loops(tree):
+    """Functions holding a loop (for, while or comprehension) that calls one
+    of the single-path marches on each pass."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) in MARCHES
+            for loop in ast.walk(func)
+            if isinstance(loop, loops)
+            for call in ast.walk(loop)
+        )
+    ]
+
+
+def test_replicas_are_marched_in_blocks_not_one_by_one():
+    src = pathlib.Path(sns2d.__file__).parent
+    for name in ("ldp.py", "noise.py"):
+        assert _replica_march_loops(ast.parse((src / name).read_text())) == [], name
+
+
+def test_replica_loop_guard_sees_each_old_per_replica_loop():
+    old = (
+        "def _sweep_distances(u0, phi, epsilons, replicas, cfg, stream, distance):\n"
+        "    for i, eps in enumerate(epsilons):\n"
+        "        for r in range(replicas):\n"
+        "            traj = solve_controlled(u0, phi, spec, cfg, stream.child(i).child(r))\n"
+        "            dists[r] = distance(traj, skeleton)\n"
+        "def tube_probability(u0, center, spec, cfg, replicas, stream):\n"
+        "    for r in range(replicas):\n"
+        "        traj = solve_stochastic(u0, spec, cfg, center.t_final, stream.child(r))\n"
+        "def laplace_check(functional, u0, epsilons, replicas, cfg, t_final, stream):\n"
+        "    for i, eps in enumerate(epsilons):\n"
+        "        for r in range(replicas):\n"
+        "            traj = solve_stochastic(u0, spec, cfg, t_final, stream.child(i).child(r))\n"
+        "def besov_moment_check(spec, n_steps, dt, replicas, stream, g):\n"
+        "    for i in range(replicas):\n"
+        "        gen = stream.child(i).generator()\n"
+        "        path, _ = march(g, z0, n_steps, dt, noise_std=std, gen=gen)\n"
+        "def comprehension(streams):\n"
+        "    return [dynamics.solve_controlled(u0, phi, spec, cfg, s) for s in streams]\n"
+    )
+    assert _replica_march_loops(ast.parse(old)) == [
+        "_sweep_distances", "tube_probability", "laplace_check", "besov_moment_check",
+        "comprehension",
+    ]

@@ -32,6 +32,9 @@ from sns2d.noise import (
     validate_scaling_condition,
     validate_vanishing_schedule,
 )
+from sns2d.grid import stack_depth
+
+from _oracles import besov_moment_check_per_replica
 
 
 def test_noise_spec_validation():
@@ -359,3 +362,11 @@ def test_besov_moment_check_refuses_a_bare_seed():
         besov_moment_check(*args, 5, 6)
     rep = besov_moment_check(*args, RngStream(5), 6)
     assert rep.stderr > 1e-3
+
+
+def test_besov_moment_blocks_are_each_replica_marched_alone():
+    spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
+    # 45 replicas at cutoff 6: a block of 41 and one of 4
+    assert stack_depth(grid_for(6).physical_size(2)) == 41
+    args = (spec, -0.3, -0.1, 4.0, 2.0, 0.06, 0.02, 45, RngStream(6).child(1), 6)
+    assert besov_moment_check(*args) == besov_moment_check_per_replica(*args)

@@ -11,7 +11,8 @@ from sns2d import (
     stokes_apply,
     tensor_product,
 )
-from sns2d.nonlinear import b_linearized_adjoint
+from sns2d.grid import grid_for
+from sns2d.nonlinear import b_core, b_linearized_adjoint, replicas_per_block
 
 from _oracles import b_direct, tensor_product_direct
 
@@ -132,3 +133,25 @@ def test_linearized_adjoint_pairing(random_field):
     lhs = h_inner(b_bilinear(u, v, rule) + b_bilinear(v, u, rule), w)
     rhs = h_inner(v, b_linearized_adjoint(u, w, rule))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_stacked_b_core_is_per_row_b_core_bit_for_bit(cutoff, kind, rng):
+    g = grid_for(cutoff)
+    rule = DealiasRule.make(kind, cutoff)
+    stack = np.stack([SpectralField.random(cutoff, rng, amplitude=1.0).coeffs for _ in range(3)])
+    per_row = np.stack([b_core(row, g, rule) for row in stack])
+    assert np.array_equal(b_core(stack, g, rule), per_row)
+    # rows of a block march are strided views into its (R, n_steps + 1) paths
+    paths = np.zeros((3, 4, g.n_modes), dtype=np.complex128)
+    paths[:, 2] = stack
+    assert not paths[:, 2].flags.c_contiguous
+    assert np.array_equal(b_core(paths[:, 2], g, rule), per_row)
+    assert np.array_equal(b_core(stack.reshape(3, 1, -1), g, rule)[:, 0], per_row)
+
+
+def test_replica_blocks_fill_one_synthesis_budget():
+    rule = DealiasRule.two_thirds
+    sizes = {n: replicas_per_block(grid_for(n), rule(n)) for n in (8, 16, 32, 64)}
+    assert sizes == {8: 32, 16: 8, 32: 2, 64: 1}
