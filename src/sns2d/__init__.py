@@ -9,6 +9,7 @@ from .grid import SpectralGrid, grid_for
 from .spectral import (
     BesovParams,
     besov_norm,
+    block_powers,
     dyadic_block,
     fractional_power,
     h_inner,

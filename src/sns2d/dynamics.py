@@ -164,17 +164,21 @@ class Trajectory:
     def h_norms(self) -> np.ndarray:
         return np.sqrt(2.0 * np.sum(np.abs(self.coeffs) ** 2, axis=1))
 
-    def sup_h_distance(self, other: "Trajectory") -> float:
+    def difference(self, other: "Trajectory") -> np.ndarray:
+        """State-by-state coefficients self - other, (n_steps + 1, n_modes),
+        of two paths on the same cutoff and time grid."""
         self._compatible(other)
-        diff = self.coeffs - other.coeffs
+        return self.coeffs - other.coeffs
+
+    def sup_h_distance(self, other: "Trajectory") -> float:
+        diff = self.difference(other)
         return float(np.max(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2, axis=1))))
 
     def sup_norm(self, norm_fn) -> float:
         return float(np.max([norm_fn(self.state(i)) for i in range(self.coeffs.shape[0])]))
 
     def sup_distance(self, other: "Trajectory", norm_fn) -> float:
-        self._compatible(other)
-        diff = self.coeffs - other.coeffs
+        diff = self.difference(other)
         return float(np.max([norm_fn(SpectralField(self.grid, row)) for row in diff]))
 
     def _compatible(self, other):

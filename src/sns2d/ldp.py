@@ -23,7 +23,7 @@ from .dynamics import (
 from .fields import SpectralField
 from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core, replicas_per_block
 from .noise import NoiseSpec, replica_values, require_stream
-from .spectral import BesovParams, besov_norm, h_norm_of, sobolev_norm
+from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, sobolev_norm
 
 
 @dataclass
@@ -443,11 +443,13 @@ def besov_convergence_experiment(
     theta = besov.min_initial_regularity()
     if not math.isfinite(sobolev_norm(u0, max(theta, 0.0))):
         raise ValueError(f"initial condition lacks H^{theta} regularity")
+
+    def distance(a, b):
+        powers = block_powers(a.grid, a.difference(b), besov.p, grid_factor)
+        return float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
+
     eps_s, deltas, means, stderrs = _sweep_distances(
-        u0, phi, schedule, gamma, None, epsilons, replicas, cfg, rng,
-        distance=lambda a, b: a.sup_distance(
-            b, lambda f: besov_norm(f, besov.sigma, besov.p, grid_factor)
-        ),
+        u0, phi, schedule, gamma, None, epsilons, replicas, cfg, rng, distance
     )
     slope, se = fit_loglog(eps_s, means)
     return ConvergenceReport(
@@ -458,14 +460,12 @@ def besov_convergence_experiment(
 def trajectory_space_norm(
     traj: Trajectory, besov: BesovParams, grid_factor: int = 2
 ) -> float:
-    """sup_t |.|_{B^sigma_p} plus the L^beta(0,T) norm of |.|_{B^alpha_p}."""
-    sup_term = traj.sup_norm(lambda f: besov_norm(f, besov.sigma, besov.p, grid_factor))
-    vals = np.array(
-        [
-            besov_norm(traj.state(i), besov.alpha, besov.p, grid_factor)
-            for i in range(traj.coeffs.shape[0])
-        ]
-    )
+    """sup_t |.|_{B^sigma_p} plus the L^beta(0,T) norm of |.|_{B^alpha_p}.
+
+    Both terms weight the same block powers, computed once per state."""
+    powers = block_powers(traj.grid, traj.coeffs, besov.p, grid_factor)
+    sup_term = float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
+    vals = besov_of_powers(powers, besov.alpha, besov.p)
     weights = np.full(vals.size, traj.dt)
     weights[0] = weights[-1] = 0.5 * traj.dt
     time_term = float(np.dot(weights, vals**besov.beta) ** (1.0 / besov.beta))

@@ -584,7 +584,7 @@ def besov_moment_check(
             f"sigma_prime={sigma_prime}"
         )
     from .dynamics import march, step_count
-    from .spectral import besov_norm
+    from .spectral import besov_of_powers, block_powers
 
     stream = require_stream(rng)
     g = grid_for(cutoff)
@@ -597,7 +597,7 @@ def besov_moment_check(
         return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)[0]
 
     def sup_power(path):
-        norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
+        norms = besov_of_powers(block_powers(g, path, p, grid_factor), sigma, p)
         return np.max(norms) ** kappa
 
     sups = replica_values(

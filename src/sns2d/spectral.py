@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .fields import SpectralField, TensorField
 from .grid import TWO_PI, grid_for, stack_depth, transform_plan
@@ -75,8 +76,9 @@ def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols: np.ndarray = N
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     phys = plan.synthesize(coeffs, symbols)
-    speed = np.sqrt(phys[..., 0, :, :] ** 2 + phys[..., 1, :, :] ** 2)
-    return np.sum(speed**p, axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
+    # (|u|^2)^(p/2): at p = 4 numpy squares instead of calling pow
+    speed_sq = phys[..., 0, :, :] ** 2 + phys[..., 1, :, :] ** 2
+    return np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
 
 
 def lp_norm(u: SpectralField, p: float, grid_factor: int = 2) -> float:
@@ -118,33 +120,92 @@ def dyadic_block(u: SpectralField, q: int) -> SpectralField:
     return u.with_coeffs(np.where(_block_mask(u.grid.ksq, q), u.coeffs, 0.0))
 
 
+@dataclass(frozen=True)
+class _BlockGroup:
+    """Dyadic blocks ``blocks`` of one cutoff, all integrated on one plan's
+    grid.  ``symbols`` holds their velocity symbols split along the block
+    axis into stacks of at most ``stack_depth(plan.size)`` blocks, and each
+    synthesis call takes ``states`` states times one stack."""
+
+    blocks: slice
+    plan: object
+    symbols: tuple
+    states: int
+
+
+def block_grid_size(cutoff: int, q: int, p: float, grid_factor: int = 2) -> int:
+    """Grid on which block q's |.|^p quadrature is computed.
+
+    Block q is band-limited to |k_i| <= K_q = min(2^q, cutoff).  For an even
+    integer p, |u|^p is then a trigonometric polynomial of degree p K_q in
+    each variable, which the M-point trapezoid rule integrates exactly once
+    M > p K_q; such a block moves to the smallest FFT-friendly grid of that
+    size whenever the shared grid ``physical_size(grid_factor)`` is already
+    exact for it.  Every other block stays on the shared grid.
+    """
+    shared = grid_for(cutoff).physical_size(grid_factor)
+    band = p * min(2**q, cutoff)
+    if p >= 2 and p % 2 == 0 and band < shared:
+        return next_fast_len(int(band) + 1)
+    return shared
+
+
 @functools.lru_cache(maxsize=None)
-def _block_symbols(cutoff: int, size: int) -> tuple:
-    """Velocity symbols of the dyadic blocks 0..Q-1 of grid_for(cutoff) on a
-    size x size grid, (Q, 2, n_modes) split along Q into read-only stacks of
-    ``stack_depth(size)`` blocks: all blocks in one call at cutoff 8 and 16,
-    one block per call at 32 and 64."""
+def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
+    """The dyadic blocks of grid_for(cutoff) grouped by ``block_grid_size``,
+    one cached plan and symbol stack per group.
+
+    Grid sizes grow with q, so each group is a run of consecutive blocks.  A
+    group whose blocks fit one call of ``stack_depth`` grids stacks
+    ``stack_depth // blocks`` states per call; a larger group takes one state
+    per call, in block stacks of ``stack_depth``.
+    """
     ksq = grid_for(cutoff).ksq
-    masks = np.stack([_block_mask(ksq, q) for q in range(block_count(cutoff))])
-    symbols = masks[:, None, :] * transform_plan(cutoff, cutoff, size).velocity
-    symbols.flags.writeable = False
-    per_call = stack_depth(size)
-    return tuple(symbols[i : i + per_call] for i in range(0, len(symbols), per_call))
+    sizes = [block_grid_size(cutoff, q, p, grid_factor) for q in range(block_count(cutoff))]
+    groups = []
+    for size in sorted(set(sizes)):
+        lo, hi = sizes.index(size), len(sizes) - sizes[::-1].index(size)
+        plan = transform_plan(cutoff, min(2 ** (hi - 1), cutoff), size)
+        masks = np.stack([_block_mask(ksq[plan.keep], q) for q in range(lo, hi)])
+        symbols = masks[:, None, :] * plan.velocity
+        symbols.flags.writeable = False
+        depth = stack_depth(size)
+        stacks = tuple(symbols[i : i + depth] for i in range(0, hi - lo, depth))
+        groups.append(_BlockGroup(slice(lo, hi), plan, stacks, max(1, depth // (hi - lo))))
+    return tuple(groups)
+
+
+def block_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
+    """|block_q u|_Lp^p of each dyadic block of one state (n_modes,) or of a
+    stack of states (..., n_modes) of ``grid``; shape (..., Q).
+
+    Each block is integrated on its ``block_grid_size`` grid; each synthesis
+    call of a ``_block_groups`` group holds its ``states`` states times one
+    block stack.  An empty block contributes an exact 0.
+    """
+    flat = np.asarray(coeffs).reshape(-1, 1, grid.n_modes)
+    n_blocks = block_count(grid.cutoff)
+    out = np.empty((flat.shape[0], n_blocks))
+    for group in _block_groups(grid.cutoff, grid_factor, p):
+        lo = group.blocks.start
+        for stack in group.symbols:
+            cols = slice(lo, lo + len(stack))
+            for i in range(0, flat.shape[0], group.states):
+                rows = slice(i, i + group.states)
+                out[rows, cols] = _power_integrals(group.plan, flat[rows], p, stack)
+            lo += len(stack)
+    return out.reshape(np.shape(coeffs)[:-1] + (n_blocks,))
+
+
+def besov_of_powers(powers: np.ndarray, sigma: float, p: float) -> np.ndarray:
+    """(sum_q 2^(p q sigma) powers[..., q])^(1/p) for ``block_powers`` output."""
+    weights = 2.0 ** (p * np.arange(powers.shape[-1]) * sigma)
+    return np.sum(weights * powers, axis=-1) ** (1.0 / p)
 
 
 def besov_norm(u: SpectralField, sigma: float, p: float, grid_factor: int = 2) -> float:
-    """Besov norm (sum_q 2^(p q sigma) |block_q u|_Lp^p)^(1/p).
-
-    Each stack of blocks from ``_block_symbols`` is one synthesis call; an
-    empty block contributes an exact 0.
-    """
-    size = u.grid.physical_size(grid_factor)
-    plan = transform_plan(u.cutoff, u.cutoff, size)
-    powers = np.concatenate(
-        [_power_integrals(plan, u.coeffs, p, s) for s in _block_symbols(u.cutoff, size)]
-    )
-    weights = 2.0 ** (p * np.arange(powers.size) * sigma)
-    return float(np.dot(weights, powers) ** (1.0 / p))
+    """Besov norm (sum_q 2^(p q sigma) |block_q u|_Lp^p)^(1/p)."""
+    return float(besov_of_powers(block_powers(u.grid, u.coeffs, p, grid_factor), sigma, p))
 
 
 def tensor_sobolev_norm(t: TensorField, sigma: float) -> float:

@@ -8,6 +8,9 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``besov_norm_per_block``, the one-block-at-a-time Besov sum built from
   ``dyadic_block`` and ``lp_norm``, the reference for the stacked
   ``besov_norm``;
+- ``trajectory_space_norm_two_pass``, the path-space norm from two
+  ``besov_norm`` passes per state, the reference for the shared block powers
+  of ``trajectory_space_norm``;
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
@@ -165,6 +168,22 @@ def besov_norm_per_block(u, sigma, p, grid_factor=2):
             continue
         total += 2.0 ** (p * q * sigma) * lp_norm(bq, p, grid_factor) ** p
     return float(total ** (1.0 / p))
+
+
+def trajectory_space_norm_two_pass(traj, besov, grid_factor=2):
+    """sup_t |.|_{B^sigma_p} plus the L^beta(0,T) norm of |.|_{B^alpha_p},
+    one ``besov_norm`` per state and exponent."""
+    sup_term = traj.sup_norm(lambda f: besov_norm(f, besov.sigma, besov.p, grid_factor))
+    vals = np.array(
+        [
+            besov_norm(traj.state(i), besov.alpha, besov.p, grid_factor)
+            for i in range(traj.coeffs.shape[0])
+        ]
+    )
+    weights = np.full(vals.size, traj.dt)
+    weights[0] = weights[-1] = 0.5 * traj.dt
+    time_term = float(np.dot(weights, vals**besov.beta) ** (1.0 / besov.beta))
+    return sup_term + time_term
 
 
 def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None):

@@ -396,6 +396,34 @@ def test_besov_convergence_small_sweep():
         )
 
 
+def test_besov_sweep_distance_is_the_sup_of_per_state_besov_norms():
+    # the distance takes each replica's difference path in one block_powers
+    # call; the reference takes one besov_norm per state
+    u0 = taylor_green(6, 0.4)
+    cfg = IntegratorConfig(dt=0.02)
+    phi = ControlPath.constant(SpectralField.from_modes(6, {(1, 0): 0.4}), 0.02, 6)
+    besov = BesovParams(sigma=-0.25, p=4.0, alpha=0.3, beta=3.0)
+    epsilons = [1e-1, 1e-2, 1e-3]
+    report = besov_convergence_experiment(
+        u0, phi, besov, PowerSchedule(1.0), epsilons, replicas=3, cfg=cfg, rng=RngStream(7)
+    )
+    _, _, means, _ = ldp._sweep_distances(
+        u0, phi, PowerSchedule(1.0), 1.0, None, epsilons, 3, cfg, RngStream(7),
+        distance=lambda a, b: a.sup_distance(b, lambda f: sns2d.besov_norm(f, -0.25, 4.0)),
+    )
+    assert report.means == means
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_trajectory_space_norm_matches_two_besov_passes(p):
+    traj = solve_skeleton(
+        generic_field(16), ControlPath.zero(16, 0.01, 50), IntegratorConfig(dt=0.01)
+    )
+    besov = BesovParams(sigma=-0.25, p=p, alpha=0.3, beta=3.0)
+    ref = _oracles.trajectory_space_norm_two_pass(traj, besov)
+    assert abs(trajectory_space_norm(traj, besov) - ref) <= 1e-14 * ref
+
+
 def test_trajectory_space_norm_zero_and_positive():
     zero = Trajectory(grid_for(6), 0.1, np.zeros((6, grid_for(6).n_modes), complex))
     besov = BesovParams(sigma=-0.25, p=4.0, alpha=0.3, beta=3.0)

@@ -16,8 +16,14 @@ from sns2d import (
     sobolev_norm,
     stokes_apply,
 )
-from sns2d.grid import TransformPlan
-from sns2d.spectral import block_count, block_of
+from sns2d.grid import SAMPLES_PER_CALL, TransformPlan, grid_for
+from sns2d.spectral import (
+    _block_groups,
+    block_count,
+    block_grid_size,
+    block_of,
+    block_powers,
+)
 
 from _oracles import besov_norm_per_block, lp_norm_quadrature
 
@@ -267,10 +273,10 @@ def test_besov_triangle_inequality(seed_a, seed_b):
 
 @pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
 def test_besov_matches_the_per_block_sum(cutoff):
-    # 8 and 16 stack every block in one synthesis call; 32 and 64 take one
-    # block per call
+    # even p moves the exact blocks to smaller grids; the reference
+    # integrates every block on the shared grid
     u = _field(cutoff, cutoff, decay=1.0)
-    for p in (2.0, 3.0, 4.0):
+    for p in (2.0, 2.5, 3.0, 4.0, 6.0):
         for sigma in (-0.25, 0.5):
             ref = besov_norm_per_block(u, sigma, p)
             assert abs(besov_norm(u, sigma, p) - ref) <= 1e-13 * ref
@@ -283,20 +289,88 @@ def test_besov_of_zero_and_of_nan():
     assert np.isnan(besov_norm(SpectralField.zero(16).with_coeffs(c), -0.25, 4.0))
 
 
-def test_besov_synthesis_calls_are_bounded(monkeypatch):
+def _recorded_besov_calls(monkeypatch, cutoff, p, n_states):
+    """(grid size, grids, blocks) of each synthesis call that block_powers
+    makes for a path of n_states states."""
     calls = []
     synthesize = TransformPlan.synthesize
 
     def counted(plan, coeffs, symbols=None):
-        calls.append(1 if symbols is None else symbols.shape[0])
+        states = coeffs.size // coeffs.shape[-1]
+        calls.append((plan.size, states * symbols.shape[0], symbols.shape[0]))
         return synthesize(plan, coeffs, symbols)
 
     monkeypatch.setattr(TransformPlan, "synthesize", counted)
-    besov_norm(_field(0, 16), -0.25, 4.0)
-    assert calls == [block_count(16)]  # one call for all six blocks
-    calls.clear()
-    besov_norm(_field(0, 64), -0.25, 4.0)
-    assert calls == [1] * block_count(64)  # a 132x132 block fills a call
+    path = np.stack([_field(s, cutoff).coeffs for s in range(n_states)])
+    block_powers(grid_for(cutoff), path, p)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_besov_synthesis_calls_are_bounded(monkeypatch, cutoff, p):
+    calls = _recorded_besov_calls(monkeypatch, cutoff, p, 51)
+    for size, grids, _ in calls:
+        # one block of one state may outgrow the budget; a stack never does
+        assert grids == 1 or 2 * size * size * grids <= SAMPLES_PER_CALL
+    # every block of every state is synthesized once, on its own grid
+    sizes = [block_grid_size(cutoff, q, p) for q in range(block_count(cutoff))]
+    per_size = {}
+    for size, grids, _ in calls:
+        per_size[size] = per_size.get(size, 0) + grids
+    assert per_size == {s: 51 * sizes.count(s) for s in set(sizes)}
+
+
+def test_even_p_exact_blocks_land_on_their_small_grids(monkeypatch):
+    # K_q = min(2^q, N); a block with 4 K_q below the shared size moves to
+    # next_fast_len(4 K_q + 1)
+    assert [block_grid_size(16, q, 4.0) for q in range(6)] == [5, 9, 18, 33, 33, 33]
+    assert [block_grid_size(32, q, 4.0) for q in range(7)] == [5, 9, 18, 33, 66, 66, 66]
+    assert [block_grid_size(16, q, 6.0) for q in range(6)] == [7, 14, 25, 33, 33, 33]
+    assert [block_grid_size(16, q, 2.0) for q in range(6)] == [3, 5, 9, 18, 33, 33]
+    # N = 16, p = 4: the three exact low blocks stack many states per call,
+    # the three blocks on the shared 33 x 33 grid two states per call
+    calls = _recorded_besov_calls(monkeypatch, 16, 4.0, 51)
+    assert sorted({(size, blocks) for size, _, blocks in calls}) == [
+        (5, 1), (9, 1), (18, 1), (33, 3)
+    ]
+    assert max(grids for size, grids, _ in calls if size == 18) == 25
+    assert max(grids for size, grids, _ in calls if size == 33) == 6
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 5.0])
+def test_odd_or_fractional_p_keeps_every_block_on_the_shared_grid(p):
+    for cutoff in (4, 8, 16, 32, 64):
+        shared = grid_for(cutoff).physical_size(2)
+        (group,) = _block_groups(cutoff, 2, p)
+        assert group.plan.size == shared and group.plan.kmax == cutoff
+        assert group.blocks == slice(0, block_count(cutoff))
+
+
+@pytest.mark.parametrize("cutoff", [16, 32])
+def test_even_p_blocks_on_small_grids_are_exact(cutoff):
+    # the small-grid quadrature of an exact block equals a dense one
+    u = _field(1, cutoff, decay=1.0)
+    for p in (4.0, 6.0):
+        powers = block_powers(u.grid, u.coeffs, p)
+        for q in range(block_count(cutoff)):
+            if block_grid_size(cutoff, q, p) < u.grid.physical_size(2):
+                dense = lp_norm(dyadic_block(u, q), p, grid_factor=8) ** p
+                assert abs(powers[q] - dense) <= 1e-13 * dense
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_stacked_block_powers_rows_are_each_state_alone(cutoff):
+    # 11 states: stacks of 2, 7, 25 ... states leave a short last call
+    path = np.stack([_field(s, cutoff).coeffs for s in range(11)])
+    for p in (2.5, 3.0, 4.0):
+        stacked = block_powers(grid_for(cutoff), path, p)
+        assert stacked.shape == (11, block_count(cutoff))
+        for i, row in enumerate(path):
+            assert np.array_equal(stacked[i], block_powers(grid_for(cutoff), row, p))
+        cube = block_powers(grid_for(cutoff), path[:10].reshape(2, 5, -1), p)
+        assert np.array_equal(cube.reshape(10, -1), stacked[:10])
 
 
 def test_besov_params_validation():
