@@ -122,14 +122,13 @@ def dyadic_block(u: SpectralField, q: int) -> SpectralField:
 
 @dataclass(frozen=True)
 class _BlockGroup:
-    """Dyadic blocks ``blocks`` of one cutoff, all integrated on one plan's
-    grid.  ``symbols`` holds their velocity symbols split along the block
-    axis into stacks of at most ``stack_depth(plan.size)`` blocks, and each
+    """Consecutive dyadic blocks of one cutoff, all integrated on one plan's
+    grid.  ``stacks`` pairs the block indices (a slice) with the velocity
+    symbols of at most ``stack_depth(plan.size)`` of the blocks, and each
     synthesis call takes ``states`` states times one stack."""
 
-    blocks: slice
     plan: object
-    symbols: tuple
+    stacks: tuple
     states: int
 
 
@@ -170,8 +169,11 @@ def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
         symbols = masks[:, None, :] * plan.velocity
         symbols.flags.writeable = False
         depth = stack_depth(size)
-        stacks = tuple(symbols[i : i + depth] for i in range(0, hi - lo, depth))
-        groups.append(_BlockGroup(slice(lo, hi), plan, stacks, max(1, depth // (hi - lo))))
+        stacks = tuple(
+            (slice(lo + i, min(lo + i + depth, hi)), symbols[i : i + depth])
+            for i in range(0, hi - lo, depth)
+        )
+        groups.append(_BlockGroup(plan, stacks, max(1, depth // (hi - lo))))
     return tuple(groups)
 
 
@@ -187,13 +189,10 @@ def block_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np
     n_blocks = block_count(grid.cutoff)
     out = np.empty((flat.shape[0], n_blocks))
     for group in _block_groups(grid.cutoff, grid_factor, p):
-        lo = group.blocks.start
-        for stack in group.symbols:
-            cols = slice(lo, lo + len(stack))
-            for i in range(0, flat.shape[0], group.states):
-                rows = slice(i, i + group.states)
-                out[rows, cols] = _power_integrals(group.plan, flat[rows], p, stack)
-            lo += len(stack)
+        for i in range(0, len(flat), group.states):
+            rows = slice(i, i + group.states)
+            for cols, symbols in group.stacks:
+                out[rows, cols] = _power_integrals(group.plan, flat[rows], p, symbols)
     return out.reshape(np.shape(coeffs)[:-1] + (n_blocks,))
 
 
