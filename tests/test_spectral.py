@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,19 +309,18 @@ def _recorded_besov_calls(monkeypatch, cutoff, p, n_states):
     return calls
 
 
-@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
-@pytest.mark.parametrize("p", [3.0, 4.0])
-def test_besov_synthesis_calls_are_bounded(monkeypatch, cutoff, p):
-    calls = _recorded_besov_calls(monkeypatch, cutoff, p, 51)
-    for size, grids, _ in calls:
-        # one block of one state may outgrow the budget; a stack never does
-        assert grids == 1 or 2 * size * size * grids <= SAMPLES_PER_CALL
-    # every block of every state is synthesized once, on its own grid
-    sizes = [block_grid_size(cutoff, q, p) for q in range(block_count(cutoff))]
-    per_size = {}
-    for size, grids, _ in calls:
-        per_size[size] = per_size.get(size, 0) + grids
-    assert per_size == {s: 51 * sizes.count(s) for s in set(sizes)}
+def test_besov_synthesis_calls_are_bounded(monkeypatch):
+    for cutoff, p in itertools.product((8, 16, 32, 64), (3.0, 4.0)):
+        calls = _recorded_besov_calls(monkeypatch, cutoff, p, 51)
+        for size, grids, _ in calls:
+            # one block of one state may outgrow the budget; a stack never does
+            assert grids == 1 or 2 * size * size * grids <= SAMPLES_PER_CALL
+        # every block of every state is synthesized once, on its own grid
+        sizes = [block_grid_size(cutoff, q, p) for q in range(block_count(cutoff))]
+        per_size = {}
+        for size, grids, _ in calls:
+            per_size[size] = per_size.get(size, 0) + grids
+        assert per_size == {s: 51 * sizes.count(s) for s in set(sizes)}
 
 
 def test_even_p_exact_blocks_land_on_their_small_grids(monkeypatch):
