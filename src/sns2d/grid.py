@@ -115,8 +115,11 @@ class TransformPlan:
         self.pos = (k1 % size) * self.shape[1] + k2
         self.k = np.stack([k1, k2]).astype(np.float64)
         self.velocity = np.stack([grid.basis1[keep], grid.basis2[keep]])
-        # velocity[l, j] multiplied by i k_l: the symbol of d_l u_j
-        self.gradient = 1j * self.k[:, None] * self.velocity[None, :]
+        # symbols of the trace-free symmetric gradient grad w + grad w^T =
+        # [[s, t], [t, -s]] of a divergence-free w: s = 2 d1 w1, t = d1 w2 + d2 w1
+        ik1, ik2 = 1j * self.k
+        v1, v2 = self.velocity
+        self.strain = np.stack([2.0 * ik1 * v1, ik1 * v2 + ik2 * v1])
         # <d, e_k> = -2pi i (d1 k2 - d2 k1)/|k| for a plain vector coefficient d
         kabs = grid.kabs[keep]
         self.projection = np.stack([-TWO_PI * 1j * k2 / kabs, TWO_PI * 1j * k1 / kabs])
@@ -151,7 +154,9 @@ class TransformPlan:
         n, M = self.kmax, self.size
         # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
         work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
-        return irfft2(work, s=(M, M)) * (M * M)
+        out = irfft2(work, s=(M, M), overwrite_x=True)
+        out *= M * M
+        return out
 
     def analyze(self, phys: np.ndarray, with_mean: bool = False):
         """Fourier coefficients of the kept stored modes of real grids (..., size, size).
@@ -159,10 +164,12 @@ class TransformPlan:
         Returns shape (..., n_kept); with ``with_mean`` also the k = 0
         coefficients, shape (...).
         """
-        M = self.size
-        spec = rfft2(phys) * (1.0 / (M * M))
+        scale = 1.0 / (self.size * self.size)
+        spec = rfft2(phys)
+        # scale only the gathered coefficients, not the whole spectrum
         coeffs = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.pos, axis=-1)
-        return (coeffs, spec[..., 0, 0]) if with_mean else coeffs
+        coeffs *= scale
+        return (coeffs, spec[..., 0, 0] * scale) if with_mean else coeffs
 
     def project(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
         """Divergence-free part of plain vector fields given on the kept modes,

@@ -146,7 +146,9 @@ class OptimizerSettings:
         for name in ("armijo_constant", "backtrack_factor"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"OptimizerSettings.{name} must lie in (0, 1)")
-        for name in ("initial_step", "min_step"):
+        # a positive weight keeps the endpoint term >= 0, which the line
+        # search relies on to reject a trial before marching it
+        for name in ("initial_step", "min_step", "initial_penalty", "penalty_growth"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"OptimizerSettings.{name} must be > 0")
 
@@ -175,12 +177,20 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
     return march(grid, u0.coeffs, phi_vals.shape[0], cfg.dt, forcing, cfg)[0]
 
 
+def control_term(phi_vals, dt: float) -> float:
+    """(1/2)|phi|^2_{L2H}, the term of ``penalized_objective`` that needs no march."""
+    return 0.5 * (dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2)))
+
+
+def endpoint_term(states, target: SpectralField, weight: float) -> float:
+    """weight |u(T) - target|_H^2 from marched states."""
+    mismatch = states[-1] - target.coeffs
+    return weight * (2.0 * float(np.sum(np.abs(mismatch) ** 2)))
+
+
 def penalized_objective(phi_vals, states, target: SpectralField, weight: float, dt: float):
     """J = (1/2)|phi|^2_{L2H} + weight |u(T) - target|_H^2 from marched states."""
-    mismatch = states[-1] - target.coeffs
-    endpoint_sq = 2.0 * float(np.sum(np.abs(mismatch) ** 2))
-    control_sq = dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2))
-    return 0.5 * control_sq + weight * endpoint_sq
+    return control_term(phi_vals, dt) + endpoint_term(states, target, weight)
 
 
 def adjoint_gradient(
@@ -241,11 +251,15 @@ def minimize_action(
     configured tolerance; returns (control, MinimizeReport) where the report
     carries the discrete action (1/2)|phi*|^2 of the minimizer.
 
-    Each control is marched once: the initial one, then every line-search
-    trial.  An accepted trial keeps its states, so a new penalty round's
-    objective costs no march, and each iteration's gradient costs one
-    adjoint sweep, swept at the top of the iteration that reads it: an
-    accepted step that ends its round costs none.
+    Each control is marched at most once: the initial one, then every
+    line-search trial whose control term alone does not already fail the
+    Armijo test.  The endpoint term is >= 0, so the objective of a trial
+    that does would fail it too, and the trial is rejected unmarched: every
+    accept or reject is the one a march would give.  An accepted trial keeps
+    its states, so a new penalty round's objective costs no march, and each
+    iteration's gradient costs one adjoint sweep, swept at the top of the
+    iteration that reads it: an accepted step that ends its round costs
+    none.
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
@@ -279,13 +293,17 @@ def minimize_action(
             accepted = False
             while step_size >= opt.min_step:
                 trial = phi_vals - step_size * grad
-                try:
-                    trial_states = control_states(trial, u0, cfg)
-                except IntegrationBlowupError:  # a runaway trial is a rejected step
-                    J_trial = math.inf
-                else:
-                    J_trial = penalized_objective(trial, trial_states, target, weight, dt)
-                if J_trial <= J - opt.armijo_constant * step_size * gnorm_sq:
+                bound = J - opt.armijo_constant * step_size * gnorm_sq
+                control = control_term(trial, dt)
+                J_trial = math.inf
+                if control <= bound:  # otherwise J_trial >= control > bound
+                    try:
+                        trial_states = control_states(trial, u0, cfg)
+                    except IntegrationBlowupError:  # a runaway trial is a rejected step
+                        pass
+                    else:
+                        J_trial = control + endpoint_term(trial_states, target, weight)
+                if J_trial <= bound:
                     accepted = True
                     break
                 step_size *= opt.backtrack_factor

@@ -9,6 +9,22 @@ modes.  Under the two-thirds rule inputs and outputs are restricted to
 |k_i| <= floor(2N/3), which keeps repeated applications closed in a fixed
 band and makes the energy and enstrophy orthogonality identities hold to
 roundoff.
+
+The kernels use the 2-D trace-free forms (Basdevant 1983).  The Leray
+projection P removes gradients, so the isotropic part (u . v / 2) I of
+u x v, whose divergence is a gradient, drops out:
+
+    b(u, v) = -P div [[a, u1 v2], [u2 v1, -a]],   a = (u1 v1 - u2 v2) / 2,
+
+and for v = u the tensor is symmetric, [[a, c], [c, -a]] with c = u1 u2.
+For a divergence-free w, grad w + grad w^T is symmetric and trace-free,
+[[s, t], [t, -s]] with s = 2 d1 w1 and t = d1 w2 + d2 w1.  Real grids
+transformed per field and call:
+
+    b_core                      2 synthesized, 2 analyzed
+    b_bilinear_core             4 synthesized, 3 analyzed
+    b_linearized_adjoint_core   4 synthesized, 2 analyzed
+    tensor_product              4 synthesized, 4 analyzed (the full tensor)
 """
 
 from dataclasses import dataclass
@@ -50,11 +66,11 @@ def _plan_for(grid, rule: DealiasRule):
     return transform_plan(grid.cutoff, kmax, next_fast_len(3 * kmax + 1))
 
 
-def _minus_div(plan, t11, t12, t21, t22):
-    """-P div of product tensors given the kept coefficients of t_ij = u_i v_j,
-    each (..., n_kept); returns (..., n_modes)."""
+def _minus_div(plan, a, t12, t21):
+    """-P div of the trace-free tensor [[a, t12], [t21, -a]] given the kept
+    coefficients of its entries, each (..., n_kept); returns (..., n_modes)."""
     k1, k2 = plan.k
-    return plan.project(-1j * (k1 * t11 + k2 * t21), -1j * (k1 * t12 + k2 * t22))
+    return plan.project(-1j * (k1 * a + k2 * t21), -1j * (k1 * t12 - k2 * a))
 
 
 def b_core(coeffs: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
@@ -66,9 +82,10 @@ def b_core(coeffs: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
     """
     plan = _plan_for(grid, rule)
     u = plan.synthesize(coeffs)
-    # u x u is symmetric: three products, t12 = t21
-    t = plan.analyze(u[..., [0, 0, 1], :, :] * u[..., [0, 1, 1], :, :])
-    return _minus_div(plan, t[..., 0, :], t[..., 1, :], t[..., 1, :], t[..., 2, :])
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    # a = (u1^2 - u2^2) / 2 and c = u1 u2, as b_bilinear_core forms them at v = u
+    t = plan.analyze(np.stack((0.5 * (u1 * u1 - u2 * u2), u1 * u2), axis=-3))
+    return _minus_div(plan, t[..., 0, :], t[..., 1, :], t[..., 1, :])
 
 
 def replicas_per_block(grid, rule: DealiasRule) -> int:
@@ -79,10 +96,9 @@ def replicas_per_block(grid, rule: DealiasRule) -> int:
 
 def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
     plan = _plan_for(grid, rule)
-    u = plan.synthesize(cu)
-    v = plan.synthesize(cv)
-    t = plan.analyze(u[:, None] * v[None, :])
-    return _minus_div(plan, t[0, 0], t[0, 1], t[1, 0], t[1, 1])
+    (u1, u2), (v1, v2) = plan.synthesize(cu), plan.synthesize(cv)
+    t = plan.analyze(np.stack((0.5 * (u1 * v1 - u2 * v2), u1 * v2, u2 * v1)))
+    return _minus_div(plan, t[0], t[1], t[2])
 
 
 def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> TensorField:
@@ -117,16 +133,17 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule) -> np.ndarray:
     """Adjoint of v -> b(u, v) + b(v, u) in the H inner product.
 
     Equals the truncation of P[u . (grad w + grad w^T)]; exact to roundoff
-    because every product is alias-free within the retained band.
+    because every product is alias-free within the retained band.  ``cu``
+    and ``cw`` are one field each (n_modes,) or stacks of the same shape.
     """
     plan = _plan_for(grid, rule)
     u = plan.synthesize(cu)
-    # G[l, j] = d_l w_j on the padded grid
-    G = plan.synthesize(cw, plan.gradient)
-    r1 = u[0] * (2.0 * G[0, 0]) + u[1] * (G[1, 0] + G[0, 1])
-    r2 = u[0] * (G[0, 1] + G[1, 0]) + u[1] * (2.0 * G[1, 1])
-    rhat = plan.analyze(np.stack((r1, r2)))
-    return plan.project(rhat[0], rhat[1])
+    # grad w + grad w^T = [[s, t], [t, -s]] on the padded grid
+    S = plan.synthesize(cw, plan.strain)
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    s, t = S[..., 0, :, :], S[..., 1, :, :]
+    rhat = plan.analyze(np.stack((u1 * s + u2 * t, u1 * t - u2 * s), axis=-3))
+    return plan.project(rhat[..., 0, :], rhat[..., 1, :])
 
 
 def b_linearized_adjoint(u: SpectralField, w: SpectralField, rule: DealiasRule) -> SpectralField:

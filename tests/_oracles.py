@@ -14,6 +14,13 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
+- ``b_core_three_products`` and ``adjoint_four_gradients``, the nonlinear
+  term from the full symmetric tensor u x u and its adjoint from all four
+  velocity gradients, the references for the trace-free ``b_core`` and
+  ``b_linearized_adjoint_core``;
+- ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
+  transform plan's synthesis and analysis with the normalization applied to
+  a full new array, the references for ``TransformPlan``'s in-place scaling;
 - ``march_alone``, the exponential step applied to one state with one
   generator, and the per-replica loops built on it,
   ``controlled_per_replica`` and ``besov_moment_check_per_replica``, the
@@ -23,6 +30,7 @@ own parts and kept as references for faster forms of the same arithmetic:
 import math
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from sns2d.dynamics import (
     ControlPath,
@@ -48,6 +56,7 @@ from sns2d.noise import (
     stationary_batch,
     unit_complex_normals,
 )
+from sns2d.nonlinear import _plan_for
 from sns2d.spectral import besov_norm, block_count, dyadic_block, h_norm_of, lp_norm
 
 TWO_PI = 2.0 * np.pi
@@ -138,6 +147,52 @@ def b_direct(u, v, kmax):
     return out
 
 
+def b_core_three_products(coeffs, grid, rule):
+    """b(u, u) = -P div(u x u) from the three distinct products u1 u1, u1 u2
+    and u2 u2; one field or a stack."""
+    plan = _plan_for(grid, rule)
+    u = plan.synthesize(coeffs)
+    t = plan.analyze(u[..., [0, 0, 1], :, :] * u[..., [0, 1, 1], :, :])
+    t11, t12, t22 = t[..., 0, :], t[..., 1, :], t[..., 2, :]
+    k1, k2 = plan.k
+    return plan.project(-1j * (k1 * t11 + k2 * t12), -1j * (k1 * t12 + k2 * t22))
+
+
+def adjoint_four_gradients(cu, cw, grid, rule):
+    """P[u . (grad w + grad w^T)] from the four gradient grids d_l w_j of one
+    field w."""
+    plan = _plan_for(grid, rule)
+    u = plan.synthesize(cu)
+    # velocity[l, j] multiplied by i k_l: the symbol of d_l w_j
+    G = plan.synthesize(cw, 1j * plan.k[:, None] * plan.velocity[None, :])
+    r1 = u[0] * (2.0 * G[0, 0]) + u[1] * (G[1, 0] + G[0, 1])
+    r2 = u[0] * (G[0, 1] + G[1, 0]) + u[1] * (2.0 * G[1, 1])
+    rhat = plan.analyze(np.stack((r1, r2)))
+    return plan.project(rhat[0], rhat[1])
+
+
+def synthesize_scaling_a_copy(plan, coeffs, symbols=None):
+    """``TransformPlan.synthesize`` with the inverse transform scaled into a
+    new array."""
+    if symbols is None:
+        symbols = plan.velocity
+    vals = coeffs[..., None, plan.keep] * symbols
+    work = np.zeros(vals.shape[:-1] + plan.shape, dtype=np.complex128)
+    plan._scatter(work, vals, "grid")
+    n, M = plan.kmax, plan.size
+    work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
+    return irfft2(work, s=(M, M)) * (M * M)
+
+
+def analyze_scaling_the_spectrum(plan, phys, with_mean=False):
+    """``TransformPlan.analyze`` with the whole spectrum scaled before the
+    kept coefficients are gathered."""
+    M = plan.size
+    spec = rfft2(phys) * (1.0 / (M * M))
+    coeffs = np.take(spec.reshape(spec.shape[:-2] + (-1,)), plan.pos, axis=-1)
+    return (coeffs, spec[..., 0, 0]) if with_mean else coeffs
+
+
 def lp_norm_quadrature(field, p, size=512):
     """L^p norm by dense direct evaluation of the basis sum on a big grid."""
     n = field.cutoff
@@ -186,10 +241,15 @@ def trajectory_space_norm_two_pass(traj, besov, grid_factor=2):
     return sup_term + time_term
 
 
-def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None):
+def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None,
+                               bound_passes=None):
     """Gradient descent with backtracking on the endpoint-penalized action,
     one full ``action_objective_and_gradient`` call per objective: a trial,
-    an accepted control and each penalty round's start all march again."""
+    an accepted control and each penalty round's start all march again.
+
+    A list given as ``bound_passes`` gets one entry per line-search trial:
+    whether the trial's control term (1/2)|phi|^2 alone meets the Armijo
+    bound."""
     grid = u0.grid
     n = step_count(t_final, cfg.dt)
     phi_vals = (
@@ -212,6 +272,10 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
             accepted = False
             while step_size >= opt.min_step:
                 trial = phi_vals - step_size * grad
+                if bound_passes is not None:
+                    # (1/2) * dt * 2 * sum|phi|^2; the powers of two are exact
+                    control = dt * float(np.sum(np.abs(trial) ** 2))
+                    bound_passes.append(control <= J - opt.armijo_constant * step_size * gnorm_sq)
                 try:
                     J_trial, _, _ = action_objective_and_gradient(
                         trial, u0, target, weight, cfg, want_gradient=False

@@ -8,6 +8,9 @@ import sns2d
 from sns2d import SpectralField, grid_for, save_field, load_field, taylor_green
 from sns2d.fields import divergence_residual
 from sns2d.grid import transform_plan
+from sns2d.nonlinear import DealiasRule, _plan_for
+
+from _oracles import analyze_scaling_the_spectrum, synthesize_scaling_a_copy
 
 
 def test_half_lattice_covers_exactly_half():
@@ -117,6 +120,24 @@ def test_plan_analysis_inverts_synthesis_on_kept_modes(random_field):
     coeffs, mean = plan.analyze(scalar, with_mean=True)
     assert np.allclose(coeffs[0], u.coeffs[kept], rtol=0, atol=1e-14)
     assert abs(mean[0]) < 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_plan_scaling_in_place_is_the_scaled_copy_bit_for_bit(cutoff, rng):
+    g = grid_for(cutoff)
+    stack = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(3)])
+    plans = (transform_plan(cutoff, cutoff, g.physical_size()),
+             _plan_for(g, DealiasRule.two_thirds(cutoff)))
+    for plan in plans:
+        for coeffs in (stack[0], stack):
+            for symbols in (None, plan.strain):
+                got = plan.synthesize(coeffs, symbols)
+                assert np.array_equal(got, synthesize_scaling_a_copy(plan, coeffs, symbols))
+            phys = plan.synthesize(coeffs)
+            assert np.array_equal(plan.analyze(phys), analyze_scaling_the_spectrum(plan, phys))
+            got, mean = plan.analyze(phys, with_mean=True)
+            want, want_mean = analyze_scaling_the_spectrum(plan, phys, with_mean=True)
+            assert np.array_equal(got, want) and np.array_equal(mean, want_mean)
 
 
 _FFT_MODULES = {"scipy.fft", "numpy.fft", "scipy.fftpack"}

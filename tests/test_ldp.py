@@ -251,9 +251,10 @@ DESCENT_CASES = ("penalty_rounds", "runaway_trials", "generic_target")
 
 @pytest.mark.parametrize("name", DESCENT_CASES)
 def test_minimize_action_is_the_remarching_descent_with_one_march_per_control(name, monkeypatch):
-    # the oracle's line-search trials are its objective calls without a gradient
+    # the oracle's line-search trials are its objective calls without a
+    # gradient; only those whose control term meets the Armijo bound march
     case = _descent_case(name)
-    trials, marches = [], []
+    trials, passes, marches = [], [], []
     objective, march = _oracles.action_objective_and_gradient, ldp.march
 
     def count_trials(*args, **kwargs):
@@ -265,7 +266,7 @@ def test_minimize_action_is_the_remarching_descent_with_one_march_per_control(na
         return march(*args, **kwargs)
 
     monkeypatch.setattr(_oracles, "action_objective_and_gradient", count_trials)
-    phi_ref, ref = _oracles.minimize_action_remarching(*case)
+    phi_ref, ref = _oracles.minimize_action_remarching(*case, bound_passes=passes)
     monkeypatch.undo()
     monkeypatch.setattr(ldp, "march", count_marches)
     phi, rep = minimize_action(*case)
@@ -273,7 +274,9 @@ def test_minimize_action_is_the_remarching_descent_with_one_march_per_control(na
     assert rep == ref  # every field, the history included, exactly
     assert len({h["round"] for h in rep.history}) > 1
     assert sum(trials) > 0
-    assert len(marches) == sum(trials) + 1
+    assert len(passes) == sum(trials)
+    assert not all(passes)  # each case has a trial rejected unmarched
+    assert len(marches) == sum(passes) + 1
 
 
 @pytest.mark.parametrize("name", DESCENT_CASES)
@@ -319,6 +322,8 @@ def test_minimize_action_sweeps_the_adjoint_once_per_iteration(name, monkeypatch
         ({"initial_step": -1.0}, "initial_step must be > 0"),
         ({"min_step": 0.0}, "min_step must be > 0"),
         ({"initial_penalty": float("nan")}, "initial_penalty must be finite"),
+        ({"initial_penalty": 0.0}, "initial_penalty must be > 0"),
+        ({"penalty_growth": -2.0}, "penalty_growth must be > 0"),
         ({"endpoint_tolerance": float("inf")}, "endpoint_tolerance must be finite"),
         ({"penalty_growth": True}, "penalty_growth must be a number"),
         ({"relative_tolerance": "1e-8"}, "relative_tolerance must be a number"),

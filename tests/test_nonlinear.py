@@ -12,9 +12,14 @@ from sns2d import (
     tensor_product,
 )
 from sns2d.grid import grid_for
-from sns2d.nonlinear import b_core, b_linearized_adjoint, replicas_per_block
+from sns2d.nonlinear import (
+    b_core,
+    b_linearized_adjoint,
+    b_linearized_adjoint_core,
+    replicas_per_block,
+)
 
-from _oracles import b_direct, tensor_product_direct
+from _oracles import adjoint_four_gradients, b_core_three_products, b_direct, tensor_product_direct
 
 
 def test_dealias_rules():
@@ -155,3 +160,32 @@ def test_replica_blocks_fill_one_synthesis_budget():
     rule = DealiasRule.two_thirds
     sizes = {n: replicas_per_block(grid_for(n), rule(n)) for n in (8, 16, 32, 64)}
     assert sizes == {8: 32, 16: 8, 32: 2, 64: 1}
+
+
+def _max_relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_trace_free_b_core_matches_three_products(cutoff, kind, rng):
+    g = grid_for(cutoff)
+    rule = DealiasRule.make(kind, cutoff)
+    stack = np.stack([SpectralField.random(cutoff, rng, amplitude=1.0).coeffs for _ in range(3)])
+    want = b_core_three_products(stack, g, rule)
+    assert _max_relative(b_core(stack[0], g, rule), want[0]) <= 1e-14
+    assert _max_relative(b_core(stack, g, rule), want) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_trace_free_adjoint_matches_four_gradients(cutoff, kind, rng):
+    g = grid_for(cutoff)
+    rule = DealiasRule.make(kind, cutoff)
+    u, w = (
+        np.stack([SpectralField.random(cutoff, rng, amplitude=1.0).coeffs for _ in range(3)])
+        for _ in range(2)
+    )
+    want = np.stack([adjoint_four_gradients(a, b, g, rule) for a, b in zip(u, w)])
+    assert _max_relative(b_linearized_adjoint_core(u[0], w[0], g, rule), want[0]) <= 1e-14
+    assert _max_relative(b_linearized_adjoint_core(u, w, g, rule), want) <= 1e-14
