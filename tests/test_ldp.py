@@ -322,11 +322,11 @@ def test_minimize_action_sweeps_the_adjoint_once_per_iteration(name, monkeypatch
         ({"initial_step": -1.0}, "initial_step must be > 0"),
         ({"min_step": 0.0}, "min_step must be > 0"),
         ({"initial_penalty": float("nan")}, "initial_penalty must be finite"),
-        ({"initial_penalty": 0.0}, "initial_penalty must be > 0"),
-        ({"penalty_growth": -2.0}, "penalty_growth must be > 0"),
         ({"endpoint_tolerance": float("inf")}, "endpoint_tolerance must be finite"),
         ({"penalty_growth": True}, "penalty_growth must be a number"),
         ({"relative_tolerance": "1e-8"}, "relative_tolerance must be a number"),
+        ({"initial_penalty": 0.0}, "initial_penalty must be > 0"),
+        ({"penalty_growth": -2.0}, "penalty_growth must be > 0"),
     ],
 )
 def test_optimizer_settings_refuse_a_descent_that_cannot_run(settings, match):
