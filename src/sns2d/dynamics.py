@@ -117,8 +117,7 @@ class ControlPath:
         """Random control scaled onto the boundary of the energy ball."""
         g = grid_for(cutoff)
         gen = as_generator(rng)
-        vals = unit_complex_normals(gen, (n_steps, g.n_modes))
-        vals *= g.ksq[None, :] ** (-decay / 2.0)
+        vals = unit_complex_normals(gen, (n_steps, g.n_modes), g.ksq ** (-decay / 2.0))
         norm_sq = float(dt * 2.0 * np.sum(np.abs(vals) ** 2))
         vals *= math.sqrt(gamma / norm_sq)
         return cls(g, dt, vals)
@@ -268,10 +267,7 @@ def march(
                 unew += gain2 * (forcing(unew, step) - F)
         rows = unew.reshape(n_rows, n_modes)
         if noise_std is not None:
-            xi = np.empty_like(rows)
-            for r, g in enumerate(gens):
-                xi[r] = unit_complex_normals(g, n_modes)
-            rows += noise_std * xi
+            rows += unit_complex_normals(gens, rows.shape, noise_std)
         for r, row in enumerate(rows):
             nrm_sq = 2.0 * np.vdot(row, row).real
             if not nrm_sq <= limit_sq:  # also catches NaN

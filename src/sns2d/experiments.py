@@ -244,11 +244,28 @@ class ExperimentConfig:
 # per-kind parameter schemas
 
 
+def _require_count(kind, key, value, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{kind}: {key} must be an integer >= {least}, got {value!r}")
+
+
+def _require_positive_list(kind, key, values):
+    """A non-empty list of numbers > 0 (correlation scales, moment orders)."""
+    if not isinstance(values, list) or not values or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values
+    ):
+        raise ValueError(f"{kind}: {key} must be a non-empty list of numbers > 0, got {values!r}")
+
+
 def _params_ou(cfg):
     p = _take(cfg.params, {"alphas": [0.0, 1.0]}, "params(ou_checks)")
     cfg.spec()
+    if not isinstance(p["alphas"], list) or not p["alphas"]:
+        raise ValueError(f"ou_checks: alphas must be a non-empty list, got {p['alphas']!r}")
     if any(a < 0 for a in p["alphas"]):
         raise ValueError("ou_checks: damping constants must satisfy alpha >= 0")
+    # the KS test compares two samples of statistics.replicas energies
+    _require_count("ou_checks", "statistics.replicas", cfg.statistics["replicas"], 2)
     return p
 
 
@@ -264,7 +281,17 @@ def _params_renorm(cfg):
         },
         "params(renorm)",
     )
-    cfg.spec()
+    spec = cfg.spec()
+    if not spec.delta > 0:
+        raise ValueError(f"renorm: noise.delta must be > 0, got {spec.delta!r}")
+    _require_positive_list("renorm", "deltas", p["deltas"])
+    if not isinstance(p["cutoffs"], list) or not p["cutoffs"]:
+        raise ValueError(f"renorm: cutoffs must be a non-empty list, got {p['cutoffs']!r}")
+    for cut in p["cutoffs"]:
+        _require_count("renorm", "each cutoff", cut, 1)
+    # the Monte Carlo standard error needs two replicas
+    _require_count("renorm", "wick_replicas", p["wick_replicas"], 2)
+    _require_count("renorm", "crosscheck_replicas", p["crosscheck_replicas"], 0)
     return p
 
 
@@ -274,6 +301,11 @@ def _params_lp_moment(cfg):
     )
     if cfg.noise["epsilon"] is None:
         raise ValueError("lp_moment: noise.epsilon is required")
+    _require_positive_list("lp_moment", "deltas", p["deltas"])
+    if isinstance(p["p"], bool) or not isinstance(p["p"], (int, float)) or not p["p"] >= 1:
+        raise ValueError(f"lp_moment: p must be a number >= 1, got {p['p']!r}")
+    # the standard error of the moment needs two replicas
+    _require_count("lp_moment", "statistics.replicas", cfg.statistics["replicas"], 2)
     return p
 
 
@@ -365,9 +397,7 @@ def _params_instanton(cfg):
         "params(instanton)",
     )
     for key, least in (("max_iterations", 1), ("gradient_check_directions", 0)):
-        value = p[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"instanton: {key} must be an integer >= {least}, got {value!r}")
+        _require_count("instanton", key, p[key], least)
     tol = p["endpoint_tolerance"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ValueError(f"instanton: endpoint_tolerance must be finite and > 0, got {tol!r}")
@@ -821,7 +851,7 @@ def _run_instanton(ctx: _RunContext):
 
         gen = ctx.stream("gradient").generator()
         # check away from the minimizer, where the gradient is generic
-        base = phi_star.values + 0.2 * unit_complex_normals(gen, phi_star.values.shape)
+        base = phi_star.values + unit_complex_normals(gen, phi_star.values.shape, 0.2)
         J0, grad, _ = action_objective_and_gradient(
             base, u0, target, rep.penalty_weight, integ
         )

@@ -61,11 +61,10 @@ class SpectralField:
     @classmethod
     def random(cls, cutoff, rng, amplitude=1.0, decay=0.0):
         """Random field with coefficients ~ amplitude * |k|^(-decay) * CN(0, 1)."""
+        from .noise import unit_complex_normals
+
         g = grid_for(cutoff)
-        xi = rng.standard_normal((2, g.n_modes))
-        c = (xi[0] + 1j * xi[1]) / np.sqrt(2.0)
-        c *= amplitude * g.ksq ** (-decay / 2.0)
-        return cls(g, c)
+        return cls(g, unit_complex_normals(rng, g.n_modes, amplitude * g.ksq ** (-decay / 2.0)))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)

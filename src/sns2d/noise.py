@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpectralField, TensorField
-from .grid import grid_for, stack_depth
+from .grid import SAMPLES_PER_CALL, grid_for, stack_depth
+
+# 1/sqrt(2) as numpy's complex division by sqrt(2) applies it
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,49 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(rng)}")
 
 
-def unit_complex_normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Complex normals with E|z|^2 = 1 (independent real/imag parts)."""
-    if isinstance(shape, int):
-        shape = (shape,)
-    xi = gen.standard_normal((2,) + tuple(shape))
-    return (xi[0] + 1j * xi[1]) / np.sqrt(2.0)
+def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
+    """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
+    std: a scalar or one real per entry of the last axis.  This is the one
+    place in the package that draws normals.
+
+    gen draws the (2, *shape) stream of standard normals in order, real
+    parts first, then imaginary parts.  Each part is scaled by 1/sqrt(2) and
+    then by std, the same two roundings as (xi[0] + 1j*xi[1]) / sqrt(2)
+    times std in complex arithmetic, so the result is that one bit for bit.
+    gen may also be one generator per row of the leading axis, each drawing
+    its row's own (2, *shape[1:]) stream.  The normals pass through one
+    buffer of at most SAMPLES_PER_CALL reals; no complex temporary is made.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    if out.size == 0:
+        return out
+    n = shape[-1]
+    if isinstance(gen, np.random.Generator):
+        blocks = [(gen, out.reshape(-1, n))]
+    else:
+        gens = list(gen)
+        if len(gens) != shape[0]:
+            raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
+        blocks = [(g, row.reshape(-1, n)) for g, row in zip(gens, out)]
+    rows = blocks[0][1].shape[0]
+    width = min(n, SAMPLES_PER_CALL)
+    depth = min(rows, SAMPLES_PER_CALL // width)
+    buf = np.empty(depth * width)
+    scale = None if std is None else np.broadcast_to(np.asarray(std, dtype=np.float64), (n,))
+    for g, flat in blocks:
+        for part in (flat.real, flat.imag):
+            for lo in range(0, rows, depth):
+                d = min(depth, rows - lo)
+                for c in range(0, n, width):
+                    w = min(width, n - c)
+                    piece = buf[: d * w].reshape(d, w)
+                    g.standard_normal(out=piece)
+                    piece *= _INV_SQRT2
+                    if scale is not None:
+                        piece *= scale[c : c + w]
+                    part[lo : lo + d, c : c + w] = piece
+    return out
 
 
 def covariance_weight(k, spec: NoiseSpec) -> float:
@@ -208,7 +248,7 @@ def wiener_increment(spec: NoiseSpec, dt: float, rng, cutoff: int) -> SpectralFi
     g = grid_for(cutoff)
     gen = as_generator(rng)
     std = covariance_weights(g, spec) * math.sqrt(dt)
-    return SpectralField(g, std * unit_complex_normals(gen, g.n_modes))
+    return SpectralField(g, unit_complex_normals(gen, g.n_modes, std))
 
 
 def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
@@ -220,13 +260,13 @@ def ou_stationary_sample(spec: NoiseSpec, alpha: float, rng, cutoff: int) -> Spe
     g = grid_for(cutoff)
     gen = as_generator(rng)
     std = stationary_std(g, spec, alpha)
-    return SpectralField(g, std * unit_complex_normals(gen, g.n_modes))
+    return SpectralField(g, unit_complex_normals(gen, g.n_modes, std))
 
 
 def stationary_batch(grid, spec, alpha, gen, replicas: int) -> np.ndarray:
     """(replicas, n_modes) array of independent stationary samples."""
     std = stationary_std(grid, spec, alpha)
-    return std[None, :] * unit_complex_normals(gen, (replicas, grid.n_modes))
+    return unit_complex_normals(gen, (replicas, grid.n_modes), std)
 
 
 def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
@@ -245,13 +285,13 @@ def ou_step(z: SpectralField, spec: NoiseSpec, alpha: float, dt: float, rng) -> 
     step variance, so stationarity is preserved exactly in law."""
     gen = as_generator(rng)
     decay, std = ou_transition(z.grid, spec, alpha, dt)
-    g = std * unit_complex_normals(gen, z.grid.n_modes)
+    g = unit_complex_normals(gen, z.grid.n_modes, std)
     return z.with_coeffs(decay * z.coeffs + g)
 
 
 def ou_step_batch(Z: np.ndarray, grid, spec, alpha, dt, gen) -> np.ndarray:
     decay, std = ou_transition(grid, spec, alpha, dt)
-    g = std[None, :] * unit_complex_normals(gen, Z.shape)
+    g = unit_complex_normals(gen, Z.shape, std)
     return decay[None, :] * Z + g
 
 
@@ -593,7 +633,7 @@ def besov_moment_check(
 
     def march_block(block):
         gens = [s.generator() for s in block]
-        z0 = np.stack([stationary_batch(g, spec, alpha, gen, 1)[0] for gen in gens])
+        z0 = unit_complex_normals(gens, (len(gens), g.n_modes), stationary_std(g, spec, alpha))
         return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)[0]
 
     def sup_power(path):

@@ -24,7 +24,11 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``march_alone``, the exponential step applied to one state with one
   generator, and the per-replica loops built on it,
   ``controlled_per_replica`` and ``besov_moment_check_per_replica``, the
-  references for the replica blocks of ``march``.
+  references for the replica blocks of ``march``; their draws are
+  ``unit_complex_normals_assembled``;
+- ``unit_complex_normals_assembled``, the complex normals assembled from a
+  full (2, *shape) draw in complex arithmetic, the reference for the fused
+  ``unit_complex_normals``.
 """
 
 import math
@@ -53,8 +57,7 @@ from sns2d.noise import (
     covariance_weights,
     lattice_power_sum,
     ou_transition,
-    stationary_batch,
-    unit_complex_normals,
+    stationary_std,
 )
 from sns2d.nonlinear import _plan_for
 from sns2d.spectral import besov_norm, block_count, dyadic_block, h_norm_of, lp_norm
@@ -313,6 +316,17 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
     return phi, report
 
 
+def unit_complex_normals_assembled(gen, shape, std=None):
+    """Complex normals with E|z|^2 = 1 from one (2, *shape) draw, real parts
+    first, assembled as (xi[0] + 1j*xi[1]) / sqrt(2) and then multiplied by
+    std (a scalar or one real per entry of the last axis) as complex arrays."""
+    if isinstance(shape, int):
+        shape = (shape,)
+    xi = gen.standard_normal((2,) + tuple(shape))
+    z = (xi[0] + 1j * xi[1]) / np.sqrt(2.0)
+    return z if std is None else std * z
+
+
 def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_std=None,
                 gen=None):
     """One state (n_modes,) marched by the exponential step, one draw from gen
@@ -336,7 +350,7 @@ def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_
             if etd2:
                 unew += gain2 * (forcing(unew, step) - F)
         if noise_std is not None:
-            unew += noise_std * unit_complex_normals(gen, n_modes)
+            unew += unit_complex_normals_assembled(gen, n_modes, noise_std)
         nrm_sq = 2.0 * np.vdot(unew, unew).real
         if not nrm_sq <= limit_sq:
             raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)))
@@ -372,7 +386,7 @@ def besov_moment_check_per_replica(spec, sigma, sigma_prime, p, kappa, horizon, 
     sups = np.empty(replicas)
     for i in range(replicas):
         gen = rng.child(i).generator()
-        z0 = stationary_batch(g, spec, alpha, gen, 1)[0]
+        z0 = unit_complex_normals_assembled(gen, g.n_modes, stationary_std(g, spec, alpha))
         path = march_alone(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
         norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
         sups[i] = np.max(norms) ** kappa

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sns2d.experiments as experiments
+from sns2d.cli import main as cli_main
 from sns2d.experiments import (
     ExperimentConfig,
     report,
@@ -445,6 +446,35 @@ def test_validate_rejects_a_misspelled_threshold(tmp_path):
     runs = tmp_path / "runs"
     assert _cli("run", "-c", str(cfg_path), "-o", str(runs)).returncode == 2
     assert not runs.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, value, match",
+    [
+        ("lp_moment", "statistics", "replicas", 1, "statistics.replicas must be an integer >= 2"),
+        ("lp_moment", "params", "p", 0.5, "p must be a number >= 1, got 0.5"),
+        ("lp_moment", "params", "deltas", [], "deltas must be a non-empty list of numbers > 0"),
+        ("ou_checks", "params", "alphas", [], "alphas must be a non-empty list"),
+        ("ou_checks", "statistics", "replicas", 1, "statistics.replicas must be an integer >= 2"),
+        ("renorm", "params", "wick_replicas", 0, "wick_replicas must be an integer >= 2"),
+        ("renorm", "params", "wick_replicas", 1, "wick_replicas must be an integer >= 2"),
+        ("renorm", "params", "deltas", [0.0], "deltas must be a non-empty list of numbers > 0"),
+        ("renorm", "params", "cutoffs", [], "cutoffs must be a non-empty list"),
+        ("renorm", "params", "cutoffs", [32.5], "each cutoff must be an integer >= 1"),
+        ("renorm", "noise", "delta", 0.0, "noise.delta must be > 0"),
+    ],
+)
+def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
+    tmp_path, capsys, kind, section, key, value, match
+):
+    raw = lp_moment_config() if kind == "lp_moment" else minimal_ou_config()
+    if kind == "renorm":
+        raw = json.loads(json.dumps(SMOKE_CONFIGS["renorm"]))
+    raw[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "-c", str(cfg_path)]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_threshold_defaults_stay_out_of_the_config():

@@ -1,9 +1,13 @@
+import ast
 import math
+import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sns2d
 from sns2d import (
     DealiasRule,
     NoiseSpec,
@@ -29,12 +33,15 @@ from sns2d.noise import (
     ou_step_batch,
     schedule_from_dict,
     stationary_batch,
+    stationary_std,
+    ou_transition,
+    unit_complex_normals,
     validate_scaling_condition,
     validate_vanishing_schedule,
 )
-from sns2d.grid import stack_depth
+from sns2d.grid import SAMPLES_PER_CALL, stack_depth
 
-from _oracles import besov_moment_check_per_replica
+from _oracles import besov_moment_check_per_replica, unit_complex_normals_assembled
 
 
 def test_noise_spec_validation():
@@ -370,3 +377,169 @@ def test_besov_moment_blocks_are_each_replica_marched_alone():
     assert stack_depth(grid_for(6).physical_size(2)) == 41
     args = (spec, -0.3, -0.1, 4.0, 2.0, 0.06, 0.02, 45, RngStream(6).child(1), 6)
     assert besov_moment_check(*args) == besov_moment_check_per_replica(*args)
+
+
+def _bits(z):
+    return z.view(np.float64)
+
+
+# an int shape, one row, rows of a block, a stack of blocks; 31 rows of 1000
+# fill the 16-row pieces of the buffer once and then 15 rows; a row of 20000
+# is longer than the buffer
+DRAW_SHAPES = [7, (7,), (5, 544), (2, 3, 61), (31, 1000), (3, 20000)]
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+@pytest.mark.parametrize("std", ["none", "per_mode", "scalar"])
+def test_unit_complex_normals_are_the_assembled_draw_bit_for_bit(shape, std):
+    n = shape if isinstance(shape, int) else shape[-1]
+    std = {"none": None, "per_mode": np.linspace(0.1, 3.0, n), "scalar": 0.37}[std]
+    for seed in range(3):
+        fused = unit_complex_normals(np.random.default_rng(seed), shape, std)
+        assembled = unit_complex_normals_assembled(np.random.default_rng(seed), shape, std)
+        assert fused.shape == assembled.shape
+        assert np.array_equal(_bits(fused), _bits(assembled))
+
+
+def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    unit_complex_normals(a, (31, 1000))
+    b.standard_normal((2, 31, 1000))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_one_generator_per_row_draws_each_row_alone():
+    n = 61
+    std = np.linspace(0.5, 2.0, n)
+    gens = [RngStream(9).child(r).generator() for r in range(4)]
+    block = unit_complex_normals(gens, (4, 3, n), std)
+    alone = np.stack([
+        unit_complex_normals_assembled(RngStream(9).child(r).generator(), (3, n), std)
+        for r in range(4)
+    ])
+    assert np.array_equal(_bits(block), _bits(alone))
+    with pytest.raises(ValueError, match="3 generators for 4 rows"):
+        unit_complex_normals(gens[:3], (4, n))
+
+
+def test_draw_wrappers_are_the_assembled_draw_bit_for_bit():
+    spec = NoiseSpec(epsilon=0.3, delta=0.05, gamma=1.0)
+    g = grid_for(16)
+    alpha, dt = 0.5, 0.02
+    std = stationary_std(g, spec, alpha)
+    Z = stationary_batch(g, spec, alpha, np.random.default_rng(1), 37)
+    ref = std[None, :] * unit_complex_normals_assembled(np.random.default_rng(1), (37, g.n_modes))
+    assert np.array_equal(_bits(Z), _bits(ref))
+
+    decay, step_std = ou_transition(g, spec, alpha, dt)
+    Zs = ou_step_batch(Z, g, spec, alpha, dt, np.random.default_rng(2))
+    noise = step_std[None, :] * unit_complex_normals_assembled(np.random.default_rng(2), Z.shape)
+    assert np.array_equal(_bits(Zs), _bits(decay[None, :] * Z + noise))
+
+    u = SpectralField.random(16, np.random.default_rng(3), amplitude=0.8, decay=0.6)
+    c = unit_complex_normals_assembled(np.random.default_rng(3), g.n_modes)
+    c *= 0.8 * g.ksq ** (-0.6 / 2.0)
+    assert np.array_equal(_bits(u.coeffs), _bits(c))
+
+
+def test_a_draw_peaks_at_its_output_and_one_buffer():
+    gen = np.random.default_rng(0)
+    std = np.ones(544)
+    unit_complex_normals(gen, (10, 544), std)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z = unit_complex_normals(gen, (10000, 544), std)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the kernel's buffer, numpy's iteration buffer for the per-mode product
+    # and 16 KiB of Python objects; the complex assembly peaked at 2x output
+    assert peak <= z.nbytes + 8 * SAMPLES_PER_CALL + 8 * np.getbufsize() + 2**14
+
+
+KERNEL = "unit_complex_normals"
+_LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_kernel_call(node):
+    return isinstance(node, ast.Call) and KERNEL in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _draw_offenses(tree):
+    """Draws made outside the one kernel: a ``standard_normal`` call outside
+    ``unit_complex_normals``, a kernel result scaled afterwards (std belongs
+    in the call) and a kernel call per generator of a loop (the kernel takes
+    one generator per row)."""
+    kernel_nodes = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == KERNEL
+        for node in ast.walk(func)
+    }
+    offenses = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "standard_normal"
+            and id(node) not in kernel_nodes
+        ):
+            offenses.append((node.lineno, "standard_normal"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
+            _is_kernel_call(node.left) or _is_kernel_call(node.right)
+        ):
+            offenses.append((node.lineno, "scaled after the draw"))
+        elif isinstance(node, _LOOPS):
+            targets = [node.target] if isinstance(node, ast.For) else [
+                c.target for c in node.generators
+            ]
+            bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            offenses += [
+                (call.lineno, "a call per generator")
+                for call in ast.walk(node)
+                if _is_kernel_call(call) and call.args
+                and getattr(call.args[0], "id", None) in bound
+            ]
+    return offenses
+
+
+def test_normals_are_drawn_only_by_the_kernel():
+    src = pathlib.Path(sns2d.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        offenders += [
+            f"{path.name}:{line} {what}"
+            for line, what in _draw_offenses(ast.parse(path.read_text()))
+        ]
+    assert offenders == []
+    noise_tree = ast.parse((src / "noise.py").read_text())
+    draws = [
+        node for node in ast.walk(noise_tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "standard_normal"
+    ]
+    assert len(draws) == 1
+
+
+def test_draw_guard_sees_each_old_draw_site():
+    old = (
+        "def unit_complex_normals(gen, shape):\n"
+        "    xi = gen.standard_normal((2,) + tuple(shape))\n"
+        "    return (xi[0] + 1j * xi[1]) / np.sqrt(2.0)\n"
+        "def random(cls, cutoff, rng, amplitude=1.0, decay=0.0):\n"
+        "    xi = rng.standard_normal((2, g.n_modes))\n"
+        "    c = (xi[0] + 1j * xi[1]) / np.sqrt(2.0)\n"
+        "def stationary_batch(grid, spec, alpha, gen, replicas):\n"
+        "    return std[None, :] * unit_complex_normals(gen, (replicas, grid.n_modes))\n"
+        "def march(grid, u0, n_steps, dt, noise_std, gen):\n"
+        "    for step in range(n_steps):\n"
+        "        for r, g in enumerate(gens):\n"
+        "            xi[r] = unit_complex_normals(g, n_modes)\n"
+        "def starts(gens):\n"
+        "    return [noise.unit_complex_normals(gen, n) for gen in gens]\n"
+    )
+    assert [what for _, what in _draw_offenses(ast.parse(old))] == [
+        "standard_normal", "scaled after the draw", "a call per generator",
+        "a call per generator",
+    ]
