@@ -250,7 +250,7 @@ def _require_count(kind, key, value, least):
 
 
 def _require_positive_list(kind, key, values):
-    """A non-empty list of numbers > 0 (correlation scales, moment orders)."""
+    """A non-empty list of numbers > 0, such as a sweep of correlation scales."""
     if not isinstance(values, list) or not values or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values
     ):

@@ -188,18 +188,36 @@ def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
         return out
     n = shape[-1]
     if isinstance(gen, np.random.Generator):
-        blocks = [(gen, out.reshape(-1, n))]
+        gens, streams = [gen], out.reshape(1, -1, n)
     else:
         gens = list(gen)
         if len(gens) != shape[0]:
             raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
-        blocks = [(g, row.reshape(-1, n)) for g, row in zip(gens, out)]
-    rows = blocks[0][1].shape[0]
+        streams = out.reshape(len(gens), -1, n)
+    scale = None if std is None else np.asarray(std, dtype=np.float64)
+    rows = streams.shape[1]
+    if 2 * rows * n <= SAMPLES_PER_CALL:
+        # whole streams, as many generators' as the buffer holds per fill
+        per_fill = SAMPLES_PER_CALL // (2 * rows * n)
+        buf = np.empty((min(len(gens), per_fill), 2, rows, n))
+        for lo in range(0, len(gens), per_fill):
+            piece = buf[: len(gens) - lo]
+            for g, stream in zip(gens[lo : lo + per_fill], piece):
+                g.standard_normal(out=stream)
+            piece *= _INV_SQRT2
+            if scale is not None:
+                piece *= scale
+            block = streams[lo : lo + len(piece)]
+            block.real = piece[:, 0]
+            block.imag = piece[:, 1]
+        return out
+    # pieces of whole rows, or of one row where a row outgrows the buffer
     width = min(n, SAMPLES_PER_CALL)
     depth = min(rows, SAMPLES_PER_CALL // width)
     buf = np.empty(depth * width)
-    scale = None if std is None else np.broadcast_to(np.asarray(std, dtype=np.float64), (n,))
-    for g, flat in blocks:
+    if scale is not None:
+        scale = np.broadcast_to(scale, (n,))
+    for g, flat in zip(gens, streams):
         for part in (flat.real, flat.imag):
             for lo in range(0, rows, depth):
                 d = min(depth, rows - lo)

@@ -31,10 +31,10 @@ from sns2d.noise import (
     lp_log_moment_check,
     mode_variances,
     ou_step_batch,
+    ou_transition,
     schedule_from_dict,
     stationary_batch,
     stationary_std,
-    ou_transition,
     unit_complex_normals,
     validate_scaling_condition,
     validate_vanishing_schedule,
@@ -408,18 +408,21 @@ def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_one_generator_per_row_draws_each_row_alone():
-    n = 61
+# 4 whole streams in one buffer fill; 40 in fills of 15, 15 and 10; streams
+# too long for the buffer, drawn in pieces
+@pytest.mark.parametrize("shape", [(4, 3, 61), (40, 1, 544), (3, 20, 544)])
+def test_one_generator_per_row_draws_each_row_alone(shape):
+    rows, n = shape[0], shape[-1]
     std = np.linspace(0.5, 2.0, n)
-    gens = [RngStream(9).child(r).generator() for r in range(4)]
-    block = unit_complex_normals(gens, (4, 3, n), std)
+    gens = [RngStream(9).child(r).generator() for r in range(rows)]
+    block = unit_complex_normals(gens, shape, std)
     alone = np.stack([
-        unit_complex_normals_assembled(RngStream(9).child(r).generator(), (3, n), std)
-        for r in range(4)
+        unit_complex_normals_assembled(RngStream(9).child(r).generator(), shape[1:], std)
+        for r in range(rows)
     ])
     assert np.array_equal(_bits(block), _bits(alone))
-    with pytest.raises(ValueError, match="3 generators for 4 rows"):
-        unit_complex_normals(gens[:3], (4, n))
+    with pytest.raises(ValueError, match=f"{rows - 1} generators for {rows} rows"):
+        unit_complex_normals(gens[1:], shape)
 
 
 def test_draw_wrappers_are_the_assembled_draw_bit_for_bit():
@@ -514,12 +517,13 @@ def test_normals_are_drawn_only_by_the_kernel():
             for line, what in _draw_offenses(ast.parse(path.read_text()))
         ]
     assert offenders == []
-    noise_tree = ast.parse((src / "noise.py").read_text())
-    draws = [
-        node for node in ast.walk(noise_tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "standard_normal"
+    kernels = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == KERNEL
     ]
-    assert len(draws) == 1
+    assert kernels == ["noise.py"]
 
 
 def test_draw_guard_sees_each_old_draw_site():
