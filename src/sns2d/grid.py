@@ -106,7 +106,9 @@ class TransformPlan:
             # two retained modes would collide modulo size
             raise ValueError(f"physical size {size} too small for cutoff {kmax}")
         keep = (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax)
-        self.keep = slice(None) if keep.all() else keep
+        # the stored-mode indices of the kept modes; np.take gathers them
+        # about twice as fast as a boolean mask selects them
+        self.keep = slice(None) if keep.all() else np.flatnonzero(keep)
         k1, k2 = grid.k1[keep], grid.k2[keep]
         self.n_modes = grid.n_modes
         self.kmax = kmax
@@ -138,25 +140,26 @@ class TransformPlan:
             self._positions[layout, n_rows] = (np.arange(n_rows)[:, None] * width + pos).ravel()
         out.reshape(-1)[self._positions[layout, n_rows]] = vals.reshape(-1)
 
-    def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None, out=None) -> np.ndarray:
         """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per row j.
 
         ``coeffs`` (..., n_modes) covers every stored mode; ``symbols``
         (default: the velocity basis, shape (2, n_kept)) covers the kept
         modes, and its leading axes index the output grids.  Returns shape
-        (..., *symbols.shape[:-1], size, size).
+        (..., *symbols.shape[:-1], size, size), written into ``out`` when
+        given.
         """
         if symbols is None:
             symbols = self.velocity
-        vals = coeffs[..., None, self.keep] * symbols
+        kept = coeffs if isinstance(self.keep, slice) else np.take(coeffs, self.keep, axis=-1)
+        vals = kept[..., None, :] * symbols
         work = np.zeros(vals.shape[:-1] + self.shape, dtype=np.complex128)
         self._scatter(work, vals, "grid")
         n, M = self.kmax, self.size
         # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
         work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
-        out = irfft2(work, s=(M, M), overwrite_x=True)
-        out *= M * M
-        return out
+        grids = irfft2(work, s=(M, M), overwrite_x=True)
+        return np.multiply(grids, M * M, out=grids if out is None else out)
 
     def analyze(self, phys: np.ndarray, with_mean: bool = False):
         """Fourier coefficients of the kept stored modes of real grids (..., size, size).

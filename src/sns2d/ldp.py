@@ -21,7 +21,13 @@ from .dynamics import (
     step_count,
 )
 from .fields import SpectralField
-from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core, replicas_per_block
+from .nonlinear import (
+    DealiasRule,
+    b_core,
+    b_linearized_adjoint_core,
+    padded_size,
+    replicas_per_block,
+)
 from .noise import NoiseSpec, replica_values, require_stream
 from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, sobolev_norm
 
@@ -170,11 +176,28 @@ def _require_adjoint_scheme(cfg: IntegratorConfig):
 
 
 def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfig):
-    """Forward march of the skeleton under the control values, guarded
-    against blow-up (raises IntegrationBlowupError); (n + 1, n_modes)."""
+    """Forward exponential-Euler march of the skeleton under the control
+    values, guarded against blow-up (raises IntegrationBlowupError).
+
+    Returns (states (n + 1, n_modes), velocity): velocity[step] holds the
+    velocity grids (2, M, M) that the step's b_core synthesized from
+    states[step], the grids ``adjoint_gradient`` reads; None when the
+    nonlinearity is disabled.
+    """
+    _require_adjoint_scheme(cfg)
     grid = u0.grid
-    forcing = skeleton_forcing(grid, cfg, phi_vals)
-    return march(grid, u0.coeffs, phi_vals.shape[0], cfg.dt, forcing, cfg)[0]
+    n = phi_vals.shape[0]
+    if cfg.disable_nonlinearity:
+        forcing, velocity = skeleton_forcing(grid, cfg, phi_vals), None
+    else:
+        rule = cfg.rule(grid.cutoff)
+        M = padded_size(grid, rule)
+        velocity = np.empty((n, 2, M, M))
+
+        def forcing(u, step):
+            return b_core(u, grid, rule, velocity[step]) + phi_vals[step]
+
+    return march(grid, u0.coeffs, n, cfg.dt, forcing, cfg)[0], velocity
 
 
 def control_term(phi_vals, dt: float) -> float:
@@ -194,11 +217,14 @@ def penalized_objective(phi_vals, states, target: SpectralField, weight: float, 
 
 
 def adjoint_gradient(
-    phi_vals, states, target: SpectralField, weight: float, cfg: IntegratorConfig
+    phi_vals, states, target: SpectralField, weight: float, cfg: IntegratorConfig,
+    velocity=None,
 ):
     """Gradient of ``penalized_objective`` in the discrete L^2(0,T;H) metric:
     one backward sweep of the adjoint of the exponential-Euler recursion
-    along the marched states."""
+    along the marched states.  ``velocity``, the grids of the march that made
+    the states (``control_states``), spares the sweep synthesizing them
+    again; without it each step synthesizes its state's velocity."""
     _require_adjoint_scheme(cfg)
     grid = target.grid
     dt = cfg.dt
@@ -212,7 +238,8 @@ def adjoint_gradient(
             propagated = decay * lam
             if not cfg.disable_nonlinearity:
                 propagated = propagated + dt * b_linearized_adjoint_core(
-                    states[step], psi1 * lam, grid, rule
+                    states[step], psi1 * lam, grid, rule,
+                    None if velocity is None else velocity[step],
                 )
             lam = propagated
     return grad
@@ -230,10 +257,13 @@ def action_objective_and_gradient(
     and its gradient in the discrete L^2(0,T;H) metric, via the adjoint of the
     exponential-Euler recursion.  A forward pass that blows up raises
     IntegrationBlowupError.  Returns (J, gradient or None, states)."""
-    _require_adjoint_scheme(cfg)
-    states = control_states(phi_vals, u0, cfg)
+    states, velocity = control_states(phi_vals, u0, cfg)
     J = penalized_objective(phi_vals, states, target, weight, cfg.dt)
-    grad = adjoint_gradient(phi_vals, states, target, weight, cfg) if want_gradient else None
+    grad = (
+        adjoint_gradient(phi_vals, states, target, weight, cfg, velocity)
+        if want_gradient
+        else None
+    )
     return J, grad, states
 
 
@@ -260,6 +290,13 @@ def minimize_action(
     iteration's gradient costs one adjoint sweep, swept at the top of the
     iteration that reads it: an accepted step that ends its round costs
     none.
+
+    The sweep reads the velocity grids of the march that made its states,
+    n_steps x 2 x M^2 reals on the rule's padded M x M grid, and drops them
+    before the next trial march, so at most one march's grids are alive.
+    The one sweep that finds no grids is a new penalty round's after a
+    failed line search: it sweeps the states swept before, and synthesizes
+    their velocity again.
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
@@ -277,7 +314,7 @@ def minimize_action(
     history = []
     iterations = 0
     converged = False
-    states = control_states(phi_vals, u0, cfg)
+    states, velocity = control_states(phi_vals, u0, cfg)
     for round_idx in range(opt.max_penalty_rounds):
         J = penalized_objective(phi_vals, states, target, weight, dt)
         grad = None
@@ -285,7 +322,8 @@ def minimize_action(
         for _ in range(opt.max_iterations):
             iterations += 1
             if grad is None:
-                grad = adjoint_gradient(phi_vals, states, target, weight, cfg)
+                grad = adjoint_gradient(phi_vals, states, target, weight, cfg, velocity)
+                velocity = None  # a later sweep of these states synthesizes
             gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
             if gnorm_sq == 0.0:
                 break
@@ -297,8 +335,10 @@ def minimize_action(
                 control = control_term(trial, dt)
                 J_trial = math.inf
                 if control <= bound:  # otherwise J_trial >= control > bound
+                    # one march's grids alive at a time: drop a rejected trial's
+                    trial_states = trial_velocity = None
                     try:
-                        trial_states = control_states(trial, u0, cfg)
+                        trial_states, trial_velocity = control_states(trial, u0, cfg)
                     except IntegrationBlowupError:  # a runaway trial is a rejected step
                         pass
                     else:
@@ -311,7 +351,7 @@ def minimize_action(
                 break
             drop = J - J_trial
             # the next iteration sweeps for the gradient, if there is one
-            phi_vals, states, J, grad = trial, trial_states, J_trial, None
+            phi_vals, states, velocity, J, grad = trial, trial_states, trial_velocity, J_trial, None
             history.append({"round": round_idx, "objective": J, "weight": weight})
             if drop <= opt.relative_tolerance * max(abs(J), 1e-300):
                 break

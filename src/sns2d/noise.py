@@ -593,7 +593,12 @@ def lp_log_moment_check(
     gen = as_generator(rng)
     Z = stationary_batch(g, spec, alpha, gen, replicas)
     if p == 2:
-        samples = 2.0 * np.sum(np.abs(Z) ** 2, axis=1)
+        # row blocks of SAMPLES_PER_CALL reals, not a float copy of all of Z;
+        # each row sums alone, so the blocks do not change its bits
+        samples = np.empty(replicas)
+        rows = max(1, SAMPLES_PER_CALL // g.n_modes)
+        for i in range(0, replicas, rows):
+            samples[i : i + rows] = 2.0 * np.sum(np.abs(Z[i : i + rows]) ** 2, axis=1)
         closed = l2_moment_exact(g, spec, alpha)
     else:
         from .spectral import lp_norm

@@ -24,7 +24,13 @@ transformed per field and call:
     b_core                      2 synthesized, 2 analyzed
     b_bilinear_core             4 synthesized, 3 analyzed
     b_linearized_adjoint_core   4 synthesized, 2 analyzed
+                                (2 synthesized when handed u's velocity grids)
     tensor_product              4 synthesized, 4 analyzed (the full tensor)
+
+``b_core`` can write the velocity grids it synthesizes into a caller's
+buffer, and ``b_linearized_adjoint_core`` can read them from there: the
+adjoint sweep of the minimum-action descent reads the grids of the forward
+march that made its states.
 """
 
 from dataclasses import dataclass
@@ -73,15 +79,16 @@ def _minus_div(plan, a, t12, t21):
     return plan.project(-1j * (k1 * a + k2 * t21), -1j * (k1 * t12 - k2 * a))
 
 
-def b_core(coeffs: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
+def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.ndarray:
     """b(u, u) on raw half-lattice coefficients (hot path for the solvers).
 
     ``coeffs`` is one field (n_modes,) or a stack (..., n_modes); each row
     gets the arithmetic of a call of its own, in one synthesis and one
-    analysis for the whole stack.
+    analysis for the whole stack.  A ``velocity`` buffer (..., 2, M, M), M
+    the rule's padded grid size, receives the synthesized velocity grids.
     """
     plan = _plan_for(grid, rule)
-    u = plan.synthesize(coeffs)
+    u = plan.synthesize(coeffs, out=velocity)
     u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
     # a = (u1^2 - u2^2) / 2 and c = u1 u2, as b_bilinear_core forms them at v = u
     t = plan.analyze(np.stack((0.5 * (u1 * u1 - u2 * u2), u1 * u2), axis=-3))
@@ -92,6 +99,12 @@ def replicas_per_block(grid, rule: DealiasRule) -> int:
     """Replicas whose b_core stack fits one synthesis budget on the rule's
     padded grid: 32/8/2/1 at cutoff 8/16/32/64 under the two-thirds rule."""
     return stack_depth(_plan_for(grid, rule).size)
+
+
+def padded_size(grid, rule: DealiasRule) -> int:
+    """Side M of the rule's padded physical grid, on which b_core's
+    velocity grids (2, M, M) live."""
+    return _plan_for(grid, rule).size
 
 
 def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
@@ -129,15 +142,17 @@ def b_self(u: SpectralField, rule: DealiasRule) -> SpectralField:
     return u.with_coeffs(b_core(u.coeffs, u.grid, rule))
 
 
-def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule) -> np.ndarray:
+def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) -> np.ndarray:
     """Adjoint of v -> b(u, v) + b(v, u) in the H inner product.
 
     Equals the truncation of P[u . (grad w + grad w^T)]; exact to roundoff
     because every product is alias-free within the retained band.  ``cu``
     and ``cw`` are one field each (n_modes,) or stacks of the same shape.
+    ``velocity``, u's velocity grids as ``b_core`` writes them, stands in
+    for synthesizing ``cu`` again; the result is the same bit for bit.
     """
     plan = _plan_for(grid, rule)
-    u = plan.synthesize(cu)
+    u = plan.synthesize(cu) if velocity is None else velocity
     # grad w + grad w^T = [[s, t], [t, -s]] on the padded grid
     S = plan.synthesize(cw, plan.strain)
     u1, u2 = u[..., 0, :, :], u[..., 1, :, :]

@@ -14,6 +14,9 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
+- ``adjoint_gradient_resynthesizing``, the adjoint sweep that synthesizes
+  each state's velocity grids again, the reference for ``adjoint_gradient``
+  reading the grids of the march that made its states;
 - ``b_core_three_products`` and ``adjoint_four_gradients``, the nonlinear
   term from the full symmetric tensor u x u and its adjoint from all four
   velocity gradients, the references for the trace-free ``b_core`` and
@@ -21,6 +24,8 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
   transform plan's synthesis and analysis with the normalization applied to
   a full new array, the references for ``TransformPlan``'s in-place scaling;
+  the synthesis selects the band by a boolean mask of its own, the
+  reference for the plan's integer gather;
 - ``march_alone``, the exponential step applied to one state with one
   generator, and the per-replica loops built on it,
   ``controlled_per_replica`` and ``besov_moment_check_per_replica``, the
@@ -59,7 +64,7 @@ from sns2d.noise import (
     ou_transition,
     stationary_std,
 )
-from sns2d.nonlinear import _plan_for
+from sns2d.nonlinear import _plan_for, b_linearized_adjoint_core
 from sns2d.spectral import besov_norm, block_count, dyadic_block, h_norm_of, lp_norm
 
 TWO_PI = 2.0 * np.pi
@@ -175,11 +180,14 @@ def adjoint_four_gradients(cu, cw, grid, rule):
 
 
 def synthesize_scaling_a_copy(plan, coeffs, symbols=None):
-    """``TransformPlan.synthesize`` with the inverse transform scaled into a
-    new array."""
+    """``TransformPlan.synthesize`` with the kept modes selected by a boolean
+    band mask of its own and the inverse transform scaled into a new array."""
     if symbols is None:
         symbols = plan.velocity
-    vals = coeffs[..., None, plan.keep] * symbols
+    # n_modes = ((2 N + 1)^2 - 1) / 2 stored modes at cutoff N
+    g = grid_for((math.isqrt(2 * plan.n_modes + 1) - 1) // 2)
+    band = (np.abs(g.k1) <= plan.kmax) & (np.abs(g.k2) <= plan.kmax)
+    vals = coeffs[..., None, band] * symbols
     work = np.zeros(vals.shape[:-1] + plan.shape, dtype=np.complex128)
     plan._scatter(work, vals, "grid")
     n, M = plan.kmax, plan.size
@@ -314,6 +322,27 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
         history=history,
     )
     return phi, report
+
+
+def adjoint_gradient_resynthesizing(phi_vals, states, target, weight, cfg):
+    """Gradient of the penalized objective by the backward adjoint sweep
+    along the marched states, each step synthesizing its state's velocity."""
+    grid = target.grid
+    dt = cfg.dt
+    rule = cfg.rule(grid.cutoff)
+    decay, psi1 = exp_weights(grid.ksq * dt)
+    grad = np.empty_like(phi_vals)
+    lam = 2.0 * weight * (states[-1] - target.coeffs)
+    for step in range(phi_vals.shape[0] - 1, -1, -1):
+        grad[step] = phi_vals[step] + psi1 * lam
+        if step > 0:
+            propagated = decay * lam
+            if not cfg.disable_nonlinearity:
+                propagated = propagated + dt * b_linearized_adjoint_core(
+                    states[step], psi1 * lam, grid, rule
+                )
+            lam = propagated
+    return grad
 
 
 def unit_complex_normals_assembled(gen, shape, std=None):

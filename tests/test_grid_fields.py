@@ -133,6 +133,9 @@ def test_plan_scaling_in_place_is_the_scaled_copy_bit_for_bit(cutoff, rng):
             for symbols in (None, plan.strain):
                 got = plan.synthesize(coeffs, symbols)
                 assert np.array_equal(got, synthesize_scaling_a_copy(plan, coeffs, symbols))
+                buffer = np.empty_like(got)
+                assert plan.synthesize(coeffs, symbols, out=buffer) is buffer
+                assert np.array_equal(buffer, got)
             phys = plan.synthesize(coeffs)
             assert np.array_equal(plan.analyze(phys), analyze_scaling_the_spectrum(plan, phys))
             got, mean = plan.analyze(phys, with_mean=True)

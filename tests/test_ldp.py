@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from sns2d import (
 )
 from sns2d import ldp
 from sns2d.dynamics import Trajectory, solve_skeleton, solve_stochastic
-from sns2d.grid import grid_for
+from sns2d.grid import TransformPlan, grid_for
 from sns2d.ldp import (
     ClippedEndpointDistance,
     ConstantFunctional,
@@ -285,9 +287,9 @@ def test_minimize_action_sweeps_the_adjoint_once_per_iteration(name, monkeypatch
     sweeps = []
     gradient = ldp.adjoint_gradient
 
-    def count_sweeps(phi_vals, states, target, weight, cfg):
+    def count_sweeps(phi_vals, states, target, weight, *args, **kwargs):
         sweeps.append(weight)
-        return gradient(phi_vals, states, target, weight, cfg)
+        return gradient(phi_vals, states, target, weight, *args, **kwargs)
 
     monkeypatch.setattr(ldp, "adjoint_gradient", count_sweeps)
     case = _descent_case(name)
@@ -307,6 +309,88 @@ def test_minimize_action_sweeps_the_adjoint_once_per_iteration(name, monkeypatch
         assert sweeps.count(weight) in (accepted, accepted + 1)
     assert len(sweeps) == rep.iterations
     assert len(sweeps) < remarching
+
+
+def _gradient_case(name):
+    """(phi, u0, target, weight, cfg): a generic control on a descent case's
+    ends, or on generic_target's with the nonlinearity disabled."""
+    linear = name == "disable_nonlinearity"
+    u0, target, t_final, cfg, _ = _descent_case("generic_target" if linear else name)
+    if linear:
+        cfg = IntegratorConfig(dt=cfg.dt, disable_nonlinearity=True)
+    n = round(t_final / cfg.dt)
+    phi = 0.2 * unit_complex_normals(np.random.default_rng(3), (n, u0.grid.n_modes))
+    return phi, u0, target, 5.0, cfg
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES + ("disable_nonlinearity",))
+def test_adjoint_gradient_from_march_grids_is_the_resynthesizing_sweep(name):
+    phi, u0, target, weight, cfg = _gradient_case(name)
+    states, velocity = ldp.control_states(phi, u0, cfg)
+    assert (velocity is None) == cfg.disable_nonlinearity
+    want = _oracles.adjoint_gradient_resynthesizing(phi, states, target, weight, cfg)
+    assert np.array_equal(ldp.adjoint_gradient(phi, states, target, weight, cfg, velocity), want)
+    assert np.array_equal(ldp.adjoint_gradient(phi, states, target, weight, cfg), want)
+    _, grad, marched = action_objective_and_gradient(phi, u0, target, weight, cfg)
+    assert np.array_equal(marched, states)
+    assert np.array_equal(grad, want)
+
+
+def test_a_sweep_over_march_grids_synthesizes_only_the_strain_grids(monkeypatch):
+    phi, u0, target, weight, cfg = _gradient_case("generic_target")
+    states, velocity = ldp.control_states(phi, u0, cfg)
+    calls = []
+    synthesize = TransformPlan.synthesize
+
+    def counted(plan, *args, **kwargs):
+        calls.append(plan)
+        return synthesize(plan, *args, **kwargs)
+
+    monkeypatch.setattr(TransformPlan, "synthesize", counted)
+    n_steps = phi.shape[0]
+    ldp.adjoint_gradient(phi, states, target, weight, cfg, velocity)
+    assert len(calls) == n_steps - 1
+    calls.clear()
+    ldp.adjoint_gradient(phi, states, target, weight, cfg)
+    assert len(calls) == 2 * (n_steps - 1)
+
+
+@pytest.mark.parametrize("failing_line_searches", [False, True])
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_minimize_action_sweeps_march_grids_one_march_at_a_time(
+    name, failing_line_searches, monkeypatch
+):
+    # no march starts while an earlier march's grids are alive, and every
+    # sweep is the resynthesizing sweep of its states
+    u0, target, t_final, cfg, opt = _descent_case(name)
+    if failing_line_searches:
+        opt = dataclasses.replace(opt, min_step=1e-2)
+    alive, sweeps = [], []
+    march, gradient = ldp.control_states, ldp.adjoint_gradient
+
+    def tracked_march(*args):
+        assert [ref for ref in alive if ref() is not None] == []
+        states, velocity = march(*args)
+        alive.append(weakref.ref(velocity))
+        return states, velocity
+
+    def checked_sweep(phi_vals, states, target, weight, cfg, velocity=None):
+        sweeps.append((weight, velocity is not None))
+        grad = gradient(phi_vals, states, target, weight, cfg, velocity)
+        want = _oracles.adjoint_gradient_resynthesizing(phi_vals, states, target, weight, cfg)
+        assert np.array_equal(grad, want)
+        return grad
+
+    monkeypatch.setattr(ldp, "control_states", tracked_march)
+    monkeypatch.setattr(ldp, "adjoint_gradient", checked_sweep)
+    minimize_action(u0, target, t_final, cfg, opt)
+    assert len(alive) > 1
+    # only a round's first sweep, after a failed line search, goes without
+    # grids; the descent's first sweep reads the initial march's
+    assert sweeps[0][1]
+    for (before, _), (weight, has_grids) in zip(sweeps, sweeps[1:]):
+        assert has_grids or weight != before
+    assert any(not has_grids for _, has_grids in sweeps) == failing_line_searches
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,40 @@ def test_lp_log_moment_p2_closed_form():
     assert rep.ratio == rep.estimate / rep.bound
 
 
+def _p2_check(monkeypatch, replicas, cutoff):
+    """The samples that lp_log_moment_check averages at p = 2, its Z and its
+    tracemalloc peak."""
+    means = []
+    mean = np.mean
+
+    def recording_mean(a, *args, **kwargs):
+        means.append(np.array(a, copy=True))
+        return mean(a, *args, **kwargs)
+
+    spec = NoiseSpec(epsilon=0.5, delta=0.1, gamma=1.0)
+    monkeypatch.setattr(np, "mean", recording_mean)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lp_log_moment_check(spec, 2.0, replicas, RngStream(11), cutoff=cutoff)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    Z = stationary_batch(grid_for(cutoff), spec, 0.0, RngStream(11).generator(), replicas)
+    samples = [m for m in means if m.shape == (replicas,)]
+    assert len(samples) == 1
+    return samples[0], Z, peak
+
+
+def test_lp_log_moment_p2_sums_row_blocks_bit_for_bit(monkeypatch):
+    # 4000 rows of 144 modes span 36 row blocks, the last one partial
+    samples, Z, peak = _p2_check(monkeypatch, 4000, 8)
+    assert np.array_equal(samples, 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
+    # Z, the draw's buffers and the row blocks; a full-batch |Z|^2 adds Z.nbytes
+    assert peak <= Z.nbytes + 2**20
+
+
 def test_lp_log_moment_epsilon_scaling():
     # Gaussian scaling: the p-th moment scales like eps^(p/2)
     vals = []

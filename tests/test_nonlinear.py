@@ -11,11 +11,12 @@ from sns2d import (
     stokes_apply,
     tensor_product,
 )
-from sns2d.grid import grid_for
+from sns2d.grid import grid_for, transform_plan
 from sns2d.nonlinear import (
     b_core,
     b_linearized_adjoint,
     b_linearized_adjoint_core,
+    padded_size,
     replicas_per_block,
 )
 
@@ -189,3 +190,23 @@ def test_trace_free_adjoint_matches_four_gradients(cutoff, kind, rng):
     want = np.stack([adjoint_four_gradients(a, b, g, rule) for a, b in zip(u, w)])
     assert _max_relative(b_linearized_adjoint_core(u[0], w[0], g, rule), want[0]) <= 1e-14
     assert _max_relative(b_linearized_adjoint_core(u, w, g, rule), want) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [8, 32])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_adjoint_reads_the_velocity_grids_b_core_writes(cutoff, kind, rng):
+    g = grid_for(cutoff)
+    rule = DealiasRule.make(kind, cutoff)
+    u, w = (
+        np.stack([SpectralField.random(cutoff, rng, amplitude=1.0).coeffs for _ in range(3)])
+        for _ in range(2)
+    )
+    M = padded_size(g, rule)
+    velocity = np.empty((3, 2, M, M))
+    assert np.array_equal(b_core(u, g, rule, velocity), b_core(u, g, rule))
+    plan = transform_plan(cutoff, rule.effective_cutoff, M)
+    assert np.array_equal(velocity, plan.synthesize(u))
+    one = b_linearized_adjoint_core(u[0], w[0], g, rule, velocity[0])
+    assert np.array_equal(one, b_linearized_adjoint_core(u[0], w[0], g, rule))
+    stack = b_linearized_adjoint_core(u, w, g, rule, velocity)
+    assert np.array_equal(stack, b_linearized_adjoint_core(u, w, g, rule))
