@@ -294,9 +294,9 @@ def minimize_action(
     The sweep reads the velocity grids of the march that made its states,
     n_steps x 2 x M^2 reals on the rule's padded M x M grid, and drops them
     before the next trial march, so at most one march's grids are alive.
-    The one sweep that finds no grids is a new penalty round's after a
-    failed line search: it sweeps the states swept before, and synthesizes
-    their velocity again.
+    The one sweep that finds no grids is the first of a penalty round whose
+    predecessor accepted no step: it sweeps the states swept before, and
+    synthesizes their velocity again.
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
@@ -323,7 +323,7 @@ def minimize_action(
             iterations += 1
             if grad is None:
                 grad = adjoint_gradient(phi_vals, states, target, weight, cfg, velocity)
-                velocity = None  # a later sweep of these states synthesizes
+                velocity = None  # dropped before the next trial march makes its own
             gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
             if gnorm_sq == 0.0:
                 break

@@ -385,7 +385,7 @@ def test_minimize_action_sweeps_march_grids_one_march_at_a_time(
     monkeypatch.setattr(ldp, "adjoint_gradient", checked_sweep)
     minimize_action(u0, target, t_final, cfg, opt)
     assert len(alive) > 1
-    # only a round's first sweep, after a failed line search, goes without
+    # only a round's first sweep, after a round that accepted no step, goes without
     # grids; the descent's first sweep reads the initial march's
     assert sweeps[0][1]
     for (before, _), (weight, has_grids) in zip(sweeps, sweeps[1:]):
