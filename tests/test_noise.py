@@ -289,9 +289,8 @@ def test_lp_log_moment_p2_closed_form():
     assert rep.ratio == rep.estimate / rep.bound
 
 
-def _p2_check(monkeypatch, replicas, cutoff):
-    """The samples that lp_log_moment_check averages at p = 2, its Z and its
-    tracemalloc peak."""
+def test_lp_log_moment_p2_sums_row_blocks_bit_for_bit(monkeypatch):
+    # the samples the check averages, recorded at its np.mean call
     means = []
     mean = np.mean
 
@@ -300,6 +299,8 @@ def _p2_check(monkeypatch, replicas, cutoff):
         return mean(a, *args, **kwargs)
 
     spec = NoiseSpec(epsilon=0.5, delta=0.1, gamma=1.0)
+    # 4000 rows of 144 modes span 36 row blocks, the last one partial
+    replicas, cutoff = 4000, 8
     monkeypatch.setattr(np, "mean", recording_mean)
     tracemalloc.start()
     try:
@@ -312,13 +313,7 @@ def _p2_check(monkeypatch, replicas, cutoff):
     Z = stationary_batch(grid_for(cutoff), spec, 0.0, RngStream(11).generator(), replicas)
     samples = [m for m in means if m.shape == (replicas,)]
     assert len(samples) == 1
-    return samples[0], Z, peak
-
-
-def test_lp_log_moment_p2_sums_row_blocks_bit_for_bit(monkeypatch):
-    # 4000 rows of 144 modes span 36 row blocks, the last one partial
-    samples, Z, peak = _p2_check(monkeypatch, 4000, 8)
-    assert np.array_equal(samples, 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
+    assert np.array_equal(samples[0], 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
     # Z, the draw's buffers and the row blocks; a full-batch |Z|^2 adds Z.nbytes
     assert peak <= Z.nbytes + 2**20
 
