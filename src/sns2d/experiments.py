@@ -257,6 +257,22 @@ def _require_positive_list(kind, key, values):
         raise ValueError(f"{kind}: {key} must be a non-empty list of numbers > 0, got {values!r}")
 
 
+def _require_sweep(kind, cfg):
+    """A convergence sweep fits a log-log slope and its standard error: at
+    least 3 distinct noise.epsilons > 0, and 2 replicas for each member's
+    standard error."""
+    eps = cfg.noise["epsilons"]
+    if not eps:
+        raise ValueError(f"{kind}: noise.epsilons sweep is required")
+    _require_positive_list(kind, "noise.epsilons", eps)
+    if len(set(eps)) < 3:
+        raise ValueError(
+            f"{kind}: noise.epsilons must hold at least 3 distinct values to fit a slope, "
+            f"got {eps!r}"
+        )
+    _require_count(kind, "statistics.replicas", cfg.statistics["replicas"], 2)
+
+
 def _params_ou(cfg):
     p = _take(cfg.params, {"alphas": [0.0, 1.0]}, "params(ou_checks)")
     cfg.spec()
@@ -346,8 +362,7 @@ def _params_converge_h(cfg):
             "converge_h: noise.eta is required (scaling condition "
             "eps * delta(eps)^(-eta) -> 0)"
         )
-    if not cfg.noise["epsilons"]:
-        raise ValueError("converge_h: noise.epsilons sweep is required")
+    _require_sweep("converge_h", cfg)
     return p
 
 
@@ -367,8 +382,7 @@ def _params_converge_besov(cfg):
     # raises with the violated inequality named
     BesovParams(sigma=p["sigma"], p=p["p"], alpha=p["alpha"], beta=p["beta"]).validate()
     cfg.schedule()
-    if not cfg.noise["epsilons"]:
-        raise ValueError("converge_besov: noise.epsilons sweep is required")
+    _require_sweep("converge_besov", cfg)
     return p
 
 
@@ -398,6 +412,11 @@ def _params_instanton(cfg):
     )
     for key, least in (("max_iterations", 1), ("gradient_check_directions", 0)):
         _require_count("instanton", key, p[key], least)
+    if cfg.numerics["scheme"] != "exponential_euler":
+        raise ValueError(
+            "instanton: the adjoint gradient is implemented for numerics.scheme "
+            f"'exponential_euler', got {cfg.numerics['scheme']!r}"
+        )
     tol = p["endpoint_tolerance"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ValueError(f"instanton: endpoint_tolerance must be finite and > 0, got {tol!r}")
@@ -974,7 +993,7 @@ KINDS = {
 # persistence
 
 
-def _format_cell(v):
+def _format_cell(v, column):
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -982,23 +1001,33 @@ def _format_cell(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"refusing to write non-finite {column} = {float(v)!r}")
         return repr(float(v))
     return str(v)
 
 
-def write_csv_atomic(path, rows):
+def _csv_text(rows):
     if not rows:
         raise ValueError("refusing to write an empty results table")
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in cols))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append(",".join(_format_cell(row.get(c), c) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(obj):
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    return text + "\n"
+
+
+def write_csv_atomic(path, rows):
+    _atomic_write(path, _csv_text(rows))
 
 
 def write_json_atomic(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, _json_text(obj))
 
 
 def _json_default(obj):
@@ -1068,9 +1097,11 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     }
     results_csv = os.path.join(run_dir, "results.csv")
     summary_json = os.path.join(run_dir, "summary.json")
-    # first, so that a non-finite summary leaves no results behind
-    write_json_atomic(summary_json, summary)
-    write_csv_atomic(results_csv, rows)
+    # both formatted before either is written: a non-finite cell or summary
+    # value leaves no file behind
+    summary_text, table = _json_text(summary), _csv_text(rows)
+    _atomic_write(summary_json, summary_text)
+    _atomic_write(results_csv, table)
     _atomic_write(os.path.join(run_dir, "config.json"), config.canonical_json() + "\n")
     for name, traj in ctx.dumps.items():
         save_trajectory(traj, os.path.join(run_dir, f"{name}.csv"))

@@ -7,12 +7,16 @@ real-valued field.  The stored half is {k2 > 0} union {k2 == 0, k1 > 0}.
 
 ``TransformPlan`` is the one path between stored coefficients and samples on
 a uniform physical grid; every physical-space computation goes through it.
+It has two layouts: real grids, one per symbol row (``synthesize`` and
+``analyze``), and complex grids f1 + i f2 that each carry a pair of real
+grids in one complex transform (``synthesize_packed`` and
+``analyze_packed``).
 """
 
 import functools
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import fft2, ifft2, irfft2, next_fast_len, rfft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -91,12 +95,14 @@ def grid_for(cutoff: int) -> SpectralGrid:
 
 
 class TransformPlan:
-    """Real-FFT synthesis and analysis on a size x size grid.
+    """FFT synthesis and analysis on a size x size grid.
 
     Covers the stored modes with max(|k1|, |k2|) <= kmax.  The stored half
     {k2 > 0} union {k2 == 0, k1 > 0} is the half of the spectrum ``rfft2``
     keeps, so coefficients scatter straight into its (size, size // 2 + 1)
-    layout and only the k2 == 0 column needs its conjugates filled.
+    layout and only the k2 == 0 column needs its conjugates filled.  A
+    complex grid has no Hermitian symmetry, so the packed path scatters
+    each kept mode at k and at -k of the full (size, size) layout.
     """
 
     def __init__(self, grid: SpectralGrid, kmax: int, size: int):
@@ -125,41 +131,55 @@ class TransformPlan:
         # <d, e_k> = -2pi i (d1 k2 - d2 k1)/|k| for a plain vector coefficient d
         kabs = grid.kabs[keep]
         self.projection = np.stack([-TWO_PI * 1j * k2 / kabs, TWO_PI * 1j * k1 / kabs])
+        # the kept modes, then their negatives, on the full (size, size) grid
+        self.full_pos = np.concatenate([(k1 % size) * size + k2 % size,
+                                        (-k1 % size) * size + -k2 % size])
+        self.velocity_packed = self._packed_symbols(self.velocity)
+        self.strain_packed = self._packed_symbols(self.strain)
         self._rows = {"grid": (self.pos, self.shape[0] * self.shape[1]),
+                      "full": (self.full_pos, size * size),
                       "modes": (np.flatnonzero(keep), grid.n_modes)}
         self._positions = {}
+        # zeroed full grids per stack size, shared by the plan's callers (one
+        # synthesis at a time); only the kept modes' positions, at k and -k,
+        # are ever written, and every call writes all of them
+        self._full_grids = {}
 
     def _scatter(self, out, vals, layout):
         """Write each row of vals (..., n_kept) into the same row of out at the
-        kept modes' positions in ``layout``: "grid", the rfft2 layout, or
-        "modes", the stored modes.  One 1-D scatter fills the whole stack; a
-        scatter along the last axis of a stack runs several times slower."""
+        kept modes' positions in ``layout``: "grid", the rfft2 layout,
+        "modes", the stored modes, or "full", the fft2 layout, whose rows
+        (..., 2 n_kept) hold the values at k and then at -k.  One 1-D
+        scatter fills the whole stack; a scatter along the last axis of a
+        stack runs several times slower."""
         n_rows = vals.size // vals.shape[-1]
         if (layout, n_rows) not in self._positions:
             pos, width = self._rows[layout]
             self._positions[layout, n_rows] = (np.arange(n_rows)[:, None] * width + pos).ravel()
         out.reshape(-1)[self._positions[layout, n_rows]] = vals.reshape(-1)
 
-    def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None, out=None) -> np.ndarray:
+    def _kept(self, coeffs):
+        return coeffs if isinstance(self.keep, slice) else np.take(coeffs, self.keep, axis=-1)
+
+    def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
         """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per row j.
 
         ``coeffs`` (..., n_modes) covers every stored mode; ``symbols``
         (default: the velocity basis, shape (2, n_kept)) covers the kept
         modes, and its leading axes index the output grids.  Returns shape
-        (..., *symbols.shape[:-1], size, size), written into ``out`` when
-        given.
+        (..., *symbols.shape[:-1], size, size).
         """
         if symbols is None:
             symbols = self.velocity
-        kept = coeffs if isinstance(self.keep, slice) else np.take(coeffs, self.keep, axis=-1)
-        vals = kept[..., None, :] * symbols
+        vals = self._kept(coeffs)[..., None, :] * symbols
         work = np.zeros(vals.shape[:-1] + self.shape, dtype=np.complex128)
         self._scatter(work, vals, "grid")
         n, M = self.kmax, self.size
         # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
         work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
         grids = irfft2(work, s=(M, M), overwrite_x=True)
-        return np.multiply(grids, M * M, out=grids if out is None else out)
+        grids *= M * M
+        return grids
 
     def analyze(self, phys: np.ndarray, with_mean: bool = False):
         """Fourier coefficients of the kept stored modes of real grids (..., size, size).
@@ -174,15 +194,67 @@ class TransformPlan:
         coeffs *= scale
         return (coeffs, spec[..., 0, 0] * scale) if with_mean else coeffs
 
-    def project(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """Divergence-free part of plain vector fields given on the kept modes,
-        shape (..., n_kept).
+    @staticmethod
+    def _packed_symbols(symbols):
+        """The pair of symbol rows s1, s2 as the complex grid's coefficients
+        at k, s1 + i s2, and at -k (times conj(coeffs)), conj(s1) + i conj(s2)."""
+        s1, s2 = symbols
+        return np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
 
-        Returns coefficients on all stored modes, (..., n_modes), zero outside
-        the band.
+    def synthesize_packed(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
+        """Complex grids f1 + i f2, shape (..., size, size), of the real grid
+        pair f1, f2 that ``synthesize`` makes from a pair of symbol rows.
+
+        ``coeffs`` is (..., n_modes); ``symbols`` is ``velocity_packed``
+        (the default, u1 + i u2) or ``strain_packed`` (s + i t).
         """
-        out = np.zeros(d1.shape[:-1] + (self.n_modes,), dtype=np.complex128)
-        self._scatter(out, self.projection[0] * d1 + self.projection[1] * d2, "modes")
+        if symbols is None:
+            symbols = self.velocity_packed
+        kept = self._kept(coeffs)
+        vals = np.concatenate((kept * symbols[0], np.conj(kept) * symbols[1]), axis=-1)
+        n_rows = vals.size // vals.shape[-1]
+        M = self.size
+        if n_rows not in self._full_grids:
+            self._full_grids[n_rows] = np.zeros((n_rows, M, M), dtype=np.complex128)
+        work = self._full_grids[n_rows]
+        self._scatter(work, vals, "full")
+        # unnormalized inverse: the sum over k itself, with no M^2 to undo
+        return ifft2(work.reshape(kept.shape[:-1] + (M, M)), norm="forward")
+
+    def packed_weights(self, c1, c2) -> np.ndarray:
+        """Weights (2, n_kept) with which ``analyze_packed`` returns
+        c1[k] f1^(k) + c2[k] f2^(k) for a complex grid f1 + i f2.
+
+        With F = fft2(f1 + i f2), F(k) / M^2 = f1^ + i f2^ and
+        conj(F(-k)) / M^2 = f1^ - i f2^ split the pair.
+        """
+        scale = 0.5 / (self.size * self.size)
+        return np.stack([scale * (c1 - 1j * c2), scale * (c1 + 1j * c2)])
+
+    def analyze_packed(self, grids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_j alpha_j(k) F_j(k) + beta_j(k) conj(F_j(-k)) on the kept modes,
+        F_j = fft2 of complex grid j, scattered onto all stored modes.
+
+        ``grids`` (..., J, size, size) is overwritten; ``weights`` (J, 2,
+        n_kept) holds (alpha_j, beta_j), as ``packed_weights`` gives them.
+        Returns (..., n_modes), zero outside the band.
+        """
+        spec = fft2(grids, overwrite_x=True)
+        at = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.full_pos, axis=-1)
+        n = at.shape[-1] // 2
+        plus, minus = at[..., :n], at[..., n:]
+        # in place and in one operand order: numpy's complex product is not
+        # commutative to the last bit, and a product with a temporary second
+        # operand may be evaluated with the operands swapped
+        plus *= weights[:, 0]
+        minus = np.conj(minus, out=minus)
+        minus *= weights[:, 1]
+        plus += minus
+        kept = plus[..., 0, :] if weights.shape[0] == 1 else plus.sum(axis=-2)
+        if isinstance(self.keep, slice):
+            return kept
+        out = np.zeros(kept.shape[:-1] + (self.n_modes,), dtype=np.complex128)
+        self._scatter(out, kept, "modes")
         return out
 
 

@@ -180,9 +180,9 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
     values, guarded against blow-up (raises IntegrationBlowupError).
 
     Returns (states (n + 1, n_modes), velocity): velocity[step] holds the
-    velocity grids (2, M, M) that the step's b_core synthesized from
-    states[step], the grids ``adjoint_gradient`` reads; None when the
-    nonlinearity is disabled.
+    complex velocity grid u1 + i u2 (M, M) that the step's b_core
+    synthesized from states[step], the grid ``adjoint_gradient`` reads;
+    None when the nonlinearity is disabled.
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
@@ -192,7 +192,7 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
     else:
         rule = cfg.rule(grid.cutoff)
         M = padded_size(grid, rule)
-        velocity = np.empty((n, 2, M, M))
+        velocity = np.empty((n, M, M), dtype=np.complex128)
 
         def forcing(u, step):
             return b_core(u, grid, rule, velocity[step]) + phi_vals[step]
@@ -233,12 +233,13 @@ def adjoint_gradient(
     grad = np.empty_like(phi_vals)
     lam = 2.0 * weight * (states[-1] - target.coeffs)
     for step in range(phi_vals.shape[0] - 1, -1, -1):
-        grad[step] = phi_vals[step] + psi1 * lam
+        forced = psi1 * lam
+        grad[step] = phi_vals[step] + forced
         if step > 0:
             propagated = decay * lam
             if not cfg.disable_nonlinearity:
                 propagated = propagated + dt * b_linearized_adjoint_core(
-                    states[step], psi1 * lam, grid, rule,
+                    states[step], forced, grid, rule,
                     None if velocity is None else velocity[step],
                 )
             lam = propagated
@@ -292,8 +293,9 @@ def minimize_action(
     none.
 
     The sweep reads the velocity grids of the march that made its states,
-    n_steps x 2 x M^2 reals on the rule's padded M x M grid, and drops them
-    before the next trial march, so at most one march's grids are alive.
+    n_steps x M^2 complex numbers u1 + i u2 on the rule's padded M x M
+    grid, and drops them before the next trial march, so at most one
+    march's grids are alive.
     The one sweep that finds no grids is the first of a penalty round whose
     predecessor accepted no step: it sweeps the states swept before, and
     synthesizes their velocity again.

@@ -3,12 +3,11 @@
 Products are formed on a padded physical grid large enough that no aliased
 frequency lands inside the retained band, so the discrete bilinear term is
 the exact Galerkin truncation of the continuum one.  Every transform goes
-through the real-FFT ``TransformPlan`` of ``sns2d.grid``: synthesize the
-factors, multiply pointwise, analyze the products back onto the stored
-modes.  Under the two-thirds rule inputs and outputs are restricted to
-|k_i| <= floor(2N/3), which keeps repeated applications closed in a fixed
-band and makes the energy and enstrophy orthogonality identities hold to
-roundoff.
+through the ``TransformPlan`` of ``sns2d.grid``: synthesize the factors,
+multiply pointwise, analyze the products back onto the stored modes.  Under
+the two-thirds rule inputs and outputs are restricted to |k_i| <= floor(2N/3),
+which keeps repeated applications closed in a fixed band and makes the
+energy and enstrophy orthogonality identities hold to roundoff.
 
 The kernels use the 2-D trace-free forms (Basdevant 1983).  The Leray
 projection P removes gradients, so the isotropic part (u . v / 2) I of
@@ -18,21 +17,36 @@ u x v, whose divergence is a gradient, drops out:
 
 and for v = u the tensor is symmetric, [[a, c], [c, -a]] with c = u1 u2.
 For a divergence-free w, grad w + grad w^T is symmetric and trace-free,
-[[s, t], [t, -s]] with s = 2 d1 w1 and t = d1 w2 + d2 w1.  Real grids
-transformed per field and call:
+[[s, t], [t, -s]] with s = 2 d1 w1 and t = d1 w2 + d2 w1.
 
-    b_core                      2 synthesized, 2 analyzed
-    b_bilinear_core             4 synthesized, 3 analyzed
-    b_linearized_adjoint_core   4 synthesized, 2 analyzed
-                                (2 synthesized when handed u's velocity grids)
-    tensor_product              4 synthesized, 4 analyzed (the full tensor)
+In 2-D a trace-free pair of reals is one complex number.  With the complex
+velocity w_u = u1 + i u2 and the complex strain sigma = s + i t:
 
-``b_core`` can write the velocity grids it synthesizes into a caller's
-buffer, and ``b_linearized_adjoint_core`` can read them from there: the
+    w_u w_u       = 2a + 2ic                    (b(u, u))
+    w_u w_v       = 2a + i (u1 v2 + u2 v1)      (the symmetric part of u x v)
+    Im(conj(w_u) w_v) = u1 v2 - u2 v1           (its antisymmetric part)
+    conj(w_u) sigma   = u . (grad w + grad w^T) as r1 + i r2 (the adjoint)
+
+so one complex grid does the work of two real ones (the plan's packed
+path).  The -P div or P that follows each product is folded into the
+weights of the packed analysis.  Complex grids transformed per field and
+call:
+
+    b_core                      1 synthesized, 1 analyzed
+    b_bilinear_core             2 synthesized, 2 analyzed
+    b_linearized_adjoint_core   2 synthesized, 1 analyzed
+                                (1 synthesized when handed u's velocity grid)
+
+``tensor_product`` forms the full tensor on real grids, 4 synthesized and
+4 analyzed.
+
+``b_core`` can write the velocity grid w_u it synthesizes into a caller's
+buffer, and ``b_linearized_adjoint_core`` can read it from there: the
 adjoint sweep of the minimum-action descent reads the grids of the forward
 march that made its states.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +86,23 @@ def _plan_for(grid, rule: DealiasRule):
     return transform_plan(grid.cutoff, kmax, next_fast_len(3 * kmax + 1))
 
 
-def _minus_div(plan, a, t12, t21):
-    """-P div of the trace-free tensor [[a, t12], [t21, -a]] given the kept
-    coefficients of its entries, each (..., n_kept); returns (..., n_modes)."""
+@functools.lru_cache(maxsize=None)
+def _weights(plan):
+    """``analyze_packed`` weights (3, 2, n_kept) on the plan's kept modes:
+
+    0: -P div [[a, c], [c, -a]] from the packed grid 2a + 2ic;
+    1: -P div [[0, r/2], [-r/2, 0]] from the real grid r;
+    2: P (r1, r2) from the packed grid r1 + i r2.
+    """
     k1, k2 = plan.k
-    return plan.project(-1j * (k1 * a + k2 * t21), -1j * (k1 * t12 - k2 * a))
+    p1, p2 = plan.projection
+    # <d, e_k> = p1 d1 + p2 d2 for a plain vector coefficient d; the
+    # divergence of [[a, t12], [t21, -a]] is i (k1 a + k2 t21, k1 t12 - k2 a)
+    return np.stack([
+        plan.packed_weights(-0.5j * (p1 * k1 - p2 * k2), -0.5j * (p1 * k2 + p2 * k1)),
+        plan.packed_weights(0.5j * (p1 * k2 - p2 * k1), 0.0),
+        plan.packed_weights(p1, p2),
+    ])
 
 
 def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.ndarray:
@@ -84,15 +110,16 @@ def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.nda
 
     ``coeffs`` is one field (n_modes,) or a stack (..., n_modes); each row
     gets the arithmetic of a call of its own, in one synthesis and one
-    analysis for the whole stack.  A ``velocity`` buffer (..., 2, M, M), M
-    the rule's padded grid size, receives the synthesized velocity grids.
+    analysis for the whole stack.  A ``velocity`` buffer (..., M, M), M the
+    rule's padded grid size, receives the synthesized velocity grids
+    w_u = u1 + i u2.
     """
     plan = _plan_for(grid, rule)
-    u = plan.synthesize(coeffs, out=velocity)
-    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
-    # a = (u1^2 - u2^2) / 2 and c = u1 u2, as b_bilinear_core forms them at v = u
-    t = plan.analyze(np.stack((0.5 * (u1 * u1 - u2 * u2), u1 * u2), axis=-3))
-    return _minus_div(plan, t[..., 0, :], t[..., 1, :], t[..., 1, :])
+    wu = plan.synthesize_packed(coeffs)
+    if velocity is not None:
+        velocity[...] = wu
+    # w_u w_u = (u1^2 - u2^2) + 2i u1 u2 = 2a + 2ic, as b_bilinear_core forms it at v = u
+    return plan.analyze_packed((wu * wu)[..., None, :, :], _weights(plan)[:1])
 
 
 def replicas_per_block(grid, rule: DealiasRule) -> int:
@@ -103,15 +130,19 @@ def replicas_per_block(grid, rule: DealiasRule) -> int:
 
 def padded_size(grid, rule: DealiasRule) -> int:
     """Side M of the rule's padded physical grid, on which b_core's
-    velocity grids (2, M, M) live."""
+    velocity grid w_u (M, M) lives."""
     return _plan_for(grid, rule).size
 
 
 def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> np.ndarray:
+    """b(u, v) on raw coefficients, one field each (n_modes,) or stacks of
+    the same shape."""
     plan = _plan_for(grid, rule)
-    (u1, u2), (v1, v2) = plan.synthesize(cu), plan.synthesize(cv)
-    t = plan.analyze(np.stack((0.5 * (u1 * v1 - u2 * v2), u1 * v2, u2 * v1)))
-    return _minus_div(plan, t[0], t[1], t[2])
+    wu, wv = plan.synthesize_packed(np.stack((cu, cv)))
+    # w_u w_v = 2a + i (u1 v2 + u2 v1) packs the symmetric part of u x v;
+    # r = u1 v2 - u2 v1 = Im(conj(w_u) w_v), exactly 0 at v = u, the rest
+    r = wu.real * wv.imag - wu.imag * wv.real
+    return plan.analyze_packed(np.stack((wu * wv, r), axis=-3), _weights(plan)[:2])
 
 
 def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> TensorField:
@@ -148,17 +179,16 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) ->
     Equals the truncation of P[u . (grad w + grad w^T)]; exact to roundoff
     because every product is alias-free within the retained band.  ``cu``
     and ``cw`` are one field each (n_modes,) or stacks of the same shape.
-    ``velocity``, u's velocity grids as ``b_core`` writes them, stands in
+    ``velocity``, u's velocity grid w_u as ``b_core`` writes it, stands in
     for synthesizing ``cu`` again; the result is the same bit for bit.
     """
     plan = _plan_for(grid, rule)
-    u = plan.synthesize(cu) if velocity is None else velocity
-    # grad w + grad w^T = [[s, t], [t, -s]] on the padded grid
-    S = plan.synthesize(cw, plan.strain)
-    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
-    s, t = S[..., 0, :, :], S[..., 1, :, :]
-    rhat = plan.analyze(np.stack((u1 * s + u2 * t, u1 * t - u2 * s), axis=-3))
-    return plan.project(rhat[..., 0, :], rhat[..., 1, :])
+    wu = plan.synthesize_packed(cu) if velocity is None else velocity
+    # grad w + grad w^T = [[s, t], [t, -s]] packed as sigma = s + i t
+    sigma = plan.synthesize_packed(cw, plan.strain_packed)
+    # conj(w_u) sigma = (u1 s + u2 t) + i (u1 t - u2 s) = r1 + i r2
+    r = np.multiply(np.conj(wu), sigma, out=sigma)
+    return plan.analyze_packed(r[..., None, :, :], _weights(plan)[2:])
 
 
 def b_linearized_adjoint(u: SpectralField, w: SpectralField, rule: DealiasRule) -> SpectralField:

@@ -21,6 +21,10 @@ own parts and kept as references for faster forms of the same arithmetic:
   term from the full symmetric tensor u x u and its adjoint from all four
   velocity gradients, the references for the trace-free ``b_core`` and
   ``b_linearized_adjoint_core``;
+- ``b_core_real_grids``, ``b_bilinear_real_grids`` and
+  ``adjoint_real_grids``, the trace-free kernels on one real grid per
+  velocity component, tensor entry and strain entry, projected by
+  ``project_kept``, the references for the kernels on packed complex grids;
 - ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
   transform plan's synthesis and analysis with the normalization applied to
   a full new array, the references for ``TransformPlan``'s in-place scaling;
@@ -155,6 +159,22 @@ def b_direct(u, v, kmax):
     return out
 
 
+def project_kept(plan, d1, d2):
+    """Divergence-free part of plain vector fields given on the plan's kept
+    modes (..., n_kept), on all stored modes (..., n_modes), zero outside
+    the band."""
+    out = np.zeros(d1.shape[:-1] + (plan.n_modes,), dtype=np.complex128)
+    out[..., plan.keep] = plan.projection[0] * d1 + plan.projection[1] * d2
+    return out
+
+
+def minus_div_real(plan, a, t12, t21):
+    """-P div of the trace-free tensor [[a, t12], [t21, -a]] given the kept
+    coefficients of its entries, each (..., n_kept)."""
+    k1, k2 = plan.k
+    return project_kept(plan, -1j * (k1 * a + k2 * t21), -1j * (k1 * t12 - k2 * a))
+
+
 def b_core_three_products(coeffs, grid, rule):
     """b(u, u) = -P div(u x u) from the three distinct products u1 u1, u1 u2
     and u2 u2; one field or a stack."""
@@ -163,7 +183,7 @@ def b_core_three_products(coeffs, grid, rule):
     t = plan.analyze(u[..., [0, 0, 1], :, :] * u[..., [0, 1, 1], :, :])
     t11, t12, t22 = t[..., 0, :], t[..., 1, :], t[..., 2, :]
     k1, k2 = plan.k
-    return plan.project(-1j * (k1 * t11 + k2 * t12), -1j * (k1 * t12 + k2 * t22))
+    return project_kept(plan, -1j * (k1 * t11 + k2 * t12), -1j * (k1 * t12 + k2 * t22))
 
 
 def adjoint_four_gradients(cu, cw, grid, rule):
@@ -176,7 +196,39 @@ def adjoint_four_gradients(cu, cw, grid, rule):
     r1 = u[0] * (2.0 * G[0, 0]) + u[1] * (G[1, 0] + G[0, 1])
     r2 = u[0] * (G[0, 1] + G[1, 0]) + u[1] * (2.0 * G[1, 1])
     rhat = plan.analyze(np.stack((r1, r2)))
-    return plan.project(rhat[0], rhat[1])
+    return project_kept(plan, rhat[0], rhat[1])
+
+
+def b_core_real_grids(coeffs, grid, rule):
+    """b(u, u) from the real grids u1, u2 and the two products
+    a = (u1^2 - u2^2) / 2 and c = u1 u2; one field or a stack."""
+    plan = _plan_for(grid, rule)
+    u = plan.synthesize(coeffs)
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    t = plan.analyze(np.stack((0.5 * (u1 * u1 - u2 * u2), u1 * u2), axis=-3))
+    return minus_div_real(plan, t[..., 0, :], t[..., 1, :], t[..., 1, :])
+
+
+def b_bilinear_real_grids(cu, cv, grid, rule):
+    """b(u, v) from the real grids u1, u2, v1, v2 and the three products
+    (u1 v1 - u2 v2) / 2, u1 v2 and u2 v1; one field each or stacks."""
+    plan = _plan_for(grid, rule)
+    u, v = plan.synthesize(cu), plan.synthesize(cv)
+    u1, u2, v1, v2 = u[..., 0, :, :], u[..., 1, :, :], v[..., 0, :, :], v[..., 1, :, :]
+    t = plan.analyze(np.stack((0.5 * (u1 * v1 - u2 * v2), u1 * v2, u2 * v1), axis=-3))
+    return minus_div_real(plan, t[..., 0, :], t[..., 1, :], t[..., 2, :])
+
+
+def adjoint_real_grids(cu, cw, grid, rule):
+    """P[u . (grad w + grad w^T)] from the real grids u1, u2 and the strain
+    entries s, t of [[s, t], [t, -s]]; one field each or stacks."""
+    plan = _plan_for(grid, rule)
+    u = plan.synthesize(cu)
+    S = plan.synthesize(cw, plan.strain)
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    s, t = S[..., 0, :, :], S[..., 1, :, :]
+    rhat = plan.analyze(np.stack((u1 * s + u2 * t, u1 * t - u2 * s), axis=-3))
+    return project_kept(plan, rhat[..., 0, :], rhat[..., 1, :])
 
 
 def synthesize_scaling_a_copy(plan, coeffs, symbols=None):

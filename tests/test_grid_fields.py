@@ -133,14 +133,37 @@ def test_plan_scaling_in_place_is_the_scaled_copy_bit_for_bit(cutoff, rng):
             for symbols in (None, plan.strain):
                 got = plan.synthesize(coeffs, symbols)
                 assert np.array_equal(got, synthesize_scaling_a_copy(plan, coeffs, symbols))
-                buffer = np.empty_like(got)
-                assert plan.synthesize(coeffs, symbols, out=buffer) is buffer
-                assert np.array_equal(buffer, got)
             phys = plan.synthesize(coeffs)
             assert np.array_equal(plan.analyze(phys), analyze_scaling_the_spectrum(plan, phys))
             got, mean = plan.analyze(phys, with_mean=True)
             want, want_mean = analyze_scaling_the_spectrum(plan, phys, with_mean=True)
             assert np.array_equal(got, want) and np.array_equal(mean, want_mean)
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
+    g = grid_for(cutoff)
+    stack = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(3)])
+    plans = (transform_plan(cutoff, cutoff, g.physical_size()),
+             _plan_for(g, DealiasRule.two_thirds(cutoff)))
+    for plan in plans:
+        ones = np.ones(plan.k.shape[1])
+        for symbols, packed in ((plan.velocity, plan.velocity_packed),
+                                (plan.strain, plan.strain_packed)):
+            real = plan.synthesize(stack, symbols)
+            z = plan.synthesize_packed(stack, packed)
+            assert z.shape == real.shape[:1] + real.shape[2:]
+            scale = np.max(np.abs(real))
+            assert np.max(np.abs(z.real - real[:, 0])) <= 1e-14 * scale
+            assert np.max(np.abs(z.imag - real[:, 1])) <= 1e-14 * scale
+            # weights (1, 0) and (0, 1) split the pair back into its coefficients
+            for j, (c1, c2) in enumerate(((ones, 0.0), (0.0, ones))):
+                got = plan.analyze_packed(z.copy()[:, None], plan.packed_weights(c1, c2)[None])
+                want = plan.analyze(real[:, j])
+                assert np.max(np.abs(got[:, plan.keep] - want)) <= 1e-14 * np.max(np.abs(want))
+                outside = np.ones(g.n_modes, dtype=bool)
+                outside[plan.keep] = False
+                assert not np.any(got[:, outside])
 
 
 _FFT_MODULES = {"scipy.fft", "numpy.fft", "scipy.fftpack"}
@@ -172,13 +195,14 @@ def test_fft_transforms_live_only_in_the_grid_module():
             uses = _fft_uses(ast.parse(path.read_text()))
             offenders += [f"{path.name}:{line} {name}" for line, name in uses]
     assert offenders == []
+    # one call site each: the real and the packed synthesis and analysis
     grid_calls = [
         node.func.id
         for node in ast.walk(ast.parse((src / "grid.py").read_text()))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("rfft2", "irfft2")
     ]
-    assert sorted(grid_calls) == ["irfft2", "rfft2"]
+    transforms = ("fft2", "ifft2", "irfft2", "rfft2")
+    assert sorted(name for name in grid_calls if name in transforms) == sorted(transforms)
 
 
 def test_fft_guard_sees_each_way_of_reaching_a_transform():

@@ -477,6 +477,57 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, section, key, value, match",
+    [
+        # run wrote a nan stderr and reported passed: true
+        ("converge_h", "statistics", "replicas", 1,
+         "converge_h: statistics.replicas must be an integer >= 2, got 1"),
+        ("converge_besov", "statistics", "replicas", 1,
+         "converge_besov: statistics.replicas must be an integer >= 2, got 1"),
+        # run failed with "need at least 3 sweep points to fit a slope"
+        ("converge_h", "noise", "epsilons", [1e-1, 1e-2],
+         "converge_h: noise.epsilons must hold at least 3 distinct values to fit a slope"),
+        ("converge_besov", "noise", "epsilons", [1e-1, 1e-2],
+         "converge_besov: noise.epsilons must hold at least 3 distinct values to fit a slope"),
+        ("converge_h", "noise", "epsilons", [1e-1, 1e-2, 1e-2],
+         "converge_h: noise.epsilons must hold at least 3 distinct values to fit a slope"),
+        ("converge_h", "noise", "epsilons", [1e-1, 1e-2, 0.0],
+         "converge_h: noise.epsilons must be a non-empty list of numbers > 0"),
+        # run failed with "the adjoint gradient is implemented for exponential_euler"
+        ("instanton", "numerics", "scheme", "etd2",
+         "instanton: the adjoint gradient is implemented for numerics.scheme "
+         "'exponential_euler', got 'etd2'"),
+    ],
+)
+def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(
+    tmp_path, capsys, kind, section, key, value, match
+):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS[kind]))
+    raw[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "-c", str(cfg_path)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_a_non_finite_results_cell_is_never_written(tmp_path, monkeypatch):
+    def nan_row(ctx):
+        return [{"epsilon": 0.1, "mean": 1.0}, {"epsilon": 0.01, "mean": float("nan")}], {
+            "passed": True
+        }
+
+    kind = experiments.KINDS["converge_h"]
+    monkeypatch.setitem(experiments.KINDS, "converge_h", experiments._Kind(
+        kind.params, kind.thresholds, nan_row))
+    cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS["converge_h"])
+    with pytest.raises(ValueError, match="refusing to write non-finite mean = nan"):
+        run(cfg, str(tmp_path))
+    # formatted before anything is written: no summary.json without its table
+    (run_dir,) = tmp_path.iterdir()
+    assert list(run_dir.iterdir()) == []
+
+
 def test_threshold_defaults_stay_out_of_the_config():
     raw = minimal_ou_config()
     raw["thresholds"] = {"min_ks_pvalue": 0.005}

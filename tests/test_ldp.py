@@ -40,6 +40,7 @@ from sns2d.ldp import (
     wilson_interval,
 )
 from sns2d.noise import unit_complex_normals
+from sns2d.nonlinear import padded_size
 
 import _oracles
 
@@ -339,16 +340,21 @@ def test_adjoint_gradient_from_march_grids_is_the_resynthesizing_sweep(name):
 def test_a_sweep_over_march_grids_synthesizes_only_the_strain_grids(monkeypatch):
     phi, u0, target, weight, cfg = _gradient_case("generic_target")
     states, velocity = ldp.control_states(phi, u0, cfg)
+    # one complex grid u1 + i u2 per step: the bytes of two real grids
+    M = padded_size(u0.grid, cfg.rule(u0.grid.cutoff))
+    assert velocity.shape == (phi.shape[0], M, M) and velocity.dtype == np.complex128
     calls = []
-    synthesize = TransformPlan.synthesize
+    synthesize_packed = TransformPlan.synthesize_packed
 
     def counted(plan, *args, **kwargs):
         calls.append(plan)
-        return synthesize(plan, *args, **kwargs)
+        return synthesize_packed(plan, *args, **kwargs)
 
-    monkeypatch.setattr(TransformPlan, "synthesize", counted)
+    monkeypatch.setattr(TransformPlan, "synthesize_packed", counted)
+    monkeypatch.setattr(TransformPlan, "synthesize", None)  # no real-grid synthesis
     n_steps = phi.shape[0]
     ldp.adjoint_gradient(phi, states, target, weight, cfg, velocity)
+    # one complex strain grid s + i t per step
     assert len(calls) == n_steps - 1
     calls.clear()
     ldp.adjoint_gradient(phi, states, target, weight, cfg)

@@ -13,6 +13,7 @@ from sns2d import (
 )
 from sns2d.grid import grid_for, transform_plan
 from sns2d.nonlinear import (
+    b_bilinear_core,
     b_core,
     b_linearized_adjoint,
     b_linearized_adjoint_core,
@@ -20,7 +21,15 @@ from sns2d.nonlinear import (
     replicas_per_block,
 )
 
-from _oracles import adjoint_four_gradients, b_core_three_products, b_direct, tensor_product_direct
+from _oracles import (
+    adjoint_four_gradients,
+    adjoint_real_grids,
+    b_bilinear_real_grids,
+    b_core_real_grids,
+    b_core_three_products,
+    b_direct,
+    tensor_product_direct,
+)
 
 
 def test_dealias_rules():
@@ -192,6 +201,29 @@ def test_trace_free_adjoint_matches_four_gradients(cutoff, kind, rng):
     assert _max_relative(b_linearized_adjoint_core(u, w, g, rule), want) <= 1e-14
 
 
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_packed_kernels_match_the_real_grid_kernels(cutoff, kind, rng):
+    g = grid_for(cutoff)
+    rule = DealiasRule.make(kind, cutoff)
+    u, v = (
+        np.stack([SpectralField.random(cutoff, rng, amplitude=1.0).coeffs for _ in range(3)])
+        for _ in range(2)
+    )
+    cases = (
+        (b_core, b_core_real_grids, (u,)),
+        (b_bilinear_core, b_bilinear_real_grids, (u, v)),
+        (b_linearized_adjoint_core, adjoint_real_grids, (u, v)),
+    )
+    for packed, real_grids, fields in cases:
+        want = real_grids(*fields, g, rule)
+        assert _max_relative(packed(*fields, g, rule), want) <= 1e-14
+        assert _max_relative(packed(*(f[0] for f in fields), g, rule), want[0]) <= 1e-14
+    # the antisymmetric part Im(conj(w_u) w_v) is exactly 0 on the diagonal
+    assert np.array_equal(b_bilinear_core(u, u, g, rule), b_core(u, g, rule))
+    assert np.array_equal(b_bilinear_core(u[1], u[1], g, rule), b_core(u[1], g, rule))
+
+
 @pytest.mark.parametrize("cutoff", [8, 32])
 @pytest.mark.parametrize("kind", ["two_thirds", "none"])
 def test_adjoint_reads_the_velocity_grids_b_core_writes(cutoff, kind, rng):
@@ -202,10 +234,14 @@ def test_adjoint_reads_the_velocity_grids_b_core_writes(cutoff, kind, rng):
         for _ in range(2)
     )
     M = padded_size(g, rule)
-    velocity = np.empty((3, 2, M, M))
+    velocity = np.empty((3, M, M), dtype=np.complex128)
     assert np.array_equal(b_core(u, g, rule, velocity), b_core(u, g, rule))
     plan = transform_plan(cutoff, rule.effective_cutoff, M)
-    assert np.array_equal(velocity, plan.synthesize(u))
+    assert np.array_equal(velocity, plan.synthesize_packed(u))
+    # the complex grid u1 + i u2 carries the two real velocity grids
+    real = plan.synthesize(u)
+    assert _max_relative(velocity.real, real[:, 0]) <= 1e-14
+    assert _max_relative(velocity.imag, real[:, 1]) <= 1e-14
     one = b_linearized_adjoint_core(u[0], w[0], g, rule, velocity[0])
     assert np.array_equal(one, b_linearized_adjoint_core(u[0], w[0], g, rule))
     stack = b_linearized_adjoint_core(u, w, g, rule, velocity)
