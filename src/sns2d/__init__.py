@@ -29,11 +29,9 @@ from .noise import (
     covariance_weight,
     lambda_beta_bound,
     lp_log_moment_check,
-    ou_stationary_sample,
     ou_step,
     renorm_constant,
     wick_square,
-    wiener_increment,
 )
 from .dynamics import (
     ControlPath,

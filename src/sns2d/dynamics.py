@@ -551,21 +551,6 @@ def shifted_apriori_ratio(sol: ShiftedSolution, u0: SpectralField, alpha: float,
     return float(np.max(ratios, initial=0.0))
 
 
-def shifted_l4_ratio(sol: ShiftedSolution, u0: SpectralField, alpha: float,
-                     grid_factor: int = 2) -> float:
-    """Companion monitor: |v|_{L4(0,T;L4)}^4 against the squared structural
-    bound of ``shifted_apriori_ratio`` at the final time."""
-    rhs_final = None
-    for _, _, rhs in _apriori_terms(sol, u0, alpha, grid_factor):
-        rhs_final = rhs
-    v = sol.v
-    v_l4 = np.array(
-        [lp_norm(v.state(i), 4, grid_factor) for i in range(v.coeffs.shape[0] - 1)]
-    )
-    lhs = float(v.dt * np.sum(v_l4**4))
-    return lhs / rhs_final**2
-
-
 def _apriori_terms(sol, u0, alpha, grid_factor):
     v, z = sol.v, sol.z
     dt = v.dt
@@ -642,31 +627,3 @@ def load_trajectory(path) -> Trajectory:
         step, k1, k2, re, im = ln.split(",")
         coeffs[int(step), index[(int(k1), int(k2))]] = float(re) + 1j * float(im)
     return Trajectory(g, dt, coeffs, metadata=meta)
-
-
-def diagnostics_rows(traj: Trajectory):
-    """CSV-ready rows (t, |u|_H, |u|_V, |u|_L4, energy residual)."""
-    if not traj.diagnostics:
-        raise ValueError("trajectory was integrated without diagnostics")
-    d = traj.diagnostics
-    return [
-        {
-            "t": d["t"][i],
-            "h_norm": d["h_norm"][i],
-            "v_norm": d["v_norm"][i],
-            "l4_norm": d["l4_norm"][i],
-            "energy_residual": d["energy_residual"][i],
-        }
-        for i in range(len(d["t"]))
-    ]
-
-
-def save_diagnostics(traj: Trajectory, path):
-    """Write the per-step diagnostics stream as CSV."""
-    rows = diagnostics_rows(traj)
-    cols = ["t", "h_norm", "v_norm", "l4_norm", "energy_residual"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[c])) for c in cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -7,6 +7,7 @@ directory named by the config hash; (config, seed) determines every numeric
 output byte.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -50,40 +51,14 @@ from .noise import (
     renorm_constant,
     schedule_from_dict,
     stationary_batch,
+    validate_scaling_condition,
+    validate_vanishing_schedule,
     wick_square,
 )
 from .spectral import BesovParams, tensor_sobolev_norm
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()
-
-# Entries that must be real integers (bool excluded).
-_INTEGER_KEYS = (
-    ("statistics", "replicas"),
-    ("statistics", "seed"),
-    ("numerics", "cutoff"),
-    ("numerics", "grid_factor"),
-)
-
-
-def _take(d, allowed, context):
-    """Strict dict extraction: unknown keys rejected, defaults applied."""
-    if d is None:
-        d = {}
-    if not isinstance(d, dict):
-        raise ValueError(f"{context}: expected a mapping, got {type(d).__name__}")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, default in allowed.items():
-        if key in d:
-            out[key] = d[key]
-        elif default is _REQUIRED:
-            raise ValueError(f"{context}: missing required key {key!r}")
-        else:
-            out[key] = default
-    return out
 
 
 def _reject_non_finite(node, context):
@@ -110,79 +85,23 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _reject_non_finite(raw, "config")
-        top = _take(
-            raw,
-            {
-                "schema_version": _REQUIRED,
-                "kind": _REQUIRED,
-                "numerics": {},
-                "noise": {},
-                "statistics": {},
-                "io": {},
-                "params": {},
-                "thresholds": {},
-            },
-            "config",
-        )
-        if top["schema_version"] != SCHEMA_VERSION:
+        schema = {"schema_version": (_REQUIRED, None), "kind": (_REQUIRED, None)}
+        schema |= {f.name: ({}, None) for f in dataclasses.fields(cls)[1:]}
+        top = _fields(raw, schema, "config", "config.")
+        version, kind = top.pop("schema_version"), top.pop("kind")
+        if version != SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported schema_version {top['schema_version']}; "
+                f"unsupported schema_version {version}; "
                 f"this toolkit reads version {SCHEMA_VERSION}"
             )
-        kind = top["kind"]
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ValueError(f"unknown experiment kind {kind!r}; choose from {tuple(KINDS)}")
-        numerics = _take(
-            top["numerics"],
-            {
-                "cutoff": 16,
-                "dt": 0.01,
-                "t_final": 0.5,
-                "grid_factor": 2,
-                "dealias": "two_thirds",
-                "scheme": "exponential_euler",
-            },
-            "numerics",
-        )
-        noise = _take(
-            top["noise"],
-            {
-                "gamma": 1.0,
-                "eta": None,
-                "epsilon": None,
-                "delta": None,
-                "epsilons": None,
-                "schedule": None,
-            },
-            "noise",
-        )
-        statistics = _take(
-            top["statistics"], {"replicas": 100, "seed": 0}, "statistics"
-        )
-        io_cfg = _take(top["io"], {"dump_trajectories": False}, "io")
-        cfg = cls(
-            kind=kind,
-            numerics=numerics,
-            noise=noise,
-            statistics=statistics,
-            io=io_cfg,
-            params=top["params"],
-            thresholds=top["thresholds"],
-        )
+        cfg = cls(kind=kind, **top)
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "numerics": self.numerics,
-            "noise": self.noise,
-            "statistics": self.statistics,
-            "io": self.io,
-            "params": self.params,
-            "thresholds": self.thresholds,
-        }
+        return {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -199,13 +118,9 @@ class ExperimentConfig:
         )
 
     def schedule(self):
-        if self.noise["schedule"] is None:
-            raise ValueError(f"{self.kind}: noise.schedule is required")
         return schedule_from_dict(self.noise["schedule"])
 
     def spec(self) -> NoiseSpec:
-        if self.noise["epsilon"] is None or self.noise["delta"] is None:
-            raise ValueError(f"{self.kind}: noise.epsilon and noise.delta are required")
         return NoiseSpec(
             epsilon=self.noise["epsilon"],
             delta=self.noise["delta"],
@@ -214,250 +129,207 @@ class ExperimentConfig:
         )
 
     def threshold_values(self) -> dict:
-        """The kind's thresholds with defaults filled in; unknown names
-        rejected.  cfg.thresholds itself keeps only what the config set, so
-        the config hash does not depend on the defaults."""
-        return _take(self.thresholds, KINDS[self.kind].thresholds, f"thresholds({self.kind})")
+        """The kind's thresholds with defaults filled in; unknown names and
+        values not of their default's type rejected.  cfg.thresholds keeps
+        only what the config set, so the hash does not depend on defaults."""
+        schema = {
+            name: (default, _BOOL if isinstance(default, bool) else _NUMBER)
+            for name, default in KINDS[self.kind].thresholds.items()
+        }
+        where = f"{self.kind}: thresholds."
+        return _fields(self.thresholds, schema, f"thresholds({self.kind})", where)
 
     def validate(self):
-        for section, key in _INTEGER_KEYS:
-            value = getattr(self, section)[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
+        """Fill in the defaults of each section and of the params, and check
+        them against the kind's entry in KINDS; descriptors stay as given."""
+        for name, schema in _SECTIONS.items():
+            setattr(self, name, _fields(getattr(self, name), schema, name, f"{self.kind}: {name}."))
         self.integrator()  # raises on bad numerics
-        if self.numerics["cutoff"] < 1:
-            raise ValueError("numerics.cutoff must be >= 1")
         t_final, dt = self.numerics["t_final"], self.numerics["dt"]
-        if not t_final > 0 or round(t_final / dt) < 2:
+        if round(t_final / dt) < 2:
             raise ValueError(
                 f"numerics.t_final must be > 0 and span at least 2 steps of "
                 f"dt={dt}, got {t_final}"
             )
-        if self.statistics["replicas"] < 1:
-            raise ValueError("statistics.replicas must be >= 1")
-        self.params = KINDS[self.kind].params(self)
+        kind = KINDS[self.kind]
+        p = _fields(self.params, kind.params, f"params({self.kind})", f"{self.kind}: ")
+        if kind.check is not None:
+            kind.check(self, p)
+        for path, rule in kind.needs.items():
+            section, key = path.split(".")
+            value = getattr(self, section)[key]
+            if value is None:
+                raise ValueError(f"{self.kind}: {path} is required")
+            if rule is not None:
+                rule(f"{self.kind}: {section}.", key, value)
+        if "noise.epsilons" in kind.needs:
+            _check_regime(self, p)
+        self.params = p
         self.threshold_values()
         return self
 
 
 # --------------------------------------------------------------------------
-# per-kind parameter schemas
+# parameter rules and descriptor families
 
 
-def _require_count(kind, key, value, least):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{kind}: {key} must be an integer >= {least}, got {value!r}")
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _require_positive_list(kind, key, values):
-    """A non-empty list of numbers > 0, such as a sweep of correlation scales."""
-    if not isinstance(values, list) or not values or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values
-    ):
-        raise ValueError(f"{kind}: {key} must be a non-empty list of numbers > 0, got {values!r}")
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _require_sweep(kind, cfg):
-    """A convergence sweep fits a log-log slope and its standard error: at
-    least 3 distinct noise.epsilons > 0, and 2 replicas for each member's
-    standard error."""
-    eps = cfg.noise["epsilons"]
-    if not eps:
-        raise ValueError(f"{kind}: noise.epsilons sweep is required")
-    _require_positive_list(kind, "noise.epsilons", eps)
-    if len(set(eps)) < 3:
-        raise ValueError(
-            f"{kind}: noise.epsilons must hold at least 3 distinct values to fit a slope, "
-            f"got {eps!r}"
+def _rule(phrase, test):
+    """A rule: refuses a value that fails test as '<where><key> <phrase>'."""
+
+    def check(where, key, value):
+        if not test(value):
+            raise ValueError(f"{where}{key} {phrase}, got {value!r}")
+
+    return check
+
+
+def _pair(test):
+    return lambda v: isinstance(v, list) and len(v) == 2 and all(map(test, v))
+
+
+def _number(phrase, test=lambda v: True):
+    return _rule(phrase, lambda v: _is_number(v) and test(v))
+
+
+def _count(least):
+    return _rule(f"must be an integer >= {least}", lambda v: _is_int(v) and v >= least)
+
+
+_LIST = _rule("must be a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
+
+
+def _each(item, rule):
+    """A non-empty list whose entries each pass rule, refused as 'each <item>'."""
+
+    def check(where, key, values):
+        _LIST(where, key, values)
+        for v in values:
+            rule(where, f"each {item}", v)
+
+    return check
+
+
+_NUMBER = _number("must be a number")
+_POSITIVE = _number("must be > 0", lambda v: v > 0)
+_NON_NEGATIVE = _number("must be a number >= 0", lambda v: v >= 0)
+_ORDER = _number("must be a number >= 1", lambda v: v >= 1)
+_POSITIVE_LIST = _rule(
+    "must be a non-empty list of numbers > 0",
+    lambda v: isinstance(v, list) and len(v) > 0 and all(_is_number(x) and x > 0 for x in v),
+)
+# a decay sweep fits a log-log slope and its standard error
+_SLOPE = _rule("must hold at least 3 distinct values to fit a slope", lambda v: len(set(v)) >= 3)
+_BOOL = _rule("must be true or false", lambda v: isinstance(v, bool))
+_PAIR = _rule("must be a pair of numbers", _pair(_is_number))
+_MODE = _rule("must be a nonzero pair of integers", lambda v: _pair(_is_int)(v) and any(v))
+
+
+def _fields(raw, schema, section, where):
+    """raw with the defaults of schema, {key: (default, rule)}, filled in.
+
+    Unknown keys and missing required ones are refused under section, a value
+    its rule refuses under where.  A key whose default is None is optional:
+    its rule passes null.  A rule of None leaves the value to a check
+    elsewhere."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section}: expected a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ValueError(f"{section}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, (default, rule) in schema.items():
+        if key in raw:
+            out[key] = raw[key]
+        elif default is _REQUIRED:
+            raise ValueError(f"{section}: missing required key {key!r}")
+        else:
+            out[key] = copy.deepcopy(default)
+        if rule is not None and not (default is None and out[key] is None):
+            rule(where, key, out[key])
+    return out
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Descriptors {"kind": <name>, <field>: ...}, such as an initial field:
+    the (default, rule) of each field the family's kinds share, and the
+    fields each kind must set."""
+
+    fields: dict
+    kinds: dict
+
+    def values(self, descr, where):
+        """descr with every field filled in; refused as the rules say."""
+        kind = _rule(
+            f"must be one of {tuple(self.kinds)}",
+            lambda v: isinstance(v, str) and v in self.kinds,
         )
-    _require_count(kind, "statistics.replicas", cfg.statistics["replicas"], 2)
+        d = _fields(descr, {"kind": (_REQUIRED, kind), **self.fields}, where, f"{where}.")
+        for key in self.kinds[d["kind"]]:
+            if d[key] is None:
+                raise ValueError(f"{where}: kind {d['kind']!r} needs {key}")
+        return d
+
+    def __call__(self, where, key, descr):
+        """The family as a rule: descr must be one of its descriptors."""
+        self.values(descr, f"{where}{key}")
 
 
-def _params_ou(cfg):
-    p = _take(cfg.params, {"alphas": [0.0, 1.0]}, "params(ou_checks)")
-    cfg.spec()
-    if not isinstance(p["alphas"], list) or not p["alphas"]:
-        raise ValueError(f"ou_checks: alphas must be a non-empty list, got {p['alphas']!r}")
-    if any(a < 0 for a in p["alphas"]):
-        raise ValueError("ou_checks: damping constants must satisfy alpha >= 0")
-    # the KS test compares two samples of statistics.replicas energies
-    _require_count("ou_checks", "statistics.replicas", cfg.statistics["replicas"], 2)
-    return p
+_SHAPE = {"amplitude": (1.0, _NUMBER), "decay": (1.0, _NUMBER)}
+_MODE_FIELDS = {"k": (None, _MODE), "value": (None, _PAIR)}
+# build_initial reads these too; a file kind's path is only checked to be a string
+INITIALS = _Family(
+    {**_SHAPE, **_MODE_FIELDS,
+     "path": (None, _rule("must be a string", lambda v: isinstance(v, str)))},
+    {"zero": (), "taylor_green": (), "random": (), "mode": ("k", "value"), "file": ("path",)},
+)
+# an instanton target may also be the free-decay endpoint of the initial field
+TARGETS = _Family(INITIALS.fields, {**INITIALS.kinds, "free_decay": ()})
+CONTROLS = _Family(
+    {**_MODE_FIELDS, "gamma": (1.0, _POSITIVE), **_SHAPE},
+    {"zero": (), "mode": ("k", "value"), "taylor_green": (), "random_ball": ()},
+)
+FUNCTIONALS = _Family(
+    {"value": (0.0, _NUMBER), "scale": (1.0, _NUMBER), "clip": (10.0, _NUMBER),
+     "target": (None, INITIALS)},
+    {"constant": (), "clipped_endpoint": ("target",)},
+)
+SCHEDULES = _Family(
+    {"exponent": (None, _NUMBER), "scale": (1.0, _POSITIVE)}, {"power": ("exponent",)}
+)
 
-
-def _params_renorm(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "deltas": [0.1, 0.01],
-            "cutoffs": [128, 256],
-            "tail_tol": 1e-8,
-            "wick_replicas": 10000,
-            "crosscheck_replicas": 20,
-        },
-        "params(renorm)",
-    )
-    spec = cfg.spec()
-    if not spec.delta > 0:
-        raise ValueError(f"renorm: noise.delta must be > 0, got {spec.delta!r}")
-    _require_positive_list("renorm", "deltas", p["deltas"])
-    if not isinstance(p["cutoffs"], list) or not p["cutoffs"]:
-        raise ValueError(f"renorm: cutoffs must be a non-empty list, got {p['cutoffs']!r}")
-    for cut in p["cutoffs"]:
-        _require_count("renorm", "each cutoff", cut, 1)
-    # the Monte Carlo standard error needs two replicas
-    _require_count("renorm", "wick_replicas", p["wick_replicas"], 2)
-    _require_count("renorm", "crosscheck_replicas", p["crosscheck_replicas"], 0)
-    return p
-
-
-def _params_lp_moment(cfg):
-    p = _take(
-        cfg.params, {"p": 2.0, "deltas": [1e-1, 1e-2, 1e-3, 1e-4]}, "params(lp_moment)"
-    )
-    if cfg.noise["epsilon"] is None:
-        raise ValueError("lp_moment: noise.epsilon is required")
-    _require_positive_list("lp_moment", "deltas", p["deltas"])
-    if isinstance(p["p"], bool) or not isinstance(p["p"], (int, float)) or not p["p"] >= 1:
-        raise ValueError(f"lp_moment: p must be a number >= 1, got {p['p']!r}")
-    # the standard error of the moment needs two replicas
-    _require_count("lp_moment", "statistics.replicas", cfg.statistics["replicas"], 2)
-    return p
-
-
-def _params_besov_moment(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "sigma": -0.75,
-            "sigma_prime": -0.5,
-            "p": 4.0,
-            "kappa": 2.0,
-            "epsilons": [1e-1, 1e-2, 1e-3],
-        },
-        "params(besov_moment)",
-    )
-    if not (p["sigma"] < p["sigma_prime"] < 0):
-        raise ValueError(
-            "besov_moment: need sigma < sigma_prime < 0, got "
-            f"sigma={p['sigma']}, sigma_prime={p['sigma_prime']}"
-        )
-    cfg.schedule()
-    return p
-
-
-def _params_converge_h(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "initial": {"kind": "taylor_green", "amplitude": 0.5},
-            "control": {"kind": "mode", "k": [1, 0], "value": [0.5, 0.0]},
-            "force": False,
-        },
-        "params(converge_h)",
-    )
-    cfg.schedule()
-    if cfg.noise["eta"] is None:
-        raise ValueError(
-            "converge_h: noise.eta is required (scaling condition "
-            "eps * delta(eps)^(-eta) -> 0)"
-        )
-    _require_sweep("converge_h", cfg)
-    return p
-
-
-def _params_converge_besov(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "initial": {"kind": "taylor_green", "amplitude": 0.5},
-            "control": {"kind": "mode", "k": [1, 0], "value": [0.5, 0.0]},
-            "sigma": -0.25,
-            "p": 4.0,
-            "alpha": 0.3,
-            "beta": 3.0,
-        },
-        "params(converge_besov)",
-    )
-    # raises with the violated inequality named
-    BesovParams(sigma=p["sigma"], p=p["p"], alpha=p["alpha"], beta=p["beta"]).validate()
-    cfg.schedule()
-    _require_sweep("converge_besov", cfg)
-    return p
-
-
-def _params_wick_decay(cfg):
-    p = _take(
-        cfg.params,
-        {"sigma": -0.5, "epsilons": [1e-1, 1e-2, 1e-3]},
-        "params(wick_decay)",
-    )
-    if p["sigma"] >= 0:
-        raise ValueError("wick_decay: sigma must be negative")
-    cfg.schedule()
-    return p
-
-
-def _params_instanton(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "initial": {"kind": "taylor_green", "amplitude": 0.5},
-            "target": {"kind": "free_decay"},
-            "endpoint_tolerance": 1e-3,
-            "max_iterations": 500,
-            "gradient_check_directions": 0,
-        },
-        "params(instanton)",
-    )
-    for key, least in (("max_iterations", 1), ("gradient_check_directions", 0)):
-        _require_count("instanton", key, p[key], least)
-    if cfg.numerics["scheme"] != "exponential_euler":
-        raise ValueError(
-            "instanton: the adjoint gradient is implemented for numerics.scheme "
-            f"'exponential_euler', got {cfg.numerics['scheme']!r}"
-        )
-    tol = p["endpoint_tolerance"]
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-        raise ValueError(f"instanton: endpoint_tolerance must be finite and > 0, got {tol!r}")
-    return p
-
-
-def _params_laplace(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "functional": {"kind": "constant", "value": 0.0},
-            "epsilons": [1e-1, 1e-2],
-            "candidates": 5,
-        },
-        "params(laplace)",
-    )
-    f = _take(
-        p["functional"],
-        {"kind": _REQUIRED, "value": 0.0, "scale": 1.0, "clip": 10.0, "target": None},
-        "params(laplace).functional",
-    )
-    if f["kind"] not in ("constant", "clipped_endpoint"):
-        raise ValueError(f"laplace: unknown functional kind {f['kind']!r}")
-    p["functional"] = f
-    cfg.schedule()
-    return p
-
-
-def _params_tube(cfg):
-    p = _take(
-        cfg.params,
-        {
-            "initial": {"kind": "taylor_green", "amplitude": 0.5},
-            "radii": [0.1, 0.2, 0.5],
-        },
-        "params(tube)",
-    )
-    cfg.spec()
-    if cfg.statistics["replicas"] < 2:
-        raise ValueError("tube: need at least 2 replicas")
-    return p
+# The sections every kind shares.  A rule of None leaves the value to
+# IntegratorConfig; what a kind needs of them is in its needs.
+_SECTIONS = {
+    "numerics": {
+        "cutoff": (16, _count(1)),
+        "dt": (0.01, _POSITIVE),
+        "t_final": (0.5, _POSITIVE),
+        "grid_factor": (2, _count(1)),
+        "dealias": ("two_thirds", None),
+        "scheme": ("exponential_euler", None),
+    },
+    "noise": {
+        "gamma": (1.0, _POSITIVE),
+        "eta": (None, _NUMBER),
+        "epsilon": (None, _NON_NEGATIVE),
+        "delta": (None, _NON_NEGATIVE),
+        "epsilons": (None, _POSITIVE_LIST),
+        "schedule": (None, SCHEDULES),
+    },
+    "statistics": {"replicas": (100, _count(1)), "seed": (0, _count(0))},
+    "io": {"dump_trajectories": (False, _BOOL)},
+}
 
 
 # --------------------------------------------------------------------------
@@ -465,18 +337,7 @@ def _params_tube(cfg):
 
 
 def build_initial(cutoff: int, descr: dict, stream: RngStream) -> SpectralField:
-    d = _take(
-        descr,
-        {
-            "kind": _REQUIRED,
-            "amplitude": 1.0,
-            "decay": 1.0,
-            "k": None,
-            "value": None,
-            "path": None,
-        },
-        "initial",
-    )
+    d = INITIALS.values(descr, "initial")
     kind = d["kind"]
     if kind == "zero":
         return SpectralField.zero(cutoff)
@@ -489,24 +350,11 @@ def build_initial(cutoff: int, descr: dict, stream: RngStream) -> SpectralField:
     if kind == "mode":
         re, im = d["value"]
         return SpectralField.from_modes(cutoff, {tuple(d["k"]): re + 1j * im})
-    if kind == "file":
-        return load_field(d["path"])
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
+    return load_field(d["path"])
 
 
 def build_control(cutoff, dt, n_steps, descr, stream: RngStream) -> ControlPath:
-    d = _take(
-        descr,
-        {
-            "kind": _REQUIRED,
-            "k": None,
-            "value": None,
-            "gamma": 1.0,
-            "decay": 1.0,
-            "amplitude": 1.0,
-        },
-        "control",
-    )
+    d = CONTROLS.values(descr, "control")
     kind = d["kind"]
     if kind == "zero":
         return ControlPath.zero(cutoff, dt, n_steps)
@@ -516,11 +364,9 @@ def build_control(cutoff, dt, n_steps, descr, stream: RngStream) -> ControlPath:
         return ControlPath.constant(f, dt, n_steps)
     if kind == "taylor_green":
         return ControlPath.constant(taylor_green(cutoff, d["amplitude"]), dt, n_steps)
-    if kind == "random_ball":
-        return ControlPath.random_in_ball(
-            cutoff, dt, n_steps, d["gamma"], stream.generator(), decay=d["decay"]
-        )
-    raise ValueError(f"unknown control kind {kind!r}")
+    return ControlPath.random_in_ball(
+        cutoff, dt, n_steps, d["gamma"], stream.generator(), decay=d["decay"]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -795,11 +641,13 @@ def _run_converge_h(ctx: _RunContext):
     )
 
 
+def _besov(p) -> BesovParams:
+    return BesovParams(sigma=p["sigma"], p=p["p"], alpha=p["alpha"], beta=p["beta"])
+
+
 def _run_converge_besov(ctx: _RunContext):
-    p = ctx.cfg.params
-    besov = BesovParams(sigma=p["sigma"], p=p["p"], alpha=p["alpha"], beta=p["beta"])
     return _run_convergence(
-        ctx, besov_convergence_experiment, besov=besov,
+        ctx, besov_convergence_experiment, besov=_besov(ctx.cfg.params),
         grid_factor=ctx.cfg.numerics["grid_factor"],
     )
 
@@ -956,36 +804,163 @@ def _run_tube(ctx: _RunContext):
     return rows, summary
 
 
+def _check_regime(cfg, p):
+    """The paper's regime along a sweep: delta(eps) -> 0, and for the H norm
+    eps * delta(eps)^(-eta) -> 0 unless params.force runs the schedule as a
+    negative control."""
+    schedule, eps = cfg.schedule(), cfg.noise["epsilons"]
+    try:
+        validate_vanishing_schedule(schedule, eps)
+        if cfg.kind == "converge_h":
+            validate_scaling_condition(schedule, eps, cfg.noise["eta"], force=p["force"])
+    except ValueError as exc:
+        raise ValueError(f"{cfg.kind}: {exc}") from None
+
+
+def _check_besov_moment(cfg, p):
+    if not p["sigma"] < p["sigma_prime"] < 0:
+        raise ValueError(
+            "besov_moment: need sigma < sigma_prime < 0, got "
+            f"sigma={p['sigma']}, sigma_prime={p['sigma_prime']}"
+        )
+
+
+def _check_instanton(cfg, p):
+    if cfg.numerics["scheme"] != "exponential_euler":
+        raise ValueError(
+            "instanton: the adjoint gradient is implemented for numerics.scheme "
+            f"'exponential_euler', got {cfg.numerics['scheme']!r}"
+        )
+
+
+def _fill_functional(cfg, p):
+    p["functional"] = FUNCTIONALS.values(p["functional"], "laplace: functional")
+
+
 @dataclass(frozen=True)
 class _Kind:
-    """One experiment kind: its param schema, threshold defaults and runner."""
+    """One experiment kind as data.
 
-    params: object
+    params maps each param to (default, rule); the defaults fill cfg.params.
+    check holds the rules that span params (laplace's fills its functional
+    in).  needs maps each "section.key" the kind reads to the rule it adds to
+    the section's own, or to None; either way the entry must be set, and a
+    kind that needs noise.epsilons sweeps them in the paper's regime.
+    thresholds holds the threshold defaults and run the runner.
+    """
+
+    params: dict
     thresholds: dict
     run: object
+    needs: dict = dataclasses.field(default_factory=dict)
+    check: object = None
 
+
+_INITIAL = ({"kind": "taylor_green", "amplitude": 0.5}, INITIALS)
+_CONTROL = ({"kind": "mode", "k": [1, 0], "value": [0.5, 0.0]}, CONTROLS)
+# a standard error, or the KS test's second sample, needs two replicas
+_PAIRED = {"statistics.replicas": _count(2)}
+_SWEPT = {"noise.schedule": None, "noise.epsilons": _SLOPE, **_PAIRED}
 
 KINDS = {
     "ou_checks": _Kind(
-        _params_ou, {"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.01}, _run_ou_checks
+        params={"alphas": ([0.0, 1.0], _each("alpha", _NON_NEGATIVE))},
+        needs={"noise.epsilon": _POSITIVE, "noise.delta": None, **_PAIRED},
+        thresholds={"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.01},
+        run=_run_ou_checks,
     ),
     "renorm": _Kind(
-        _params_renorm,
-        {"pair_agreement": 1e-8, "max_wick_zscore": 3.0, "crosscheck_tol": 1e-10},
-        _run_renorm,
+        params={
+            "deltas": ([0.1, 0.01], _POSITIVE_LIST),
+            "cutoffs": ([128, 256], _each("cutoff", _count(1))),
+            "tail_tol": (1e-8, _POSITIVE),
+            "wick_replicas": (10000, _count(2)),
+            "crosscheck_replicas": (20, _count(0)),
+        },
+        needs={"noise.epsilon": _POSITIVE, "noise.delta": _POSITIVE},
+        thresholds={"pair_agreement": 1e-8, "max_wick_zscore": 3.0, "crosscheck_tol": 1e-10},
+        run=_run_renorm,
     ),
     "lp_moment": _Kind(
-        _params_lp_moment,
-        {"max_closed_form_rel_err": 0.05, "max_ratio_spread": 3.0},
-        _run_lp_moment,
+        params={"p": (2.0, _ORDER), "deltas": ([1e-1, 1e-2, 1e-3, 1e-4], _POSITIVE_LIST)},
+        needs={"noise.epsilon": _POSITIVE, **_PAIRED},
+        thresholds={"max_closed_form_rel_err": 0.05, "max_ratio_spread": 3.0},
+        run=_run_lp_moment,
     ),
-    "besov_moment": _Kind(_params_besov_moment, {"max_ratio_spread": 10.0}, _run_besov_moment),
-    "converge_h": _Kind(_params_converge_h, {"slope_sigmas": 2.0}, _run_converge_h),
-    "converge_besov": _Kind(_params_converge_besov, {"slope_sigmas": 2.0}, _run_converge_besov),
-    "wick_decay": _Kind(_params_wick_decay, {"slope_sigmas": 2.0}, _run_wick_decay),
-    "instanton": _Kind(_params_instanton, {"max_gradient_rel_err": 1e-5}, _run_instanton),
-    "laplace": _Kind(_params_laplace, {"allow_variance_flag": True}, _run_laplace),
-    "tube": _Kind(_params_tube, {}, _run_tube),
+    "besov_moment": _Kind(
+        params={
+            "sigma": (-0.75, _NUMBER),
+            "sigma_prime": (-0.5, _NUMBER),
+            "p": (4.0, _ORDER),
+            "kappa": (2.0, _POSITIVE),
+            "epsilons": ([1e-1, 1e-2, 1e-3], _POSITIVE_LIST),
+        },
+        needs={"noise.schedule": None, **_PAIRED},
+        check=_check_besov_moment,
+        thresholds={"max_ratio_spread": 10.0},
+        run=_run_besov_moment,
+    ),
+    "converge_h": _Kind(
+        params={"initial": _INITIAL, "control": _CONTROL, "force": (False, _BOOL)},
+        needs={**_SWEPT, "noise.eta": None},
+        thresholds={"slope_sigmas": 2.0},
+        run=_run_converge_h,
+    ),
+    "converge_besov": _Kind(
+        params={
+            "initial": _INITIAL,
+            "control": _CONTROL,
+            "sigma": (-0.25, _NUMBER),
+            "p": (4.0, _NUMBER),
+            "alpha": (0.3, _NUMBER),
+            "beta": (3.0, _NUMBER),
+        },
+        needs=_SWEPT,
+        # raises with the violated inequality named
+        check=lambda cfg, p: _besov(p).validate(),
+        thresholds={"slope_sigmas": 2.0},
+        run=_run_converge_besov,
+    ),
+    "wick_decay": _Kind(
+        params={
+            "sigma": (-0.5, _number("must be < 0", lambda v: v < 0)),
+            "epsilons": ([1e-1, 1e-2, 1e-3], _POSITIVE_LIST),
+        },
+        check=lambda cfg, p: _SLOPE("wick_decay: ", "epsilons", p["epsilons"]),
+        needs={"noise.schedule": None, **_PAIRED},
+        thresholds={"slope_sigmas": 2.0},
+        run=_run_wick_decay,
+    ),
+    "instanton": _Kind(
+        params={
+            "initial": _INITIAL,
+            "target": ({"kind": "free_decay"}, TARGETS),
+            "endpoint_tolerance": (1e-3, _number("must be finite and > 0", lambda v: v > 0)),
+            "max_iterations": (500, _count(1)),
+            "gradient_check_directions": (0, _count(0)),
+        },
+        check=_check_instanton,
+        thresholds={"max_gradient_rel_err": 1e-5},
+        run=_run_instanton,
+    ),
+    "laplace": _Kind(
+        params={
+            "functional": ({"kind": "constant", "value": 0.0}, FUNCTIONALS),
+            "epsilons": ([1e-1, 1e-2], _POSITIVE_LIST),
+            # the free-decay endpoint and at least one steered candidate
+            "candidates": (5, _count(2)),
+        },
+        needs={"noise.schedule": None},
+        check=_fill_functional,
+        thresholds={"allow_variance_flag": True},
+        run=_run_laplace,
+    ),
+    "tube": _Kind(
+        params={"initial": _INITIAL, "radii": ([0.1, 0.2, 0.5], _POSITIVE_LIST)},
+        needs={"noise.epsilon": None, "noise.delta": None, **_PAIRED},
+        thresholds={},
+        run=_run_tube,
+    ),
 }
 
 
@@ -1074,9 +1049,9 @@ class RunRecord:
 def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     """Execute one experiment; writes results into <outdir>/<kind>-<hash12>.
 
-    The directory is created only once the runner has returned, so a run that
-    raises leaves nothing behind.  An outdir that cannot take it is refused
-    before the run."""
+    The directory is created only once the runner's outputs are formatted, so
+    a run that raises or returns a non-finite value leaves nothing behind.  An
+    outdir that cannot take it is refused before the run."""
     probe = os.path.abspath(outdir)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -1087,19 +1062,19 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
     h = config.config_hash()
     ctx = _RunContext(config)
     rows, summary = KINDS[config.kind].run(ctx)
-    run_dir = os.path.join(outdir, f"{config.kind}-{h[:12]}")
-    os.makedirs(run_dir, exist_ok=True)
     summary = {
         "kind": config.kind,
         "config_hash": h,
         "seed": config.statistics["seed"],
         **summary,
     }
+    # both formatted before the directory is made: a non-finite cell or
+    # summary value leaves nothing behind
+    summary_text, table = _json_text(summary), _csv_text(rows)
+    run_dir = os.path.join(outdir, f"{config.kind}-{h[:12]}")
+    os.makedirs(run_dir, exist_ok=True)
     results_csv = os.path.join(run_dir, "results.csv")
     summary_json = os.path.join(run_dir, "summary.json")
-    # both formatted before either is written: a non-finite cell or summary
-    # value leaves no file behind
-    summary_text, table = _json_text(summary), _csv_text(rows)
     _atomic_write(summary_json, summary_text)
     _atomic_write(results_csv, table)
     _atomic_write(os.path.join(run_dir, "config.json"), config.canonical_json() + "\n")

@@ -255,30 +255,8 @@ def l2_moment_exact(grid, spec: NoiseSpec, alpha: float = 0.0) -> float:
     return 2.0 * float(np.sum(mode_variances(grid, spec, alpha)))
 
 
-def wiener_increment(spec: NoiseSpec, dt: float, rng, cutoff: int) -> SpectralField:
-    """Increment of the colored Wiener process over dt (noise-strength free).
-
-    Mode k gets an independent complex Gaussian with E|.|^2 = lambda_k^2 dt;
-    the epsilon factor is applied by callers.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    g = grid_for(cutoff)
-    gen = as_generator(rng)
-    std = covariance_weights(g, spec) * math.sqrt(dt)
-    return SpectralField(g, unit_complex_normals(gen, g.n_modes, std))
-
-
 def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     return np.sqrt(mode_variances(grid, spec, alpha))
-
-
-def ou_stationary_sample(spec: NoiseSpec, alpha: float, rng, cutoff: int) -> SpectralField:
-    """Draw from the stationary law of dz = (A - alpha) z dt + sqrt(eps) dw."""
-    g = grid_for(cutoff)
-    gen = as_generator(rng)
-    std = stationary_std(g, spec, alpha)
-    return SpectralField(g, unit_complex_normals(gen, g.n_modes, std))
 
 
 def stationary_batch(grid, spec, alpha, gen, replicas: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from sns2d import (
 from sns2d.dynamics import (
     IntegrationBlowupError,
     Trajectory,
-    diagnostics_rows,
     load_trajectory,
     march,
     save_trajectory,
@@ -173,8 +172,7 @@ def test_energy_budget_residual_second_order():
         worst[dt] = np.max(np.abs(traj.diagnostics["energy_residual"]))
     assert worst[0.01] < 0.35 * worst[0.02]
     assert worst[0.005] < 0.35 * worst[0.01]
-    rows = diagnostics_rows(traj)
-    assert set(rows[0]) == {"t", "h_norm", "v_norm", "l4_norm", "energy_residual"}
+    assert set(traj.diagnostics) == {"t", "h_norm", "v_norm", "l4_norm", "energy_residual"}
 
 
 def test_sobolev_apriori_bound_under_refinement():
@@ -449,19 +447,6 @@ def test_control_grid_mismatch_rejected():
         solve_skeleton(SpectralField.zero(6), ControlPath.zero(8, 0.01, 10), cfg)
 
 
-def test_save_diagnostics_stream(tmp_path):
-    from sns2d.dynamics import save_diagnostics
-
-    cfg = IntegratorConfig(dt=0.02, record_diagnostics=True)
-    u0 = generic_field()
-    traj = solve_skeleton(u0, ControlPath.zero(8, 0.02, 5), cfg)
-    path = tmp_path / "diag.csv"
-    save_diagnostics(traj, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,h_norm,v_norm,l4_norm,energy_residual"
-    assert len(lines) == 6
-
-
 def test_linear_regime_error_scales_quadratically():
     # small data: the solution matches heat flow + Duhamel up to O(a^2)
     ratios = []
@@ -479,17 +464,6 @@ def test_linear_regime_error_scales_quadratically():
         ratios.append(worst / a**2)
     # err / a^2 stays bounded as the amplitude drops two decades in a^2
     assert ratios[1] < 3.0 * ratios[0]
-
-
-def test_shifted_l4_monitor_below_structural_bound():
-    from sns2d.dynamics import shifted_l4_ratio
-
-    u0 = taylor_green(8, 0.5)
-    cfg = IntegratorConfig(dt=0.01)
-    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
-    phi = ControlPath.random_in_ball(8, 0.01, 30, 0.5, np.random.default_rng(0))
-    sol = solve_shifted(u0, phi, spec, 0.0, cfg, RngStream(8))
-    assert shifted_l4_ratio(sol, u0, 0.0) < 1.0
 
 
 def test_trajectory_metadata_records_stream():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -122,8 +123,7 @@ def test_nan_variance_fails_ou_checks_and_is_never_written(tmp_path, monkeypatch
     assert summary["passed"] is False
     with pytest.raises(ValueError):
         run(cfg, str(tmp_path))
-    (run_dir,) = tmp_path.iterdir()
-    assert list(run_dir.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_hash_deterministic_and_seed_sensitive():
@@ -379,6 +379,45 @@ def test_every_kind_runs(tmp_path, kind):
     assert record.passed, summary
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("configs/converge_besov.json", "36d77ca3b39b"),
+        ("configs/converge_h.json", "0fa0a8a34099"),
+        ("configs/lp_moment.json", "03e03ccede5c"),
+        ("configs/ou_checks.json", "30b3abcbd9a2"),
+        ("configs/renorm.json", "86107062c7bb"),
+        ("bench/configs/instanton32.json", "b94e50cb0bf6"),
+        ("besov_moment", "f9dfdcc6213d"),
+        ("converge_besov", "36fe0da718bc"),
+        ("converge_h", "15f1ed186b80"),
+        ("instanton", "a67f6f7a8b0c"),
+        ("laplace", "3e7640aaf8d4"),
+        ("renorm", "2ab91bdbaf74"),
+        ("tube", "49f020b173e2"),
+        ("wick_decay", "97bfdc5be9d8"),
+    ],
+)
+def test_config_hashes_are_pinned_and_defaults_pass_their_rules(name, digest):
+    if name.endswith(".json"):
+        raw = json.loads((pathlib.Path(__file__).parents[1] / name).read_text())
+    else:
+        raw = json.loads(json.dumps(SMOKE_CONFIGS[name]))
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.config_hash()[:12] == digest
+    for key, (default, rule) in experiments.KINDS[cfg.kind].params.items():
+        rule(f"{cfg.kind}: ", key, default)
+    # the rules that span params pass on the defaults too
+    ExperimentConfig.from_dict(raw | {"params": {}})
+
+
+def test_force_lets_validate_accept_a_schedule_outside_the_regime():
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["converge_h"]))
+    raw["noise"]["schedule"]["exponent"] = 2.0
+    raw["params"]["force"] = True
+    assert ExperimentConfig.from_dict(raw).params["force"] is True
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     cfg = lp_moment_config()
     serial, err_s = sweep(cfg, "noise.epsilon", [0.5, 0.1], str(tmp_path / "s"), workers=1)
@@ -462,6 +501,8 @@ def test_validate_rejects_a_misspelled_threshold(tmp_path):
         ("renorm", "params", "cutoffs", [], "cutoffs must be a non-empty list"),
         ("renorm", "params", "cutoffs", [32.5], "each cutoff must be an integer >= 1"),
         ("renorm", "noise", "delta", 0.0, "noise.delta must be > 0"),
+        # run failed with "cannot convert float NaN to integer"
+        ("renorm", "params", "tail_tol", -1, "renorm: tail_tol must be > 0, got -1"),
     ],
 )
 def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
@@ -498,6 +539,51 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
         ("instanton", "numerics", "scheme", "etd2",
          "instanton: the adjoint gradient is implemented for numerics.scheme "
          "'exponential_euler', got 'etd2'"),
+        # run failed on the regime: eps * delta^(-1) = 10, 100, 1000, or delta grows
+        ("converge_h", "noise", "schedule", {"kind": "power", "exponent": 2.0},
+         "converge_h: schedule violates the scaling condition eps * delta(eps)^(-eta) -> 0"),
+        ("converge_h", "noise", "schedule", {"kind": "power", "exponent": -1.0},
+         "converge_h: schedule must satisfy delta(eps) -> 0"),
+        # a truthy string ran as force
+        ("converge_h", "params", "force", "yes", "converge_h: force must be true or false"),
+        # run failed (IndexError, UFuncTypeError) or passed with a negative radius
+        ("tube", "params", "radii", [], "tube: radii must be a non-empty list of numbers > 0"),
+        ("tube", "params", "radii", "0.1", "tube: radii must be a non-empty list of numbers > 0"),
+        ("tube", "params", "radii", [0.1, -0.2],
+         "tube: radii must be a non-empty list of numbers > 0"),
+        # run failed, or wrote a non-finite stderr
+        ("wick_decay", "params", "epsilons", [],
+         "wick_decay: epsilons must be a non-empty list of numbers > 0"),
+        ("wick_decay", "params", "epsilons", [1e-1, 1e-2, 1e-2],
+         "wick_decay: epsilons must hold at least 3 distinct values to fit a slope"),
+        ("wick_decay", "params", "epsilons", [1e-1, 1e-2, 0.0],
+         "wick_decay: epsilons must be a non-empty list of numbers > 0"),
+        ("wick_decay", "statistics", "replicas", 1,
+         "wick_decay: statistics.replicas must be an integer >= 2, got 1"),
+        ("besov_moment", "params", "epsilons", [],
+         "besov_moment: epsilons must be a non-empty list of numbers > 0"),
+        ("besov_moment", "params", "epsilons", [0.1, -0.01],
+         "besov_moment: epsilons must be a non-empty list of numbers > 0"),
+        ("besov_moment", "params", "p", 0.5, "besov_moment: p must be a number >= 1, got 0.5"),
+        ("besov_moment", "statistics", "replicas", 1,
+         "besov_moment: statistics.replicas must be an integer >= 2, got 1"),
+        # run failed, or searched no candidate and passed
+        ("laplace", "params", "epsilons", [], "laplace: epsilons must be a non-empty list"),
+        ("laplace", "params", "epsilons", [0.1, 0.0],
+         "laplace: epsilons must be a non-empty list of numbers > 0"),
+        ("laplace", "params", "candidates", 0, "laplace: candidates must be an integer >= 2"),
+        ("laplace", "params", "candidates", 2.5, "laplace: candidates must be an integer >= 2"),
+        ("laplace", "params", "functional", {"kind": "clipped_endpoint"},
+         "laplace: functional: kind 'clipped_endpoint' needs target"),
+        # descriptors: an unknown kind, or a mode without its mode (TypeError)
+        ("converge_h", "params", "initial", {"kind": "spiral"},
+         "converge_h: initial.kind must be one of"),
+        ("converge_h", "params", "control", {"kind": "spiral"},
+         "converge_h: control.kind must be one of"),
+        ("instanton", "params", "target", {"kind": "spiral"},
+         "instanton: target.kind must be one of"),
+        ("converge_h", "params", "initial", {"kind": "mode"},
+         "converge_h: initial: kind 'mode' needs k"),
     ],
 )
 def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(
@@ -518,14 +604,12 @@ def test_a_non_finite_results_cell_is_never_written(tmp_path, monkeypatch):
         }
 
     kind = experiments.KINDS["converge_h"]
-    monkeypatch.setitem(experiments.KINDS, "converge_h", experiments._Kind(
-        kind.params, kind.thresholds, nan_row))
+    monkeypatch.setitem(experiments.KINDS, "converge_h", dataclasses.replace(kind, run=nan_row))
     cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS["converge_h"])
     with pytest.raises(ValueError, match="refusing to write non-finite mean = nan"):
         run(cfg, str(tmp_path))
-    # formatted before anything is written: no summary.json without its table
-    (run_dir,) = tmp_path.iterdir()
-    assert list(run_dir.iterdir()) == []
+    # formatted before anything is written: not even the run directory
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threshold_defaults_stay_out_of_the_config():
@@ -574,8 +658,7 @@ def test_nan_moment_ratio_fails_lp_moment_and_is_never_written(tmp_path, monkeyp
     assert summary["passed"] is False
     with pytest.raises(ValueError):
         run(cfg, str(tmp_path))
-    (run_dir,) = tmp_path.iterdir()
-    assert list(run_dir.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_failure_names_the_stream_and_leaves_no_directory(tmp_path):
@@ -597,9 +680,7 @@ def test_run_refuses_an_outdir_under_a_file_before_running(tmp_path, monkeypatch
         pytest.fail("the runner ran")
 
     kind = experiments.KINDS["renorm"]
-    monkeypatch.setitem(
-        experiments.KINDS, "renorm", experiments._Kind(kind.params, kind.thresholds, never)
-    )
+    monkeypatch.setitem(experiments.KINDS, "renorm", dataclasses.replace(kind, run=never))
     cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS["renorm"])
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")

@@ -16,11 +16,9 @@ from sns2d import (
     SpectralField,
     covariance_weight,
     lambda_beta_bound,
-    ou_stationary_sample,
     ou_step,
     renorm_constant,
     wick_square,
-    wiener_increment,
 )
 from sns2d.grid import grid_for
 from sns2d.noise import (
@@ -89,32 +87,28 @@ def test_rng_stream_reproducible():
     assert RngStream(1).child(2).stream_id == (2,)
 
 
-def test_wiener_increment_statistics():
+def test_ou_step_increment_statistics():
+    # one exact OU step from rest injects the colored noise increment over dt
     spec = NoiseSpec(epsilon=1.0, delta=0.2, gamma=1.0)
     g = grid_for(6)
     dt = 0.05
     R = 40_000
-    gen = RngStream(7).generator()
-    samples = np.empty((R, g.n_modes), dtype=np.complex128)
-    for i in range(R):
-        samples[i] = wiener_increment(spec, dt, gen, 6).coeffs
-    lam2 = 1.0 / (1.0 + spec.delta * g.ksq)
+    rest = np.zeros((R, g.n_modes), dtype=np.complex128)
+    samples = ou_step_batch(rest, g, spec, 0.0, dt, RngStream(7).generator())
+    var_exact = ou_transition(g, spec, 0.0, dt)[1] ** 2
     mean = samples.mean(axis=0)
     # centered: 4 sigma of the mean of either part is 4 sqrt(var/2/R)
-    bound = 4.0 * np.sqrt(lam2 * dt / 2.0 / R)
+    bound = 4.0 * np.sqrt(var_exact / 2.0 / R)
     assert np.all(np.abs(mean.real) < bound)
     assert np.all(np.abs(mean.imag) < bound)
     var = np.mean(np.abs(samples) ** 2, axis=0)
-    assert np.max(np.abs(var - lam2 * dt) / (lam2 * dt)) < 0.05
+    assert np.max(np.abs(var - var_exact) / var_exact) < 0.05
     # independent streams decorrelate
-    other = np.empty_like(samples[:, 0])
-    gen2 = RngStream(8).generator()
-    for i in range(R):
-        other[i] = wiener_increment(spec, dt, gen2, 6).coeffs[0]
+    other = ou_step_batch(rest, g, spec, 0.0, dt, RngStream(8).generator())[:, 0]
     corr = np.mean(samples[:, 0] * np.conj(other))
-    assert abs(corr) < 4.0 * lam2[0] * dt / math.sqrt(R)
+    assert abs(corr) < 4.0 * var_exact[0] / math.sqrt(R)
     with pytest.raises(ValueError):
-        wiener_increment(spec, 0.0, gen, 6)
+        ou_step_batch(rest, g, spec, 0.0, 0.0, RngStream(7).generator())
 
 
 def test_ou_stationary_variances():
@@ -351,9 +345,10 @@ def test_besov_moment_check_scaling_and_validation():
 
 def test_sampling_reproducibility():
     spec = NoiseSpec(epsilon=0.3, delta=0.1, gamma=1.0)
-    a = ou_stationary_sample(spec, 0.0, RngStream(9, (1,)), 8)
-    b = ou_stationary_sample(spec, 0.0, RngStream(9, (1,)), 8)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    g = grid_for(8)
+    a = stationary_batch(g, spec, 0.0, RngStream(9, (1,)).generator(), 1)
+    b = stationary_batch(g, spec, 0.0, RngStream(9, (1,)).generator(), 1)
+    assert np.array_equal(a, b)
 
 
 def test_ou_transition_small_step_limits():
