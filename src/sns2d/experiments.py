@@ -162,8 +162,14 @@ class ExperimentConfig:
                 raise ValueError(f"{self.kind}: {path} is required")
             if rule is not None:
                 rule(f"{self.kind}: {section}.", key, value)
-        if "noise.epsilons" in kind.needs:
+        if "noise.schedule" in kind.needs:
             _check_regime(self, p)
+        cutoff = self.numerics["cutoff"]
+        for path, descr in _modes(p, "params"):
+            if max(map(abs, descr["k"])) > cutoff:
+                raise ValueError(
+                    f"{self.kind}: {path}.k {tuple(descr['k'])} outside numerics.cutoff {cutoff}"
+                )
         self.params = p
         self.threshold_values()
         return self
@@ -805,16 +811,27 @@ def _run_tube(ctx: _RunContext):
 
 
 def _check_regime(cfg, p):
-    """The paper's regime along a sweep: delta(eps) -> 0, and for the H norm
-    eps * delta(eps)^(-eta) -> 0 unless params.force runs the schedule as a
+    """The paper's regime along a sweep of params.epsilons, or else of
+    noise.epsilons: delta(eps) -> 0, and for the H norm eps *
+    delta(eps)^(-eta) -> 0 unless params.force runs the schedule as a
     negative control."""
-    schedule, eps = cfg.schedule(), cfg.noise["epsilons"]
+    schedule = cfg.schedule()
+    eps = p["epsilons"] if "epsilons" in p else cfg.noise["epsilons"]
     try:
         validate_vanishing_schedule(schedule, eps)
         if cfg.kind == "converge_h":
             validate_scaling_condition(schedule, eps, cfg.noise["eta"], force=p["force"])
     except ValueError as exc:
         raise ValueError(f"{cfg.kind}: {exc}") from None
+
+
+def _modes(node, path):
+    """(path, descriptor) of each mode descriptor in a params tree."""
+    if isinstance(node, dict):
+        if node.get("kind") == "mode":
+            yield path, node
+        for key, value in node.items():
+            yield from _modes(value, f"{path}.{key}")
 
 
 def _check_besov_moment(cfg, p):
@@ -845,7 +862,8 @@ class _Kind:
     check holds the rules that span params (laplace's fills its functional
     in).  needs maps each "section.key" the kind reads to the rule it adds to
     the section's own, or to None; either way the entry must be set, and a
-    kind that needs noise.epsilons sweeps them in the paper's regime.
+    kind that needs noise.schedule sweeps its epsilons in the paper's regime.
+    The k of every mode descriptor in params must lie within numerics.cutoff.
     thresholds holds the threshold defaults and run the runner.
     """
 

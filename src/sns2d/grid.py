@@ -7,10 +7,19 @@ real-valued field.  The stored half is {k2 > 0} union {k2 == 0, k1 > 0}.
 
 ``TransformPlan`` is the one path between stored coefficients and samples on
 a uniform physical grid; every physical-space computation goes through it.
-It has two layouts: real grids, one per symbol row (``synthesize`` and
-``analyze``), and complex grids f1 + i f2 that each carry a pair of real
-grids in one complex transform (``synthesize_packed`` and
-``analyze_packed``).
+It has two layouts:
+
+- complex grids f1 + i f2 that each carry a pair of real grids in one
+  complex transform (``synthesize_packed`` and ``analyze_packed``).  The
+  product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
+  does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
+  needs only |u|^2 = Re^2 + Im^2 of the packed velocity;
+- real grids, one per symbol row (``synthesize`` and ``analyze``), for
+  ``SpectralField.to_grid``, which hands out the two velocity components,
+  and ``tensor_product``.  The tensor stays real: the renorm run reports the
+  roundoff-level gap (about 2e-17) between the Wick square's zero mode and a
+  direct coefficient sum, and that recorded number moves with any change to
+  the tensor's arithmetic.
 """
 
 import functools
@@ -103,6 +112,9 @@ class TransformPlan:
     layout and only the k2 == 0 column needs its conjugates filled.  A
     complex grid has no Hermitian symmetry, so the packed path scatters
     each kept mode at k and at -k of the full (size, size) layout.
+
+    The nonlinear kernels and the L^p and Besov quadrature use the packed
+    path; ``to_grid`` and ``tensor_product`` use the real one.
     """
 
     def __init__(self, grid: SpectralGrid, kmax: int, size: int):
@@ -162,7 +174,8 @@ class TransformPlan:
         return coeffs if isinstance(self.keep, slice) else np.take(coeffs, self.keep, axis=-1)
 
     def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
-        """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per row j.
+        """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per
+        row j: the layout of ``to_grid`` and ``tensor_product``.
 
         ``coeffs`` (..., n_modes) covers every stored mode; ``symbols``
         (default: the velocity basis, shape (2, n_kept)) covers the kept
@@ -202,16 +215,23 @@ class TransformPlan:
         return np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
 
     def synthesize_packed(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
-        """Complex grids f1 + i f2, shape (..., size, size), of the real grid
-        pair f1, f2 that ``synthesize`` makes from a pair of symbol rows.
+        """Complex grids f1 + i f2 of the real grid pair f1, f2 that
+        ``synthesize`` makes from a pair of symbol rows: the layout of the
+        nonlinear kernels and of the L^p and Besov quadrature.
 
-        ``coeffs`` is (..., n_modes); ``symbols`` is ``velocity_packed``
-        (the default, u1 + i u2) or ``strain_packed`` (s + i t).
+        ``coeffs`` is (..., n_modes); ``symbols`` is a packed pair (2,
+        n_kept), ``velocity_packed`` (the default, u1 + i u2) or
+        ``strain_packed`` (s + i t), or a stack of pairs (..., 2, n_kept)
+        whose leading axes index further output grids.  Returns the
+        broadcast of coeffs.shape[:-1] and symbols.shape[:-2], then (size,
+        size).
         """
         if symbols is None:
             symbols = self.velocity_packed
         kept = self._kept(coeffs)
-        vals = np.concatenate((kept * symbols[0], np.conj(kept) * symbols[1]), axis=-1)
+        vals = np.concatenate(
+            (kept * symbols[..., 0, :], np.conj(kept) * symbols[..., 1, :]), axis=-1
+        )
         n_rows = vals.size // vals.shape[-1]
         M = self.size
         if n_rows not in self._full_grids:
@@ -219,7 +239,7 @@ class TransformPlan:
         work = self._full_grids[n_rows]
         self._scatter(work, vals, "full")
         # unnormalized inverse: the sum over k itself, with no M^2 to undo
-        return ifft2(work.reshape(kept.shape[:-1] + (M, M)), norm="forward")
+        return ifft2(work.reshape(vals.shape[:-1] + (M, M)), norm="forward")
 
     def packed_weights(self, c1, c2) -> np.ndarray:
         """Weights (2, n_kept) with which ``analyze_packed`` returns

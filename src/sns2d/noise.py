@@ -579,11 +579,9 @@ def lp_log_moment_check(
             samples[i : i + rows] = 2.0 * np.sum(np.abs(Z[i : i + rows]) ** 2, axis=1)
         closed = l2_moment_exact(g, spec, alpha)
     else:
-        from .spectral import lp_norm
+        from .spectral import lp_powers
 
-        samples = np.empty(replicas)
-        for i in range(replicas):
-            samples[i] = lp_norm(SpectralField(g, Z[i]), p, grid_factor) ** p
+        samples = lp_powers(g, Z, p, grid_factor)
         closed = None
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(replicas))

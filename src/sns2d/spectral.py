@@ -71,14 +71,31 @@ def h_norm_of(coeffs: np.ndarray) -> float:
 
 
 def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols: np.ndarray = None):
-    """Uniform-grid quadrature of |u(x)|^p over D for each velocity that
-    ``plan.synthesize(coeffs, symbols)`` returns; shape symbols.shape[:-2]."""
+    """Uniform-grid quadrature of |u(x)|^p over D for each complex velocity
+    grid u1 + i u2 that ``plan.synthesize_packed(coeffs, symbols)`` returns;
+    one value per grid."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    phys = plan.synthesize(coeffs, symbols)
+    z = plan.synthesize_packed(coeffs, symbols)
     # (|u|^2)^(p/2): at p = 4 numpy squares instead of calling pow
-    speed_sq = phys[..., 0, :, :] ** 2 + phys[..., 1, :, :] ** 2
+    speed_sq = z.real**2 + z.imag**2
     return np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
+
+
+def lp_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
+    """|u|_Lp^p of one state (n_modes,) or of each state of a stack
+    (..., n_modes) of ``grid``; shape (...).
+
+    Each synthesis call takes at most ``stack_depth`` states, and each row
+    gets the arithmetic of a call of its own.
+    """
+    plan = transform_plan(grid.cutoff, grid.cutoff, grid.physical_size(grid_factor))
+    flat = np.asarray(coeffs).reshape(-1, grid.n_modes)
+    depth = stack_depth(plan.size)
+    out = np.empty(len(flat))
+    for i in range(0, len(flat), depth):
+        out[i : i + depth] = _power_integrals(plan, flat[i : i + depth], p)
+    return out.reshape(np.shape(coeffs)[:-1])
 
 
 def lp_norm(u: SpectralField, p: float, grid_factor: int = 2) -> float:
@@ -88,8 +105,7 @@ def lp_norm(u: SpectralField, p: float, grid_factor: int = 2) -> float:
     quadrature rule; exact for p = 2 (Parseval), spectrally accurate
     otherwise.
     """
-    plan = transform_plan(u.cutoff, u.cutoff, u.grid.physical_size(grid_factor))
-    return float(_power_integrals(plan, u.coeffs, p) ** (1.0 / p))
+    return float(lp_powers(u.grid, u.coeffs, p, grid_factor)) ** (1.0 / p)
 
 
 def block_of(ksq: float) -> int:
@@ -123,9 +139,10 @@ def dyadic_block(u: SpectralField, q: int) -> SpectralField:
 @dataclass(frozen=True)
 class _BlockGroup:
     """Consecutive dyadic blocks of one cutoff, all integrated on one plan's
-    grid.  ``stacks`` pairs the block indices (a slice) with the velocity
-    symbols of at most ``stack_depth(plan.size)`` of the blocks, and each
-    synthesis call takes ``states`` states times one stack."""
+    grid.  ``stacks`` pairs the block indices (a slice) with the packed
+    velocity symbols (blocks, 2, n_kept) of at most ``stack_depth(plan.size)``
+    of the blocks, and each synthesis call takes ``states`` states times one
+    stack."""
 
     plan: object
     stacks: tuple
@@ -166,7 +183,7 @@ def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
         lo, hi = sizes.index(size), len(sizes) - sizes[::-1].index(size)
         plan = transform_plan(cutoff, min(2 ** (hi - 1), cutoff), size)
         masks = np.stack([_block_mask(ksq[plan.keep], q) for q in range(lo, hi)])
-        symbols = masks[:, None, :] * plan.velocity
+        symbols = masks[:, None, :] * plan.velocity_packed
         symbols.flags.writeable = False
         depth = stack_depth(size)
         stacks = tuple(

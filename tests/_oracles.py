@@ -25,6 +25,10 @@ own parts and kept as references for faster forms of the same arithmetic:
   ``adjoint_real_grids``, the trace-free kernels on one real grid per
   velocity component, tensor entry and strain entry, projected by
   ``project_kept``, the references for the kernels on packed complex grids;
+- ``power_integrals_real_grids`` and ``block_powers_real_grids``, the
+  |u|^p quadrature on the real grid pair u1, u2, one block at a time for
+  the block powers, the references for ``lp_norm`` and ``block_powers`` on
+  packed complex grids;
 - ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
   transform plan's synthesis and analysis with the normalization applied to
   a full new array, the references for ``TransformPlan``'s in-place scaling;
@@ -54,7 +58,7 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.fields import SpectralField
-from sns2d.grid import grid_for
+from sns2d.grid import grid_for, transform_plan
 from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
@@ -69,7 +73,15 @@ from sns2d.noise import (
     stationary_std,
 )
 from sns2d.nonlinear import _plan_for, b_linearized_adjoint_core
-from sns2d.spectral import besov_norm, block_count, dyadic_block, h_norm_of, lp_norm
+from sns2d.spectral import (
+    _block_mask,
+    besov_norm,
+    block_count,
+    block_grid_size,
+    dyadic_block,
+    h_norm_of,
+    lp_norm,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -483,3 +495,26 @@ def besov_moment_check_per_replica(spec, sigma, sigma_prime, p, kappa, horizon, 
         bound=bound,
         ratio=est / bound,
     )
+
+
+def power_integrals_real_grids(plan, coeffs, p, symbols=None):
+    """Uniform-grid quadrature of |u(x)|^p over D for each velocity that
+    ``plan.synthesize(coeffs, symbols)`` returns as the real grid pair u1,
+    u2; shape symbols.shape[:-2]."""
+    phys = plan.synthesize(coeffs, symbols)
+    speed_sq = phys[..., 0, :, :] ** 2 + phys[..., 1, :, :] ** 2
+    return np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
+
+
+def block_powers_real_grids(grid, coeffs, p, grid_factor=2):
+    """|block_q u|_Lp^p of each dyadic block of one state, each block
+    synthesized alone as the real grid pair u1, u2 on its
+    ``block_grid_size`` grid."""
+    cutoff = grid.cutoff
+    powers = []
+    for q in range(block_count(cutoff)):
+        size = block_grid_size(cutoff, q, p, grid_factor)
+        plan = transform_plan(cutoff, min(2**q, cutoff), size)
+        mask = _block_mask(grid.ksq[plan.keep], q)
+        powers.append(power_integrals_real_grids(plan, coeffs, p, mask * plan.velocity))
+    return np.array(powers)

@@ -14,6 +14,7 @@ from sns2d import (
     SpectralField,
     duhamel_gamma,
     heat_semigroup,
+    lp_norm,
     phi_eps,
     sobolev_norm,
     solve_controlled,
@@ -411,6 +412,26 @@ def test_shifted_apriori_monitor_below_structural_bound():
     for alpha in (0.0, 1.0):
         sol = solve_shifted(u0, phi, spec, alpha, cfg, RngStream(8))
         assert shifted_apriori_ratio(sol, u0, alpha) < 1.0
+
+
+def test_apriori_monitor_integrates_z_in_stacks():
+    u0 = taylor_green(8, 0.5)
+    cfg = IntegratorConfig(dt=0.01)
+    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
+    phi = ControlPath.random_in_ball(8, 0.01, 30, 0.5, np.random.default_rng(0))
+    sol = solve_shifted(u0, phi, spec, 1.0, cfg, RngStream(8))
+    # the monitor with one lp_norm per state of z
+    v, z = sol.v, sol.z
+    z_l4 = [lp_norm(z.state(i), 4) for i in range(z.coeffs.shape[0])]
+    v_v2 = [sobolev_norm(v.state(i), 1.0) ** 2 for i in range(len(z_l4))]
+    base = sobolev_norm(u0, 0.0) ** 2 + sobolev_norm(z.state(0), 0.0) ** 2
+    run_v = run_z4 = worst = 0.0
+    for i in range(1, len(z_l4)):
+        run_v += v.dt * v_v2[i - 1]
+        run_z4 += v.dt * z_l4[i - 1] ** 4
+        rhs = math.exp(run_z4) * (base + 2.0 * run_z4 + 1.0)
+        worst = max(worst, (sobolev_norm(v.state(i), 0.0) ** 2 + run_v) / rhs)
+    assert shifted_apriori_ratio(sol, u0, 1.0) == pytest.approx(worst, rel=1e-13)
 
 
 def test_trajectory_states_divergence_free():

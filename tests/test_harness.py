@@ -771,3 +771,60 @@ def test_stream_guard_sees_each_old_form():
     assert _stream_guard_offences(helper, "") == ["experiments:_common RngStream("]
     coercion = "def f(rng):\n    return rng if isinstance(rng, RngStream) else None\n"
     assert _stream_guard_offences("", coercion) == ["ldp isinstance RngStream"]
+
+
+_FAR_MODE = {"kind": "mode", "k": [9, 0], "value": [0.5, 0.0]}
+
+
+def test_validate_refuses_a_control_mode_outside_the_cutoff(tmp_path):
+    # run failed with KeyError: 'mode (9, 0) outside cutoff 6', and the CLI
+    # ended in a traceback
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["converge_h"]))
+    raw["params"]["control"] = _FAR_MODE
+    message = "converge_h: params.control.k (9, 0) outside numerics.cutoff 6"
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert str(err.value) == message
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps(raw))
+    runs = tmp_path / "runs"
+    for out in (_cli("validate", "-c", str(cfg_path)),
+                _cli("run", "-c", str(cfg_path), "-o", str(runs))):
+        assert out.returncode == 2
+        assert message in out.stderr and "Traceback" not in out.stderr
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("converge_h", ("initial",)),
+        ("converge_besov", ("control",)),
+        ("instanton", ("initial",)),
+        ("instanton", ("target",)),
+        ("tube", ("initial",)),
+        ("laplace", ("functional", "target")),
+    ],
+)
+def test_every_mode_descriptor_is_checked_against_the_cutoff(kind, path):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS[kind]))
+    if path[0] == "functional":
+        raw["params"]["functional"] = {"kind": "clipped_endpoint"}
+    node = raw["params"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = {**_FAR_MODE, "k": [0, -7]}
+    where = ".".join(("params",) + path)
+    with pytest.raises(ValueError, match=rf"{kind}: {where}\.k \(0, -7\) outside numerics\.cutoff 6"):
+        ExperimentConfig.from_dict(raw)
+    node[path[-1]]["k"] = [0, -6]  # on the edge of the square truncation
+    ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("kind", ["besov_moment", "laplace", "wick_decay"])
+def test_validate_checks_the_regime_of_params_epsilons(kind):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS[kind]))
+    ExperimentConfig.from_dict(raw)
+    raw["noise"]["schedule"] = {"kind": "power", "exponent": -1.0}
+    with pytest.raises(ValueError, match=rf"^{kind}: schedule must satisfy delta\(eps\) -> 0"):
+        ExperimentConfig.from_dict(raw)

@@ -16,6 +16,7 @@ from sns2d import (
     SpectralField,
     covariance_weight,
     lambda_beta_bound,
+    lp_norm,
     ou_step,
     renorm_constant,
     wick_square,
@@ -310,6 +311,27 @@ def test_lp_log_moment_p2_sums_row_blocks_bit_for_bit(monkeypatch):
     assert np.array_equal(samples[0], 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
     # Z, the draw's buffers and the row blocks; a full-batch |Z|^2 adds Z.nbytes
     assert peak <= Z.nbytes + 2**20
+
+
+def test_lp_log_moment_stacks_replicas_each_as_its_own_lp_norm(monkeypatch):
+    means = []
+    mean = np.mean
+
+    def recording_mean(a, *args, **kwargs):
+        means.append(np.array(a, copy=True))
+        return mean(a, *args, **kwargs)
+
+    spec = NoiseSpec(epsilon=0.5, delta=0.1, gamma=1.0)
+    # stacks of stack_depth(18) = 25 replicas at cutoff 8, the last one partial
+    replicas, cutoff, p = 60, 8, 3.0
+    monkeypatch.setattr(np, "mean", recording_mean)
+    lp_log_moment_check(spec, p, replicas, RngStream(11), cutoff=cutoff)
+    monkeypatch.undo()
+    g = grid_for(cutoff)
+    Z = stationary_batch(g, spec, 0.0, RngStream(11).generator(), replicas)
+    (samples,) = [m for m in means if m.shape == (replicas,)]
+    norms = [lp_norm(SpectralField(g, z), p) for z in Z]
+    assert np.array_equal(norms, [float(s) ** (1.0 / p) for s in samples])
 
 
 def test_lp_log_moment_epsilon_scaling():

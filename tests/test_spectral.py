@@ -18,16 +18,22 @@ from sns2d import (
     sobolev_norm,
     stokes_apply,
 )
-from sns2d.grid import SAMPLES_PER_CALL, TransformPlan, grid_for
+from sns2d.grid import SAMPLES_PER_CALL, TransformPlan, grid_for, transform_plan
 from sns2d.spectral import (
     _block_groups,
     block_count,
     block_grid_size,
     block_of,
     block_powers,
+    lp_powers,
 )
 
-from _oracles import besov_norm_per_block, lp_norm_quadrature
+from _oracles import (
+    besov_norm_per_block,
+    block_powers_real_grids,
+    lp_norm_quadrature,
+    power_integrals_real_grids,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -295,14 +301,14 @@ def _recorded_besov_calls(monkeypatch, cutoff, p, n_states):
     """(grid size, grids, blocks) of each synthesis call that block_powers
     makes for a path of n_states states."""
     calls = []
-    synthesize = TransformPlan.synthesize
+    synthesize_packed = TransformPlan.synthesize_packed
 
     def counted(plan, coeffs, symbols=None):
         states = coeffs.size // coeffs.shape[-1]
         calls.append((plan.size, states * symbols.shape[0], symbols.shape[0]))
-        return synthesize(plan, coeffs, symbols)
+        return synthesize_packed(plan, coeffs, symbols)
 
-    monkeypatch.setattr(TransformPlan, "synthesize", counted)
+    monkeypatch.setattr(TransformPlan, "synthesize_packed", counted)
     path = np.stack([_field(s, cutoff).coeffs for s in range(n_states)])
     block_powers(grid_for(cutoff), path, p)
     monkeypatch.undo()
@@ -373,6 +379,43 @@ def test_stacked_block_powers_rows_are_each_state_alone(cutoff):
             assert np.array_equal(stacked[i], block_powers(grid_for(cutoff), row, p))
         cube = block_powers(grid_for(cutoff), path[:10].reshape(2, 5, -1), p)
         assert np.array_equal(cube.reshape(10, -1), stacked[:10])
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_packed_quadrature_matches_the_real_grid_pair(cutoff):
+    grid = grid_for(cutoff)
+    plan = transform_plan(cutoff, cutoff, grid.physical_size(2))
+    u = _field(cutoff + 1, cutoff, decay=1.0)
+    for p in (2.5, 3.0, 4.0, 6.0):
+        got, want = block_powers(grid, u.coeffs, p), block_powers_real_grids(grid, u.coeffs, p)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        want = float(power_integrals_real_grids(plan, u.coeffs, p)) ** (1.0 / p)
+        assert abs(lp_norm(u, p) - want) <= 1e-13 * want
+
+
+def test_quadrature_synthesizes_no_real_grids(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("real-grid synthesis")
+
+    monkeypatch.setattr(TransformPlan, "synthesize", refused)
+    u = _field(4, 16)
+    for p in (3.0, 4.0):
+        assert block_powers(u.grid, u.coeffs, p).shape == (block_count(16),)
+        assert besov_norm(u, -0.25, p) > 0
+        assert lp_norm(u, p) > 0
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_stacked_lp_powers_rows_are_each_lp_norm(cutoff):
+    # 30 states: stacks of 25 and 7 states leave a short last call
+    path = np.stack([_field(s, cutoff).coeffs for s in range(30)])
+    for p in (2.5, 3.0, 4.0):
+        stacked = lp_powers(grid_for(cutoff), path, p)
+        assert stacked.shape == (30,)
+        alone = [lp_powers(grid_for(cutoff), row, p) for row in path]
+        assert np.array_equal(stacked, alone)
+        norms = [lp_norm(SpectralField(grid_for(cutoff), row), p) for row in path]
+        assert np.array_equal(norms, [float(s) ** (1.0 / p) for s in stacked])
 
 
 def test_besov_params_validation():
