@@ -217,6 +217,19 @@ def save_field(field: SpectralField, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def field_file_cutoff(path) -> int:
+    """The cutoff a field file's header records; its rows are not read."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != f"# {FIELD_HEADER}":
+            raise ValueError(f"{path}: not a {FIELD_HEADER} file")
+        for ln in fh:
+            if ln.startswith("# cutoff="):
+                return int(ln.split("=", 1)[1])
+            if not ln.startswith("#"):
+                break
+    raise ValueError(f"{path}: missing cutoff header")
+
+
 def load_field(path) -> SpectralField:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]

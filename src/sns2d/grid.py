@@ -23,6 +23,7 @@ It has two layouts:
 """
 
 import functools
+import threading
 
 import numpy as np
 from scipy.fft import fft2, ifft2, irfft2, next_fast_len, rfft2
@@ -152,10 +153,11 @@ class TransformPlan:
                       "full": (self.full_pos, size * size),
                       "modes": (np.flatnonzero(keep), grid.n_modes)}
         self._positions = {}
-        # zeroed full grids per stack size, shared by the plan's callers (one
-        # synthesis at a time); only the kept modes' positions, at k and -k,
-        # are ever written, and every call writes all of them
-        self._full_grids = {}
+        # zeroed full grids per stack size, reused by the plan's calls in each
+        # thread: the plan is shared, and two threads' syntheses must not
+        # scatter into one grid.  Only the kept modes' positions, at k and
+        # -k, are ever written, and every call writes all of them
+        self._scratch = threading.local()
 
     def _scatter(self, out, vals, layout):
         """Write each row of vals (..., n_kept) into the same row of out at the
@@ -234,9 +236,10 @@ class TransformPlan:
         )
         n_rows = vals.size // vals.shape[-1]
         M = self.size
-        if n_rows not in self._full_grids:
-            self._full_grids[n_rows] = np.zeros((n_rows, M, M), dtype=np.complex128)
-        work = self._full_grids[n_rows]
+        grids = vars(self._scratch).setdefault("full", {})
+        if n_rows not in grids:
+            grids[n_rows] = np.zeros((n_rows, M, M), dtype=np.complex128)
+        work = grids[n_rows]
         self._scatter(work, vals, "full")
         # unnormalized inverse: the sum over k itself, with no M^2 to undo
         return ifft2(work.reshape(vals.shape[:-1] + (M, M)), norm="forward")

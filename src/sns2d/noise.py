@@ -4,6 +4,14 @@ The noise covariance acts diagonally on the divergence-free basis with
 weights lambda_k = (1 + delta |k|^(2 gamma))^(-1/2); delta sets the
 correlation scale (delta -> 0 approaches space-time white noise) and the
 overall strength is sqrt(epsilon).
+
+Every normal is drawn by ``unit_complex_normals``.  Its row-block form hands
+out a draw as blocks of whole rows, formed as the draw's imaginary half is
+drawn, so that ``lp_log_moment_check`` and the OU steps of ``ou_step_blocks``
+hold the real half of their samples and one block rather than all of them.
+Nothing here keeps state between calls: draws from separate generators may
+run on separate threads, which the harness does with the members of its
+``ou_checks`` and ``lp_moment`` runs.
 """
 
 import functools
@@ -169,7 +177,7 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(rng)}")
 
 
-def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
+def unit_complex_normals(gen, shape, std=None, blocks=False):
     """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
     std: a scalar or one real per entry of the last axis.  This is the one
     place in the package that draws normals.
@@ -181,12 +189,64 @@ def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
     gen may also be one generator per row of the leading axis, each drawing
     its row's own (2, *shape[1:]) stream.  The normals pass through one
     buffer of at most SAMPLES_PER_CALL reals; no complex temporary is made.
+
+    With blocks=True, gen is one generator and the result is an iterator
+    over (first row, block) of the rows of that same array, flattened to
+    (rows, shape[-1]), in blocks of at most SAMPLES_PER_CALL complex entries
+    (one row at least).  The blocks are formed as the imaginary half is
+    drawn, so the draw holds the scaled real half, 8 bytes per normal, and
+    one block; each block is overwritten by the next.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    n = shape[-1]
+    scale = None if std is None else np.asarray(std, dtype=np.float64)
+    width = min(n, SAMPLES_PER_CALL)
+
+    def pieces(g, rows, buf):
+        """Draw one part of g's (rows, n) stream through buf, or into a new
+        array per piece if buf is None: (first row, first column, piece) of
+        whole rows, or of one row where a row outgrows SAMPLES_PER_CALL."""
+        depth = min(rows, SAMPLES_PER_CALL // width)
+        col_scale = None if scale is None else np.broadcast_to(scale, (n,))
+        for lo in range(0, rows, depth):
+            d = min(depth, rows - lo)
+            for c in range(0, n, width):
+                w = min(width, n - c)
+                piece = np.empty((d, w)) if buf is None else buf[: d * w].reshape(d, w)
+                g.standard_normal(out=piece)
+                piece *= _INV_SQRT2
+                if col_scale is not None:
+                    piece *= col_scale[c : c + w]
+                yield lo, c, piece
+
+    if blocks:
+        if not isinstance(gen, np.random.Generator):
+            raise TypeError("a blocked draw takes one generator")
+        rows = math.prod(shape[:-1])
+        if rows * n == 0:
+            return iter(())
+
+        def row_blocks():
+            # the real half stays in the pieces it was drawn in.  Buffers of
+            # at most SAMPLES_PER_CALL reals come from the allocator's heap
+            # and reuse what earlier work freed there; one array of the half
+            # is a new mapping on top of that (a peak 20-40 MiB higher when
+            # the ou_checks members ran on threads before)
+            reals = [piece for _, _, piece in pieces(gen, rows, None)]
+            depth = min(rows, SAMPLES_PER_CALL // width)
+            buf = np.empty(depth * width)
+            block = np.empty((depth, n), dtype=np.complex128)
+            for (lo, c, piece), real in zip(pieces(gen, rows, buf), reals):
+                d, w = piece.shape
+                block.real[:d, c : c + w] = real
+                block.imag[:d, c : c + w] = piece
+                if c + w == n:
+                    yield lo, block[:d]
+
+        return row_blocks()
     out = np.empty(shape, dtype=np.complex128)
     if out.size == 0:
         return out
-    n = shape[-1]
     if isinstance(gen, np.random.Generator):
         gens, streams = [gen], out.reshape(1, -1, n)
     else:
@@ -194,7 +254,6 @@ def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
         if len(gens) != shape[0]:
             raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
         streams = out.reshape(len(gens), -1, n)
-    scale = None if std is None else np.asarray(std, dtype=np.float64)
     rows = streams.shape[1]
     if 2 * rows * n <= SAMPLES_PER_CALL:
         # whole streams, as many generators' as the buffer holds per fill
@@ -211,24 +270,11 @@ def unit_complex_normals(gen, shape, std=None) -> np.ndarray:
             block.real = piece[:, 0]
             block.imag = piece[:, 1]
         return out
-    # pieces of whole rows, or of one row where a row outgrows the buffer
-    width = min(n, SAMPLES_PER_CALL)
-    depth = min(rows, SAMPLES_PER_CALL // width)
-    buf = np.empty(depth * width)
-    if scale is not None:
-        scale = np.broadcast_to(scale, (n,))
+    buf = np.empty(min(rows, SAMPLES_PER_CALL // width) * width)
     for g, flat in zip(gens, streams):
         for part in (flat.real, flat.imag):
-            for lo in range(0, rows, depth):
-                d = min(depth, rows - lo)
-                for c in range(0, n, width):
-                    w = min(width, n - c)
-                    piece = buf[: d * w].reshape(d, w)
-                    g.standard_normal(out=piece)
-                    piece *= _INV_SQRT2
-                    if scale is not None:
-                        piece *= scale[c : c + w]
-                    part[lo : lo + d, c : c + w] = piece
+            for lo, c, piece in pieces(g, rows, buf):
+                part[lo : lo + len(piece), c : c + piece.shape[1]] = piece
     return out
 
 
@@ -259,10 +305,11 @@ def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     return np.sqrt(mode_variances(grid, spec, alpha))
 
 
-def stationary_batch(grid, spec, alpha, gen, replicas: int) -> np.ndarray:
-    """(replicas, n_modes) array of independent stationary samples."""
+def stationary_batch(grid, spec, alpha, gen, replicas: int, blocks=False):
+    """(replicas, n_modes) array of independent stationary samples; with
+    blocks=True, its row blocks as ``unit_complex_normals`` draws them."""
     std = stationary_std(grid, spec, alpha)
-    return unit_complex_normals(gen, (replicas, grid.n_modes), std)
+    return unit_complex_normals(gen, (replicas, grid.n_modes), std, blocks)
 
 
 def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
@@ -285,10 +332,39 @@ def ou_step(z: SpectralField, spec: NoiseSpec, alpha: float, dt: float, rng) -> 
     return z.with_coeffs(decay * z.coeffs + g)
 
 
-def ou_step_batch(Z: np.ndarray, grid, spec, alpha, dt, gen) -> np.ndarray:
+def ou_step_blocks(Z: np.ndarray, grid, spec, alpha, dt, gen):
+    """One exact OU transition of each row of Z (rows, n_modes), which is
+    left as it is, as (first row, block) in the row blocks of a blocked
+    draw of the step noise: decay * Z is added into each block as it is
+    formed, so the steps hold the noise's real half and one block."""
+    # outside the generator, so that a bad dt is refused at the call
     decay, std = ou_transition(grid, spec, alpha, dt)
-    g = unit_complex_normals(gen, Z.shape, std)
-    return decay[None, :] * Z + g
+
+    def steps():
+        for lo, block in unit_complex_normals(gen, Z.shape, std, blocks=True):
+            block += decay * Z[lo : lo + len(block)]
+            yield lo, block
+
+    return steps()
+
+
+def ou_step_batch(Z: np.ndarray, grid, spec, alpha, dt, gen) -> np.ndarray:
+    """The steps of ``ou_step_blocks`` as one array."""
+    out = np.empty(Z.shape, dtype=np.complex128)
+    for lo, block in ou_step_blocks(Z, grid, spec, alpha, dt, gen):
+        out[lo : lo + len(block)] = block
+    return out
+
+
+def l2_powers(Z: np.ndarray) -> np.ndarray:
+    """|z|_{L^2}^2 = 2 sum_k |z_k|^2 of each row of Z (rows, n_modes), in row
+    blocks of SAMPLES_PER_CALL reals; each row sums alone, so the blocks do
+    not change its bits."""
+    out = np.empty(len(Z))
+    rows = max(1, SAMPLES_PER_CALL // Z.shape[-1])
+    for lo in range(0, len(Z), rows):
+        out[lo : lo + rows] = 2.0 * np.sum(np.abs(Z[lo : lo + rows]) ** 2, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,21 +644,15 @@ def lp_log_moment_check(
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     g = grid_for(cutoff)
-    gen = as_generator(rng)
-    Z = stationary_batch(g, spec, alpha, gen, replicas)
     if p == 2:
-        # row blocks of SAMPLES_PER_CALL reals, not a float copy of all of Z;
-        # each row sums alone, so the blocks do not change its bits
-        samples = np.empty(replicas)
-        rows = max(1, SAMPLES_PER_CALL // g.n_modes)
-        for i in range(0, replicas, rows):
-            samples[i : i + rows] = 2.0 * np.sum(np.abs(Z[i : i + rows]) ** 2, axis=1)
-        closed = l2_moment_exact(g, spec, alpha)
+        powers, closed = l2_powers, l2_moment_exact(g, spec, alpha)
     else:
         from .spectral import lp_powers
 
-        samples = lp_powers(g, Z, p, grid_factor)
-        closed = None
+        powers, closed = functools.partial(lp_powers, g, p=p, grid_factor=grid_factor), None
+    # the stationary samples in row blocks: the real half and one block alive
+    blocks = stationary_batch(g, spec, alpha, as_generator(rng), replicas, blocks=True)
+    samples = np.concatenate([powers(block) for _, block in blocks])
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(replicas))
     bound = (spec.epsilon * math.log((1.0 + spec.delta) / spec.delta)) ** (p / 2.0)

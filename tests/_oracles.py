@@ -41,7 +41,11 @@ own parts and kept as references for faster forms of the same arithmetic:
   ``unit_complex_normals_assembled``;
 - ``unit_complex_normals_assembled``, the complex normals assembled from a
   full (2, *shape) draw in complex arithmetic, the reference for the fused
-  ``unit_complex_normals``.
+  ``unit_complex_normals``;
+- ``ou_step_batch_whole`` and ``lp_log_moment_check_whole``, the OU step as
+  decay * Z plus a whole draw, and the L^p moment check from all of its
+  stationary samples at once, the references for the row blocks of
+  ``ou_step_blocks`` and of ``lp_log_moment_check``.
 """
 
 import math
@@ -67,10 +71,14 @@ from sns2d.ldp import (
 )
 from sns2d.noise import (
     MomentReport,
+    as_generator,
     covariance_weights,
+    l2_moment_exact,
     lattice_power_sum,
     ou_transition,
+    stationary_batch,
     stationary_std,
+    unit_complex_normals,
 )
 from sns2d.nonlinear import _plan_for, b_linearized_adjoint_core
 from sns2d.spectral import (
@@ -81,6 +89,7 @@ from sns2d.spectral import (
     dyadic_block,
     h_norm_of,
     lp_norm,
+    lp_powers,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -418,6 +427,32 @@ def unit_complex_normals_assembled(gen, shape, std=None):
     xi = gen.standard_normal((2,) + tuple(shape))
     z = (xi[0] + 1j * xi[1]) / np.sqrt(2.0)
     return z if std is None else std * z
+
+
+def ou_step_batch_whole(Z, grid, spec, alpha, dt, gen):
+    """decay * Z plus the whole step draw, as one array expression."""
+    decay, std = ou_transition(grid, spec, alpha, dt)
+    g = unit_complex_normals(gen, Z.shape, std)
+    return decay[None, :] * Z + g
+
+
+def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, alpha=0.0, grid_factor=2):
+    """lp_log_moment_check holding all of its stationary samples Z at once."""
+    g = grid_for(cutoff)
+    Z = stationary_batch(g, spec, alpha, as_generator(rng), replicas)
+    if p == 2:
+        samples = 2.0 * np.sum(np.abs(Z) ** 2, axis=1)
+        closed = l2_moment_exact(g, spec, alpha)
+    else:
+        samples = lp_powers(g, Z, p, grid_factor)
+        closed = None
+    est = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1) / math.sqrt(replicas))
+    bound = (spec.epsilon * math.log((1.0 + spec.delta) / spec.delta)) ** (p / 2.0)
+    return MomentReport(
+        epsilon=spec.epsilon, delta=spec.delta, replicas=replicas, estimate=est,
+        stderr=se, bound=bound, ratio=est / bound, closed_form=closed,
+    )
 
 
 def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_std=None,

@@ -5,6 +5,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from sns2d.experiments import (
     sweep,
     write_json_atomic,
 )
+from sns2d.fields import save_field, taylor_green
+from sns2d.grid import grid_for
+from sns2d.spectral import lp_powers
 
 
 def minimal_ou_config(seed=1):
@@ -828,3 +833,117 @@ def test_validate_checks_the_regime_of_params_epsilons(kind):
     raw["noise"]["schedule"] = {"kind": "power", "exponent": -1.0}
     with pytest.raises(ValueError, match=rf"^{kind}: schedule must satisfy delta\(eps\) -> 0"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [("tube", ("initial",)), ("instanton", ("target",)), ("laplace", ("functional", "target"))],
+)
+def test_validate_reads_the_cutoff_of_a_field_file(tmp_path, kind, path):
+    # run failed late with "control and initial condition cutoffs differ"
+    raw = json.loads(json.dumps(SMOKE_CONFIGS[kind]))
+    if path[0] == "functional":
+        raw["params"]["functional"] = {"kind": "clipped_endpoint"}
+    node = raw["params"]
+    for key in path[:-1]:
+        node = node[key]
+    where = ".".join(("params",) + path)
+    field = tmp_path / "field.csv"
+    node[path[-1]] = {"kind": "file", "path": str(field)}
+    with pytest.raises(ValueError, match=rf"^{kind}: {where}\.path: .*No such file"):
+        ExperimentConfig.from_dict(raw)
+    save_field(taylor_green(8, 0.4), field)
+    message = f"{kind}: {where}.path holds a field of cutoff 8, not numerics.cutoff 6"
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert str(err.value) == message
+    save_field(taylor_green(6, 0.4), field)
+    ExperimentConfig.from_dict(raw)
+
+
+def test_cli_validate_exits_2_on_a_field_file_of_another_cutoff(tmp_path):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
+    field = tmp_path / "field.csv"
+    save_field(taylor_green(8, 0.4), field)
+    raw["params"]["initial"] = {"kind": "file", "path": str(field)}
+    cfg_path = tmp_path / "file.json"
+    cfg_path.write_text(json.dumps(raw))
+    runs = tmp_path / "runs"
+    for out in (_cli("validate", "-c", str(cfg_path)),
+                _cli("run", "-c", str(cfg_path), "-o", str(runs))):
+        assert out.returncode == 2
+        assert "params.initial.path" in out.stderr and "Traceback" not in out.stderr
+    assert not runs.exists()
+
+
+# --------------------------------------------------------------------------
+# members run side by side
+
+
+def _on_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pool_configs():
+    ou = minimal_ou_config()
+    ou["params"]["alphas"] = [0.0, 1.0, 2.5]
+    ou["statistics"]["replicas"] = 2500  # a short last batch of 500
+    lp3 = lp_moment_config()
+    lp3["params"] = {"p": 3.0, "deltas": [0.1, 0.01, 0.001]}
+    lp3["statistics"]["replicas"] = 300
+    return {"ou_checks": ou, "lp_moment_p2": lp_moment_config(), "lp_moment_p3": lp3}
+
+
+@pytest.mark.parametrize("name", sorted(_pool_configs()))
+def test_members_on_one_core_and_on_two_write_the_same_bytes(tmp_path, monkeypatch, name):
+    cfg = ExperimentConfig.from_dict(_pool_configs()[name])
+    outputs = []
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        threads = threading.active_count()
+        record = run(cfg, str(tmp_path / str(cores)))
+        assert threading.active_count() == threads
+        files = (record.results_csv, record.summary_json)
+        outputs.append([pathlib.Path(f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
+def test_pooled_lp_powers_are_the_serial_ones(monkeypatch):
+    # the members share one transform plan; its scratch grids are per thread.
+    # With grids shared by all threads this failed in 6 runs out of 6
+    g = grid_for(16)
+    spec = experiments.NoiseSpec(0.5, 0.01)
+    blocks = [
+        experiments.stationary_batch(g, spec, 0.0, experiments.RngStream(4, (i,)).generator(), 48)
+        for i in range(4)
+    ]
+    samples = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (1, 4):  # four threads, likely more than the cores
+            _on_cores(monkeypatch, cores)
+            samples.append(experiments._RunContext.map_members(
+                lambda i, Z: np.concatenate([lp_powers(g, Z, 3.0) for _ in range(40)]), blocks
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    for serial, pooled in zip(*samples):
+        assert np.array_equal(serial, pooled)
+
+
+def test_the_lowest_indexed_failing_member_is_raised(monkeypatch):
+    def member(i, delay):
+        time.sleep(delay)
+        if i > 0:
+            raise ValueError(f"member {i}")
+        return i
+
+    for cores in (1, 2, 3):
+        _on_cores(monkeypatch, cores)
+        threads = threading.active_count()
+        # member 1 fails after member 2 has failed
+        with pytest.raises(ValueError, match="^member 1$"):
+            experiments._RunContext.map_members(member, [0.0, 0.05, 0.0])
+        assert threading.active_count() == threads
+        assert experiments._RunContext.map_members(lambda i, v: v * i, [1, 2, 3]) == [0, 2, 6]

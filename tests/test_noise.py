@@ -29,7 +29,9 @@ from sns2d.noise import (
     lattice_power_sum,
     lp_log_moment_check,
     mode_variances,
+    l2_powers,
     ou_step_batch,
+    ou_step_blocks,
     ou_transition,
     schedule_from_dict,
     stationary_batch,
@@ -40,7 +42,12 @@ from sns2d.noise import (
 )
 from sns2d.grid import SAMPLES_PER_CALL, stack_depth
 
-from _oracles import besov_moment_check_per_replica, unit_complex_normals_assembled
+from _oracles import (
+    besov_moment_check_per_replica,
+    lp_log_moment_check_whole,
+    ou_step_batch_whole,
+    unit_complex_normals_assembled,
+)
 
 
 def test_noise_spec_validation():
@@ -445,6 +452,81 @@ def test_unit_complex_normals_are_the_assembled_draw_bit_for_bit(shape, std):
         assembled = unit_complex_normals_assembled(np.random.default_rng(seed), shape, std)
         assert fused.shape == assembled.shape
         assert np.array_equal(_bits(fused), _bits(assembled))
+
+
+def _blocked(gen, shape, std=None):
+    """The blocks of a blocked draw, copied, and their first rows."""
+    pairs = [(lo, block.copy()) for lo, block in unit_complex_normals(gen, shape, std, blocks=True)]
+    return [lo for lo, _ in pairs], np.concatenate([block for _, block in pairs])
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES + [(37, 544)])
+@pytest.mark.parametrize("std", ["none", "per_mode"])
+def test_blocked_draws_are_the_assembled_draw_in_row_blocks(shape, std):
+    n = shape if isinstance(shape, int) else shape[-1]
+    std = {"none": None, "per_mode": np.linspace(0.1, 3.0, n)}[std]
+    gen = np.random.default_rng(5)
+    starts, blocks = _blocked(gen, shape, std)
+    whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std)
+    assert np.array_equal(_bits(blocks), _bits(whole.reshape(-1, n)))
+    # blocks of whole rows, of SAMPLES_PER_CALL complex entries at most; a
+    # row longer than that is a block alone; 37 rows of 544 end in 7 rows
+    rows = max(1, min(len(blocks), SAMPLES_PER_CALL // n))
+    assert starts == list(range(0, len(blocks), rows))
+    after = np.random.default_rng(5)
+    after.standard_normal((2, *np.shape(whole)))
+    assert gen.bit_generator.state == after.bit_generator.state
+
+
+def test_a_blocked_draw_takes_one_generator():
+    with pytest.raises(TypeError, match="one generator"):
+        unit_complex_normals([np.random.default_rng(0)], (1, 5), blocks=True)
+    assert list(unit_complex_normals(np.random.default_rng(0), (0, 5), blocks=True)) == []
+
+
+def test_ou_steps_in_row_blocks_are_the_whole_step_bit_for_bit():
+    spec = NoiseSpec(epsilon=0.3, delta=0.05, gamma=1.0)
+    g = grid_for(16)
+    # 37 rows: one block of 30 and a short one of 7
+    Z = stationary_batch(g, spec, 0.5, np.random.default_rng(1), 37)
+    before = Z.copy()
+    whole = ou_step_batch_whole(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
+    batch = ou_step_batch(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
+    blocks = np.concatenate([
+        block.copy() for _, block in ou_step_blocks(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
+    ])
+    assert np.array_equal(_bits(batch), _bits(whole))
+    assert np.array_equal(_bits(blocks), _bits(whole))
+    assert np.array_equal(_bits(Z), _bits(before))
+    assert np.array_equal(l2_powers(Z), 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_lp_moment_check_in_row_blocks_is_the_whole_check(p):
+    spec = NoiseSpec(epsilon=0.3, delta=0.01, gamma=1.0)
+    # 37 replicas at cutoff 16: row blocks of 30 and 7
+    report = lp_log_moment_check(spec, p, 37, RngStream(3), 16)
+    assert report == lp_log_moment_check_whole(spec, p, 37, RngStream(3), 16)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_an_lp_moment_member_holds_the_real_half_and_one_block(p):
+    spec = NoiseSpec(epsilon=0.3, delta=0.01, gamma=1.0)
+    replicas, n = 2000, grid_for(16).n_modes
+    lp_log_moment_check(spec, p, 40, RngStream(0), 16)  # plans and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lp_log_moment_check(spec, p, replicas, RngStream(0), 16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    real_half = 8 * replicas * n
+    # one complex block of SAMPLES_PER_CALL entries is 16 * SAMPLES_PER_CALL
+    # bytes; the draw buffer, the block's reductions and the samples take a
+    # few more such blocks.  All of the samples at once held 2 * real_half
+    block = 16 * SAMPLES_PER_CALL
+    assert peak <= real_half + 4 * block + 16 * replicas
 
 
 def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
