@@ -108,11 +108,6 @@ class ControlPath:
         return cls(f.grid, dt, np.tile(f.coeffs, (n_steps, 1)))
 
     @classmethod
-    def from_fields(cls, fields, dt: float) -> "ControlPath":
-        g = fields[0].grid
-        return cls(g, dt, np.stack([f.coeffs for f in fields]))
-
-    @classmethod
     def random_in_ball(cls, cutoff, dt, n_steps, gamma, rng, decay=1.0):
         """Random control scaled onto the boundary of the energy ball."""
         g = grid_for(cutoff)

@@ -45,13 +45,16 @@ from .noise import (
     NoiseSpec,
     RngStream,
     besov_moment_check,
-    l2_powers,
+    drawn_l2_powers,
+    ks_pvalue,
     lp_log_moment_check,
+    mode_square_sums,
     mode_variances,
-    ou_step_blocks,
+    ou_transition,
     renorm_constant,
     schedule_from_dict,
     stationary_batch,
+    stationary_std,
     validate_scaling_condition,
     validate_vanishing_schedule,
     wick_square,
@@ -470,8 +473,9 @@ def _trim_heap():
 
     glibc keeps what a thread frees in that thread's own arena, where the
     serial work after the pool cannot reuse it.  Running the ou_checks,
-    lp_moment and renorm configs in turn six times, the peak RSS read 194-235
-    MiB without the trim and 188 MiB with it.  A no-op without glibc."""
+    lp_moment and renorm configs in turn six times in one process, the peak
+    RSS read 137.7-137.9 MiB without the trim and 103.9-104.1 MiB with it
+    (three processes each).  A no-op without glibc."""
     import ctypes
 
     try:
@@ -488,8 +492,6 @@ def _chunks(total):
 
 
 def _run_ou_checks(ctx: _RunContext):
-    from scipy.stats import ks_2samp
-
     cfg, th = ctx.cfg, ctx.th
     g = grid_for(ctx.cutoff)
     spec = cfg.spec()
@@ -500,19 +502,20 @@ def _run_ou_checks(ctx: _RunContext):
         s = ctx.member(idx)
         gen_a = s.child(0).generator()
         gen_b = s.child(1).generator()
+        std = stationary_std(g, spec, alpha)
+        decay, step_std = ou_transition(g, spec, alpha, dt)
         var_acc = np.zeros(g.n_modes)
         stepped, fresh = [], []
-        # one batch of stationary samples alive at a time; its steps and the
-        # fresh samples are reduced in the row blocks of their draws
+        # one batch of stationary samples at a time, drawn into one array:
+        # on threads, a new 17.4 MB array per batch (at cutoff 16) left the
+        # freed ones resident, and the run peaked 32 MiB higher.  The steps
+        # and the fresh samples are reduced as they are drawn
+        batch = np.empty((_chunks(replicas)[0], g.n_modes), dtype=np.complex128)
         for m in _chunks(replicas):
-            Z = stationary_batch(g, spec, alpha, gen_a, m)
-            power = np.abs(Z)
-            var_acc += np.sum(np.square(power, out=power), axis=0)
-            del power
-            stepped += [l2_powers(b) for _, b in ou_step_blocks(Z, g, spec, alpha, dt, gen_a)]
-            del Z
-            draws = stationary_batch(g, spec, alpha, gen_b, m, blocks=True)
-            fresh += [l2_powers(b) for _, b in draws]
+            Z = stationary_batch(g, spec, alpha, gen_a, m, out=batch[:m])
+            var_acc += mode_square_sums(Z)
+            stepped.append(drawn_l2_powers(gen_a, m, step_std, decay, Z))
+            fresh.append(drawn_l2_powers(gen_b, m, std))
         return var_acc, np.concatenate(stepped), np.concatenate(fresh)
 
     rows = []
@@ -522,7 +525,6 @@ def _run_ou_checks(ctx: _RunContext):
         emp = var_acc / replicas
         exact = mode_variances(g, spec, alpha)
         rel = np.abs(emp - exact) / exact
-        ks = ks_2samp(stepped, fresh)
         for i in range(g.n_modes):
             rows.append(
                 {
@@ -535,7 +537,7 @@ def _run_ou_checks(ctx: _RunContext):
                 }
             )
         summary["alphas"].append(alpha)
-        summary["ks_pvalue"][str(alpha)] = float(ks.pvalue)
+        summary["ks_pvalue"][str(alpha)] = ks_pvalue(stepped, fresh)
         # np.maximum keeps a NaN, which then fails the threshold below
         summary["max_variance_rel_err"] = float(
             np.maximum(summary["max_variance_rel_err"], np.max(rel))

@@ -5,13 +5,20 @@ weights lambda_k = (1 + delta |k|^(2 gamma))^(-1/2); delta sets the
 correlation scale (delta -> 0 approaches space-time white noise) and the
 overall strength is sqrt(epsilon).
 
-Every normal is drawn by ``unit_complex_normals``.  Its row-block form hands
-out a draw as blocks of whole rows, formed as the draw's imaginary half is
-drawn, so that ``lp_log_moment_check`` and the OU steps of ``ou_step_blocks``
-hold the real half of their samples and one block rather than all of them.
-Nothing here keeps state between calls: draws from separate generators may
-run on separate threads, which the harness does with the members of its
-``ou_checks`` and ``lp_moment`` runs.
+Every normal is drawn by ``unit_complex_normals``.  Its part form hands out
+the scaled pieces of a draw's real half and then of its imaginary half as
+they are drawn, so that ``drawn_l2_powers`` reduces each sample's squared
+L^2 norm, of a stationary draw or of an OU step, while holding one piece of
+SAMPLES_PER_CALL reals and no half of the draw.  Its row-block form hands out
+blocks of whole rows, formed as the imaginary half is drawn; the L^p moment
+check at p != 2 holds the real half of its samples and one block.
+
+The KS p-value of the OU checks is Smirnov's exact two-sample formula for
+equal sizes (``ks_pvalue``), computed here as scipy's ``ks_2samp`` computes
+it, so that the checks do not import ``scipy.stats``.  Nothing here keeps
+state between calls: draws from separate generators may run on separate
+threads, which the harness does with the members of its ``ou_checks`` and
+``lp_moment`` runs.
 """
 
 import functools
@@ -177,7 +184,7 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(rng)}")
 
 
-def unit_complex_normals(gen, shape, std=None, blocks=False):
+def unit_complex_normals(gen, shape, std=None, blocks=False, parts=False, out=None):
     """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
     std: a scalar or one real per entry of the last axis.  This is the one
     place in the package that draws normals.
@@ -189,6 +196,8 @@ def unit_complex_normals(gen, shape, std=None, blocks=False):
     gen may also be one generator per row of the leading axis, each drawing
     its row's own (2, *shape[1:]) stream.  The normals pass through one
     buffer of at most SAMPLES_PER_CALL reals; no complex temporary is made.
+    out, a C-ordered complex128 array of that shape, receives the result in
+    place of a new array.
 
     With blocks=True, gen is one generator and the result is an iterator
     over (first row, block) of the rows of that same array, flattened to
@@ -196,6 +205,13 @@ def unit_complex_normals(gen, shape, std=None, blocks=False):
     (one row at least).  The blocks are formed as the imaginary half is
     drawn, so the draw holds the scaled real half, 8 bytes per normal, and
     one block; each block is overwritten by the next.
+
+    With parts=True, gen is one generator and the result is an iterator over
+    (part, first row, first column, piece) of that same flattened array:
+    part 0 is its real half and part 1 its imaginary half, each handed out
+    as it is drawn and scaled, in pieces of at most SAMPLES_PER_CALL reals
+    (whole rows, or one row's columns where a row outgrows that).  The draw
+    holds one piece; each piece is overwritten by the next.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     n = shape[-1]
@@ -219,22 +235,24 @@ def unit_complex_normals(gen, shape, std=None, blocks=False):
                     piece *= col_scale[c : c + w]
                 yield lo, c, piece
 
-    if blocks:
+    if blocks or parts:
         if not isinstance(gen, np.random.Generator):
             raise TypeError("a blocked draw takes one generator")
         rows = math.prod(shape[:-1])
         if rows * n == 0:
             return iter(())
+        depth = min(rows, SAMPLES_PER_CALL // width)
+        buf = np.empty(depth * width)
+        if parts:
+            return ((part, *p) for part in (0, 1) for p in pieces(gen, rows, buf))
 
         def row_blocks():
             # the real half stays in the pieces it was drawn in.  Buffers of
             # at most SAMPLES_PER_CALL reals come from the allocator's heap
             # and reuse what earlier work freed there; one array of the half
             # is a new mapping on top of that (a peak 20-40 MiB higher when
-            # the ou_checks members ran on threads before)
+            # members on threads drew their samples this way)
             reals = [piece for _, _, piece in pieces(gen, rows, None)]
-            depth = min(rows, SAMPLES_PER_CALL // width)
-            buf = np.empty(depth * width)
             block = np.empty((depth, n), dtype=np.complex128)
             for (lo, c, piece), real in zip(pieces(gen, rows, buf), reals):
                 d, w = piece.shape
@@ -244,7 +262,10 @@ def unit_complex_normals(gen, shape, std=None, blocks=False):
                     yield lo, block[:d]
 
         return row_blocks()
-    out = np.empty(shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered complex128 array of shape {shape}")
     if out.size == 0:
         return out
     if isinstance(gen, np.random.Generator):
@@ -305,11 +326,12 @@ def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     return np.sqrt(mode_variances(grid, spec, alpha))
 
 
-def stationary_batch(grid, spec, alpha, gen, replicas: int, blocks=False):
-    """(replicas, n_modes) array of independent stationary samples; with
-    blocks=True, its row blocks as ``unit_complex_normals`` draws them."""
+def stationary_batch(grid, spec, alpha, gen, replicas: int, blocks=False, out=None):
+    """(replicas, n_modes) array of independent stationary samples, in out
+    if given; with blocks=True, its row blocks as ``unit_complex_normals``
+    draws them."""
     std = stationary_std(grid, spec, alpha)
-    return unit_complex_normals(gen, (replicas, grid.n_modes), std, blocks)
+    return unit_complex_normals(gen, (replicas, grid.n_modes), std, blocks, out=out)
 
 
 def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
@@ -332,39 +354,82 @@ def ou_step(z: SpectralField, spec: NoiseSpec, alpha: float, dt: float, rng) -> 
     return z.with_coeffs(decay * z.coeffs + g)
 
 
-def ou_step_blocks(Z: np.ndarray, grid, spec, alpha, dt, gen):
-    """One exact OU transition of each row of Z (rows, n_modes), which is
-    left as it is, as (first row, block) in the row blocks of a blocked
-    draw of the step noise: decay * Z is added into each block as it is
-    formed, so the steps hold the noise's real half and one block."""
-    # outside the generator, so that a bad dt is refused at the call
-    decay, std = ou_transition(grid, spec, alpha, dt)
-
-    def steps():
-        for lo, block in unit_complex_normals(gen, Z.shape, std, blocks=True):
-            block += decay * Z[lo : lo + len(block)]
-            yield lo, block
-
-    return steps()
-
-
 def ou_step_batch(Z: np.ndarray, grid, spec, alpha, dt, gen) -> np.ndarray:
-    """The steps of ``ou_step_blocks`` as one array."""
-    out = np.empty(Z.shape, dtype=np.complex128)
-    for lo, block in ou_step_blocks(Z, grid, spec, alpha, dt, gen):
-        out[lo : lo + len(block)] = block
-    return out
-
-
-def l2_powers(Z: np.ndarray) -> np.ndarray:
-    """|z|_{L^2}^2 = 2 sum_k |z_k|^2 of each row of Z (rows, n_modes), in row
-    blocks of SAMPLES_PER_CALL reals; each row sums alone, so the blocks do
-    not change its bits."""
-    out = np.empty(len(Z))
+    """One exact OU transition of each row of Z (rows, n_modes), which is
+    left as it is: decay * Z is added into the step noise in row blocks of
+    SAMPLES_PER_CALL reals, so no (rows, n_modes) product is formed."""
+    decay, std = ou_transition(grid, spec, alpha, dt)
+    out = unit_complex_normals(gen, Z.shape, std)
     rows = max(1, SAMPLES_PER_CALL // Z.shape[-1])
     for lo in range(0, len(Z), rows):
-        out[lo : lo + rows] = 2.0 * np.sum(np.abs(Z[lo : lo + rows]) ** 2, axis=1)
+        out[lo : lo + rows] += decay * Z[lo : lo + rows]
     return out
+
+
+def drawn_l2_powers(gen, rows: int, std, decay=None, start=None) -> np.ndarray:
+    """|z|_{L^2}^2 = 2 sum_k |z_k|^2 of each row of the draw
+    unit_complex_normals(gen, (rows, len(std)), std), or of decay * start +
+    that draw for an OU step from start (rows, n_modes), which is left as it
+    is.  Each piece of the draw's parts is reduced as it is drawn, to
+    2 (sum_k Re(z_k)^2 + sum_k Im(z_k)^2) per row; a row sums its real part,
+    then its imaginary part, piece by piece.  Only one piece of the draw and
+    its share of decay * start are held, never a half of the draw."""
+    out = np.zeros(rows)
+    for part, lo, c, piece in unit_complex_normals(gen, (rows, len(std)), std, parts=True):
+        d, w = piece.shape
+        if start is not None:
+            half = start.imag if part else start.real
+            piece += decay[c : c + w] * half[lo : lo + d, c : c + w]
+        out[lo : lo + d] += np.sum(np.square(piece, out=piece), axis=1)
+    out *= 2.0
+    return out
+
+
+def mode_square_sums(Z: np.ndarray) -> np.ndarray:
+    """sum over the rows of Z (rows, n_modes) of |Z|^2 per mode, the bits of
+    np.sum(np.abs(Z) ** 2, axis=0), in row blocks of SAMPLES_PER_CALL reals.
+    That sum adds the rows in order; each block's first row carries the sum
+    of the rows before it, so the blocks add them in the same order."""
+    acc = np.zeros(Z.shape[-1])
+    rows = max(1, SAMPLES_PER_CALL // Z.shape[-1])
+    for lo in range(0, len(Z), rows):
+        power = np.abs(Z[lo : lo + rows])
+        np.square(power, out=power)
+        power[0] += acc
+        acc = np.sum(power, axis=0)
+    return acc
+
+
+def ks_pvalue(a, b) -> float:
+    """Two-sided two-sample Kolmogorov-Smirnov p-value of two samples of one
+    size n, by Smirnov's exact formula for equal sizes (Hodges, Ark. Mat. 3,
+    1958), at every n; NaN when a sample holds a NaN.
+
+    h = n max |F_a - F_b| is the largest gap of the empirical distribution
+    functions in counts, and P(D >= h/n) = 2 sum_{k >= 1} (-1)^(k+1)
+    C(2n, n - kh) / C(2n, n) is summed in nested form from the smallest
+    term, as scipy.stats.ks_2samp computes it, to the same bits.  That
+    function uses the formula up to n = 10000 and an asymptotic one above.
+    """
+    a, b = np.sort(a), np.sort(b)
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ValueError(f"need two non-empty samples of one size, got {len(a)} and {len(b)}")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # a sort puts NaN last
+        return math.nan
+    both = np.concatenate([a, b])
+    gap = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
+    h = int(np.max(np.abs(gap)))
+    if h == 0:
+        return 1.0
+    # 2 A_0 (1 - A_1 (1 - A_2 (...))), A_k = C(2n, n - (k+1)h) / C(2n, n - kh)
+    prob = 0.0
+    for k in range(n // h, -1, -1):
+        ratio = 1.0
+        for j in range(h):
+            ratio = (n - k * h - j) * ratio / (n + k * h + j + 1)
+        prob = ratio * (1.0 - prob)
+    return min(max(2 * prob, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +709,18 @@ def lp_log_moment_check(
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     g = grid_for(cutoff)
+    gen = as_generator(rng)
     if p == 2:
-        powers, closed = l2_powers, l2_moment_exact(g, spec, alpha)
+        # each sample reduced as it is drawn: one piece of the draw alive
+        samples = drawn_l2_powers(gen, replicas, stationary_std(g, spec, alpha))
+        closed = l2_moment_exact(g, spec, alpha)
     else:
         from .spectral import lp_powers
 
-        powers, closed = functools.partial(lp_powers, g, p=p, grid_factor=grid_factor), None
-    # the stationary samples in row blocks: the real half and one block alive
-    blocks = stationary_batch(g, spec, alpha, as_generator(rng), replicas, blocks=True)
-    samples = np.concatenate([powers(block) for _, block in blocks])
+        # the stationary samples in row blocks: the real half and one block alive
+        blocks = stationary_batch(g, spec, alpha, gen, replicas, blocks=True)
+        samples = np.concatenate([lp_powers(g, b, p, grid_factor) for _, b in blocks])
+        closed = None
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(replicas))
     bound = (spec.epsilon * math.log((1.0 + spec.delta) / spec.delta)) ** (p / 2.0)

@@ -45,7 +45,10 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``ou_step_batch_whole`` and ``lp_log_moment_check_whole``, the OU step as
   decay * Z plus a whole draw, and the L^p moment check from all of its
   stationary samples at once, the references for the row blocks of
-  ``ou_step_blocks`` and of ``lp_log_moment_check``.
+  ``ou_step_batch`` and of ``lp_log_moment_check``;
+- ``l2_powers_whole``, the squared L^2 norm of each row of a whole array
+  as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
+  reduces the same sums piece by piece as the draw's parts are drawn.
 """
 
 import math
@@ -436,12 +439,18 @@ def ou_step_batch_whole(Z, grid, spec, alpha, dt, gen):
     return decay[None, :] * Z + g
 
 
+def l2_powers_whole(W):
+    """|w|_{L^2}^2 = 2 sum_k |w_k|^2 of each row of W (rows, n_modes), summed
+    as 2 (sum_k Re(w_k)^2 + sum_k Im(w_k)^2) over whole rows."""
+    return 2.0 * (np.sum(W.real**2, axis=1) + np.sum(W.imag**2, axis=1))
+
+
 def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, alpha=0.0, grid_factor=2):
     """lp_log_moment_check holding all of its stationary samples Z at once."""
     g = grid_for(cutoff)
     Z = stationary_batch(g, spec, alpha, as_generator(rng), replicas)
     if p == 2:
-        samples = 2.0 * np.sum(np.abs(Z) ** 2, axis=1)
+        samples = l2_powers_whole(Z)
         closed = l2_moment_exact(g, spec, alpha)
     else:
         samples = lp_powers(g, Z, p, grid_factor)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sns2d.experiments import (
     write_json_atomic,
 )
 from sns2d.fields import save_field, taylor_green
-from sns2d.grid import grid_for
+from sns2d.grid import SAMPLES_PER_CALL, grid_for
 from sns2d.spectral import lp_powers
 
 
@@ -930,6 +931,46 @@ def test_pooled_lp_powers_are_the_serial_ones(monkeypatch):
         sys.setswitchinterval(interval)
     for serial, pooled in zip(*samples):
         assert np.array_equal(serial, pooled)
+
+
+def test_an_ou_checks_member_holds_one_batch_and_a_few_buffers(monkeypatch):
+    # one member: 4000 replicas at cutoff 16 are two batches of 2000
+    _on_cores(monkeypatch, 1)
+    raw = minimal_ou_config()
+    raw["numerics"]["cutoff"] = 16
+    raw["statistics"]["replicas"] = 4000
+    cfg = ExperimentConfig.from_dict(raw)
+    experiments._run_ou_checks(experiments._RunContext(cfg))  # plans and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiments._run_ou_checks(experiments._RunContext(cfg))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    batch = 16 * 2000 * grid_for(16).n_modes
+    # the batch's |Z|^2 in row blocks, the draw's piece and the step's share
+    # of decay * Z are buffers of SAMPLES_PER_CALL reals; the samples, rows
+    # and the KS test take less.  |Z|^2 of the whole batch, or the real half
+    # of a step, would add batch / 2
+    assert peak <= batch + 8 * (8 * SAMPLES_PER_CALL)
+
+
+def test_an_ou_checks_run_does_not_import_scipy_stats(tmp_path):
+    # importing scipy.stats, for its ks_2samp, costs about 45 MiB of
+    # resident memory
+    src = pathlib.Path(experiments.__file__).parents[1]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from sns2d.experiments import ExperimentConfig, run\n"
+        f"cfg = ExperimentConfig.from_dict(json.loads({json.dumps(minimal_ou_config())!r}))\n"
+        f"assert run(cfg, {str(tmp_path)!r}).passed\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_the_lowest_indexed_failing_member_is_raised(monkeypatch):

@@ -25,13 +25,14 @@ from sns2d.grid import grid_for
 from sns2d.noise import (
     RenormTailError,
     besov_moment_check,
+    drawn_l2_powers,
+    ks_pvalue,
     l2_moment_exact,
     lattice_power_sum,
     lp_log_moment_check,
+    mode_square_sums,
     mode_variances,
-    l2_powers,
     ou_step_batch,
-    ou_step_blocks,
     ou_transition,
     schedule_from_dict,
     stationary_batch,
@@ -44,6 +45,7 @@ from sns2d.grid import SAMPLES_PER_CALL, stack_depth
 
 from _oracles import (
     besov_moment_check_per_replica,
+    l2_powers_whole,
     lp_log_moment_check_whole,
     ou_step_batch_whole,
     unit_complex_normals_assembled,
@@ -163,6 +165,54 @@ def test_ou_step_preserves_stationary_law():
     emp = np.mean(np.abs(Zs) ** 2, axis=0)
     exact = mode_variances(g, spec, 0.0)
     assert np.max(np.abs(emp - exact) / exact) < 0.2
+
+
+def _ks_cases():
+    """(name, a, b): equal-size samples, with the p-value scipy gives them."""
+    rng = np.random.default_rng(31)
+    same = rng.standard_normal(50)
+    cases = [("identical", same, same.copy()), ("two", np.array([0.0, 1.0]), np.array([2.0, 3.0]))]
+    for n in (2, 3, 7, 100, 1000, 2500, 10_000):
+        cases.append((f"n={n}", rng.standard_normal(n), rng.standard_normal(n) + 0.05))
+    # ties within and across the samples
+    cases.append(("ties", rng.integers(0, 6, 500).astype(float), rng.integers(0, 7, 500).astype(float)))
+    cases.append(("far apart", rng.standard_normal(400), rng.standard_normal(400) + 1.0))
+    cases.append(("disjoint", np.arange(300.0), np.arange(300.0) + 1000.0))
+    return cases
+
+
+@pytest.mark.parametrize("name, a, b", _ks_cases(), ids=[c[0] for c in _ks_cases()])
+def test_ks_pvalue_is_scipys_bit_for_bit(name, a, b):
+    from scipy.stats import ks_2samp
+
+    want = ks_2samp(a, b).pvalue
+    assert ks_pvalue(a, b) == want and type(ks_pvalue(a, b)) is float
+    if name == "identical":
+        assert want == 1.0
+    if name in ("far apart", "disjoint"):
+        assert want < 1e-10
+
+
+def test_ks_pvalue_is_the_exact_formula_above_scipys_switch():
+    # scipy's default turns asymptotic above 10000 per sample; here it stays exact
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(32)
+    a, b = rng.standard_normal(20_000), rng.standard_normal(20_000) + 0.02
+    assert ks_pvalue(a, b) == ks_2samp(a, b, method="exact").pvalue
+    assert ks_pvalue(a, b) != ks_2samp(a, b).pvalue
+
+
+def test_ks_pvalue_propagates_nan_and_needs_equal_sizes():
+    from scipy.stats import ks_2samp
+
+    a = np.array([0.3, np.nan, 1.0])
+    assert math.isnan(ks_2samp(a, np.ones(3)).pvalue)
+    assert math.isnan(ks_pvalue(a, np.ones(3))) and math.isnan(ks_pvalue(np.ones(3), a))
+    with pytest.raises(ValueError, match="one size, got 3 and 4"):
+        ks_pvalue(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError, match="one size, got 0 and 0"):
+        ks_pvalue([], [])
 
 
 def test_renorm_constant_axis_symmetry_exact_rational():
@@ -315,8 +365,9 @@ def test_lp_log_moment_p2_sums_row_blocks_bit_for_bit(monkeypatch):
     Z = stationary_batch(grid_for(cutoff), spec, 0.0, RngStream(11).generator(), replicas)
     samples = [m for m in means if m.shape == (replicas,)]
     assert len(samples) == 1
-    assert np.array_equal(samples[0], 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
-    # Z, the draw's buffers and the row blocks; a full-batch |Z|^2 adds Z.nbytes
+    # 2 (sum Re^2 + sum Im^2) per row; 2 sum |z|^2 through np.abs rounds |z|
+    assert np.array_equal(samples[0], l2_powers_whole(Z))
+    # one piece of the draw; a full-batch |Z|^2 adds Z.nbytes
     assert peak <= Z.nbytes + 2**20
 
 
@@ -452,6 +503,17 @@ def test_unit_complex_normals_are_the_assembled_draw_bit_for_bit(shape, std):
         assembled = unit_complex_normals_assembled(np.random.default_rng(seed), shape, std)
         assert fused.shape == assembled.shape
         assert np.array_equal(_bits(fused), _bits(assembled))
+        into = np.full(assembled.shape, np.nan, dtype=np.complex128)
+        assert unit_complex_normals(np.random.default_rng(seed), shape, std, out=into) is into
+        assert np.array_equal(_bits(into), _bits(assembled))
+
+
+def test_a_draw_into_out_needs_its_shape_in_c_order():
+    gen = np.random.default_rng(0)
+    for out in (np.empty((3, 5)), np.empty((3, 4), dtype=np.complex128),
+                np.empty((3, 10), dtype=np.complex128)[:, ::2]):
+        with pytest.raises(ValueError, match=r"C-ordered complex128 array of shape \(3, 5\)"):
+            unit_complex_normals(gen, (3, 5), out=out)
 
 
 def _blocked(gen, shape, std=None):
@@ -492,13 +554,56 @@ def test_ou_steps_in_row_blocks_are_the_whole_step_bit_for_bit():
     before = Z.copy()
     whole = ou_step_batch_whole(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
     batch = ou_step_batch(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
-    blocks = np.concatenate([
-        block.copy() for _, block in ou_step_blocks(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
-    ])
     assert np.array_equal(_bits(batch), _bits(whole))
-    assert np.array_equal(_bits(blocks), _bits(whole))
     assert np.array_equal(_bits(Z), _bits(before))
-    assert np.array_equal(l2_powers(Z), 2.0 * np.sum(np.abs(Z) ** 2, axis=1))
+    # the L^2 powers of the steps, reduced as the step noise is drawn
+    decay, std = ou_transition(g, spec, 0.5, 0.02)
+    powers = drawn_l2_powers(np.random.default_rng(2), 37, std, decay, Z)
+    assert np.array_equal(powers, l2_powers_whole(whole))
+    assert np.array_equal(_bits(Z), _bits(before))
+    # and of the stationary samples themselves
+    powers = drawn_l2_powers(np.random.default_rng(1), 37, stationary_std(g, spec, 0.5))
+    assert np.array_equal(powers, l2_powers_whole(Z))
+
+
+# whole rows in one piece, in several pieces of rows, and rows longer than
+# SAMPLES_PER_CALL in pieces of columns
+@pytest.mark.parametrize("shape", [(5, 544), (37, 544), (3, 20000)])
+def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
+    rows, n = shape
+    std = np.linspace(0.1, 3.0, n)
+    whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std)
+    gen = np.random.default_rng(5)
+    halves = np.zeros((2, rows, n))
+    seen = np.zeros((2, rows, n), dtype=int)
+    order = []
+    for part, lo, c, piece in unit_complex_normals(gen, shape, std, parts=True):
+        d, w = piece.shape
+        assert piece.size <= SAMPLES_PER_CALL
+        halves[part, lo : lo + d, c : c + w] = piece
+        seen[part, lo : lo + d, c : c + w] += 1
+        order.append((part, lo, c))
+    assert np.all(seen == 1) and order == sorted(order)
+    assert np.array_equal(_bits(halves[0]), _bits(whole.real))
+    assert np.array_equal(_bits(halves[1]), _bits(whole.imag))
+    after = np.random.default_rng(5)
+    after.standard_normal((2, *shape))
+    assert gen.bit_generator.state == after.bit_generator.state
+    # a row in several pieces sums piece by piece, so only to roundoff
+    powers = drawn_l2_powers(np.random.default_rng(5), rows, std)
+    if n <= SAMPLES_PER_CALL:
+        assert np.array_equal(powers, l2_powers_whole(whole))
+    else:
+        assert np.allclose(powers, l2_powers_whole(whole), rtol=1e-14, atol=0.0)
+    with pytest.raises(TypeError, match="one generator"):
+        unit_complex_normals([np.random.default_rng(0)], (1, 5), parts=True)
+
+
+# one row block, 67 blocks of 30 rows, a row per block
+@pytest.mark.parametrize("shape", [(7, 544), (2000, 544), (5, 20000)])
+def test_mode_square_sums_are_the_whole_sum_bit_for_bit(shape):
+    Z = unit_complex_normals(np.random.default_rng(3), shape, np.linspace(0.1, 3.0, shape[1]))
+    assert np.array_equal(mode_square_sums(Z), np.sum(np.abs(Z) ** 2, axis=0))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -509,24 +614,41 @@ def test_lp_moment_check_in_row_blocks_is_the_whole_check(p):
     assert report == lp_log_moment_check_whole(spec, p, 37, RngStream(3), 16)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_an_lp_moment_member_holds_the_real_half_and_one_block(p):
+def _lp_moment_member_peak(p, replicas):
+    """Bytes an lp_moment member of the given replicas at cutoff 16
+    allocates at its peak, above what it started with."""
     spec = NoiseSpec(epsilon=0.3, delta=0.01, gamma=1.0)
-    replicas, n = 2000, grid_for(16).n_modes
     lp_log_moment_check(spec, p, 40, RngStream(0), 16)  # plans and caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         lp_log_moment_check(spec, p, replicas, RngStream(0), 16)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# p = 2 reduces its samples as they are drawn, below
+@pytest.mark.parametrize("p", [3.0])
+def test_an_lp_moment_member_holds_the_real_half_and_one_block(p):
+    replicas, n = 2000, grid_for(16).n_modes
+    peak = _lp_moment_member_peak(p, replicas)
     real_half = 8 * replicas * n
     # one complex block of SAMPLES_PER_CALL entries is 16 * SAMPLES_PER_CALL
     # bytes; the draw buffer, the block's reductions and the samples take a
     # few more such blocks.  All of the samples at once held 2 * real_half
     block = 16 * SAMPLES_PER_CALL
     assert peak <= real_half + 4 * block + 16 * replicas
+
+
+def test_an_lp_moment_member_at_p2_holds_no_half_of_its_draw():
+    replicas = 2000
+    peak = _lp_moment_member_peak(2.0, replicas)
+    # the draw's piece of SAMPLES_PER_CALL reals and at most 8 arrays of
+    # the samples' size: the samples, their row sums and the temporaries of
+    # their mean and deviation.  Holding the real half alone would take
+    # 8 * replicas * 544 bytes, 8.7 MB
+    assert peak <= 8 * SAMPLES_PER_CALL + 8 * 8 * replicas
 
 
 def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
