@@ -20,13 +20,12 @@ from .spectral import (
     stokes_apply,
     tensor_sobolev_norm,
 )
-from .nonlinear import DealiasRule, b_bilinear, b_self, tensor_product
+from .nonlinear import DealiasRule, tensor_product
 from .noise import (
     NoiseSpec,
     PowerSchedule,
     RngStream,
     besov_moment_check,
-    covariance_weight,
     lambda_beta_bound,
     lp_log_moment_check,
     ou_step,
@@ -43,7 +42,6 @@ from .dynamics import (
     solve_controlled_block,
     solve_shifted,
     solve_skeleton,
-    solve_stochastic,
     step_skeleton,
 )
 from .ldp import (
@@ -51,7 +49,6 @@ from .ldp import (
     ConvergenceReport,
     OptimizerSettings,
     action,
-    action_refinement,
     besov_convergence_experiment,
     h_convergence_experiment,
     laplace_check,

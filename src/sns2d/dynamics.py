@@ -1,4 +1,5 @@
-"""Time integration: skeleton, stochastic, controlled and shifted equations.
+"""Time integration: skeleton, controlled and shifted equations; the
+stochastic equation is the controlled one at zero control.
 
 Every time march goes through one exponential-step kernel, ``march``: the
 Stokes part is applied exactly per mode and, for the stochastic equations,
@@ -91,13 +92,6 @@ class ControlPath:
         """Squared L^2(0, T; H) norm of the piecewise-constant control."""
         return float(self.dt * 2.0 * np.sum(np.abs(self.values) ** 2))
 
-    def in_ball(self, gamma: float) -> bool:
-        """Membership in the radius-gamma energy ball of L^2(0, T; H)."""
-        return self.l2h_norm_sq() <= gamma * (1.0 + 1e-12)
-
-    def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.values[i])
-
     @classmethod
     def zero(cls, cutoff: int, dt: float, n_steps: int) -> "ControlPath":
         g = grid_for(cutoff)
@@ -145,10 +139,6 @@ class Trajectory:
     def t_final(self) -> float:
         return self.n_steps * self.dt
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.coeffs.shape[0]) * self.dt
-
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i])
 
@@ -167,9 +157,6 @@ class Trajectory:
     def sup_h_distance(self, other: "Trajectory") -> float:
         diff = self.difference(other)
         return float(np.max(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2, axis=1))))
-
-    def sup_norm(self, norm_fn) -> float:
-        return float(np.max([norm_fn(self.state(i)) for i in range(self.coeffs.shape[0])]))
 
     def sup_distance(self, other: "Trajectory", norm_fn) -> float:
         diff = self.difference(other)
@@ -375,19 +362,6 @@ def solve_skeleton(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig) -
     )
 
 
-def solve_stochastic(
-    u0: SpectralField,
-    spec: NoiseSpec,
-    cfg: IntegratorConfig,
-    t_final: float,
-    rng,
-) -> Trajectory:
-    """du = [Au + b(u)] dt + sqrt(eps) dw, exact OU treatment of the linear
-    plus noise part, explicit nonlinearity."""
-    phi = ControlPath.zero(u0.grid.cutoff, cfg.dt, step_count(t_final, cfg.dt))
-    return solve_controlled(u0, phi, spec, cfg, rng)
-
-
 def solve_controlled(
     u0: SpectralField,
     phi: ControlPath,
@@ -587,36 +561,3 @@ def save_trajectory(traj: Trajectory, path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != f"# {TRAJ_HEADER}":
-        raise ValueError(f"{path}: not a {TRAJ_HEADER} file")
-    cutoff = dt = n_steps = None
-    meta = {}
-    data_start = None
-    for idx, ln in enumerate(lines[1:], start=1):
-        if ln.startswith("# cutoff="):
-            cutoff = int(ln.split("=", 1)[1])
-        elif ln.startswith("# dt="):
-            dt = float(ln.split("=", 1)[1])
-        elif ln.startswith("# n_steps="):
-            n_steps = int(ln.split("=", 1)[1])
-        elif ln.startswith("# meta:"):
-            key, val = ln[len("# meta:") :].split("=", 1)
-            meta[key] = val
-        elif ln == "step,k1,k2,re,im":
-            data_start = idx + 1
-            break
-    if None in (cutoff, dt, n_steps) or data_start is None:
-        raise ValueError(f"{path}: malformed trajectory header")
-    g = grid_for(cutoff)
-    coeffs = np.zeros((n_steps + 1, g.n_modes), dtype=np.complex128)
-    index = g.mode_index
-    for ln in lines[data_start:]:
-        if not ln:
-            continue
-        step, k1, k2, re, im = ln.split(",")
-        coeffs[int(step), index[(int(k1), int(k2))]] = float(re) + 1j * float(im)
-    return Trajectory(g, dt, coeffs, metadata=meta)

@@ -335,7 +335,7 @@ _SECTIONS = {
         "cutoff": (16, _count(1)),
         "dt": (0.01, _POSITIVE),
         "t_final": (0.5, _POSITIVE),
-        "grid_factor": (2, _count(1)),
+        "grid_factor": (2, _count(2)),
         "dealias": ("two_thirds", None),
         "scheme": ("exponential_euler", None),
     },
@@ -1197,7 +1197,6 @@ def sweep(raw_config: dict, axis: str, values, outdir: str, workers: int = 1):
     members share no state and the merged output is order-independent.
     """
     import concurrent.futures
-    import copy
 
     jobs = []
     for v in values:

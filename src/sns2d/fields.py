@@ -119,18 +119,6 @@ class SpectralField:
         return transform_plan(g.cutoff, g.cutoff, size).synthesize(self.coeffs)
 
 
-def divergence_residual(field: SpectralField) -> float:
-    """max_k |k . u_hat(k)| / max_k |u_hat(k)| over the reconstructed velocity."""
-    vhat = field.velocity_coeffs()
-    n = field.cutoff
-    freqs = np.arange(-n, n + 1)
-    dot = freqs[:, None] * vhat[0] + freqs[None, :] * vhat[1]
-    scale = np.max(np.abs(vhat))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(dot)) / scale)
-
-
 def taylor_green(cutoff: int, amplitude: float = 1.0) -> SpectralField:
     """Taylor-Green-type low-mode field u = a*(sin x1 cos x2, -cos x1 sin x2)."""
     # sin x1 cos x2 = (e^{i(x1+x2)} + e^{i(x1-x2)} - e^{-i(x1-x2)} - e^{-i(x1+x2)}) / 4i
@@ -181,17 +169,6 @@ class TensorField:
         """The (2, 2) matrix of k = 0 coefficients (spatial means)."""
         n = self.grid.cutoff
         return np.real(self.comps[:, :, n, n]).copy()
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorField):
-            raise TypeError("expected a TensorField")
-        if other.grid.cutoff != self.grid.cutoff:
-            raise ValueError("cutoff mismatch")
-        return TensorField(self.grid, self.comps - other.comps)
-
-    def hermitian_defect(self) -> float:
-        flipped = np.conj(self.comps[:, :, ::-1, ::-1])
-        return float(np.max(np.abs(self.comps - flipped)))
 
 
 FIELD_HEADER = "sns2d-field v1"

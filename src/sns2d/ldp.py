@@ -71,8 +71,7 @@ def action(f: Trajectory, rule: DealiasRule = None) -> ActionReport:
     """Action of a trajectory: trapezoid quadrature of (1/2)|residual|_H^2.
 
     Paths that are not time-differentiable have no finite action; their
-    reported value grows like 1/dt under refinement, which callers detect
-    with ``action_refinement_diverges``.
+    reported value grows like 1/dt as the time grid is refined.
     """
     if rule is None:
         rule = DealiasRule.two_thirds(f.grid.cutoff)
@@ -86,38 +85,6 @@ def action(f: Trajectory, rule: DealiasRule = None) -> ActionReport:
 def control_action(phi: ControlPath) -> float:
     """(1/2) |phi|^2 in the discrete L^2(0,T;H) norm."""
     return 0.5 * phi.l2h_norm_sq()
-
-
-@dataclass
-class ActionRefinementReport:
-    """Action of one path evaluated on a hierarchy of time grids.
-
-    For time-differentiable paths the sequence converges; for rough
-    (e.g. noise-driven) paths it grows like 1/dt, which ``diverging``
-    flags instead of reporting a sentinel infinity.
-    """
-
-    dts: list
-    actions: list
-    diverging: bool
-
-
-def action_refinement(
-    f: Trajectory, strides=(8, 4, 2, 1), rule: DealiasRule = None
-) -> ActionRefinementReport:
-    """Evaluate the action on subsampled copies of a trajectory (coarse to
-    fine).  A path with square-integrable derivative shows a stabilizing
-    sequence; a rough path roughly doubles per halving."""
-    dts, actions = [], []
-    for s in sorted(strides, reverse=True):
-        if f.n_steps % s or f.n_steps // s < 2:
-            raise ValueError(f"stride {s} does not subsample {f.n_steps} steps")
-        sub = Trajectory(f.grid, f.dt * s, f.coeffs[::s].copy())
-        dts.append(sub.dt)
-        actions.append(action(sub, rule).value)
-    growing = all(b > a for a, b in zip(actions, actions[1:]))
-    doubling = actions[-1] > 1.5 * actions[0] if len(actions) > 1 else False
-    return ActionRefinementReport(dts=dts, actions=actions, diverging=growing and doubling)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +360,6 @@ class ConvergenceReport:
     slope: float
     slope_stderr: float
 
-    def decaying_at_two_sigma(self) -> bool:
-        return self.slope - 2.0 * self.slope_stderr > 0.0
-
     def rows(self):
         return [
             {
@@ -615,19 +579,12 @@ class ClippedEndpointDistance:
         d = h_norm_of(traj.coeffs[-1] - self.target.coeffs)
         return min(self.clip, self.scale * d * d)
 
-    def endpoint_value(self, endpoint: SpectralField) -> float:
-        d = h_norm_of(endpoint.coeffs - self.target.coeffs)
-        return min(self.clip, self.scale * d * d)
-
 
 class ConstantFunctional:
     def __init__(self, value: float):
         self.value = value
 
     def __call__(self, traj: Trajectory) -> float:
-        return self.value
-
-    def endpoint_value(self, endpoint: SpectralField) -> float:
         return self.value
 
 

@@ -299,15 +299,8 @@ def unit_complex_normals(gen, shape, std=None, blocks=False, parts=False, out=No
     return out
 
 
-def covariance_weight(k, spec: NoiseSpec) -> float:
-    """lambda_k = (1 + delta |k|^(2 gamma))^(-1/2) for a single wavenumber."""
-    k1, k2 = k
-    ksq = float(k1 * k1 + k2 * k2)
-    return 1.0 / math.sqrt(1.0 + spec.delta * ksq**spec.gamma)
-
-
 def covariance_weights(grid, spec: NoiseSpec) -> np.ndarray:
-    """lambda_k over the stored half-lattice."""
+    """lambda_k = (1 + delta |k|^(2 gamma))^(-1/2) over the stored half-lattice."""
     return 1.0 / np.sqrt(1.0 + spec.delta * grid.ksq**spec.gamma)
 
 

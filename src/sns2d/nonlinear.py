@@ -162,17 +162,6 @@ def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> Ten
     return TensorField(g, comps)
 
 
-def b_bilinear(u: SpectralField, v: SpectralField, rule: DealiasRule) -> SpectralField:
-    """b(u, v) = -P div(u x v), computed alias-free."""
-    u._check(v)
-    return u.with_coeffs(b_bilinear_core(u.coeffs, v.coeffs, u.grid, rule))
-
-
-def b_self(u: SpectralField, rule: DealiasRule) -> SpectralField:
-    """b(u) = -P div(u x u)."""
-    return u.with_coeffs(b_core(u.coeffs, u.grid, rule))
-
-
 def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) -> np.ndarray:
     """Adjoint of v -> b(u, v) + b(v, u) in the H inner product.
 
@@ -189,8 +178,3 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) ->
     # conj(w_u) sigma = (u1 s + u2 t) + i (u1 t - u2 s) = r1 + i r2
     r = np.multiply(np.conj(wu), sigma, out=sigma)
     return plan.analyze_packed(r[..., None, :, :], _weights(plan)[2:])
-
-
-def b_linearized_adjoint(u: SpectralField, w: SpectralField, rule: DealiasRule) -> SpectralField:
-    u._check(w)
-    return u.with_coeffs(b_linearized_adjoint_core(u.coeffs, w.coeffs, u.grid, rule))

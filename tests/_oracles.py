@@ -48,7 +48,11 @@ own parts and kept as references for faster forms of the same arithmetic:
   ``ou_step_batch`` and of ``lp_log_moment_check``;
 - ``l2_powers_whole``, the squared L^2 norm of each row of a whole array
   as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
-  reduces the same sums piece by piece as the draw's parts are drawn.
+  reduces the same sums piece by piece as the draw's parts are drawn;
+- ``divergence_residual``, max |k . u_hat(k)| over the velocity that
+  ``SpectralField.velocity_coeffs`` reconstructs, relative to its largest
+  coefficient, the check that the package's basis is divergence-free;
+- ``load_trajectory``, the reader of the files ``save_trajectory`` writes.
 """
 
 import math
@@ -57,8 +61,10 @@ import numpy as np
 from scipy.fft import irfft2, rfft2
 
 from sns2d.dynamics import (
+    TRAJ_HEADER,
     ControlPath,
     IntegrationBlowupError,
+    Trajectory,
     _psi2,
     exp_weights,
     skeleton_forcing,
@@ -315,13 +321,9 @@ def besov_norm_per_block(u, sigma, p, grid_factor=2):
 def trajectory_space_norm_two_pass(traj, besov, grid_factor=2):
     """sup_t |.|_{B^sigma_p} plus the L^beta(0,T) norm of |.|_{B^alpha_p},
     one ``besov_norm`` per state and exponent."""
-    sup_term = traj.sup_norm(lambda f: besov_norm(f, besov.sigma, besov.p, grid_factor))
-    vals = np.array(
-        [
-            besov_norm(traj.state(i), besov.alpha, besov.p, grid_factor)
-            for i in range(traj.coeffs.shape[0])
-        ]
-    )
+    states = [traj.state(i) for i in range(traj.coeffs.shape[0])]
+    sup_term = float(np.max([besov_norm(f, besov.sigma, besov.p, grid_factor) for f in states]))
+    vals = np.array([besov_norm(f, besov.alpha, besov.p, grid_factor) for f in states])
     weights = np.full(vals.size, traj.dt)
     weights[0] = weights[-1] = 0.5 * traj.dt
     time_term = float(np.dot(weights, vals**besov.beta) ** (1.0 / besov.beta))
@@ -562,3 +564,50 @@ def block_powers_real_grids(grid, coeffs, p, grid_factor=2):
         mask = _block_mask(grid.ksq[plan.keep], q)
         powers.append(power_integrals_real_grids(plan, coeffs, p, mask * plan.velocity))
     return np.array(powers)
+
+
+def divergence_residual(field):
+    """max_k |k . u_hat(k)| / max_k |u_hat(k)| over the reconstructed velocity."""
+    vhat = field.velocity_coeffs()
+    n = field.cutoff
+    freqs = np.arange(-n, n + 1)
+    dot = freqs[:, None] * vhat[0] + freqs[None, :] * vhat[1]
+    scale = np.max(np.abs(vhat))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(dot)) / scale)
+
+
+def load_trajectory(path):
+    """The trajectory a ``save_trajectory`` file holds, its metadata as strings."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    if not lines or lines[0] != f"# {TRAJ_HEADER}":
+        raise ValueError(f"{path}: not a {TRAJ_HEADER} file")
+    cutoff = dt = n_steps = None
+    meta = {}
+    data_start = None
+    for idx, ln in enumerate(lines[1:], start=1):
+        if ln.startswith("# cutoff="):
+            cutoff = int(ln.split("=", 1)[1])
+        elif ln.startswith("# dt="):
+            dt = float(ln.split("=", 1)[1])
+        elif ln.startswith("# n_steps="):
+            n_steps = int(ln.split("=", 1)[1])
+        elif ln.startswith("# meta:"):
+            key, val = ln[len("# meta:") :].split("=", 1)
+            meta[key] = val
+        elif ln == "step,k1,k2,re,im":
+            data_start = idx + 1
+            break
+    if None in (cutoff, dt, n_steps) or data_start is None:
+        raise ValueError(f"{path}: malformed trajectory header")
+    g = grid_for(cutoff)
+    coeffs = np.zeros((n_steps + 1, g.n_modes), dtype=np.complex128)
+    index = g.mode_index
+    for ln in lines[data_start:]:
+        if not ln:
+            continue
+        step, k1, k2, re, im = ln.split(",")
+        coeffs[int(step), index[(int(k1), int(k2))]] = float(re) + 1j * float(im)
+    return Trajectory(g, dt, coeffs, metadata=meta)

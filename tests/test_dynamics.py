@@ -21,23 +21,22 @@ from sns2d import (
     solve_controlled_block,
     solve_shifted,
     solve_skeleton,
-    solve_stochastic,
     step_skeleton,
     taylor_green,
 )
 from sns2d.dynamics import (
     IntegrationBlowupError,
     Trajectory,
-    load_trajectory,
     march,
     save_trajectory,
     shifted_apriori_ratio,
     step_count,
 )
-from sns2d.ldp import fit_loglog
-from sns2d.noise import covariance_weights, ou_step, ou_transition
+from sns2d.ldp import ConstantFunctional, fit_loglog, laplace_check
+from sns2d.noise import PowerSchedule, covariance_weights, ou_step, ou_transition
+from sns2d.nonlinear import b_core
 
-from _oracles import controlled_per_replica
+from _oracles import controlled_per_replica, divergence_residual, load_trajectory
 
 
 def generic_field(cutoff=8, amplitude=0.3, seed=2):
@@ -58,8 +57,8 @@ def test_integrator_config_validation():
 def test_control_path_norms_and_ball(rng):
     phi = ControlPath.random_in_ball(6, 0.02, 25, gamma=1.7, rng=rng)
     assert phi.l2h_norm_sq() == pytest.approx(1.7, rel=1e-12)
-    assert phi.in_ball(1.7)
-    assert not phi.in_ball(1.6)
+    assert phi.l2h_norm_sq() <= 1.7 * (1.0 + 1e-12)
+    assert not phi.l2h_norm_sq() <= 1.6 * (1.0 + 1e-12)
     assert phi.t_final == pytest.approx(0.5)
 
 
@@ -82,7 +81,7 @@ def test_duhamel_smoothing_ratio_bounded(rng):
     for seed in range(5):
         phi = ControlPath.random_in_ball(8, 0.01, 50, 1.0, np.random.default_rng(seed))
         traj = duhamel_gamma(phi)
-        sup = traj.sup_norm(lambda u: sobolev_norm(u, 0.9))
+        sup = max(sobolev_norm(traj.state(i), 0.9) for i in range(traj.n_steps + 1))
         worst = max(worst, sup / math.sqrt(phi.l2h_norm_sq()))
     assert worst < 2.0
 
@@ -223,8 +222,9 @@ def test_stochastic_zero_noise_equals_skeleton():
     u0 = generic_field()
     cfg = IntegratorConfig(dt=0.01)
     spec = NoiseSpec(epsilon=0.0, delta=0.1, gamma=1.0)
-    a = solve_stochastic(u0, spec, cfg, 0.3, RngStream(4))
-    b = solve_skeleton(u0, ControlPath.zero(8, 0.01, 30), cfg)
+    zero = ControlPath.zero(8, 0.01, 30)
+    a = solve_controlled(u0, zero, spec, cfg, RngStream(4))
+    b = solve_skeleton(u0, zero, cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -297,10 +297,9 @@ def test_stochastic_matches_ou_law_when_nonlinearity_disabled():
     R = 3000
     stream = RngStream(12)
     finals = np.empty((R, SpectralField.zero(g_cut).grid.n_modes), dtype=np.complex128)
+    zero = ControlPath.zero(g_cut, cfg.dt, step_count(t_final, cfg.dt))
     for r in range(R):
-        traj = solve_stochastic(
-            SpectralField.zero(g_cut), spec, cfg, t_final, stream.child(r)
-        )
+        traj = solve_controlled(SpectralField.zero(g_cut), zero, spec, cfg, stream.child(r))
         finals[r] = traj.coeffs[-1]
     g = traj.grid
     # transition variance from zero initial data over time t
@@ -321,8 +320,9 @@ def test_mean_energy_growth_rate():
     R = 1500
     t_final = 0.01
     acc = 0.0
+    zero = ControlPath.zero(6, cfg.dt, step_count(t_final, cfg.dt))
     for r in range(R):
-        traj = solve_stochastic(SpectralField.zero(6), spec, cfg, t_final, stream.child(r))
+        traj = solve_controlled(SpectralField.zero(6), zero, spec, cfg, stream.child(r))
         acc += traj.h_norms()[-1] ** 2
     rate = acc / R / t_final
     g = traj.grid
@@ -345,12 +345,18 @@ def test_mean_energy_growth_rate():
 
 
 def test_controlled_zero_control_equals_stochastic():
+    # du = [Au + b(u)] dt + sqrt(eps) dw: the march with the step noise of child(1)
     u0 = generic_field()
     cfg = IntegratorConfig(dt=0.01)
     spec = NoiseSpec(epsilon=0.2, delta=0.1, gamma=1.0)
     a = solve_controlled(u0, ControlPath.zero(8, 0.01, 25), spec, cfg, RngStream(9))
-    b = solve_stochastic(u0, spec, cfg, 0.25, RngStream(9))
-    assert np.array_equal(a.coeffs, b.coeffs)
+    g, rule = u0.grid, cfg.rule(8)
+    _, std = ou_transition(g, spec, 0.0, cfg.dt)
+    b, _ = march(
+        g, u0.coeffs, 25, cfg.dt, lambda u, step: b_core(u, g, rule), cfg,
+        noise_std=std, gen=RngStream(9).child(1).generator(),
+    )
+    assert np.array_equal(a.coeffs, b)
 
 
 def test_controlled_without_noise_is_weighted_skeleton():
@@ -435,12 +441,10 @@ def test_apriori_monitor_integrates_z_in_stacks():
 
 
 def test_trajectory_states_divergence_free():
-    from sns2d.fields import divergence_residual
-
     u0 = generic_field()
     cfg = IntegratorConfig(dt=0.01)
     spec = NoiseSpec(epsilon=0.3, delta=0.05, gamma=1.0)
-    traj = solve_stochastic(u0, spec, cfg, 0.1, RngStream(10))
+    traj = solve_controlled(u0, ControlPath.zero(8, 0.01, 10), spec, cfg, RngStream(10))
     for i in range(0, traj.n_steps + 1, 5):
         assert divergence_residual(traj.state(i)) <= 1e-12
 
@@ -449,7 +453,7 @@ def test_trajectory_serialization_roundtrip(tmp_path):
     u0 = generic_field()
     cfg = IntegratorConfig(dt=0.01)
     spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
-    traj = solve_stochastic(u0, spec, cfg, 0.05, RngStream(3))
+    traj = solve_controlled(u0, ControlPath.zero(8, 0.01, 5), spec, cfg, RngStream(3))
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
     back = load_trajectory(path)
@@ -491,7 +495,7 @@ def test_trajectory_metadata_records_stream():
     u0 = taylor_green(8, 0.4)
     cfg = IntegratorConfig(dt=0.01)
     spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
-    traj = solve_stochastic(u0, spec, cfg, 0.05, RngStream(99, (3,)))
+    traj = solve_controlled(u0, ControlPath.zero(8, 0.01, 5), spec, cfg, RngStream(99, (3,)))
     assert traj.metadata["seed"] == 99
     assert traj.metadata["stream"] == (3,)
     assert traj.metadata["epsilon"] == 0.1
@@ -622,11 +626,11 @@ def test_sup_norms_keep_a_nan():
     cfg = IntegratorConfig(dt=0.05)
     traj = solve_skeleton(taylor_green(4, 0.5), ControlPath.zero(4, 0.05, 3), cfg)
     norm = lambda f: np.nan if np.array_equal(f.coeffs, traj.coeffs[1]) else 1.0
-    assert np.isnan(traj.sup_norm(norm))
+    # the distance to the zero path is the sup norm
     zero = Trajectory(traj.grid, traj.dt, np.zeros_like(traj.coeffs))
     assert np.isnan(traj.sup_distance(zero, norm))
     h = lambda f: sobolev_norm(f, 0.0)
-    assert traj.sup_norm(h) == pytest.approx(max(traj.h_norms()), rel=1e-14)
+    assert traj.sup_distance(zero, h) == pytest.approx(max(traj.h_norms()), rel=1e-14)
 
 
 def test_sup_distance_is_the_sup_of_the_state_differences():
@@ -641,10 +645,10 @@ def test_sup_distance_is_the_sup_of_the_state_differences():
 def test_a_horizon_without_a_step_raises(t_final):
     with pytest.raises(ValueError, match="spans no step"):
         step_count(t_final, 0.01)
-    spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
+    # the stochastic paths of the Laplace probe run over a horizon
     with pytest.raises(ValueError, match="spans no step"):
-        solve_stochastic(taylor_green(4, 0.5), spec, IntegratorConfig(dt=0.01), t_final,
-                         RngStream(0))
+        laplace_check(ConstantFunctional(0.0), taylor_green(4, 0.5), PowerSchedule(0.5), [0.1],
+                      2, IntegratorConfig(dt=0.01), t_final, RngStream(0))
 
 
 def test_step_count_rounds_the_horizon():
@@ -660,7 +664,7 @@ def test_stochastic_solvers_take_only_a_stream(rng):
     cfg = IntegratorConfig(dt=0.01)
     phi = ControlPath.zero(4, 0.01, 3)
     with pytest.raises(TypeError, match="expected an RngStream"):
-        solve_stochastic(u0, spec, cfg, 0.03, rng)
+        solve_controlled(u0, phi, spec, cfg, rng)
     with pytest.raises(TypeError, match="expected an RngStream"):
         solve_controlled(u0, phi, spec, cfg, rng, noise=False)
     with pytest.raises(TypeError, match="expected an RngStream"):

@@ -6,11 +6,10 @@ import pytest
 
 import sns2d
 from sns2d import SpectralField, grid_for, save_field, load_field, taylor_green
-from sns2d.fields import divergence_residual
 from sns2d.grid import transform_plan
 from sns2d.nonlinear import DealiasRule, _plan_for
 
-from _oracles import analyze_scaling_the_spectrum, synthesize_scaling_a_copy
+from _oracles import analyze_scaling_the_spectrum, divergence_residual, synthesize_scaling_a_copy
 
 
 def test_half_lattice_covers_exactly_half():

@@ -26,6 +26,8 @@ from sns2d.fields import save_field, taylor_green
 from sns2d.grid import SAMPLES_PER_CALL, grid_for
 from sns2d.spectral import lp_powers
 
+from _oracles import load_trajectory
+
 
 def minimal_ou_config(seed=1):
     return {
@@ -441,8 +443,6 @@ def test_dump_trajectories_flag(tmp_path):
     files = os.listdir(record.run_dir)
     assert "skeleton.csv" in files
     assert "controlled_0.csv" in files
-    from sns2d.dynamics import load_trajectory
-
     traj = load_trajectory(os.path.join(record.run_dir, "skeleton.csv"))
     assert traj.n_steps == 10
 
@@ -590,6 +590,9 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
          "instanton: target.kind must be one of"),
         ("converge_h", "params", "initial", {"kind": "mode"},
          "converge_h: initial: kind 'mode' needs k"),
+        # run failed with "grid_factor must be >= 2"
+        ("converge_besov", "numerics", "grid_factor", 1,
+         "converge_besov: numerics.grid_factor must be an integer >= 2, got 1"),
     ],
 )
 def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(

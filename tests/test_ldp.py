@@ -27,13 +27,12 @@ from sns2d import (
     tube_probability,
 )
 from sns2d import ldp
-from sns2d.dynamics import Trajectory, solve_skeleton, solve_stochastic
+from sns2d.dynamics import Trajectory, solve_controlled, solve_skeleton
 from sns2d.grid import TransformPlan, grid_for
 from sns2d.ldp import (
     ClippedEndpointDistance,
     ConstantFunctional,
     action_objective_and_gradient,
-    action_refinement,
     control_action,
     fit_loglog,
     trajectory_space_norm,
@@ -123,20 +122,28 @@ def test_free_decay_action_vanishes_under_refinement():
     assert vals[-1] < 1e-4
 
 
+def refined_actions(f, strides=(8, 4, 2, 1)):
+    """The action of f subsampled at each stride, coarse to fine."""
+    return [action(Trajectory(f.grid, f.dt * s, f.coeffs[::s].copy())).value for s in strides]
+
+
+def diverging(actions):
+    """Growing at every refinement and more than 1.5 times the coarsest."""
+    return all(b > a for a, b in zip(actions, actions[1:])) and actions[-1] > 1.5 * actions[0]
+
+
 def test_rough_path_action_diverges():
     # stationary OU path: difference quotients scale like 1/dt
     spec = NoiseSpec(epsilon=0.5, delta=0.1, gamma=1.0)
     cfg = IntegratorConfig(dt=0.00125, disable_nonlinearity=True)
-    traj = solve_stochastic(SpectralField.zero(6), spec, cfg, 0.2, RngStream(17))
-    report = action_refinement(traj, strides=(8, 4, 2, 1))
-    assert report.diverging
-    assert report.actions[-1] > 3.0 * report.actions[0]
+    zero = ControlPath.zero(6, 0.00125, 160)
+    traj = solve_controlled(SpectralField.zero(6), zero, spec, cfg, RngStream(17))
+    actions = refined_actions(traj)
+    assert diverging(actions)
+    assert actions[-1] > 3.0 * actions[0]
     # a smooth path under the same refinement stabilizes
-    smooth = solve_skeleton(
-        generic_field(6), ControlPath.zero(6, 0.00125, 160), IntegratorConfig(dt=0.00125)
-    )
-    smooth_report = action_refinement(smooth, strides=(8, 4, 2, 1))
-    assert not smooth_report.diverging
+    smooth = solve_skeleton(generic_field(6), zero, IntegratorConfig(dt=0.00125))
+    assert not diverging(refined_actions(smooth))
 
 
 # ------------------------------------------------------- minimization
@@ -186,12 +193,28 @@ def test_minimize_action_reachable_target_is_free():
     assert rep.converged
 
 
-def test_minimize_action_linear_matches_per_mode_ridge():
+RIDGE_CASES = {
     # with the nonlinearity disabled the penalized problem splits per mode
-    cfg = IntegratorConfig(dt=0.02, disable_nonlinearity=True)
-    u0 = generic_field(4, amplitude=0.4)
-    rng = np.random.default_rng(8)
-    target = SpectralField.random(4, rng, amplitude=0.3, decay=1.0)
+    "linear_N4": lambda: (
+        IntegratorConfig(dt=0.02, disable_nonlinearity=True),
+        generic_field(4, amplitude=0.4),
+        SpectralField.random(4, np.random.default_rng(8), amplitude=0.3, decay=1.0),
+    ),
+    # both fields lie in the shell |k|^2 = 2, so every state and multiplier is
+    # a multiple of one Taylor-Green field: b(u, u) and the adjoint term
+    # vanish and the same split holds with the nonlinearity on
+    "taylor_green_N8": lambda: (
+        IntegratorConfig(dt=0.02), taylor_green(8, 0.5), taylor_green(8, 0.8)
+    ),
+    "taylor_green_N16": lambda: (
+        IntegratorConfig(dt=0.02), taylor_green(16, 0.5), taylor_green(16, 0.8)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIDGE_CASES))
+def test_minimize_action_linear_matches_per_mode_ridge(case):
+    cfg, u0, target = RIDGE_CASES[case]()
     t_final = 0.2
     weight = 2.0
     opt = OptimizerSettings(
@@ -451,7 +474,7 @@ def test_h_convergence_small_sweep():
         cfg=cfg, rng=RngStream(23),
     )
     assert report.means[0] > report.means[-1]
-    assert report.decaying_at_two_sigma()
+    assert report.slope - 2.0 * report.slope_stderr > 0.0
     rows = report.rows()
     assert rows[0]["epsilon"] == 0.1
     assert {"epsilon", "delta", "mean_distance", "stderr", "replicas"} <= set(rows[0])
@@ -483,7 +506,7 @@ def test_besov_convergence_small_sweep():
         cfg=cfg, rng=RngStream(29),
     )
     assert report.means[0] > report.means[-1]
-    assert report.decaying_at_two_sigma()
+    assert report.slope - 2.0 * report.slope_stderr > 0.0
     with pytest.raises(ValueError, match="sigma > max"):
         besov_convergence_experiment(
             u0, phi, BesovParams(-0.8, 4.0, 0.3, 3.0), PowerSchedule(1.0),
@@ -660,14 +683,15 @@ def test_laplace_endpoint_gap_shrinks_with_noise():
     # and the Monte Carlo side decays with the noise strength
     u0 = taylor_green(6, 0.3)
     cfg = IntegratorConfig(dt=0.02)
-    free = solve_skeleton(u0, ControlPath.zero(6, 0.02, 10), cfg)
+    zero = ControlPath.zero(6, 0.02, 10)
+    free = solve_skeleton(u0, zero, cfg)
     functional = ClippedEndpointDistance(free.final(), scale=1.0, clip=5.0)
     lhs = []
     for i, eps in enumerate((0.2, 0.02, 0.002)):
         spec = NoiseSpec(epsilon=eps, delta=0.1, gamma=1.0)
         vals = np.empty(200)
         for r in range(200):
-            traj = solve_stochastic(u0, spec, cfg, 0.2, RngStream(600 + i).child(r))
+            traj = solve_controlled(u0, zero, spec, cfg, RngStream(600 + i).child(r))
             vals[r] = functional(traj)
         w = np.exp(-(vals - vals.min()) / eps)
         lhs.append(vals.min() - eps * np.log(float(np.mean(w))))
@@ -738,7 +762,7 @@ def test_tube_blocks_are_each_replica_marched_alone():
     assert np.array_equal(rep.distances, dists)
 
 
-MARCHES = ("solve_controlled", "solve_stochastic", "march")
+MARCHES = ("solve_controlled", "march")
 
 
 def _replica_march_loops(tree):
@@ -774,11 +798,11 @@ def test_replica_loop_guard_sees_each_old_per_replica_loop():
         "            dists[r] = distance(traj, skeleton)\n"
         "def tube_probability(u0, center, spec, cfg, replicas, stream):\n"
         "    for r in range(replicas):\n"
-        "        traj = solve_stochastic(u0, spec, cfg, center.t_final, stream.child(r))\n"
+        "        traj = solve_controlled(u0, zero, spec, cfg, stream.child(r))\n"
         "def laplace_check(functional, u0, epsilons, replicas, cfg, t_final, stream):\n"
         "    for i, eps in enumerate(epsilons):\n"
         "        for r in range(replicas):\n"
-        "            traj = solve_stochastic(u0, spec, cfg, t_final, stream.child(i).child(r))\n"
+        "            traj = solve_controlled(u0, zero, spec, cfg, stream.child(i).child(r))\n"
         "def besov_moment_check(spec, n_steps, dt, replicas, stream, g):\n"
         "    for i in range(replicas):\n"
         "        gen = stream.child(i).generator()\n"

@@ -14,7 +14,6 @@ from sns2d import (
     PowerSchedule,
     RngStream,
     SpectralField,
-    covariance_weight,
     lambda_beta_bound,
     lp_norm,
     ou_step,
@@ -25,6 +24,7 @@ from sns2d.grid import grid_for
 from sns2d.noise import (
     RenormTailError,
     besov_moment_check,
+    covariance_weights,
     drawn_l2_powers,
     ks_pvalue,
     l2_moment_exact,
@@ -79,12 +79,14 @@ def test_schedules():
 
 
 def test_covariance_weight_values():
+    g = grid_for(5)
+    weight = lambda k, spec: covariance_weights(g, spec)[g.mode_index[k]]
     spec0 = NoiseSpec(epsilon=1.0, delta=0.0, gamma=1.0)
     for k in ((1, 0), (3, 4)):
-        assert covariance_weight(k, spec0) == 1.0
+        assert weight(k, spec0) == 1.0
     spec = NoiseSpec(epsilon=1.0, delta=1.0, gamma=1.0)
-    assert covariance_weight((1, 0), spec) == pytest.approx(1.0 / math.sqrt(2.0))
-    vals = [covariance_weight((k, 0), spec) for k in range(1, 6)]
+    assert weight((1, 0), spec) == pytest.approx(1.0 / math.sqrt(2.0))
+    vals = [weight((k, 0), spec) for k in range(1, 6)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
