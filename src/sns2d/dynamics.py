@@ -18,7 +18,7 @@ from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
 from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
-from .spectral import h_norm_of, lp_norm, lp_powers, sobolev_norm
+from .spectral import h_norm_of, lp_powers, sobolev_norm
 
 SCHEMES = ("exponential_euler", "etd2")
 
@@ -40,19 +40,20 @@ class IntegrationBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Scheme selection and runtime diagnostics for the time steppers."""
+    """Step size, scheme, dealiasing rule, nonlinearity switch and blow-up
+    threshold of the time steppers."""
 
     dt: float
     scheme: str = "exponential_euler"
     dealias: str = "two_thirds"
     disable_nonlinearity: bool = False
-    record_diagnostics: bool = False
     blowup_threshold: float = 1e6
-    grid_factor: int = 2
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # also refuses NaN
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not self.blowup_threshold > 0:
+            raise ValueError(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         DealiasRule.make(self.dealias, 8)  # validates the kind
@@ -77,7 +78,7 @@ class ControlPath:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.n_modes:
             raise ValueError("control values must have shape (n_steps, n_modes)")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
 
     @property
@@ -124,7 +125,6 @@ class Trajectory:
     dt: float
     coeffs: np.ndarray
     metadata: dict = field(default_factory=dict)
-    diagnostics: dict = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -196,7 +196,6 @@ def march(
     rate=None,
     noise_std=None,
     gen=None,
-    phi_values=None,
 ):
     """The exponential step behind every time march (Cox and Matthews 2002).
 
@@ -211,11 +210,8 @@ def march(
     step draws row by row in row order, so every row keeps the draws it has
     when marched alone.  After each step every row must have a finite H norm
     within cfg.blowup_threshold (finite only, without cfg); the first step
-    where a row fails raises, naming the lowest failing row.
-    cfg.record_diagnostics records the per-step diagnostics, whose energy
-    budget pairs with phi_values.  Returns (states (n_steps + 1, n_modes), or
-    (R, n_steps + 1, n_modes) for a block, and the diagnostics, one dict per
-    row of a block, or None).
+    where a row fails raises, naming the lowest failing row.  Returns the
+    states, (n_steps + 1, n_modes), or (R, n_steps + 1, n_modes) for a block.
     """
     n_modes = grid.n_modes
     z = (grid.ksq if rate is None else rate) * dt
@@ -227,14 +223,6 @@ def march(
     single = u0.ndim == 1
     n_rows = 1 if single else u0.shape[0]
     gens = [gen] if single else gen
-    diags = (
-        [
-            {"t": [], "h_norm": [], "v_norm": [], "l4_norm": [], "energy_residual": []}
-            for _ in range(n_rows)
-        ]
-        if cfg is not None and cfg.record_diagnostics
-        else None
-    )
     limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
     # one contiguous (n_steps + 1, n_modes) path per row
     out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
@@ -254,15 +242,9 @@ def march(
             nrm_sq = 2.0 * np.vdot(row, row).real
             if not nrm_sq <= limit_sq:  # also catches NaN
                 raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
-        if diags is not None:
-            old = u.reshape(n_rows, n_modes)
-            for r in range(n_rows):
-                _record_diag(diags[r], grid, old[r], rows[r], step, dt, phi_values, cfg)
         out[..., step + 1, :] = unew
         u = out[..., step + 1, :]
-    if diags is not None and single:
-        diags = diags[0]
-    return out, diags
+    return out
 
 
 def skeleton_forcing(grid, cfg: IntegratorConfig, values):
@@ -272,23 +254,6 @@ def skeleton_forcing(grid, cfg: IntegratorConfig, values):
         return lambda u, step: values[step]
     rule = cfg.rule(grid.cutoff)
     return lambda u, step: b_core(u, grid, rule) + values[step]
-
-
-def _record_diag(diag, grid, u, unew, step, dt, phi_values, cfg):
-    h2_old = 2.0 * float(np.sum(np.abs(u) ** 2))
-    h2_new = 2.0 * float(np.sum(np.abs(unew) ** 2))
-    v2 = 2.0 * float(np.sum(grid.ksq * np.abs(u) ** 2))
-    if phi_values is not None:
-        pairing = 2.0 * float(np.real(np.sum(phi_values[step] * np.conj(u))))
-    else:
-        pairing = 0.0
-    res = 0.5 * (h2_new - h2_old) + dt * v2 - dt * pairing
-    f = SpectralField(grid, u)
-    diag["t"].append(step * dt)
-    diag["h_norm"].append(math.sqrt(h2_old))
-    diag["v_norm"].append(math.sqrt(v2))
-    diag["l4_norm"].append(lp_norm(f, 4, cfg.grid_factor))
-    diag["energy_residual"].append(res)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -316,7 +281,7 @@ def duhamel_gamma(phi: ControlPath) -> Trajectory:
     """
     grid = phi.grid
     vals = phi.values
-    out, _ = march(
+    out = march(
         grid, np.zeros(grid.n_modes), phi.n_steps, phi.dt, lambda u, step: vals[step]
     )
     return Trajectory(grid, phi.dt, out, metadata={"kind": "duhamel"})
@@ -340,7 +305,7 @@ def step_skeleton(
     if dt > cfg.dt * (1.0 + 1e-12):
         raise ValueError(f"step {dt} exceeds the configured stability step {cfg.dt}")
     forcing = skeleton_forcing(u.grid, cfg, phi_t.coeffs[None, :])
-    out, _ = march(u.grid, u.coeffs, 1, dt, forcing, cfg)
+    out = march(u.grid, u.coeffs, 1, dt, forcing, cfg)
     return SpectralField(u.grid, out[1])
 
 
@@ -349,17 +314,8 @@ def solve_skeleton(u0: SpectralField, phi: ControlPath, cfg: IntegratorConfig) -
     _check_control(u0, phi, cfg)
     grid = u0.grid
     vals = phi.values
-    out, diag = march(
-        grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, vals), cfg,
-        phi_values=vals,
-    )
-    return Trajectory(
-        grid,
-        phi.dt,
-        out,
-        metadata={"kind": "skeleton", "scheme": cfg.scheme},
-        diagnostics=diag,
-    )
+    out = march(grid, u0.coeffs, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, vals), cfg)
+    return Trajectory(grid, phi.dt, out, metadata={"kind": "skeleton", "scheme": cfg.scheme})
 
 
 def solve_controlled(
@@ -368,15 +324,14 @@ def solve_controlled(
     spec: NoiseSpec,
     cfg: IntegratorConfig,
     rng,
-    noise: bool = True,
 ) -> Trajectory:
     """du = [Au + b(u) + Q phi] dt + sqrt(eps) dw on phi's time grid.
 
-    The control is reweighted per mode by the covariance (Q phi); noise=False
-    drops the stochastic term as a diagnostic, which reduces the run to the
-    skeleton driven by Q phi.  The one-stream block of ``solve_controlled_block``.
+    The control is reweighted per mode by the covariance (Q phi); at
+    eps = 0 the run is the skeleton driven by Q phi and draws nothing.  The
+    one-stream block of ``solve_controlled_block``.
     """
-    return solve_controlled_block(u0, phi, spec, cfg, [rng], noise)[0]
+    return solve_controlled_block(u0, phi, spec, cfg, [rng])[0]
 
 
 def solve_controlled_block(
@@ -385,7 +340,6 @@ def solve_controlled_block(
     spec: NoiseSpec,
     cfg: IntegratorConfig,
     streams,
-    noise: bool = True,
 ) -> list:
     """The controlled paths of ``solve_controlled``, one per stream, marched
     as one block; each path is the one its stream gives alone.
@@ -399,8 +353,7 @@ def solve_controlled_block(
     lam = noise_mod.covariance_weights(grid, spec)
     forced = phi.values * lam[None, :]
 
-    use_noise = noise and spec.epsilon > 0.0
-    if use_noise:
+    if spec.epsilon > 0.0:
         # the steps; child(0) is solve_shifted's z0
         gens = [s.child(1).generator() for s in streams]
         _, noise_std = noise_mod.ou_transition(grid, spec, 0.0, phi.dt)
@@ -408,9 +361,9 @@ def solve_controlled_block(
         gens, noise_std = None, None
     start = np.broadcast_to(u0.coeffs, (len(streams), grid.n_modes))
     try:
-        out, diags = march(
+        out = march(
             grid, start, phi.n_steps, phi.dt, skeleton_forcing(grid, cfg, forced), cfg,
-            noise_std=noise_std, gen=gens, phi_values=forced,
+            noise_std=noise_std, gen=gens,
         )
     except IntegrationBlowupError as exc:
         failed = streams[exc.row]
@@ -426,8 +379,7 @@ def solve_controlled_block(
             "seed": s.seed,
             "stream": s.stream_id,
         }
-        diag = None if diags is None else diags[r]
-        paths.append(Trajectory(grid, phi.dt, out[r], metadata=meta, diagnostics=diag))
+        paths.append(Trajectory(grid, phi.dt, out[r], metadata=meta))
     return paths
 
 
@@ -479,7 +431,7 @@ def solve_shifted(
 
     z0 = noise_mod.stationary_batch(grid, spec, alpha, init_gen, 1)[0]
     _, std = noise_mod.ou_transition(grid, spec, alpha, dt)
-    z_path, _ = march(grid, z0, n, dt, rate=grid.ksq + alpha, noise_std=std, gen=step_gen)
+    z_path = march(grid, z0, n, dt, rate=grid.ksq + alpha, noise_std=std, gen=step_gen)
     z_meta = {
         "kind": "ou", "alpha": alpha, "epsilon": spec.epsilon, "delta": spec.delta,
         "seed": rng.seed, "stream": rng.stream_id,
@@ -496,13 +448,9 @@ def solve_shifted(
         return F
 
     v0 = u0.coeffs - z_path[0]
-    out, diag = march(grid, v0, n, dt, rhs, cfg)
+    out = march(grid, v0, n, dt, rhs, cfg)
     v_traj = Trajectory(
-        grid,
-        dt,
-        out,
-        metadata={"kind": "shifted-v", "alpha": alpha, "scheme": cfg.scheme},
-        diagnostics=diag,
+        grid, dt, out, metadata={"kind": "shifted-v", "alpha": alpha, "scheme": cfg.scheme}
     )
     return ShiftedSolution(v=v_traj, z=z_traj, phi_conv=conv)
 

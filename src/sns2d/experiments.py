@@ -8,8 +8,10 @@ output byte.
 """
 
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -118,7 +120,6 @@ class ExperimentConfig:
             dt=self.numerics["dt"],
             scheme=self.numerics["scheme"],
             dealias=self.numerics["dealias"],
-            grid_factor=self.numerics["grid_factor"],
         )
 
     def schedule(self):
@@ -1065,10 +1066,12 @@ def _csv_text(rows):
     if not rows:
         raise ValueError("refusing to write an empty results table")
     cols = list(rows[0].keys())
-    lines = [",".join(cols)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(c), c) for c in cols))
-    return "\n".join(lines) + "\n"
+        writer.writerow([_format_cell(row.get(c), c) for c in cols])
+    return buf.getvalue()
 
 
 def _json_text(obj):
@@ -1237,13 +1240,13 @@ def report(run_dirs, out_path=None):
     for d in run_dirs:
         with open(os.path.join(d, "summary.json")) as fh:
             summaries.append(json.load(fh))
-        with open(os.path.join(d, "results.csv")) as fh:
-            lines = fh.read().strip().split("\n")
-        cols = lines[0].split(",")
-        for ln in lines[1:]:
-            row = dict(zip(cols, ln.split(",")))
-            row["run_dir"] = d
-            tables.append(row)
+        with open(os.path.join(d, "results.csv"), newline="") as fh:
+            reader = csv.reader(fh)
+            cols = next(reader)
+            for cells in reader:
+                row = dict(zip(cols, cells))
+                row["run_dir"] = d
+                tables.append(row)
     kinds = {s["kind"] for s in summaries}
     if len(kinds) != 1:
         raise ValueError(f"cannot merge mixed experiment kinds: {sorted(kinds)}")

@@ -93,24 +93,6 @@ class SpectralField:
                 f"cutoff mismatch: {self.grid.cutoff} vs {other.grid.cutoff}"
             )
 
-    def velocity_coeffs(self) -> np.ndarray:
-        """Plain Fourier coefficients of the velocity, shape (2, S, S).
-
-        Centered layout: index [j, k1 + N, k2 + N] holds the component-j
-        coefficient of exp(i k.x), N = cutoff, S = 2N + 1.
-        """
-        g = self.grid
-        n = g.cutoff
-        S = 2 * n + 1
-        out = np.zeros((2, S, S), dtype=np.complex128)
-        v1 = self.coeffs * g.basis1
-        v2 = self.coeffs * g.basis2
-        out[0, g.k1 + n, g.k2 + n] = v1
-        out[1, g.k1 + n, g.k2 + n] = v2
-        out[0, n - g.k1, n - g.k2] = np.conj(v1)
-        out[1, n - g.k1, n - g.k2] = np.conj(v2)
-        return out
-
     def to_grid(self, size: int = None, grid_factor: int = 2) -> np.ndarray:
         """Velocity samples on a size x size uniform grid, shape (2, size, size)."""
         g = self.grid

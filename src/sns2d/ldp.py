@@ -164,7 +164,7 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
         def forcing(u, step):
             return b_core(u, grid, rule, velocity[step]) + phi_vals[step]
 
-    return march(grid, u0.coeffs, n, cfg.dt, forcing, cfg)[0], velocity
+    return march(grid, u0.coeffs, n, cfg.dt, forcing, cfg), velocity
 
 
 def control_term(phi_vals, dt: float) -> float:

@@ -764,7 +764,7 @@ def besov_moment_check(
     def march_block(block):
         gens = [s.generator() for s in block]
         z0 = unit_complex_normals(gens, (len(gens), g.n_modes), stationary_std(g, spec, alpha))
-        return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)[0]
+        return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)
 
     def sup_power(path):
         norms = besov_of_powers(block_powers(g, path, p, grid_factor), sigma, p)

@@ -50,7 +50,7 @@ own parts and kept as references for faster forms of the same arithmetic:
   as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
   reduces the same sums piece by piece as the draw's parts are drawn;
 - ``divergence_residual``, max |k . u_hat(k)| over the velocity that
-  ``SpectralField.velocity_coeffs`` reconstructs, relative to its largest
+  ``velocity_coeffs_direct`` reconstructs, relative to its largest
   coefficient, the check that the package's basis is divergence-free;
 - ``load_trajectory``, the reader of the files ``save_trajectory`` writes.
 """
@@ -498,12 +498,12 @@ def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_
     return out
 
 
-def controlled_per_replica(u0, phi, spec, cfg, streams, noise=True):
+def controlled_per_replica(u0, phi, spec, cfg, streams):
     """The controlled path of each stream marched on its own, stacked
     (R, n_steps + 1, n_modes)."""
     grid = u0.grid
     forced = phi.values * covariance_weights(grid, spec)[None, :]
-    use_noise = noise and spec.epsilon > 0.0
+    use_noise = spec.epsilon > 0.0
     noise_std = ou_transition(grid, spec, 0.0, phi.dt)[1] if use_noise else None
     return np.stack([
         march_alone(
@@ -568,7 +568,7 @@ def block_powers_real_grids(grid, coeffs, p, grid_factor=2):
 
 def divergence_residual(field):
     """max_k |k . u_hat(k)| / max_k |u_hat(k)| over the reconstructed velocity."""
-    vhat = field.velocity_coeffs()
+    vhat = velocity_coeffs_direct(field)
     n = field.cutoff
     freqs = np.arange(-n, n + 1)
     dot = freqs[:, None] * vhat[0] + freqs[None, :] * vhat[1]

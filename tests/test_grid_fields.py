@@ -70,13 +70,6 @@ def test_reconstruction_is_real_and_divergence_free(random_field):
     assert divergence_residual(u) <= 1e-12
 
 
-def test_velocity_coeffs_hermitian(random_field):
-    u = random_field(cutoff=5)
-    vhat = u.velocity_coeffs()
-    flipped = np.conj(vhat[:, ::-1, ::-1])
-    assert np.allclose(vhat, flipped, atol=1e-15)
-
-
 def test_taylor_green_matches_closed_form():
     u = taylor_green(8, amplitude=1.3)
     size = 32

@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import json
 import os
@@ -385,6 +386,23 @@ def test_every_kind_runs(tmp_path, kind):
         summary = json.load(fh)
     assert summary["kind"] == kind
     assert record.passed, summary
+
+
+@pytest.mark.parametrize("axis, values", [
+    # the failed member's error text holds commas
+    ("params.sigma", [-0.75, 0.1]),
+    # the list values print with commas
+    ("params.epsilons", [[0.1, 0.01], [0.1, -0.01]]),
+])
+def test_sweep_csv_rows_keep_four_columns_when_cells_hold_commas(tmp_path, axis, values):
+    records, errors = sweep(SMOKE_CONFIGS["besov_moment"], axis, values, str(tmp_path))
+    assert len(records) == 1 and len(errors) == 1
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["axis", "value", "run_dir", "passed"]
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert [row[1] for row in rows[1:]] == [str(v) for v in values]
+    assert rows[2][2] == "ERROR: " + errors[0][1] and rows[2][3] == "False"
 
 
 @pytest.mark.parametrize(
