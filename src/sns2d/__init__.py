@@ -40,7 +40,6 @@ from .dynamics import (
     phi_eps,
     solve_controlled,
     solve_controlled_block,
-    solve_shifted,
     solve_skeleton,
     step_skeleton,
 )

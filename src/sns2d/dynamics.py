@@ -1,5 +1,5 @@
-"""Time integration: skeleton, controlled and shifted equations; the
-stochastic equation is the controlled one at zero control.
+"""Time integration: skeleton and controlled equations; the stochastic
+equation is the controlled one at zero control.
 
 Every time march goes through one exponential-step kernel, ``march``: the
 Stokes part is applied exactly per mode and, for the stochastic equations,
@@ -18,7 +18,6 @@ from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
 from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
-from .spectral import h_norm_of, lp_powers, sobolev_norm
 
 SCHEMES = ("exponential_euler", "etd2")
 
@@ -354,7 +353,8 @@ def solve_controlled_block(
     forced = phi.values * lam[None, :]
 
     if spec.epsilon > 0.0:
-        # the steps; child(0) is solve_shifted's z0
+        # the steps come from child(1); child(0) is reserved and unused, so
+        # renumbering would move every seeded path
         gens = [s.child(1).generator() for s in streams]
         _, noise_std = noise_mod.ou_transition(grid, spec, 0.0, phi.dt)
     else:
@@ -381,109 +381,6 @@ def solve_controlled_block(
         }
         paths.append(Trajectory(grid, phi.dt, out[r], metadata=meta))
     return paths
-
-
-@dataclass
-class ShiftedSolution:
-    """Pieces of the solution split around the stochastic convolution."""
-
-    v: Trajectory
-    z: Trajectory
-    phi_conv: Trajectory
-
-    def total(self) -> Trajectory:
-        coeffs = self.v.coeffs + self.z.coeffs + self.phi_conv.coeffs
-        return Trajectory(
-            self.v.grid, self.v.dt, coeffs, metadata={"kind": "shifted-total"}
-        )
-
-
-def solve_shifted(
-    u0: SpectralField,
-    phi: ControlPath,
-    spec: NoiseSpec,
-    alpha: float,
-    cfg: IntegratorConfig,
-    rng,
-) -> ShiftedSolution:
-    """Random equation for v = u - z - Phi (Da Prato and Debussche 2002):
-
-        dv/dt = Av + b(v + z + Phi) + alpha z,   v(0) = u0 - z(0),
-
-    with z the stationary OU path (damping alpha) and Phi the Duhamel
-    convolution of the weighted control.  The summed path v + z + Phi is the
-    controlled solution up to time-discretization error (exactly, for
-    alpha = 0 with the exponential Euler scheme).  All three pieces are
-    marches of the one exponential step: z with rate |k|^2 + alpha, no
-    forcing and the exact OU injection; Phi from zero; v with the shifted
-    nonlinearity as forcing.
-    """
-    require_stream(rng)
-    _check_control(u0, phi, cfg)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    grid = u0.grid
-    dt = phi.dt
-    n = phi.n_steps
-    # z0 from child(0), the steps from child(1): the per-step noise is then
-    # solve_controlled's, although only this solver draws an initial condition
-    init_gen, step_gen = rng.child(0).generator(), rng.child(1).generator()
-
-    z0 = noise_mod.stationary_batch(grid, spec, alpha, init_gen, 1)[0]
-    _, std = noise_mod.ou_transition(grid, spec, alpha, dt)
-    z_path = march(grid, z0, n, dt, rate=grid.ksq + alpha, noise_std=std, gen=step_gen)
-    z_meta = {
-        "kind": "ou", "alpha": alpha, "epsilon": spec.epsilon, "delta": spec.delta,
-        "seed": rng.seed, "stream": rng.stream_id,
-    }
-    z_traj = Trajectory(grid, dt, z_path, metadata=z_meta)
-
-    conv = phi_eps(phi, spec)
-    rule = cfg.rule(grid.cutoff)
-
-    def rhs(vec, step):
-        F = alpha * z_path[step]
-        if not cfg.disable_nonlinearity:
-            F = F + b_core(vec + z_path[step] + conv.coeffs[step], grid, rule)
-        return F
-
-    v0 = u0.coeffs - z_path[0]
-    out = march(grid, v0, n, dt, rhs, cfg)
-    v_traj = Trajectory(
-        grid, dt, out, metadata={"kind": "shifted-v", "alpha": alpha, "scheme": cfg.scheme}
-    )
-    return ShiftedSolution(v=v_traj, z=z_traj, phi_conv=conv)
-
-
-def shifted_apriori_ratio(sol: ShiftedSolution, u0: SpectralField, alpha: float,
-                          grid_factor: int = 2) -> float:
-    """Monitored energy quantity of v against the structural bound built from
-    the realized z path (all unknown constants set to one).
-
-    Returns max_t LHS(t)/RHS(t) with
-    LHS = |v(t)|_H^2 + int_0^t |v|_V^2 and
-    RHS = exp(|z|^4_{L4L4}) (|u0|_H^2 + |z(0)|_H^2 + (alpha^2+1)|z|^4_{L4L4} + 1).
-    """
-    ratios = [lhs / rhs for _, lhs, rhs in _apriori_terms(sol, u0, alpha, grid_factor)]
-    return float(np.max(ratios, initial=0.0))
-
-
-def _apriori_terms(sol, u0, alpha, grid_factor):
-    v, z = sol.v, sol.z
-    dt = v.dt
-    v_h2 = v.h_norms() ** 2
-    v_v2 = 2.0 * np.sum(z.grid.ksq[None, :] * np.abs(v.coeffs) ** 2, axis=1)
-    z4 = lp_powers(z.grid, z.coeffs, 4, grid_factor)  # |z(t_i)|_L4^4
-    z0_h2 = h_norm_of(z.coeffs[0]) ** 2
-    u0_h2 = sobolev_norm(u0, 0.0) ** 2
-    run_v = 0.0
-    run_z4 = 0.0
-    for i in range(1, v.coeffs.shape[0]):
-        run_v += dt * v_v2[i - 1]
-        run_z4 += dt * z4[i - 1]
-        lhs = v_h2[i] + run_v
-        rhs = math.exp(run_z4) * (u0_h2 + z0_h2 + (alpha**2 + 1.0) * run_z4 + 1.0)
-        yield i, lhs, rhs
 
 
 TRAJ_HEADER = "sns2d-trajectory v1"

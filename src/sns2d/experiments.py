@@ -130,7 +130,6 @@ class ExperimentConfig:
             epsilon=self.noise["epsilon"],
             delta=self.noise["delta"],
             gamma=self.noise["gamma"],
-            eta=self.noise["eta"],
         )
 
     def threshold_values(self) -> dict:
@@ -151,10 +150,17 @@ class ExperimentConfig:
             setattr(self, name, _fields(getattr(self, name), schema, name, f"{self.kind}: {name}."))
         self.integrator()  # raises on bad numerics
         t_final, dt = self.numerics["t_final"], self.numerics["dt"]
-        if round(t_final / dt) < 2:
+        n_steps = round(t_final / dt)
+        if n_steps < 2:
             raise ValueError(
                 f"numerics.t_final must be > 0 and span at least 2 steps of "
                 f"dt={dt}, got {t_final}"
+            )
+        # run marches n_steps * dt, so any other horizon would be silently moved
+        if abs(t_final / dt - n_steps) > 1e-9 * n_steps:
+            raise ValueError(
+                f"{self.kind}: numerics.t_final must be a whole number of steps of "
+                f"dt={dt}, got {t_final} ({t_final / dt:.6g} steps)"
             )
         kind = KINDS[self.kind]
         p = _fields(self.params, kind.params, f"params({self.kind})", f"{self.kind}: ")
@@ -689,9 +695,7 @@ def _run_convergence(ctx: _RunContext, experiment, **options):
     ctx.dump("skeleton", lambda: solve_skeleton(u0, phi, integ))
     schedule = cfg.schedule()
     for i, eps in enumerate(sorted(cfg.noise["epsilons"], reverse=True)):
-        spec = NoiseSpec.at_epsilon(
-            eps, schedule, gamma=cfg.noise["gamma"], eta=cfg.noise["eta"]
-        )
+        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=cfg.noise["gamma"])
         replica = ctx.stream("sweep").child(i).child(0)
         ctx.dump(f"controlled_{i}", lambda: solve_controlled(u0, phi, spec, integ, replica))
     report = experiment(
@@ -1207,7 +1211,8 @@ def sweep(raw_config: dict, axis: str, values, outdir: str, workers: int = 1):
         set_by_path(raw, axis, v)
         jobs.append((v, raw, outdir))
     records, errors = [], []
-
+    # the pool forks all its workers at the first submit, so none may idle
+    workers = min(workers, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(_sweep_member, job) for job in jobs]

@@ -399,13 +399,13 @@ def _replica_blocks(u0, phi, spec, cfg, streams, value) -> np.ndarray:
     )
 
 
-def _sweep_distances(u0, phi, schedule, gamma, eta, epsilons, replicas, cfg, rng, distance):
+def _sweep_distances(u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
     """Replica r of member i (epsilons descending) runs on rng.child(i).child(r)."""
     stream = require_stream(rng)
     skeleton = solve_skeleton(u0, phi, cfg)
     means, stderrs, deltas = [], [], []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma, eta=eta)
+        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)
         deltas.append(spec.delta)
         dists = _replica_blocks(
             u0, phi, spec, cfg, [stream.child(i).child(r) for r in range(replicas)],
@@ -440,7 +440,7 @@ def h_convergence_experiment(
     noise_mod.validate_vanishing_schedule(schedule, epsilons)
     noise_mod.validate_scaling_condition(schedule, epsilons, eta, force=force)
     eps_s, deltas, means, stderrs = _sweep_distances(
-        u0, phi, schedule, gamma, eta, epsilons, replicas, cfg, rng,
+        u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
         distance=lambda a, b: a.sup_h_distance(b),
     )
     slope, se = fit_loglog(eps_s, means)
@@ -473,7 +473,7 @@ def besov_convergence_experiment(
         return float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
 
     eps_s, deltas, means, stderrs = _sweep_distances(
-        u0, phi, schedule, gamma, None, epsilons, replicas, cfg, rng, distance
+        u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance
     )
     slope, se = fit_loglog(eps_s, means)
     return ConvergenceReport(

@@ -44,9 +44,6 @@ class PowerSchedule:
     def __call__(self, epsilon: float) -> float:
         return self.scale * epsilon**self.exponent
 
-    def to_dict(self):
-        return {"kind": "power", "exponent": self.exponent, "scale": self.scale}
-
 
 def schedule_from_dict(d: dict):
     kind = d.get("kind")
@@ -62,35 +59,26 @@ class NoiseSpec:
     """Noise parameters at one working point.
 
     epsilon: noise strength (variance scale), > 0 in stochastic runs.
-    delta:   correlation scale, > 0.
+    delta:   correlation scale, >= 0 (0 is space-time white noise).
     gamma:   smoothing exponent, > 0.
-    eta:     scaling exponent used by the strong-space convergence checks.
-    schedule: optional map eps -> delta(eps) the working point was drawn from.
+    All three must be finite.
     """
 
     epsilon: float
     delta: float
     gamma: float = 1.0
-    eta: float = None
-    schedule: object = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
     @classmethod
-    def at_epsilon(cls, epsilon, schedule, gamma=1.0, eta=None):
-        return cls(
-            epsilon=epsilon,
-            delta=schedule(epsilon),
-            gamma=gamma,
-            eta=eta,
-            schedule=schedule,
-        )
+    def at_epsilon(cls, epsilon, schedule, gamma=1.0):
+        return cls(epsilon=epsilon, delta=schedule(epsilon), gamma=gamma)
 
 
 def validate_vanishing_schedule(schedule, epsilons):

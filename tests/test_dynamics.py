@@ -20,7 +20,6 @@ from sns2d import (
     sobolev_norm,
     solve_controlled,
     solve_controlled_block,
-    solve_shifted,
     solve_skeleton,
     step_skeleton,
     taylor_green,
@@ -30,7 +29,6 @@ from sns2d.dynamics import (
     Trajectory,
     march,
     save_trajectory,
-    shifted_apriori_ratio,
     step_count,
 )
 from sns2d.ldp import ConstantFunctional, fit_loglog, laplace_check
@@ -119,8 +117,6 @@ def test_phi_eps_reweights_modes():
 
 def test_phi_eps_l4_bound_over_ball(rng):
     spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
-    from sns2d import lp_norm
-
     worst = 0.0
     gamma_ball = 2.0
     for seed in range(4):
@@ -394,75 +390,6 @@ def test_controlled_without_noise_is_weighted_skeleton():
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
-def test_shifted_zero_noise_reduces_to_skeleton():
-    u0 = generic_field()
-    cfg = IntegratorConfig(dt=0.01)
-    spec = NoiseSpec(epsilon=0.0, delta=0.1, gamma=1.0)
-    phi = ControlPath.zero(8, 0.01, 20)
-    sol = solve_shifted(u0, phi, spec, 0.0, cfg, RngStream(2))
-    assert np.max(np.abs(sol.z.coeffs)) == 0.0
-    ref = solve_skeleton(u0, phi, cfg)
-    assert np.allclose(sol.v.coeffs, ref.coeffs, atol=1e-15)
-
-
-def test_decomposition_identity_alpha_zero_exact():
-    # with alpha = 0 the exponential-Euler recursions commute exactly
-    u0 = generic_field()
-    cfg = IntegratorConfig(dt=0.01)
-    spec = NoiseSpec(epsilon=0.1, delta=0.1, gamma=1.0)
-    phi = ControlPath.constant(SpectralField.from_modes(8, {(1, 0): 0.4}), 0.01, 30)
-    ctl = solve_controlled(u0, phi, spec, cfg, RngStream(5))
-    tot = solve_shifted(u0, phi, spec, 0.0, cfg, RngStream(5)).total()
-    assert ctl.sup_h_distance(tot) < 1e-13
-
-
-def test_decomposition_identity_alpha_positive_first_order():
-    u0 = generic_field()
-    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
-    errs = []
-    dts = (0.01, 0.005, 0.0025)
-    for dt in dts:
-        cfg = IntegratorConfig(dt=dt)
-        phi = ControlPath.constant(
-            SpectralField.from_modes(8, {(1, 0): 0.4}), dt, round(0.3 / dt)
-        )
-        ctl = solve_controlled(u0, phi, spec, cfg, RngStream(5))
-        tot = solve_shifted(u0, phi, spec, 1.0, cfg, RngStream(5)).total()
-        errs.append(ctl.sup_h_distance(tot))
-    slope, _ = fit_loglog(dts, errs)
-    assert slope >= 0.8
-
-
-def test_shifted_apriori_monitor_below_structural_bound():
-    u0 = taylor_green(8, 0.5)
-    cfg = IntegratorConfig(dt=0.01)
-    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
-    phi = ControlPath.random_in_ball(8, 0.01, 30, 0.5, np.random.default_rng(0))
-    for alpha in (0.0, 1.0):
-        sol = solve_shifted(u0, phi, spec, alpha, cfg, RngStream(8))
-        assert shifted_apriori_ratio(sol, u0, alpha) < 1.0
-
-
-def test_apriori_monitor_integrates_z_in_stacks():
-    u0 = taylor_green(8, 0.5)
-    cfg = IntegratorConfig(dt=0.01)
-    spec = NoiseSpec(epsilon=0.05, delta=0.1, gamma=1.0)
-    phi = ControlPath.random_in_ball(8, 0.01, 30, 0.5, np.random.default_rng(0))
-    sol = solve_shifted(u0, phi, spec, 1.0, cfg, RngStream(8))
-    # the monitor with one lp_norm per state of z
-    v, z = sol.v, sol.z
-    z_l4 = [lp_norm(z.state(i), 4) for i in range(z.coeffs.shape[0])]
-    v_v2 = [sobolev_norm(v.state(i), 1.0) ** 2 for i in range(len(z_l4))]
-    base = sobolev_norm(u0, 0.0) ** 2 + sobolev_norm(z.state(0), 0.0) ** 2
-    run_v = run_z4 = worst = 0.0
-    for i in range(1, len(z_l4)):
-        run_v += v.dt * v_v2[i - 1]
-        run_z4 += v.dt * z_l4[i - 1] ** 4
-        rhs = math.exp(run_z4) * (base + 2.0 * run_z4 + 1.0)
-        worst = max(worst, (sobolev_norm(v.state(i), 0.0) ** 2 + run_v) / rhs)
-    assert shifted_apriori_ratio(sol, u0, 1.0) == pytest.approx(worst, rel=1e-13)
-
-
 def test_trajectory_states_divergence_free():
     u0 = generic_field()
     cfg = IntegratorConfig(dt=0.01)
@@ -689,5 +616,3 @@ def test_stochastic_solvers_take_only_a_stream(rng):
         solve_controlled(u0, phi, spec, cfg, rng)
     with pytest.raises(TypeError, match="expected an RngStream"):
         solve_controlled(u0, phi, dataclasses.replace(spec, epsilon=0.0), cfg, rng)
-    with pytest.raises(TypeError, match="expected an RngStream"):
-        solve_shifted(u0, phi, spec, 0.0, cfg, rng)

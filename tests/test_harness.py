@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -455,6 +456,39 @@ def test_parallel_sweep_matches_serial(tmp_path):
         assert bytes_a == bytes_b
 
 
+@pytest.mark.parametrize("values, pool_size", [([0.5, 0.1], 2), ([0.5], None)])
+def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch, values, pool_size):
+    # the pool forks every worker at the first submit; a fake pool records
+    # the count asked for and runs the members in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(job))
+            return fut
+
+    def member(job):
+        return job[0], types.SimpleNamespace(run_dir=str(job[0]), passed=True)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_sweep_member", member)
+    records, errors = sweep(lp_moment_config(), "noise.epsilon", values, str(tmp_path), workers=64)
+    assert len(records) == len(values) and not errors
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
 def test_dump_trajectories_flag(tmp_path):
     cfg_raw = SMOKE_CONFIGS["converge_h"] | {"io": {"dump_trajectories": True}}
     record = run(ExperimentConfig.from_dict(cfg_raw), str(tmp_path))
@@ -611,6 +645,9 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
         # run failed with "grid_factor must be >= 2"
         ("converge_besov", "numerics", "grid_factor", 1,
          "converge_besov: numerics.grid_factor must be an integer >= 2, got 1"),
+        # run marched 7 steps, to T = 0.21 instead of 0.2
+        ("converge_h", "numerics", "dt", 0.03,
+         "converge_h: numerics.t_final must be a whole number of steps of dt=0.03, got 0.2"),
     ],
 )
 def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(

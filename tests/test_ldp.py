@@ -526,7 +526,7 @@ def test_besov_sweep_distance_is_the_sup_of_per_state_besov_norms():
         u0, phi, besov, PowerSchedule(1.0), epsilons, replicas=3, cfg=cfg, rng=RngStream(7)
     )
     _, _, means, _ = ldp._sweep_distances(
-        u0, phi, PowerSchedule(1.0), 1.0, None, epsilons, 3, cfg, RngStream(7),
+        u0, phi, PowerSchedule(1.0), 1.0, epsilons, 3, cfg, RngStream(7),
         distance=lambda a, b: a.sup_distance(b, lambda f: sns2d.besov_norm(f, -0.25, 4.0)),
     )
     assert report.means == means

@@ -60,6 +60,18 @@ def test_noise_spec_validation():
         NoiseSpec(epsilon=0.1, delta=0.1, gamma=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -0.1),
+    ("delta", math.nan), ("delta", math.inf), ("delta", -0.1),
+    ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.0), ("gamma", -1.0),
+])
+def test_noise_spec_refuses_non_finite_and_out_of_range_values(field, value):
+    # a NaN epsilon used to pass and then march the noiseless skeleton
+    kwargs = {"epsilon": 0.1, "delta": 0.1, "gamma": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        NoiseSpec(**kwargs)
+
+
 def test_schedules():
     sched = PowerSchedule(0.5)
     assert sched(0.04) == pytest.approx(0.2)
