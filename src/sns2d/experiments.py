@@ -45,8 +45,10 @@ from .ldp import (
 )
 from .noise import (
     NoiseSpec,
+    RenormTailError,
     RngStream,
     besov_moment_check,
+    check_renorm_tail,
     drawn_l2_powers,
     ks_pvalue,
     lp_log_moment_check,
@@ -176,6 +178,11 @@ class ExperimentConfig:
         if "noise.schedule" in kind.needs:
             _check_regime(self, p)
         cutoff = self.numerics["cutoff"]
+        if kind.dealiased:
+            try:
+                self.integrator().rule(cutoff)
+            except ValueError as exc:
+                raise ValueError(f"{self.kind}: numerics.cutoff: {exc}") from None
         for path, descr in _descriptors(p, "params", "mode"):
             if max(map(abs, descr["k"])) > cutoff:
                 raise ValueError(
@@ -476,13 +483,14 @@ class _RunContext:
 
 
 def _trim_heap():
-    """Hand the memory the pool's threads freed back to the system.
-
-    glibc keeps what a thread frees in that thread's own arena, where the
-    serial work after the pool cannot reuse it.  Running the ou_checks,
-    lp_moment and renorm configs in turn six times in one process, the peak
-    RSS read 137.7-137.9 MiB without the trim and 103.9-104.1 MiB with it
-    (three processes each).  A no-op without glibc."""
+    """Hand the memory that freed draws leave in glibc's heaps back to the
+    system: after a pool, whose threads free into arenas of their own that
+    the serial work after it cannot reuse, and after renorm's Wick loop,
+    whose pieces of real halves stay resident between later allocations.
+    Running the ou_checks, lp_moment and renorm configs in turn six times in
+    one process, the peak RSS read 102.8-103.0 MiB without the trims and
+    93.4-93.5 MiB with them (three processes each; 2-core Xeon, glibc).  A
+    no-op without glibc."""
     import ctypes
 
     try:
@@ -578,16 +586,14 @@ def _run_renorm(ctx: _RunContext):
     w11 = (g.k2**2 / g.ksq / (2.0 * np.pi**2))[keep]
     w22 = (g.k1**2 / g.ksq / (2.0 * np.pi**2))[keep]
     theta_trunc = renorm_constant(spec.delta, gamma, rule.effective_cutoff)
-    gen = ctx.stream("wick").generator()
     R = p["wick_replicas"]
-    sums = {"m11": [], "m22": []}
-    for m in _chunks(R):
-        Z = stationary_batch(g, spec, 0.0, gen, m)[:, keep]
-        a2 = np.abs(Z) ** 2
-        sums["m11"].append(a2 @ w11 - spec.epsilon * theta_trunc)
-        sums["m22"].append(a2 @ w22 - spec.epsilon * theta_trunc)
-    for name in ("m11", "m22"):
-        vals = np.concatenate(sums[name])
+    diagonal = _wick_diagonal(
+        g, spec, ctx.stream("wick").generator(), R, keep, (w11, w22), spec.epsilon * theta_trunc
+    )
+    # the batches' real halves were freed in pieces of the heap, where they
+    # would stay resident under the next run's peak
+    _trim_heap()
+    for name, vals in zip(("m11", "m22"), diagonal):
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(R))
         rows.append(
@@ -621,6 +627,25 @@ def _run_renorm(ctx: _RunContext):
         and worst_cross <= th["crosscheck_tol"],
     }
     return rows, summary
+
+
+def _wick_diagonal(g, spec, gen, replicas, keep, weights, shift):
+    """sum_k w_k |Z_k|^2 - shift over the modes in keep, for each weight
+    vector w, of each of replicas stationary samples Z that gen draws in the
+    batches of _chunks: an array (len(weights), replicas).  Each batch is
+    reduced one row block at a time as it is drawn, so it holds its real
+    half (8.7 MB at cutoff 16) and a row block's buffers, not the whole
+    batch (17.4 MB), its [:, keep] copy (7.0 MB) and two |Z|^2 temporaries
+    (3.5 MB each)."""
+    out = np.empty((len(weights), replicas))
+    done = 0
+    for m in _chunks(replicas):
+        for lo, block in stationary_batch(g, spec, 0.0, gen, m, blocks=True):
+            a2 = np.abs(block[:, keep]) ** 2
+            for row, w in zip(out, weights):
+                row[done + lo : done + lo + len(a2)] = a2 @ w - shift
+        done += m
+    return out
 
 
 def _run_lp_moment(ctx: _RunContext):
@@ -916,6 +941,17 @@ def _check_instanton(cfg, p):
         )
 
 
+def _check_renorm(cfg, p):
+    """Each theta of the table meets tail_tol, by renorm_constant's own tail
+    estimate."""
+    for delta in p["deltas"]:
+        for cut in p["cutoffs"]:
+            try:
+                check_renorm_tail(delta, cfg.noise["gamma"], cut, p["tail_tol"])
+            except RenormTailError as exc:
+                raise ValueError(f"renorm: params.cutoffs: {exc} (delta={delta})") from None
+
+
 def _fill_functional(cfg, p):
     p["functional"] = FUNCTIONALS.values(p["functional"], "laplace: functional")
 
@@ -930,7 +966,9 @@ class _Kind:
     the section's own, or to None; either way the entry must be set, and a
     kind that needs noise.schedule sweeps its epsilons in the paper's regime.
     The k of every mode descriptor in params must lie within numerics.cutoff.
-    thresholds holds the threshold defaults and run the runner.
+    A kind that is dealiased works in the band of numerics.dealias at
+    numerics.cutoff, which must hold a mode.  thresholds holds the threshold
+    defaults and run the runner.
     """
 
     params: dict
@@ -938,6 +976,7 @@ class _Kind:
     run: object
     needs: dict = dataclasses.field(default_factory=dict)
     check: object = None
+    dealiased: bool = True
 
 
 _INITIAL = ({"kind": "taylor_green", "amplitude": 0.5}, INITIALS)
@@ -952,6 +991,7 @@ KINDS = {
         needs={"noise.epsilon": _POSITIVE, "noise.delta": None, **_PAIRED},
         thresholds={"max_variance_rel_err": 0.05, "min_ks_pvalue": 0.01},
         run=_run_ou_checks,
+        dealiased=False,
     ),
     "renorm": _Kind(
         params={
@@ -962,6 +1002,7 @@ KINDS = {
             "crosscheck_replicas": (20, _count(0)),
         },
         needs={"noise.epsilon": _POSITIVE, "noise.delta": _POSITIVE},
+        check=_check_renorm,
         thresholds={"pair_agreement": 1e-8, "max_wick_zscore": 3.0, "crosscheck_tol": 1e-10},
         run=_run_renorm,
     ),
@@ -970,6 +1011,7 @@ KINDS = {
         needs={"noise.epsilon": _POSITIVE, **_PAIRED},
         thresholds={"max_closed_form_rel_err": 0.05, "max_ratio_spread": 3.0},
         run=_run_lp_moment,
+        dealiased=False,
     ),
     "besov_moment": _Kind(
         params={
@@ -983,6 +1025,7 @@ KINDS = {
         check=_check_besov_moment,
         thresholds={"max_ratio_spread": 10.0},
         run=_run_besov_moment,
+        dealiased=False,
     ),
     "converge_h": _Kind(
         params={"initial": _INITIAL, "control": _CONTROL, "force": (False, _BOOL)},

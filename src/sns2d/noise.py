@@ -535,15 +535,33 @@ def _tail_generic(delta: float, gamma: float, cutoff: int):
 
 
 @functools.lru_cache(maxsize=None)
+def _renorm_tail(delta: float, gamma: float, cutoff: int):
+    """(tail, error estimate) of the lattice sum beyond the cutoff."""
+    if gamma == 1.0:
+        return _tail_gamma_one(delta, cutoff)
+    return _tail_generic(delta, gamma, cutoff)
+
+
+@functools.lru_cache(maxsize=None)
 def _renorm_value(delta: float, gamma: float, cutoff: int, with_tail: bool):
     bare = _bare_renorm_sum(delta, gamma, cutoff)
     if not with_tail:
-        return bare / (16.0 * math.pi**2), 0.0
-    if gamma == 1.0:
-        tail, err = _tail_gamma_one(delta, cutoff)
-    else:
-        tail, err = _tail_generic(delta, gamma, cutoff)
-    return (bare + tail) / (16.0 * math.pi**2), err / (16.0 * math.pi**2)
+        return bare / (16.0 * math.pi**2)
+    return (bare + _renorm_tail(delta, gamma, cutoff)[0]) / (16.0 * math.pi**2)
+
+
+def check_renorm_tail(delta, gamma, cutoff, tail_tol):
+    """Raise RenormTailError, naming the cutoff required, where the tail
+    estimate beyond cutoff exceeds tail_tol; renorm_constant's own check,
+    without the sum up to the cutoff."""
+    err = _renorm_tail(float(delta), float(gamma), int(cutoff))[1] / (16.0 * math.pi**2)
+    if err > tail_tol:
+        needed = int(math.ceil((cutoff + 1) * (err / tail_tol) ** (1.0 / 6.0)))
+        raise RenormTailError(
+            f"tail estimate {err:.3e} exceeds tail_tol {tail_tol:.3e} at "
+            f"cutoff {cutoff}; approximately cutoff >= {needed} required",
+            required_cutoff=needed,
+        )
 
 
 def renorm_constant(delta, gamma=1.0, cutoff=128, tail_tol=None) -> float:
@@ -563,15 +581,9 @@ def renorm_constant(delta, gamma=1.0, cutoff=128, tail_tol=None) -> float:
         raise ValueError(f"delta must be > 0, got {delta}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    value, err = _renorm_value(float(delta), float(gamma), int(cutoff), tail_tol is not None)
-    if tail_tol is not None and err > tail_tol:
-        needed = int(math.ceil((cutoff + 1) * (err / tail_tol) ** (1.0 / 6.0)))
-        raise RenormTailError(
-            f"tail estimate {err:.3e} exceeds tail_tol {tail_tol:.3e} at "
-            f"cutoff {cutoff}; approximately cutoff >= {needed} required",
-            required_cutoff=needed,
-        )
-    return value
+    if tail_tol is not None:
+        check_renorm_tail(delta, gamma, cutoff, tail_tol)
+    return _renorm_value(float(delta), float(gamma), int(cutoff), tail_tol is not None)
 
 
 def wick_square(z: SpectralField, spec: NoiseSpec, rule) -> TensorField:

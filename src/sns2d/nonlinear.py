@@ -73,11 +73,20 @@ class DealiasRule:
 
     @classmethod
     def make(cls, kind: str, cutoff: int) -> "DealiasRule":
+        """The rule of that kind at cutoff; one whose band |k_i| <=
+        effective_cutoff holds no mode is refused here, not mid-march."""
         if kind == "two_thirds":
-            return cls.two_thirds(cutoff)
-        if kind == "none":
-            return cls.none(cutoff)
-        raise ValueError(f"unknown dealias kind {kind!r}")
+            rule = cls.two_thirds(cutoff)
+        elif kind == "none":
+            rule = cls.none(cutoff)
+        else:
+            raise ValueError(f"unknown dealias kind {kind!r}")
+        if rule.effective_cutoff < 1:
+            raise ValueError(
+                f"dealias {kind!r} keeps no mode at cutoff {cutoff} "
+                f"(band limit {rule.effective_cutoff})"
+            )
+        return rule
 
 
 def _plan_for(grid, rule: DealiasRule):

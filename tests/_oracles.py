@@ -49,6 +49,9 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``l2_powers_whole``, the squared L^2 norm of each row of a whole array
   as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
   reduces the same sums piece by piece as the draw's parts are drawn;
+- ``wick_diagonal_whole``, renorm's Wick sums from each whole batch of
+  stationary samples, the reference for ``_wick_diagonal``, which reduces
+  each batch one row block at a time as it is drawn;
 - ``divergence_residual``, max |k . u_hat(k)| over the velocity that
   ``velocity_coeffs_direct`` reconstructs, relative to its largest
   coefficient, the check that the package's basis is divergence-free;
@@ -464,6 +467,19 @@ def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, alpha=0.0, grid_fa
         epsilon=spec.epsilon, delta=spec.delta, replicas=replicas, estimate=est,
         stderr=se, bound=bound, ratio=est / bound, closed_form=closed,
     )
+
+
+def wick_diagonal_whole(g, spec, gen, replicas, keep, weights, shift):
+    """sum_k w_k |Z_k|^2 - shift over the modes in keep, for each weight
+    vector w, of each stationary sample Z, drawn in batches of 2000 and
+    reduced a whole batch at a time: (len(weights), replicas)."""
+    sums = [[] for _ in weights]
+    for done in range(0, replicas, 2000):
+        Z = stationary_batch(g, spec, 0.0, gen, min(2000, replicas - done))[:, keep]
+        a2 = np.abs(Z) ** 2
+        for acc, w in zip(sums, weights):
+            acc.append(a2 @ w - shift)
+    return np.array([np.concatenate(acc) for acc in sums])
 
 
 def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_std=None,

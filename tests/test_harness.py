@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import threading
@@ -28,7 +29,7 @@ from sns2d.fields import save_field, taylor_green
 from sns2d.grid import SAMPLES_PER_CALL, grid_for
 from sns2d.spectral import lp_powers
 
-from _oracles import load_trajectory
+from _oracles import load_trajectory, wick_diagonal_whole
 
 
 def minimal_ou_config(seed=1):
@@ -561,6 +562,10 @@ def test_validate_rejects_a_misspelled_threshold(tmp_path):
         ("renorm", "noise", "delta", 0.0, "noise.delta must be > 0"),
         # run failed with "cannot convert float NaN to integer"
         ("renorm", "params", "tail_tol", -1, "renorm: tail_tol must be > 0, got -1"),
+        # run raised RenormTailError on the theta table
+        ("renorm", "params", "cutoffs", [4, 8],
+         "renorm: params.cutoffs: tail estimate 2.526e-08 exceeds tail_tol 1.000e-08 at "
+         "cutoff 4; approximately cutoff >= 6 required (delta=0.1)"),
     ],
 )
 def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
@@ -648,6 +653,14 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
         # run marched 7 steps, to T = 0.21 instead of 0.2
         ("converge_h", "numerics", "dt", 0.03,
          "converge_h: numerics.t_final must be a whole number of steps of dt=0.03, got 0.2"),
+        # run failed with "band limit 0 invalid for cutoff 1", or for renorm
+        # with "cutoff must be >= 1, got 0"
+        *(
+            (kind, "numerics", "cutoff", 1,
+             f"{kind}: numerics.cutoff: dealias 'two_thirds' keeps no mode at cutoff 1")
+            for kind in ("converge_h", "converge_besov", "instanton", "laplace", "tube",
+                         "wick_decay", "renorm")
+        ),
     ],
 )
 def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(
@@ -659,6 +672,17 @@ def test_validate_exits_2_on_a_sweep_or_descent_config_that_run_fails_on(
     cfg_path.write_text(json.dumps(raw))
     assert cli_main(["validate", "-c", str(cfg_path)]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["ou_checks", "lp_moment", "besov_moment"])
+def test_a_kind_without_the_dealiased_band_runs_at_cutoff_1(tmp_path, kind):
+    raw = {
+        "ou_checks": minimal_ou_config(),
+        "lp_moment": lp_moment_config(),
+        "besov_moment": json.loads(json.dumps(SMOKE_CONFIGS["besov_moment"])),
+    }[kind]
+    raw["numerics"]["cutoff"] = 1
+    assert run(ExperimentConfig.from_dict(raw), str(tmp_path)).passed
 
 
 def test_a_non_finite_results_cell_is_never_written(tmp_path, monkeypatch):
@@ -1012,6 +1036,82 @@ def test_an_ou_checks_member_holds_one_batch_and_a_few_buffers(monkeypatch):
     # and the KS test take less.  |Z|^2 of the whole batch, or the real half
     # of a step, would add batch / 2
     assert peak <= batch + 8 * (8 * SAMPLES_PER_CALL)
+
+
+def _renorm_wick_config(replicas):
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["renorm"]))
+    raw["numerics"]["cutoff"] = 16
+    raw["params"]["wick_replicas"] = replicas
+    raw["params"]["crosscheck_replicas"] = 1
+    return raw
+
+
+@pytest.mark.parametrize("replicas", [2, 2007, 4000])
+def test_renorm_wick_sums_in_row_blocks_are_the_whole_batch_sums(replicas):
+    g = grid_for(16)
+    spec = experiments.NoiseSpec(0.5, 0.1)
+    keep = (np.abs(g.k1) <= 10) & (np.abs(g.k2) <= 10)
+    weights = ((g.k2**2 / g.ksq)[keep], (g.k1**2 / g.ksq)[keep])
+    gens = [experiments.RngStream(3, (100,)).generator() for _ in range(2)]
+    blocked = experiments._wick_diagonal(g, spec, gens[0], replicas, keep, weights, 0.0)
+    whole = wick_diagonal_whole(g, spec, gens[1], replicas, keep, weights, 0.0)
+    # the same draws, in the same order; a product over a block's rows
+    # rounds a few of them in the last bits (at most 2e-15 relative, measured)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=0.0)
+    assert gens[0].standard_normal() == gens[1].standard_normal()
+
+
+def test_a_renorm_wick_loop_holds_a_real_half_and_a_few_buffers():
+    # 4000 Wick replicas at cutoff 16 are two batches of 2000
+    cfg = ExperimentConfig.from_dict(_renorm_wick_config(4000))
+    experiments._run_renorm(experiments._RunContext(cfg))  # plans and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiments._run_renorm(experiments._RunContext(cfg))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    batch = 16 * 2000 * grid_for(16).n_modes
+    # a batch's real half, in pieces; its row block, the block's kept
+    # columns and their |Z|^2 are buffers of at most SAMPLES_PER_CALL
+    # complex entries, and the sums take 16 bytes per replica.  The whole
+    # batch alone would add batch / 2 (the whole-batch loop peaked at 35.1 MB)
+    assert peak <= batch / 2 + 8 * (8 * SAMPLES_PER_CALL) + 16 * 4000
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="reads VmRSS from /proc; the heap is handed back by glibc's malloc_trim",
+)
+def test_a_renorm_run_hands_its_heap_back(tmp_path):
+    # an ou_checks run first, as the noise_draws benchmark runs them: freeing
+    # its 17.4 MB batch raises glibc's mmap threshold, so renorm's pieces of
+    # real halves come from the heap.  Without the trim they stayed
+    # resident: VmRSS read 7.9 MiB higher after the renorm run than before
+    ou = minimal_ou_config()
+    ou["numerics"]["cutoff"] = 16
+    ou["statistics"]["replicas"] = 2000
+    ou["params"]["alphas"] = [0.0]
+    configs = json.dumps([ou, _renorm_wick_config(2), _renorm_wick_config(2000)])
+    src = pathlib.Path(experiments.__file__).parents[1]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from sns2d.experiments import ExperimentConfig, run\n"
+        "def vmrss():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmRSS:')) / 1024\n"
+        f"ou, small, renorm = json.loads({configs!r})\n"
+        f"run(ExperimentConfig.from_dict(small), {str(tmp_path)!r})  # imports, plans, caches\n"
+        f"run(ExperimentConfig.from_dict(ou), {str(tmp_path)!r})\n"
+        "before = vmrss()\n"
+        f"run(ExperimentConfig.from_dict(renorm), {str(tmp_path)!r})\n"
+        "print(vmrss() - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 3.0  # MiB
 
 
 def test_an_ou_checks_run_does_not_import_scipy_stats(tmp_path):

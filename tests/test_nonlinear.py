@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sns2d import (
     stokes_apply,
     tensor_product,
 )
+from sns2d.dynamics import IntegratorConfig
 from sns2d.grid import grid_for, transform_plan
 from sns2d.nonlinear import (
     b_bilinear_core,
@@ -35,6 +38,17 @@ def test_dealias_rules():
     assert DealiasRule.none(12).effective_cutoff == 12
     with pytest.raises(ValueError):
         DealiasRule.make("half", 12)
+
+
+def test_a_rule_whose_band_holds_no_mode_is_refused_at_set_up():
+    # the march failed at its first product with "band limit 0 invalid for cutoff 1"
+    msg = "dealias 'two_thirds' keeps no mode at cutoff 1 (band limit 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        DealiasRule.make("two_thirds", 1)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        IntegratorConfig(dt=0.01).rule(1)
+    assert DealiasRule.make("two_thirds", 2).effective_cutoff == 1
+    assert DealiasRule.make("none", 1).effective_cutoff == 1
 
 
 def test_tensor_product_zero_and_symmetry(random_field):
