@@ -10,14 +10,9 @@ from .spectral import (
     BesovParams,
     besov_norm,
     block_powers,
-    dyadic_block,
-    fractional_power,
-    h_inner,
-    heat_semigroup,
     leray_project,
     lp_norm,
     sobolev_norm,
-    stokes_apply,
     tensor_sobolev_norm,
 )
 from .nonlinear import DealiasRule, tensor_product

@@ -144,9 +144,6 @@ class Trajectory:
     def final(self) -> SpectralField:
         return self.state(self.n_steps)
 
-    def h_norms(self) -> np.ndarray:
-        return np.sqrt(2.0 * np.sum(np.abs(self.coeffs) ** 2, axis=1))
-
     def difference(self, other: "Trajectory") -> np.ndarray:
         """State-by-state coefficients self - other, (n_steps + 1, n_modes),
         of two paths on the same cutoff and time grid."""

@@ -59,6 +59,7 @@ from .noise import (
     schedule_from_dict,
     stationary_batch,
     stationary_std,
+    unit_complex_normals,
     validate_scaling_condition,
     validate_vanishing_schedule,
     wick_square,
@@ -483,14 +484,15 @@ class _RunContext:
 
 
 def _trim_heap():
-    """Hand the memory that freed draws leave in glibc's heaps back to the
+    """Hand the memory that freed arrays leave in glibc's heaps back to the
     system: after a pool, whose threads free into arenas of their own that
     the serial work after it cannot reuse, and after renorm's Wick loop,
-    whose pieces of real halves stay resident between later allocations.
-    Running the ou_checks, lp_moment and renorm configs in turn six times in
-    one process, the peak RSS read 102.8-103.0 MiB without the trims and
-    93.4-93.5 MiB with them (three processes each; 2-core Xeon, glibc).  A
-    no-op without glibc."""
+    which follows the temporaries of its renormalization constants (6.2 MiB
+    at cutoff 256, freed into the main heap the first time; they are cached
+    after that).  Six runs of the ou_checks, lp_moment and renorm configs in
+    turn in one process peaked at 93.4-93.5 MiB with both trims, 93.8-93.9
+    MiB without the renorm one and 94.5-94.7 MiB without either (three
+    processes each; 2-core Xeon, glibc).  A no-op without glibc."""
     import ctypes
 
     try:
@@ -513,6 +515,12 @@ def _run_ou_checks(ctx: _RunContext):
     replicas = cfg.statistics["replicas"]
     dt = cfg.numerics["dt"]
 
+    alphas = cfg.params["alphas"]
+    # each member's batch array is made here, on the calling thread: one made
+    # by a pool thread comes from that thread's arena, whose top malloc_trim
+    # does not hand back
+    batches = [np.empty((_chunks(replicas)[0], g.n_modes), dtype=np.complex128) for _ in alphas]
+
     def member(idx, alpha):
         s = ctx.member(idx)
         gen_a = s.child(0).generator()
@@ -521,11 +529,11 @@ def _run_ou_checks(ctx: _RunContext):
         decay, step_std = ou_transition(g, spec, alpha, dt)
         var_acc = np.zeros(g.n_modes)
         stepped, fresh = [], []
-        # one batch of stationary samples at a time, drawn into one array:
-        # on threads, a new 17.4 MB array per batch (at cutoff 16) left the
-        # freed ones resident, and the run peaked 32 MiB higher.  The steps
-        # and the fresh samples are reduced as they are drawn
-        batch = np.empty((_chunks(replicas)[0], g.n_modes), dtype=np.complex128)
+        # one array for every batch: on threads, a new 17.4 MB array per batch
+        # (at cutoff 16) left the freed ones resident, and the run peaked 32
+        # MiB higher.  The member holds it alone, so it is freed as the member
+        # ends.  The steps and the fresh samples are reduced as they are drawn
+        batch, batches[idx] = batches[idx], None
         for m in _chunks(replicas):
             Z = stationary_batch(g, spec, alpha, gen_a, m, out=batch[:m])
             var_acc += mode_square_sums(Z)
@@ -535,7 +543,6 @@ def _run_ou_checks(ctx: _RunContext):
 
     rows = []
     summary = {"alphas": [], "ks_pvalue": {}, "max_variance_rel_err": 0.0}
-    alphas = cfg.params["alphas"]
     for alpha, (var_acc, stepped, fresh) in zip(alphas, ctx.map_members(member, alphas)):
         emp = var_acc / replicas
         exact = mode_variances(g, spec, alpha)
@@ -590,8 +597,8 @@ def _run_renorm(ctx: _RunContext):
     diagonal = _wick_diagonal(
         g, spec, ctx.stream("wick").generator(), R, keep, (w11, w22), spec.epsilon * theta_trunc
     )
-    # the batches' real halves were freed in pieces of the heap, where they
-    # would stay resident under the next run's peak
+    # the constants' lattice sums and the loop freed their temporaries into
+    # the heap, where they would stay resident under the next run's peak
     _trim_heap()
     for name, vals in zip(("m11", "m22"), diagonal):
         mean = float(np.mean(vals))
@@ -632,20 +639,21 @@ def _run_renorm(ctx: _RunContext):
 def _wick_diagonal(g, spec, gen, replicas, keep, weights, shift):
     """sum_k w_k |Z_k|^2 - shift over the modes in keep, for each weight
     vector w, of each of replicas stationary samples Z that gen draws in the
-    batches of _chunks: an array (len(weights), replicas).  Each batch is
-    reduced one row block at a time as it is drawn, so it holds its real
-    half (8.7 MB at cutoff 16) and a row block's buffers, not the whole
-    batch (17.4 MB), its [:, keep] copy (7.0 MB) and two |Z|^2 temporaries
-    (3.5 MB each)."""
-    out = np.empty((len(weights), replicas))
+    batches of _chunks: an array (len(weights), replicas).  Each piece of a
+    batch's parts adds its weighted squares into its rows' sums as it is
+    drawn, as ``drawn_l2_powers`` reduces them, so the loop holds one piece
+    of SAMPLES_PER_CALL reals, not the batch (17.4 MB at cutoff 16)."""
+    W = np.zeros((len(weights), g.n_modes))
+    W[:, keep] = weights
+    out = np.zeros((len(weights), replicas))
+    std = stationary_std(g, spec, 0.0)
     done = 0
     for m in _chunks(replicas):
-        for lo, block in stationary_batch(g, spec, 0.0, gen, m, blocks=True):
-            a2 = np.abs(block[:, keep]) ** 2
-            for row, w in zip(out, weights):
-                row[done + lo : done + lo + len(a2)] = a2 @ w - shift
+        for _, lo, c, piece in unit_complex_normals(gen, (m, g.n_modes), std, parts=True):
+            d, w = piece.shape
+            out[:, done + lo : done + lo + d] += W[:, c : c + w] @ np.square(piece, out=piece).T
         done += m
-    return out
+    return out - shift
 
 
 def _run_lp_moment(ctx: _RunContext):

@@ -401,6 +401,8 @@ def _replica_blocks(u0, phi, spec, cfg, streams, value) -> np.ndarray:
 
 def _sweep_distances(u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
     """Replica r of member i (epsilons descending) runs on rng.child(i).child(r)."""
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     stream = require_stream(rng)
     skeleton = solve_skeleton(u0, phi, cfg)
     means, stderrs, deltas = [], [], []

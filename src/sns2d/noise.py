@@ -5,13 +5,13 @@ weights lambda_k = (1 + delta |k|^(2 gamma))^(-1/2); delta sets the
 correlation scale (delta -> 0 approaches space-time white noise) and the
 overall strength is sqrt(epsilon).
 
-Every normal is drawn by ``unit_complex_normals``.  Its part form hands out
-the scaled pieces of a draw's real half and then of its imaginary half as
-they are drawn, so that ``drawn_l2_powers`` reduces each sample's squared
-L^2 norm, of a stationary draw or of an OU step, while holding one piece of
-SAMPLES_PER_CALL reals and no half of the draw.  Its row-block form hands out
-blocks of whole rows, formed as the imaginary half is drawn; the L^p moment
-check at p != 2 holds the real half of its samples and one block.
+Every normal is drawn by ``unit_complex_normals``, into one array or in
+parts.  Its part form hands out the scaled pieces of a draw's real half and
+then of its imaginary half as they are drawn, so that ``drawn_l2_powers``
+reduces each sample's squared L^2 norm, of a stationary draw or of an OU
+step, while holding one piece of SAMPLES_PER_CALL reals and no half of the
+draw.  The L^p moment check at p != 2 draws its samples in row batches of
+SAMPLES_PER_CALL complex entries, each reduced before the next is drawn.
 
 The KS p-value of the OU checks is Smirnov's exact two-sample formula for
 equal sizes (``ks_pvalue``), computed here as scipy's ``ks_2samp`` computes
@@ -172,7 +172,7 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(rng)}")
 
 
-def unit_complex_normals(gen, shape, std=None, blocks=False, parts=False, out=None):
+def unit_complex_normals(gen, shape, std=None, parts=False, out=None):
     """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
     std: a scalar or one real per entry of the last axis.  This is the one
     place in the package that draws normals.
@@ -187,19 +187,13 @@ def unit_complex_normals(gen, shape, std=None, blocks=False, parts=False, out=No
     out, a C-ordered complex128 array of that shape, receives the result in
     place of a new array.
 
-    With blocks=True, gen is one generator and the result is an iterator
-    over (first row, block) of the rows of that same array, flattened to
-    (rows, shape[-1]), in blocks of at most SAMPLES_PER_CALL complex entries
-    (one row at least).  The blocks are formed as the imaginary half is
-    drawn, so the draw holds the scaled real half, 8 bytes per normal, and
-    one block; each block is overwritten by the next.
-
     With parts=True, gen is one generator and the result is an iterator over
-    (part, first row, first column, piece) of that same flattened array:
-    part 0 is its real half and part 1 its imaginary half, each handed out
-    as it is drawn and scaled, in pieces of at most SAMPLES_PER_CALL reals
-    (whole rows, or one row's columns where a row outgrows that).  The draw
-    holds one piece; each piece is overwritten by the next.
+    (part, first row, first column, piece) of that same array, flattened to
+    (rows, shape[-1]): part 0 is its real half and part 1 its imaginary
+    half, each handed out as it is drawn and scaled, in pieces of at most
+    SAMPLES_PER_CALL reals (whole rows, or one row's columns where a row
+    outgrows that).  The draw holds one piece; each piece is overwritten by
+    the next.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     n = shape[-1]
@@ -207,49 +201,30 @@ def unit_complex_normals(gen, shape, std=None, blocks=False, parts=False, out=No
     width = min(n, SAMPLES_PER_CALL)
 
     def pieces(g, rows, buf):
-        """Draw one part of g's (rows, n) stream through buf, or into a new
-        array per piece if buf is None: (first row, first column, piece) of
-        whole rows, or of one row where a row outgrows SAMPLES_PER_CALL."""
+        """Draw one part of g's (rows, n) stream through buf: (first row,
+        first column, piece) of whole rows, or of one row where a row
+        outgrows SAMPLES_PER_CALL."""
         depth = min(rows, SAMPLES_PER_CALL // width)
         col_scale = None if scale is None else np.broadcast_to(scale, (n,))
         for lo in range(0, rows, depth):
             d = min(depth, rows - lo)
             for c in range(0, n, width):
                 w = min(width, n - c)
-                piece = np.empty((d, w)) if buf is None else buf[: d * w].reshape(d, w)
+                piece = buf[: d * w].reshape(d, w)
                 g.standard_normal(out=piece)
                 piece *= _INV_SQRT2
                 if col_scale is not None:
                     piece *= col_scale[c : c + w]
                 yield lo, c, piece
 
-    if blocks or parts:
+    if parts:
         if not isinstance(gen, np.random.Generator):
-            raise TypeError("a blocked draw takes one generator")
+            raise TypeError("a draw in parts takes one generator")
         rows = math.prod(shape[:-1])
         if rows * n == 0:
             return iter(())
-        depth = min(rows, SAMPLES_PER_CALL // width)
-        buf = np.empty(depth * width)
-        if parts:
-            return ((part, *p) for part in (0, 1) for p in pieces(gen, rows, buf))
-
-        def row_blocks():
-            # the real half stays in the pieces it was drawn in.  Buffers of
-            # at most SAMPLES_PER_CALL reals come from the allocator's heap
-            # and reuse what earlier work freed there; one array of the half
-            # is a new mapping on top of that (a peak 20-40 MiB higher when
-            # members on threads drew their samples this way)
-            reals = [piece for _, _, piece in pieces(gen, rows, None)]
-            block = np.empty((depth, n), dtype=np.complex128)
-            for (lo, c, piece), real in zip(pieces(gen, rows, buf), reals):
-                d, w = piece.shape
-                block.real[:d, c : c + w] = real
-                block.imag[:d, c : c + w] = piece
-                if c + w == n:
-                    yield lo, block[:d]
-
-        return row_blocks()
+        buf = np.empty(min(rows, SAMPLES_PER_CALL // width) * width)
+        return ((part, *p) for part in (0, 1) for p in pieces(gen, rows, buf))
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
@@ -307,12 +282,11 @@ def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     return np.sqrt(mode_variances(grid, spec, alpha))
 
 
-def stationary_batch(grid, spec, alpha, gen, replicas: int, blocks=False, out=None):
+def stationary_batch(grid, spec, alpha, gen, replicas: int, out=None):
     """(replicas, n_modes) array of independent stationary samples, in out
-    if given; with blocks=True, its row blocks as ``unit_complex_normals``
-    draws them."""
+    if given."""
     std = stationary_std(grid, spec, alpha)
-    return unit_complex_normals(gen, (replicas, grid.n_modes), std, blocks, out=out)
+    return unit_complex_normals(gen, (replicas, grid.n_modes), std, out=out)
 
 
 def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
@@ -333,18 +307,6 @@ def ou_step(z: SpectralField, spec: NoiseSpec, alpha: float, dt: float, rng) -> 
     decay, std = ou_transition(z.grid, spec, alpha, dt)
     g = unit_complex_normals(gen, z.grid.n_modes, std)
     return z.with_coeffs(decay * z.coeffs + g)
-
-
-def ou_step_batch(Z: np.ndarray, grid, spec, alpha, dt, gen) -> np.ndarray:
-    """One exact OU transition of each row of Z (rows, n_modes), which is
-    left as it is: decay * Z is added into the step noise in row blocks of
-    SAMPLES_PER_CALL reals, so no (rows, n_modes) product is formed."""
-    decay, std = ou_transition(grid, spec, alpha, dt)
-    out = unit_complex_normals(gen, Z.shape, std)
-    rows = max(1, SAMPLES_PER_CALL // Z.shape[-1])
-    for lo in range(0, len(Z), rows):
-        out[lo : lo + rows] += decay * Z[lo : lo + rows]
-    return out
 
 
 def drawn_l2_powers(gen, rows: int, std, decay=None, start=None) -> np.ndarray:
@@ -710,9 +672,12 @@ def lp_log_moment_check(
     else:
         from .spectral import lp_powers
 
-        # the stationary samples in row blocks: the real half and one block alive
-        blocks = stationary_batch(g, spec, alpha, gen, replicas, blocks=True)
-        samples = np.concatenate([lp_powers(g, b, p, grid_factor) for _, b in blocks])
+        # the stationary samples in row batches, each reduced before the
+        # next is drawn
+        rows = max(1, SAMPLES_PER_CALL // g.n_modes)
+        batches = (stationary_batch(g, spec, alpha, gen, min(rows, replicas - lo))
+                   for lo in range(0, replicas, rows))
+        samples = np.concatenate([lp_powers(g, Z, p, grid_factor) for Z in batches])
         closed = None
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(replicas))
@@ -748,6 +713,8 @@ def besov_moment_check(
     bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
     Replica i draws its start and its steps from rng.child(i); the replicas
     are marched in blocks of ``stack_depth`` of the Besov grid."""
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     if not (sigma < sigma_prime < 0):
         raise ValueError(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "

@@ -1,4 +1,4 @@
-"""Linear operators and norms: projection, Stokes semigroup, Sobolev/Lp/Besov."""
+"""Leray projection and norms: Sobolev, L^p and Besov."""
 
 import functools
 import math
@@ -34,35 +34,12 @@ def leray_project(vector_coeffs: np.ndarray, cutoff: int) -> SpectralField:
     return SpectralField(g, c)
 
 
-def stokes_apply(u: SpectralField) -> SpectralField:
-    """Stokes operator: multiply each mode by -|k|^2."""
-    return u.with_coeffs(u.coeffs * (-u.grid.ksq))
-
-
-def heat_semigroup(u: SpectralField, t: float, alpha: float = 0.0) -> SpectralField:
-    """exp(t(A - alpha)) u: each mode decays by exp(-t(|k|^2 + alpha))."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return u.with_coeffs(u.coeffs * np.exp(-t * (u.grid.ksq + alpha)))
-
-
-def fractional_power(u: SpectralField, r: float) -> SpectralField:
-    """(-A)^r u: multiply each mode by |k|^(2r)."""
-    return u.with_coeffs(u.coeffs * u.grid.ksq**r)
-
-
 def sobolev_norm(u: SpectralField, s: float = 0.0) -> float:
     """H^s norm (sum over the full lattice of |c_k|^2 |k|^(2s))^(1/2).
 
     s = 0 is the H (= L^2) norm, s = 1 the V norm.
     """
     return math.sqrt(2.0 * float(np.sum(np.abs(u.coeffs) ** 2 * u.grid.ksq**s)))
-
-
-def h_inner(u: SpectralField, v: SpectralField) -> float:
-    """Real inner product of H, computed from the stored half-lattice."""
-    u._check(v)
-    return 2.0 * float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
 
 
 def h_norm_of(coeffs: np.ndarray) -> float:
@@ -124,16 +101,6 @@ def block_count(cutoff: int) -> int:
 def _block_mask(ksq: np.ndarray, q: int) -> np.ndarray:
     """Modes of the annulus 2^(q-1) < |k| <= 2^q; q = 0 keeps |k| = 1."""
     return (ksq > 4.0 ** (q - 1)) & (ksq <= 4.0**q)
-
-
-def dyadic_block(u: SpectralField, q: int) -> SpectralField:
-    """Frequency annulus 2^(q-1) < |k| <= 2^q of u; q = 0 keeps |k| = 1.
-
-    The blocks partition the retained modes, so summing over q recovers u.
-    """
-    if q < 0:
-        raise ValueError(f"block index must be >= 0, got {q}")
-    return u.with_coeffs(np.where(_block_mask(u.grid.ksq, q), u.coeffs, 0.0))
 
 
 @dataclass(frozen=True)

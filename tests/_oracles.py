@@ -5,6 +5,9 @@ convolutions directly (O(N^4)); none of it shares code with the package's
 FFT-based implementations.  The exceptions are built from the package's
 own parts and kept as references for faster forms of the same arithmetic:
 
+- ``stokes_apply``, ``heat_semigroup``, ``fractional_power``, ``h_inner``,
+  ``dyadic_block`` and ``h_norms``, the linear operations on one field and
+  the H norms of a path, which only the tests apply;
 - ``besov_norm_per_block``, the one-block-at-a-time Besov sum built from
   ``dyadic_block`` and ``lp_norm``, the reference for the stacked
   ``besov_norm``;
@@ -42,16 +45,18 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``unit_complex_normals_assembled``, the complex normals assembled from a
   full (2, *shape) draw in complex arithmetic, the reference for the fused
   ``unit_complex_normals``;
-- ``ou_step_batch_whole`` and ``lp_log_moment_check_whole``, the OU step as
-  decay * Z plus a whole draw, and the L^p moment check from all of its
-  stationary samples at once, the references for the row blocks of
-  ``ou_step_batch`` and of ``lp_log_moment_check``;
+- ``ou_step_batch_whole``, the OU step of each row of Z as decay * Z plus
+  a whole draw, which the tests of the OU law apply;
+- ``lp_log_moment_check_whole``, the L^p moment check from all of its
+  stationary samples at once (at p != 2 drawn in the same row batches),
+  the reference for ``lp_log_moment_check``, which reduces each row batch
+  or each piece as it is drawn;
 - ``l2_powers_whole``, the squared L^2 norm of each row of a whole array
   as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
   reduces the same sums piece by piece as the draw's parts are drawn;
 - ``wick_diagonal_whole``, renorm's Wick sums from each whole batch of
   stationary samples, the reference for ``_wick_diagonal``, which reduces
-  each batch one row block at a time as it is drawn;
+  each batch piece by piece as its parts are drawn;
 - ``divergence_residual``, max |k . u_hat(k)| over the velocity that
   ``velocity_coeffs_direct`` reconstructs, relative to its largest
   coefficient, the check that the package's basis is divergence-free;
@@ -74,7 +79,7 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.fields import SpectralField
-from sns2d.grid import grid_for, transform_plan
+from sns2d.grid import SAMPLES_PER_CALL, grid_for, transform_plan
 from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
@@ -98,13 +103,50 @@ from sns2d.spectral import (
     besov_norm,
     block_count,
     block_grid_size,
-    dyadic_block,
     h_norm_of,
     lp_norm,
     lp_powers,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def stokes_apply(u):
+    """Stokes operator: multiply each mode by -|k|^2."""
+    return u.with_coeffs(u.coeffs * (-u.grid.ksq))
+
+
+def heat_semigroup(u, t, alpha=0.0):
+    """exp(t(A - alpha)) u: each mode decays by exp(-t(|k|^2 + alpha))."""
+    if t < 0:
+        raise ValueError(f"semigroup time must be >= 0, got {t}")
+    return u.with_coeffs(u.coeffs * np.exp(-t * (u.grid.ksq + alpha)))
+
+
+def fractional_power(u, r):
+    """(-A)^r u: multiply each mode by |k|^(2r)."""
+    return u.with_coeffs(u.coeffs * u.grid.ksq**r)
+
+
+def h_inner(u, v):
+    """Real inner product of H, computed from the stored half-lattice."""
+    u._check(v)
+    return 2.0 * float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
+
+
+def dyadic_block(u, q):
+    """Frequency annulus 2^(q-1) < |k| <= 2^q of u; q = 0 keeps |k| = 1.
+
+    The blocks partition the retained modes, so summing over q recovers u.
+    """
+    if q < 0:
+        raise ValueError(f"block index must be >= 0, got {q}")
+    return u.with_coeffs(np.where(_block_mask(u.grid.ksq, q), u.coeffs, 0.0))
+
+
+def h_norms(traj):
+    """The H norm of each state of a Trajectory, (n_steps + 1,)."""
+    return np.sqrt(2.0 * np.sum(np.abs(traj.coeffs) ** 2, axis=1))
 
 
 def velocity_coeffs_direct(field):
@@ -453,11 +495,17 @@ def l2_powers_whole(W):
 def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, alpha=0.0, grid_factor=2):
     """lp_log_moment_check holding all of its stationary samples Z at once."""
     g = grid_for(cutoff)
-    Z = stationary_batch(g, spec, alpha, as_generator(rng), replicas)
+    gen = as_generator(rng)
     if p == 2:
-        samples = l2_powers_whole(Z)
+        samples = l2_powers_whole(stationary_batch(g, spec, alpha, gen, replicas))
         closed = l2_moment_exact(g, spec, alpha)
     else:
+        # the check's layout: row batches of SAMPLES_PER_CALL complex entries
+        rows = max(1, SAMPLES_PER_CALL // g.n_modes)
+        Z = np.concatenate([
+            stationary_batch(g, spec, alpha, gen, min(rows, replicas - lo))
+            for lo in range(0, replicas, rows)
+        ])
         samples = lp_powers(g, Z, p, grid_factor)
         closed = None
     est = float(np.mean(samples))

@@ -25,10 +25,8 @@ from sns2d import (
     action,
     besov_convergence_experiment,
     h_convergence_experiment,
-    h_inner,
     renorm_constant,
     sobolev_norm,
-    stokes_apply,
     taylor_green,
     tensor_sobolev_norm,
     wick_square,
@@ -40,13 +38,12 @@ from sns2d.ldp import action_objective_and_gradient, control_action, fit_loglog
 from sns2d.noise import (
     l2_moment_exact,
     mode_variances,
-    ou_step_batch,
     stationary_batch,
     unit_complex_normals,
 )
 from sns2d.nonlinear import b_bilinear_core, b_core
 
-from _oracles import b_direct
+from _oracles import b_direct, h_inner, ou_step_batch_whole, stokes_apply
 
 
 def _finish(num, name, t0, limit, detail):
@@ -122,7 +119,7 @@ def test_03_ou_stationary_law():
         exact = mode_variances(g, spec, alpha)
         rel = float(np.max(np.abs(emp - exact) / exact))
         assert rel <= 0.05, f"alpha={alpha}: variance off by {rel:.3f}"
-        stepped = ou_step_batch(Z, g, spec, alpha, 0.01, s.child(1).generator())
+        stepped = ou_step_batch_whole(Z, g, spec, alpha, 0.01, s.child(1).generator())
         fresh = stationary_batch(g, spec, alpha, s.child(2).generator(), replicas)
         energy = lambda W: 2.0 * np.sum(np.abs(W) ** 2, axis=1)
         p = ks_2samp(energy(stepped), energy(fresh)).pvalue

@@ -1061,7 +1061,7 @@ def test_renorm_wick_sums_in_row_blocks_are_the_whole_batch_sums(replicas):
     assert gens[0].standard_normal() == gens[1].standard_normal()
 
 
-def test_a_renorm_wick_loop_holds_a_real_half_and_a_few_buffers():
+def test_a_renorm_wick_loop_holds_a_few_buffers():
     # 4000 Wick replicas at cutoff 16 are two batches of 2000
     cfg = ExperimentConfig.from_dict(_renorm_wick_config(4000))
     experiments._run_renorm(experiments._RunContext(cfg))  # plans and caches
@@ -1072,12 +1072,11 @@ def test_a_renorm_wick_loop_holds_a_real_half_and_a_few_buffers():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    batch = 16 * 2000 * grid_for(16).n_modes
-    # a batch's real half, in pieces; its row block, the block's kept
-    # columns and their |Z|^2 are buffers of at most SAMPLES_PER_CALL
-    # complex entries, and the sums take 16 bytes per replica.  The whole
-    # batch alone would add batch / 2 (the whole-batch loop peaked at 35.1 MB)
-    assert peak <= batch / 2 + 8 * (8 * SAMPLES_PER_CALL) + 16 * 4000
+    # the draw's piece of SAMPLES_PER_CALL reals, the zero-padded weights
+    # and the sums, 16 bytes per replica; the theta sums and the crosscheck
+    # take less.  A batch's real half alone is 8.7 MB (row blocks formed
+    # from it peaked at 9.5 MB), the whole batch 17.4 MB
+    assert peak <= 4 * (8 * SAMPLES_PER_CALL) + 16 * 4000
 
 
 @pytest.mark.skipif(
@@ -1086,14 +1085,17 @@ def test_a_renorm_wick_loop_holds_a_real_half_and_a_few_buffers():
 )
 def test_a_renorm_run_hands_its_heap_back(tmp_path):
     # an ou_checks run first, as the noise_draws benchmark runs them: freeing
-    # its 17.4 MB batch raises glibc's mmap threshold, so renorm's pieces of
-    # real halves come from the heap.  Without the trim they stayed
-    # resident: VmRSS read 7.9 MiB higher after the renorm run than before
+    # its 17.4 MB batch raises glibc's mmap threshold, so the temporaries of
+    # renorm's constants at the shipped cutoffs, computed for the first time
+    # in the measured run, come from the heap.  Without the trim they stayed
+    # resident: VmRSS read 6.1-6.3 MiB higher after the renorm run than before
     ou = minimal_ou_config()
     ou["numerics"]["cutoff"] = 16
     ou["statistics"]["replicas"] = 2000
     ou["params"]["alphas"] = [0.0]
-    configs = json.dumps([ou, _renorm_wick_config(2), _renorm_wick_config(2000)])
+    renorm = _renorm_wick_config(2000)
+    renorm["params"]["cutoffs"] = [128, 256]
+    configs = json.dumps([ou, _renorm_wick_config(2), renorm])
     src = pathlib.Path(experiments.__file__).parents[1]
     code = (
         "import json, sys\n"

@@ -19,8 +19,10 @@ from sns2d import (
     SpectralField,
     action,
     besov_convergence_experiment,
+    besov_moment_check,
     h_convergence_experiment,
     laplace_check,
+    lp_log_moment_check,
     minimize_action,
     residual,
     taylor_green,
@@ -745,6 +747,45 @@ def test_monte_carlo_entry_points_take_only_a_stream(rng):
     for call in calls:
         with pytest.raises(TypeError, match="expected an RngStream"):
             call()
+
+
+def _monte_carlo_calls():
+    """Each public Monte Carlo entry point that reports a spread, as a call
+    with the given replica count that returns it: the standard errors, or
+    the width of the tube's confidence interval."""
+    u0 = taylor_green(4, 0.4)
+    cfg = IntegratorConfig(dt=0.02)
+    phi = ControlPath.zero(4, 0.02, 3)
+    eps = [1e-1, 1e-2, 1e-3]
+    spec = NoiseSpec(0.01, 0.1)
+    rng = RngStream(23)
+    tube_width = lambda rep: rep.ci_high - rep.ci_low
+    return {
+        "h_convergence": lambda n: h_convergence_experiment(
+            u0, phi, PowerSchedule(0.5), 1.0, eps, n, cfg, rng
+        ).stderrs,
+        "besov_convergence": lambda n: besov_convergence_experiment(
+            u0, phi, BesovParams(-0.25, 4.0, 0.3, 3.0), PowerSchedule(1.0), eps, n, cfg, rng
+        ).stderrs,
+        "besov_moment": lambda n: besov_moment_check(
+            spec, -0.75, -0.5, 4.0, 2.0, 0.06, 0.02, n, rng, 4
+        ).stderr,
+        "lp_moment": lambda n: lp_log_moment_check(spec, 3.0, n, rng, 4).stderr,
+        "tube": lambda n: tube_width(
+            tube_probability(u0, solve_skeleton(u0, phi, cfg), 0.1, spec, cfg, n, rng)
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_monte_carlo_calls()))
+def test_monte_carlo_entry_points_refuse_fewer_than_2_replicas(entry):
+    # one replica has no sample standard deviation: besov_moment_check and
+    # the convergence sweeps reported a NaN stderr with numpy's warning
+    call = _monte_carlo_calls()[entry]
+    for replicas in (0, 1):
+        with pytest.raises(ValueError, match="need at least 2 replicas"):
+            call(replicas)
+    assert np.all(np.isfinite(call(2)))
 
 
 def test_tube_blocks_are_each_replica_marched_alone():

@@ -32,7 +32,6 @@ from sns2d.noise import (
     lp_log_moment_check,
     mode_square_sums,
     mode_variances,
-    ou_step_batch,
     ou_transition,
     schedule_from_dict,
     stationary_batch,
@@ -118,7 +117,7 @@ def test_ou_step_increment_statistics():
     dt = 0.05
     R = 40_000
     rest = np.zeros((R, g.n_modes), dtype=np.complex128)
-    samples = ou_step_batch(rest, g, spec, 0.0, dt, RngStream(7).generator())
+    samples = ou_step_batch_whole(rest, g, spec, 0.0, dt, RngStream(7).generator())
     var_exact = ou_transition(g, spec, 0.0, dt)[1] ** 2
     mean = samples.mean(axis=0)
     # centered: 4 sigma of the mean of either part is 4 sqrt(var/2/R)
@@ -128,11 +127,11 @@ def test_ou_step_increment_statistics():
     var = np.mean(np.abs(samples) ** 2, axis=0)
     assert np.max(np.abs(var - var_exact) / var_exact) < 0.05
     # independent streams decorrelate
-    other = ou_step_batch(rest, g, spec, 0.0, dt, RngStream(8).generator())[:, 0]
+    other = ou_step_batch_whole(rest, g, spec, 0.0, dt, RngStream(8).generator())[:, 0]
     corr = np.mean(samples[:, 0] * np.conj(other))
     assert abs(corr) < 4.0 * var_exact[0] / math.sqrt(R)
     with pytest.raises(ValueError):
-        ou_step_batch(rest, g, spec, 0.0, 0.0, RngStream(7).generator())
+        ou_step_batch_whole(rest, g, spec, 0.0, 0.0, RngStream(7).generator())
 
 
 def test_ou_stationary_variances():
@@ -172,7 +171,7 @@ def test_ou_step_preserves_stationary_law():
     s = RngStream(77)
     R = 8000
     Z = stationary_batch(g, spec, 0.0, s.child(0).generator(), R)
-    Zs = ou_step_batch(Z, g, spec, 0.0, 0.04, s.child(1).generator())
+    Zs = ou_step_batch_whole(Z, g, spec, 0.0, 0.04, s.child(1).generator())
     fresh = stationary_batch(g, spec, 0.0, s.child(2).generator(), R)
     energy = lambda W: 2.0 * np.sum(np.abs(W) ** 2, axis=1)
     assert ks_2samp(energy(Zs), energy(fresh)).pvalue > 0.01
@@ -530,46 +529,13 @@ def test_a_draw_into_out_needs_its_shape_in_c_order():
             unit_complex_normals(gen, (3, 5), out=out)
 
 
-def _blocked(gen, shape, std=None):
-    """The blocks of a blocked draw, copied, and their first rows."""
-    pairs = [(lo, block.copy()) for lo, block in unit_complex_normals(gen, shape, std, blocks=True)]
-    return [lo for lo, _ in pairs], np.concatenate([block for _, block in pairs])
-
-
-@pytest.mark.parametrize("shape", DRAW_SHAPES + [(37, 544)])
-@pytest.mark.parametrize("std", ["none", "per_mode"])
-def test_blocked_draws_are_the_assembled_draw_in_row_blocks(shape, std):
-    n = shape if isinstance(shape, int) else shape[-1]
-    std = {"none": None, "per_mode": np.linspace(0.1, 3.0, n)}[std]
-    gen = np.random.default_rng(5)
-    starts, blocks = _blocked(gen, shape, std)
-    whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std)
-    assert np.array_equal(_bits(blocks), _bits(whole.reshape(-1, n)))
-    # blocks of whole rows, of SAMPLES_PER_CALL complex entries at most; a
-    # row longer than that is a block alone; 37 rows of 544 end in 7 rows
-    rows = max(1, min(len(blocks), SAMPLES_PER_CALL // n))
-    assert starts == list(range(0, len(blocks), rows))
-    after = np.random.default_rng(5)
-    after.standard_normal((2, *np.shape(whole)))
-    assert gen.bit_generator.state == after.bit_generator.state
-
-
-def test_a_blocked_draw_takes_one_generator():
-    with pytest.raises(TypeError, match="one generator"):
-        unit_complex_normals([np.random.default_rng(0)], (1, 5), blocks=True)
-    assert list(unit_complex_normals(np.random.default_rng(0), (0, 5), blocks=True)) == []
-
-
 def test_ou_steps_in_row_blocks_are_the_whole_step_bit_for_bit():
     spec = NoiseSpec(epsilon=0.3, delta=0.05, gamma=1.0)
     g = grid_for(16)
-    # 37 rows: one block of 30 and a short one of 7
+    # 37 rows: a piece of 30 rows and a short one of 7
     Z = stationary_batch(g, spec, 0.5, np.random.default_rng(1), 37)
     before = Z.copy()
     whole = ou_step_batch_whole(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
-    batch = ou_step_batch(Z, g, spec, 0.5, 0.02, np.random.default_rng(2))
-    assert np.array_equal(_bits(batch), _bits(whole))
-    assert np.array_equal(_bits(Z), _bits(before))
     # the L^2 powers of the steps, reduced as the step noise is drawn
     decay, std = ou_transition(g, spec, 0.5, 0.02)
     powers = drawn_l2_powers(np.random.default_rng(2), 37, std, decay, Z)
@@ -581,12 +547,14 @@ def test_ou_steps_in_row_blocks_are_the_whole_step_bit_for_bit():
 
 
 # whole rows in one piece, in several pieces of rows, and rows longer than
-# SAMPLES_PER_CALL in pieces of columns
-@pytest.mark.parametrize("shape", [(5, 544), (37, 544), (3, 20000)])
+# SAMPLES_PER_CALL in pieces of columns; an int shape is one row, and a
+# stack of rows is flattened to its rows
+@pytest.mark.parametrize("shape", [(5, 544), (37, 544), (3, 20000), 7, (2, 3, 61)])
 def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
-    rows, n = shape
+    dims = (shape,) if isinstance(shape, int) else shape
+    rows, n = math.prod(dims[:-1]), dims[-1]
     std = np.linspace(0.1, 3.0, n)
-    whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std)
+    whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std).reshape(rows, n)
     gen = np.random.default_rng(5)
     halves = np.zeros((2, rows, n))
     seen = np.zeros((2, rows, n), dtype=int)
@@ -601,7 +569,7 @@ def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
     assert np.array_equal(_bits(halves[0]), _bits(whole.real))
     assert np.array_equal(_bits(halves[1]), _bits(whole.imag))
     after = np.random.default_rng(5)
-    after.standard_normal((2, *shape))
+    after.standard_normal((2, *dims))
     assert gen.bit_generator.state == after.bit_generator.state
     # a row in several pieces sums piece by piece, so only to roundoff
     powers = drawn_l2_powers(np.random.default_rng(5), rows, std)
@@ -611,6 +579,7 @@ def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
         assert np.allclose(powers, l2_powers_whole(whole), rtol=1e-14, atol=0.0)
     with pytest.raises(TypeError, match="one generator"):
         unit_complex_normals([np.random.default_rng(0)], (1, 5), parts=True)
+    assert list(unit_complex_normals(np.random.default_rng(0), (0, 5), parts=True)) == []
 
 
 # one row block, 67 blocks of 30 rows, a row per block
@@ -644,15 +613,16 @@ def _lp_moment_member_peak(p, replicas):
 
 # p = 2 reduces its samples as they are drawn, below
 @pytest.mark.parametrize("p", [3.0])
-def test_an_lp_moment_member_holds_the_real_half_and_one_block(p):
-    replicas, n = 2000, grid_for(16).n_modes
+def test_an_lp_moment_member_holds_one_row_batch(p):
+    replicas = 2000
     peak = _lp_moment_member_peak(p, replicas)
-    real_half = 8 * replicas * n
-    # one complex block of SAMPLES_PER_CALL entries is 16 * SAMPLES_PER_CALL
-    # bytes; the draw buffer, the block's reductions and the samples take a
-    # few more such blocks.  All of the samples at once held 2 * real_half
-    block = 16 * SAMPLES_PER_CALL
-    assert peak <= real_half + 4 * block + 16 * replicas
+    # a row batch of SAMPLES_PER_CALL complex entries is 16 * SAMPLES_PER_CALL
+    # bytes; the syntheses of lp_powers and their |u|^p take a few more such
+    # batches, and the samples 8 bytes per replica.  A draw in row blocks
+    # that held the real half of the samples, 8 * replicas * 544 bytes
+    # (8.7 MB), peaked at 9.6 MB
+    batch = 16 * SAMPLES_PER_CALL
+    assert peak <= 4 * batch + 16 * replicas
 
 
 def test_an_lp_moment_member_at_p2_holds_no_half_of_its_draw():
@@ -699,7 +669,7 @@ def test_draw_wrappers_are_the_assembled_draw_bit_for_bit():
     assert np.array_equal(_bits(Z), _bits(ref))
 
     decay, step_std = ou_transition(g, spec, alpha, dt)
-    Zs = ou_step_batch(Z, g, spec, alpha, dt, np.random.default_rng(2))
+    Zs = ou_step_batch_whole(Z, g, spec, alpha, dt, np.random.default_rng(2))
     noise = step_std[None, :] * unit_complex_normals_assembled(np.random.default_rng(2), Z.shape)
     assert np.array_equal(_bits(Zs), _bits(decay[None, :] * Z + noise))
 

@@ -6,9 +6,7 @@ import pytest
 from sns2d import (
     DealiasRule,
     SpectralField,
-    h_inner,
     sobolev_norm,
-    stokes_apply,
     tensor_product,
 )
 from sns2d.dynamics import IntegratorConfig
@@ -29,6 +27,8 @@ from _oracles import (
     b_core_three_products,
     b_direct,
     divergence_residual,
+    h_inner,
+    stokes_apply,
     tensor_product_direct,
 )
 

@@ -9,14 +9,9 @@ from sns2d import (
     BesovParams,
     SpectralField,
     besov_norm,
-    dyadic_block,
-    fractional_power,
-    h_inner,
-    heat_semigroup,
     leray_project,
     lp_norm,
     sobolev_norm,
-    stokes_apply,
 )
 from sns2d.grid import SAMPLES_PER_CALL, TransformPlan, grid_for, transform_plan
 from sns2d.spectral import (
@@ -31,8 +26,13 @@ from sns2d.spectral import (
 from _oracles import (
     besov_norm_per_block,
     block_powers_real_grids,
+    dyadic_block,
+    fractional_power,
+    h_inner,
+    heat_semigroup,
     lp_norm_quadrature,
     power_integrals_real_grids,
+    stokes_apply,
     velocity_coeffs_direct,
 )
 
