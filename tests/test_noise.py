@@ -548,12 +548,13 @@ def test_ou_steps_in_row_blocks_are_the_whole_step_bit_for_bit():
 
 # whole rows in one piece, in several pieces of rows, and rows longer than
 # SAMPLES_PER_CALL in pieces of columns; an int shape is one row, and a
-# stack of rows is flattened to its rows
-@pytest.mark.parametrize("shape", [(5, 544), (37, 544), (3, 20000), 7, (2, 3, 61)])
-def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
+# stack of rows is flattened to its rows; 37 rows of 544 end in 7 rows
+@pytest.mark.parametrize("shape", DRAW_SHAPES + [(37, 544)])
+@pytest.mark.parametrize("std", ["none", "per_mode", "scalar"])
+def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape, std):
     dims = (shape,) if isinstance(shape, int) else shape
     rows, n = math.prod(dims[:-1]), dims[-1]
-    std = np.linspace(0.1, 3.0, n)
+    std = {"none": None, "per_mode": np.linspace(0.1, 3.0, n), "scalar": 0.37}[std]
     whole = unit_complex_normals_assembled(np.random.default_rng(5), shape, std).reshape(rows, n)
     gen = np.random.default_rng(5)
     halves = np.zeros((2, rows, n))
@@ -571,12 +572,17 @@ def test_the_parts_of_a_draw_are_its_halves_as_drawn(shape):
     after = np.random.default_rng(5)
     after.standard_normal((2, *dims))
     assert gen.bit_generator.state == after.bit_generator.state
+    if std is None or np.ndim(std) == 0:
+        return  # drawn_l2_powers takes one std per mode
     # a row in several pieces sums piece by piece, so only to roundoff
     powers = drawn_l2_powers(np.random.default_rng(5), rows, std)
     if n <= SAMPLES_PER_CALL:
         assert np.array_equal(powers, l2_powers_whole(whole))
     else:
         assert np.allclose(powers, l2_powers_whole(whole), rtol=1e-14, atol=0.0)
+
+
+def test_a_draw_in_parts_takes_one_generator():
     with pytest.raises(TypeError, match="one generator"):
         unit_complex_normals([np.random.default_rng(0)], (1, 5), parts=True)
     assert list(unit_complex_normals(np.random.default_rng(0), (0, 5), parts=True)) == []
