@@ -225,7 +225,8 @@ def march(
     out[..., 0, :] = u0
     u = out[..., 0, :]
     for step in range(n_steps):
-        unew = decay * u
+        # the step is formed in its own slot; decay stays the first operand
+        unew = np.multiply(decay, u, out=out[..., step + 1, :])
         if forcing is not None:
             F = forcing(u, step)
             unew += gain * F
@@ -238,8 +239,7 @@ def march(
             nrm_sq = 2.0 * np.vdot(row, row).real
             if not nrm_sq <= limit_sq:  # also catches NaN
                 raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
-        out[..., step + 1, :] = unew
-        u = out[..., step + 1, :]
+        u = unew
     return out
 
 

@@ -815,6 +815,7 @@ def _run_instanton(ctx: _RunContext):
         "iterations": rep.iterations,
         "converged": rep.converged,
         "penalty_weight": rep.penalty_weight,
+        "constrained_action": rep.constrained_action,
     }
     nd = cfg.params["gradient_check_directions"]
     if nd:

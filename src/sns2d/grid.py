@@ -13,7 +13,15 @@ It has two layouts:
   complex transform (``synthesize_packed`` and ``analyze_packed``).  The
   product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
   does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
-  needs only |u|^2 = Re^2 + Im^2 of the packed velocity;
+  needs only |u|^2 = Re^2 + Im^2 of the packed velocity.  Both call
+  pocketfft's binding under ``scipy.fft`` through ``_complex_transform``,
+  with the arguments ``ifft2(norm="forward")`` and ``fft2(overwrite_x=True)``
+  pass it, so the bits are theirs.  On the minimum-action descent's 64 x 64
+  grids scipy.fft's Python dispatch around that call took about a fifth of
+  each transform (fft2 34 us, the bare call 26 us, best of 7 x 2,000 calls
+  on a 2-core Xeon with scipy 1.17).  The test
+  ``test_fft_transforms_live_only_in_the_grid_module`` keeps the binding's
+  one call site here;
 - real grids, one per symbol row (``synthesize`` and ``analyze``), for
   ``SpectralField.to_grid``, which hands out the two velocity components,
   and ``tensor_product``.  The tensor stays real: the renorm run reports the
@@ -26,7 +34,8 @@ import functools
 import threading
 
 import numpy as np
-from scipy.fft import fft2, ifft2, irfft2, next_fast_len, rfft2
+from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft._pocketfft.pypocketfft import c2c
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,6 +105,14 @@ class SpectralGrid:
         if grid_factor < 2:
             raise ValueError("grid_factor must be >= 2")
         return next_fast_len(max(grid_factor * self.cutoff, 2 * self.cutoff + 1))
+
+
+def _complex_transform(grids, forward, out=None):
+    """Unnormalized 2-D complex FFT over the last two axes of ``grids``, into
+    ``out`` when given (which may be ``grids`` itself): the call that
+    ``fft2(grids)`` (forward) and ``ifft2(grids, norm="forward")`` make, on
+    one thread."""
+    return c2c(grids, (grids.ndim - 2, grids.ndim - 1), forward, 0, out, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,7 +233,8 @@ class TransformPlan:
         s1, s2 = symbols
         return np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
 
-    def synthesize_packed(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
+    def synthesize_packed(self, coeffs: np.ndarray, symbols: np.ndarray = None,
+                          out: np.ndarray = None) -> np.ndarray:
         """Complex grids f1 + i f2 of the real grid pair f1, f2 that
         ``synthesize`` makes from a pair of symbol rows: the layout of the
         nonlinear kernels and of the L^p and Besov quadrature.
@@ -226,7 +244,7 @@ class TransformPlan:
         ``strain_packed`` (s + i t), or a stack of pairs (..., 2, n_kept)
         whose leading axes index further output grids.  Returns the
         broadcast of coeffs.shape[:-1] and symbols.shape[:-2], then (size,
-        size).
+        size), written into ``out`` (complex, of that shape) when given.
         """
         if symbols is None:
             symbols = self.velocity_packed
@@ -242,7 +260,7 @@ class TransformPlan:
         work = grids[n_rows]
         self._scatter(work, vals, "full")
         # unnormalized inverse: the sum over k itself, with no M^2 to undo
-        return ifft2(work.reshape(vals.shape[:-1] + (M, M)), norm="forward")
+        return _complex_transform(work.reshape(vals.shape[:-1] + (M, M)), False, out)
 
     def packed_weights(self, c1, c2) -> np.ndarray:
         """Weights (2, n_kept) with which ``analyze_packed`` returns
@@ -262,7 +280,7 @@ class TransformPlan:
         n_kept) holds (alpha_j, beta_j), as ``packed_weights`` gives them.
         Returns (..., n_modes), zero outside the band.
         """
-        spec = fft2(grids, overwrite_x=True)
+        spec = _complex_transform(grids, True, grids)
         at = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.full_pos, axis=-1)
         n = at.shape[-1] // 2
         plus, minus = at[..., :n], at[..., n:]

@@ -40,10 +40,15 @@ call:
 ``tensor_product`` forms the full tensor on real grids, 4 synthesized and
 4 analyzed.
 
-``b_core`` can write the velocity grid w_u it synthesizes into a caller's
+``b_core`` can synthesize the velocity grid w_u straight into a caller's
 buffer, and ``b_linearized_adjoint_core`` can read it from there: the
 adjoint sweep of the minimum-action descent reads the grids of the forward
 march that made its states.
+
+The packed transforms call pocketfft's binding directly (``sns2d.grid``):
+at the descent's 64 x 64 grids scipy.fft's Python dispatch cost about a
+fifth of each transform.  Every transform still lives in ``sns2d.grid``, which
+``test_fft_transforms_live_only_in_the_grid_module`` checks.
 """
 
 import functools
@@ -121,14 +126,14 @@ def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.nda
     gets the arithmetic of a call of its own, in one synthesis and one
     analysis for the whole stack.  A ``velocity`` buffer (..., M, M), M the
     rule's padded grid size, receives the synthesized velocity grids
-    w_u = u1 + i u2.
+    w_u = u1 + i u2; without one the grids are squared where they were
+    synthesized.
     """
     plan = _plan_for(grid, rule)
-    wu = plan.synthesize_packed(coeffs)
-    if velocity is not None:
-        velocity[...] = wu
     # w_u w_u = (u1^2 - u2^2) + 2i u1 u2 = 2a + 2ic, as b_bilinear_core forms it at v = u
-    return plan.analyze_packed((wu * wu)[..., None, :, :], _weights(plan)[:1])
+    wu = plan.synthesize_packed(coeffs, out=velocity)
+    square = np.multiply(wu, wu, out=wu) if velocity is None else wu * wu
+    return plan.analyze_packed(square[..., None, :, :], _weights(plan)[:1])
 
 
 def replicas_per_block(grid, rule: DealiasRule) -> int:

@@ -17,9 +17,14 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
-- ``adjoint_gradient_resynthesizing``, the adjoint sweep that synthesizes
-  each state's velocity grids again, the reference for ``adjoint_gradient``
-  reading the grids of the march that made its states;
+- ``march_allocating``, ``adjoint_gradient_allocating`` and
+  ``control_states_allocating``, the exponential step, the adjoint sweep and
+  the descent's forward march forming each step, each sweep term and each
+  forcing in new arrays, the references for the in-place ``march``,
+  ``adjoint_gradient`` and ``control_states``; the allocating march
+  synthesizes its velocity grids apart from b_core, and the sweep without grids
+  synthesizes each state's velocity again, the reference for
+  ``adjoint_gradient`` reading the grids of the march that made its states;
 - ``b_core_three_products`` and ``adjoint_four_gradients``, the nonlinear
   term from the full symmetric tensor u x u and its adjoint from all four
   velocity gradients, the references for the trace-free ``b_core`` and
@@ -97,7 +102,7 @@ from sns2d.noise import (
     stationary_std,
     unit_complex_normals,
 )
-from sns2d.nonlinear import _plan_for, b_linearized_adjoint_core
+from sns2d.nonlinear import _plan_for, b_core, b_linearized_adjoint_core
 from sns2d.spectral import (
     _block_mask,
     besov_norm,
@@ -447,9 +452,10 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
     return phi, report
 
 
-def adjoint_gradient_resynthesizing(phi_vals, states, target, weight, cfg):
+def adjoint_gradient_allocating(phi_vals, states, target, weight, cfg, velocity=None):
     """Gradient of the penalized objective by the backward adjoint sweep
-    along the marched states, each step synthesizing its state's velocity."""
+    along the marched states, each term in a new array; without
+    ``velocity`` each step synthesizes its state's velocity."""
     grid = target.grid
     dt = cfg.dt
     rule = cfg.rule(grid.cutoff)
@@ -457,15 +463,76 @@ def adjoint_gradient_resynthesizing(phi_vals, states, target, weight, cfg):
     grad = np.empty_like(phi_vals)
     lam = 2.0 * weight * (states[-1] - target.coeffs)
     for step in range(phi_vals.shape[0] - 1, -1, -1):
-        grad[step] = phi_vals[step] + psi1 * lam
+        forced = psi1 * lam
+        grad[step] = phi_vals[step] + forced
         if step > 0:
             propagated = decay * lam
             if not cfg.disable_nonlinearity:
                 propagated = propagated + dt * b_linearized_adjoint_core(
-                    states[step], psi1 * lam, grid, rule
+                    states[step], forced, grid, rule,
+                    None if velocity is None else velocity[step],
                 )
             lam = propagated
     return grad
+
+
+def march_allocating(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None,
+                     noise_std=None, gen=None):
+    """``march`` forming each step in a new array and copying it into its
+    slot: one start (n_modes,) or a block (R, n_modes) with one generator
+    per row.  Raises IntegrationBlowupError naming the lowest failing row."""
+    n_modes = grid.n_modes
+    z = (grid.ksq if rate is None else rate) * dt
+    decay, psi1 = exp_weights(z)
+    gain = dt * psi1
+    etd2 = cfg is not None and cfg.scheme == "etd2"
+    gain2 = dt * _psi2(z) if etd2 else None
+    u0 = np.asarray(u0)
+    single = u0.ndim == 1
+    n_rows = 1 if single else u0.shape[0]
+    gens = [gen] if single else gen
+    limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
+    out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
+    out[..., 0, :] = u0
+    u = out[..., 0, :]
+    for step in range(n_steps):
+        unew = decay * u
+        if forcing is not None:
+            F = forcing(u, step)
+            unew += gain * F
+            if etd2:
+                unew += gain2 * (forcing(unew, step) - F)
+        rows = unew.reshape(n_rows, n_modes)
+        if noise_std is not None:
+            rows += unit_complex_normals(gens, rows.shape, noise_std)
+        for r, row in enumerate(rows):
+            nrm_sq = 2.0 * np.vdot(row, row).real
+            if not nrm_sq <= limit_sq:
+                raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
+        out[..., step + 1, :] = unew
+        u = out[..., step + 1, :]
+    return out
+
+
+def control_states_allocating(phi_vals, u0, cfg):
+    """(states, velocity) of ``control_states`` from ``march_allocating``,
+    the forcing b(u) + phi formed in a new array by b_core without a buffer
+    and each velocity grid synthesized on its own and copied in."""
+    grid = u0.grid
+    n = phi_vals.shape[0]
+    if cfg.disable_nonlinearity:
+        return march_allocating(
+            grid, u0.coeffs, n, cfg.dt, skeleton_forcing(grid, cfg, phi_vals), cfg
+        ), None
+    rule = cfg.rule(grid.cutoff)
+    plan = _plan_for(grid, rule)
+    velocity = np.empty((n, plan.size, plan.size), dtype=np.complex128)
+
+    def forcing(u, step):
+        velocity[step] = plan.synthesize_packed(u)
+        return b_core(u, grid, rule) + phi_vals[step]
+
+    return march_allocating(grid, u0.coeffs, n, cfg.dt, forcing, cfg), velocity
 
 
 def unit_complex_normals_assembled(gen, shape, std=None):

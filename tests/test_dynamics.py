@@ -28,12 +28,15 @@ from sns2d.dynamics import (
     Trajectory,
     march,
     save_trajectory,
+    skeleton_forcing,
     step_count,
 )
+from sns2d.grid import grid_for
 from sns2d.ldp import ConstantFunctional, fit_loglog, laplace_check
 from sns2d.noise import PowerSchedule, covariance_weights, ou_step, ou_transition
 from sns2d.nonlinear import b_core
 
+import _oracles
 from _oracles import (
     controlled_per_replica,
     divergence_residual,
@@ -474,6 +477,52 @@ def test_march_ou_path_matches_repeated_ou_steps():
         assert np.array_equal(path[i], z.coeffs)
 
 
+def _march_case(scheme, rows, noise):
+    """(args, kwargs) of a march at N=16 under a control, from one start or
+    a block of 8, with fresh generators on each call."""
+    cfg = IntegratorConfig(dt=0.01, scheme=scheme)
+    g = grid_for(16)
+    starts = np.stack([generic_field(16, seed=s).coeffs for s in range(rows or 1)])
+    forcing = skeleton_forcing(g, cfg, ControlPath.constant(taylor_green(16, 0.5), 0.01, 6).values)
+    kwargs = {}
+    if noise:
+        _, kwargs["noise_std"] = ou_transition(g, NoiseSpec(0.05, 0.1), 0.0, 0.01)
+        gens = [np.random.default_rng(30 + r) for r in range(rows or 1)]
+        kwargs["gen"] = gens if rows else gens[0]
+    return (g, starts if rows else starts[0], 6, 0.01, forcing, cfg), kwargs
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("rows", [0, 8])
+@pytest.mark.parametrize("scheme", ["exponential_euler", "etd2"])
+def test_march_in_place_is_the_allocating_march(scheme, rows, noise):
+    args, kwargs = _march_case(scheme, rows, noise)
+    got = march(*args, **kwargs)
+    args, kwargs = _march_case(scheme, rows, noise)
+    want = _oracles.march_allocating(*args, **kwargs)
+    assert got.shape == want.shape == ((rows,) if rows else ()) + (7, grid_for(16).n_modes)
+    assert np.array_equal(got, want)
+
+
+def test_a_planted_blowup_in_an_in_place_block_names_the_lowest_failing_row():
+    (g, starts, n, dt, forcing, cfg), kwargs = _march_case("exponential_euler", 8, True)
+    # rows 5 and 3 are scaled above a threshold that the other rows stay under
+    starts = starts.copy()
+    starts[[3, 5]] *= 4.0
+    path = _oracles.march_allocating(g, starts, n, dt, forcing, cfg, **kwargs)
+    norms = np.sqrt(2.0 * np.sum(np.abs(path) ** 2, axis=-1))
+    limit = 0.5 * (np.max(norms[[0, 1, 2, 4, 6, 7]]) + np.min(norms[[3, 5]]))
+    cfg = dataclasses.replace(cfg, blowup_threshold=limit)
+    errors = []
+    for marching in (march, _oracles.march_allocating):
+        _, kwargs = _march_case("exponential_euler", 8, True)
+        with pytest.raises(IntegrationBlowupError) as err:
+            marching(g, starts, n, dt, forcing, cfg, **kwargs)
+        errors.append((err.value.row, err.value.t, err.value.norm))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == (3, dt)
+
+
 def test_march_guard_raises_on_non_finite_state_without_config():
     g = taylor_green(4, 1.0).grid
     nan_forcing = lambda u, step: np.full(g.n_modes, np.nan if step == 2 else 0.0)
@@ -484,10 +533,27 @@ def test_march_guard_raises_on_non_finite_state_without_config():
     assert np.all(np.isfinite(huge))
 
 
+def _next_slot(node):
+    """Whether node is a subscript at slot [i + 1], also as one index of a
+    tuple: [..., i + 1, :]."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(
+        isinstance(i, ast.BinOp)
+        and isinstance(i.op, ast.Add)
+        and isinstance(i.right, ast.Constant)
+        and i.right.value == 1
+        for i in index
+    )
+
+
 def _recurrence_loops(tree):
     """Functions holding a forward per-step recurrence: a loop that stores the
-    next state into slot [i + 1], or rebinds a name to a one-step function
-    (ou_step, step_skeleton) applied to itself."""
+    next state into slot [i + 1], by assignment or in place (an ``out=`` into
+    the slot, or a name bound to the slot and then written through), or
+    rebinds a name to a one-step function (ou_step, step_skeleton) applied
+    to itself."""
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -495,30 +561,39 @@ def _recurrence_loops(tree):
         for loop in ast.walk(func):
             if not isinstance(loop, (ast.For, ast.While)):
                 continue
-            for node in ast.walk(loop):
-                if not isinstance(node, ast.Assign):
+            nodes = list(ast.walk(loop))
+            slots = {
+                node.targets[0].id
+                for node in nodes
+                if isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)
+                and _next_slot(node.value)
+            }
+
+            def is_slot(node):
+                return _next_slot(node) or (isinstance(node, ast.Name) and node.id in slots)
+
+            for node in nodes:
+                if isinstance(node, ast.Assign):
+                    tgt, val = node.targets[0], node.value
+                    stored = _next_slot(tgt) or (
+                        isinstance(tgt, ast.Subscript) and is_slot(tgt.value)
+                    )
+                    self_step = (
+                        isinstance(tgt, ast.Name)
+                        and isinstance(val, ast.Call)
+                        and getattr(val.func, "id", getattr(val.func, "attr", None))
+                        in ("ou_step", "step_skeleton")
+                        and any(isinstance(a, ast.Name) and a.id == tgt.id for a in val.args)
+                    )
+                elif isinstance(node, ast.AugAssign):
+                    stored, self_step = is_slot(node.target), False
+                elif isinstance(node, ast.Call):
+                    stored = any(k.arg == "out" and is_slot(k.value) for k in node.keywords)
+                    self_step = False
+                else:
                     continue
-                tgt, val = node.targets[0], node.value
-                # slot [i + 1], also as one index of a tuple: [..., i + 1, :]
-                index = (
-                    tgt.slice.elts if isinstance(getattr(tgt, "slice", None), ast.Tuple)
-                    else [getattr(tgt, "slice", None)]
-                )
-                next_slot = isinstance(tgt, ast.Subscript) and any(
-                    isinstance(i, ast.BinOp)
-                    and isinstance(i.op, ast.Add)
-                    and isinstance(i.right, ast.Constant)
-                    and i.right.value == 1
-                    for i in index
-                )
-                self_step = (
-                    isinstance(tgt, ast.Name)
-                    and isinstance(val, ast.Call)
-                    and getattr(val.func, "id", getattr(val.func, "attr", None))
-                    in ("ou_step", "step_skeleton")
-                    and any(isinstance(a, ast.Name) and a.id == tgt.id for a in val.args)
-                )
-                if next_slot or self_step:
+                if stored or self_step:
                     found.append(func.name)
                     break
             else:
@@ -565,6 +640,21 @@ def test_recurrence_guard_sees_each_old_form_of_a_march():
         "def rows(out, n):\n"
         "    for step in range(n):\n"
         "        out[..., step + 1, :] = decay * out[..., step, :]\n",
+        "def in_slot(out, n):\n"
+        "    for step in range(n):\n"
+        "        unew = np.multiply(decay, out[..., step, :], out=out[..., step + 1, :])\n",
+        "def bound_slot(out, n):\n"
+        "    for step in range(n):\n"
+        "        unew = out[..., step + 1, :]\n"
+        "        np.multiply(decay, out[..., step, :], out=unew)\n",
+        "def added_in_slot(out, n):\n"
+        "    for step in range(n):\n"
+        "        unew = out[step + 1]\n"
+        "        unew += gain * vals[step]\n",
+        "def filled_slot(out, n):\n"
+        "    for step in range(n):\n"
+        "        unew = out[step + 1]\n"
+        "        unew[...] = decay * out[step]\n",
     ):
         assert _recurrence_loops(ast.parse(text)) != [], text
     adjoint = (
@@ -574,6 +664,15 @@ def test_recurrence_guard_sees_each_old_form_of_a_march():
         "        lam = decay * lam\n"
     )
     assert _recurrence_loops(ast.parse(adjoint)) == []
+    # reading the next slot, or an in-place update of the current one, is no march
+    reads = (
+        "def diff(c, n):\n"
+        "    for i in range(n):\n"
+        "        hi = c[i + 1]\n"
+        "        np.multiply(psi1, lam, out=grad[i])\n"
+        "        lam *= decay\n"
+    )
+    assert _recurrence_loops(ast.parse(reads)) == []
 
 
 def test_sup_norms_keep_a_nan():

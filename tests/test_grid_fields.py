@@ -3,11 +3,20 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.fft import fft2, ifft2
 
 import sns2d
+import sns2d.grid as grid_module
 from sns2d import SpectralField, grid_for, save_field, load_field, taylor_green
 from sns2d.grid import transform_plan
-from sns2d.nonlinear import DealiasRule, _plan_for
+from sns2d.nonlinear import (
+    DealiasRule,
+    _plan_for,
+    b_bilinear_core,
+    b_core,
+    b_linearized_adjoint_core,
+)
+from sns2d.spectral import block_powers
 
 from _oracles import analyze_scaling_the_spectrum, divergence_residual, synthesize_scaling_a_copy
 
@@ -158,25 +167,51 @@ def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
                 assert not np.any(got[:, outside])
 
 
-_FFT_MODULES = {"scipy.fft", "numpy.fft", "scipy.fftpack"}
+_FFT_MODULES = ("scipy.fft", "numpy.fft", "scipy.fftpack")
 _FFT_ALLOWED = {"next_fast_len"}
 
 
+def _fft_module(name):
+    """Whether the dotted module name is an FFT module or one of its submodules."""
+    return any(name == m or name.startswith(m + ".") for m in _FFT_MODULES)
+
+
 def _fft_uses(tree):
-    """(line, name) of every FFT-module import or attribute other than next_fast_len."""
+    """(line, name) of every FFT-module import or attribute other than next_fast_len.
+
+    A submodule of an FFT module counts as the module: ``from
+    scipy.fft._pocketfft.pypocketfft import c2c`` reaches a transform as
+    surely as ``from scipy.fft import fft2``, and so does importing one by
+    its name as a string.
+    """
     uses = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in _FFT_MODULES:
+        if isinstance(node, ast.ImportFrom) and _fft_module(node.module or ""):
             uses += [(node.lineno, a.name) for a in node.names if a.name not in _FFT_ALLOWED]
         elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "numpy"):
             uses += [(node.lineno, a.name) for a in node.names if a.name in ("fft", "fftpack")]
         elif isinstance(node, ast.Import):
-            uses += [(node.lineno, a.name) for a in node.names if a.name in _FFT_MODULES]
+            uses += [(node.lineno, a.name) for a in node.names if _fft_module(a.name)]
         elif isinstance(node, ast.Attribute) and node.attr not in _FFT_ALLOWED:
             inner = node.value
             if isinstance(inner, ast.Attribute) and inner.attr in ("fft", "fftpack"):
                 uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call):
+            uses += [
+                (node.lineno, a.value)
+                for a in node.args
+                if isinstance(a, ast.Constant) and isinstance(a.value, str) and _fft_module(a.value)
+            ]
     return uses
+
+
+def _calls(func):
+    """Names called in func's body, by plain name or as an attribute."""
+    return [
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+    ]
 
 
 def test_fft_transforms_live_only_in_the_grid_module():
@@ -187,14 +222,30 @@ def test_fft_transforms_live_only_in_the_grid_module():
             uses = _fft_uses(ast.parse(path.read_text()))
             offenders += [f"{path.name}:{line} {name}" for line, name in uses]
     assert offenders == []
-    # one call site each: the real and the packed synthesis and analysis
-    grid_calls = [
-        node.func.id
-        for node in ast.walk(ast.parse((src / "grid.py").read_text()))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    # in grid.py: one call of pocketfft's complex binding, in the helper that
+    # the packed synthesis and analysis call once each, and one call each of
+    # the real synthesis and analysis transforms
+    tree = ast.parse((src / "grid.py").read_text())
+    imported = {a.asname or a.name: node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported["c2c"] == "scipy.fft._pocketfft.pypocketfft"
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    transforms = ("c2c", "fft2", "ifft2", "irfft2", "rfft2", "fftn", "ifftn", "fft", "ifft")
+    sites = sorted(
+        (name, called)
+        for name, f in funcs.items()
+        for called in _calls(f)
+        if called in transforms or called == "_complex_transform"
+    )
+    assert sites == [
+        ("_complex_transform", "c2c"),
+        ("analyze", "rfft2"),
+        ("analyze_packed", "_complex_transform"),
+        ("synthesize", "irfft2"),
+        ("synthesize_packed", "_complex_transform"),
     ]
-    transforms = ("fft2", "ifft2", "irfft2", "rfft2")
-    assert sorted(name for name in grid_calls if name in transforms) == sorted(transforms)
+    # and no call outside a function
+    assert sorted(c for c in _calls(tree) if c in transforms) == ["c2c", "irfft2", "rfft2"]
 
 
 def test_fft_guard_sees_each_way_of_reaching_a_transform():
@@ -205,9 +256,66 @@ def test_fft_guard_sees_each_way_of_reaching_a_transform():
         "from scipy import fft",
         "y = np.fft.ifft2(x)",
         "y = scipy.fft.rfft2(x)",
+        "from scipy.fft._pocketfft.pypocketfft import c2c",
+        "from scipy.fft._pocketfft import pypocketfft",
+        "from numpy.fft._pocketfft_umath import fft",
+        "import scipy.fft._pocketfft.pypocketfft as pfft",
+        "y = scipy.fft._pocketfft.pypocketfft.c2c(x)",
+        "pfft = importlib.import_module('scipy.fft._pocketfft.pypocketfft')",
     ):
         assert _fft_uses(ast.parse(text)), text
     assert _fft_uses(ast.parse("from scipy.fft import next_fast_len")) == []
+    assert _fft_uses(ast.parse("import scipy.fftx")) == []
+
+
+def _scipy_transform(grids, forward):
+    return fft2(grids) if forward else ifft2(grids, norm="forward")
+
+
+@pytest.mark.parametrize("shape", [(8, 32, 32), (64, 64), (2, 64, 64), (2, 3, 33, 33),
+                                   (3, 1, 5, 5), (3, 1, 9, 9), (3, 1, 18, 18)])
+def test_complex_transform_gives_the_bits_of_scipy_fft(shape, rng):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for forward in (False, True):
+        want = _scipy_transform(x, forward)
+        assert np.array_equal(grid_module._complex_transform(x, forward), want)
+        out = np.empty_like(x)
+        assert grid_module._complex_transform(x, forward, out) is out
+        assert np.array_equal(out, want)
+        y = x.copy()
+        assert grid_module._complex_transform(y, forward, y) is y
+        assert np.array_equal(y, want)
+
+
+def test_every_packed_transform_the_plans_make_gives_the_bits_of_scipy_fft(monkeypatch, rng):
+    # the stacks of b_core's replica blocks (N=16), the descent's kernels
+    # (N=32) and the Besov block groups (N=16)
+    shapes = set()
+    transform = grid_module._complex_transform
+
+    def checked(grids, forward, out=None):
+        want = _scipy_transform(grids, forward)
+        got = transform(grids, forward, out)
+        assert np.array_equal(got, want)
+        assert out is None or got is out
+        shapes.add(grids.shape)
+        return got
+
+    monkeypatch.setattr(grid_module, "_complex_transform", checked)
+    g16, g32 = grid_for(16), grid_for(32)
+    rule16, rule32 = DealiasRule.two_thirds(16), DealiasRule.two_thirds(32)
+    block = np.stack([SpectralField.random(16, rng, decay=1.0).coeffs for _ in range(8)])
+    u, w = (SpectralField.random(32, rng, decay=1.0).coeffs for _ in range(2))
+    b_core(block, g16, rule16)
+    velocity = np.empty((64, 64), dtype=np.complex128)
+    b_core(u, g32, rule32, velocity)
+    b_core(u, g32, rule32)
+    b_bilinear_core(u, w, g32, rule32)
+    b_linearized_adjoint_core(u, w, g32, rule32, velocity)
+    b_linearized_adjoint_core(u, w, g32, rule32)
+    block_powers(g16, block[:2], 4.0)
+    assert {(8, 32, 32), (64, 64), (2, 64, 64), (2, 3, 33, 33)} <= shapes
+    assert {5, 9, 18} <= {shape[-1] for shape in shapes}
 
 
 def test_field_serialization_roundtrip(tmp_path, random_field):

@@ -390,6 +390,36 @@ def test_every_kind_runs(tmp_path, kind):
     assert record.passed, summary
 
 
+def test_instanton_constrained_action_is_near_the_shell_closed_form(tmp_path):
+    # both ends lie in the shell |k|^2 = 2, where b vanishes along the path,
+    # so the endpoint-constrained minimum is the discrete per-mode closed
+    # form sum_k |r_k|^2 / (dt psi1^2 S_k), r = exp(-|k|^2 T) u0 - target
+    raw = {
+        "schema_version": 1,
+        "kind": "instanton",
+        "numerics": {"cutoff": 8, "dt": 0.02, "t_final": 0.2},
+        "statistics": {"replicas": 1, "seed": 0},
+        "params": {
+            "initial": {"kind": "taylor_green", "amplitude": 0.5},
+            "target": {"kind": "taylor_green", "amplitude": 0.8},
+            "endpoint_tolerance": 1e-3,
+        },
+    }
+    record = run(ExperimentConfig.from_dict(raw), str(tmp_path))
+    with open(record.summary_json) as fh:
+        summary = json.load(fh)
+    assert summary["converged"]
+    action, weight, err = (summary[k] for k in ("action", "penalty_weight", "endpoint_error"))
+    assert summary["constrained_action"] == action + 2.0 * weight * err**2
+    g, dt, n = grid_for(8), 0.02, 10
+    z = g.ksq * dt
+    decay, psi1 = np.exp(-z), -np.expm1(-z) / z
+    S = np.sum(decay[None, :] ** (2 * np.arange(n)[:, None]), axis=0)
+    r = decay**n * taylor_green(8, 0.5).coeffs - taylor_green(8, 0.8).coeffs
+    closed = float(np.sum(np.abs(r) ** 2 / (dt * psi1**2 * S)))
+    assert abs(summary["constrained_action"] - closed) * 100 <= abs(action - closed)
+
+
 @pytest.mark.parametrize("axis, values", [
     # the failed member's error text holds commas
     ("params.sigma", [-0.75, 0.1]),

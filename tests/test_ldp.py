@@ -354,12 +354,37 @@ def test_adjoint_gradient_from_march_grids_is_the_resynthesizing_sweep(name):
     phi, u0, target, weight, cfg = _gradient_case(name)
     states, velocity = ldp.control_states(phi, u0, cfg)
     assert (velocity is None) == cfg.disable_nonlinearity
-    want = _oracles.adjoint_gradient_resynthesizing(phi, states, target, weight, cfg)
+    want = _oracles.adjoint_gradient_allocating(phi, states, target, weight, cfg)
+    # the in-place sweep gives the allocating sweep's bits, with grids or without
+    assert np.array_equal(
+        _oracles.adjoint_gradient_allocating(phi, states, target, weight, cfg, velocity), want
+    )
     assert np.array_equal(ldp.adjoint_gradient(phi, states, target, weight, cfg, velocity), want)
     assert np.array_equal(ldp.adjoint_gradient(phi, states, target, weight, cfg), want)
     _, grad, marched = action_objective_and_gradient(phi, u0, target, weight, cfg)
     assert np.array_equal(marched, states)
     assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_control_states_in_place_are_the_allocating_march_and_its_grids(linear):
+    # N=32, the descent's size: 64 x 64 velocity grids
+    cfg = IntegratorConfig(dt=0.01, disable_nonlinearity=linear)
+    u0 = generic_field(32, amplitude=0.3)
+    phi = 0.2 * unit_complex_normals(np.random.default_rng(4), (6, u0.grid.n_modes))
+    states, velocity = ldp.control_states(phi, u0, cfg)
+    want_states, want_velocity = _oracles.control_states_allocating(phi, u0, cfg)
+    assert np.array_equal(states, want_states)
+    if linear:
+        assert velocity is None and want_velocity is None
+    else:
+        assert velocity.shape == (6, 64, 64)
+        assert np.array_equal(velocity, want_velocity)
+    target = taylor_green(32, 0.8)
+    assert np.array_equal(
+        ldp.adjoint_gradient(phi, states, target, 5.0, cfg, velocity),
+        _oracles.adjoint_gradient_allocating(phi, want_states, target, 5.0, cfg, want_velocity),
+    )
 
 
 def test_a_sweep_over_march_grids_synthesizes_only_the_strain_grids(monkeypatch):
@@ -408,7 +433,7 @@ def test_minimize_action_sweeps_march_grids_one_march_at_a_time(
     def checked_sweep(phi_vals, states, target, weight, cfg, velocity=None):
         sweeps.append((weight, velocity is not None))
         grad = gradient(phi_vals, states, target, weight, cfg, velocity)
-        want = _oracles.adjoint_gradient_resynthesizing(phi_vals, states, target, weight, cfg)
+        want = _oracles.adjoint_gradient_allocating(phi_vals, states, target, weight, cfg)
         assert np.array_equal(grad, want)
         return grad
 
@@ -751,8 +776,9 @@ def test_monte_carlo_entry_points_take_only_a_stream(rng):
 
 def _monte_carlo_calls():
     """Each public Monte Carlo entry point that reports a spread, as a call
-    with the given replica count that returns it: the standard errors, or
-    the width of the tube's confidence interval."""
+    with the given replica count that returns it: the standard errors, the
+    width of the tube's confidence interval, or the Laplace check's
+    effective sample sizes."""
     u0 = taylor_green(4, 0.4)
     cfg = IntegratorConfig(dt=0.02)
     phi = ControlPath.zero(4, 0.02, 3)
@@ -774,13 +800,18 @@ def _monte_carlo_calls():
         "tube": lambda n: tube_width(
             tube_probability(u0, solve_skeleton(u0, phi, cfg), 0.1, spec, cfg, n, rng)
         ),
+        "laplace": lambda n: laplace_check(
+            ConstantFunctional(0.1), u0, PowerSchedule(0.5), eps[:1], n, cfg, 0.06, rng
+        ).ess,
     }
 
 
 @pytest.mark.parametrize("entry", sorted(_monte_carlo_calls()))
 def test_monte_carlo_entry_points_refuse_fewer_than_2_replicas(entry):
     # one replica has no sample standard deviation: besov_moment_check and
-    # the convergence sweeps reported a NaN stderr with numpy's warning
+    # the convergence sweeps reported a NaN stderr with numpy's warning, and
+    # laplace_check an effective sample size of 1 with its variance flag
+    # down (at 0 replicas it failed inside numpy)
     call = _monte_carlo_calls()[entry]
     for replicas in (0, 1):
         with pytest.raises(ValueError, match="need at least 2 replicas"):
