@@ -13,8 +13,15 @@ def _reject_constant(name):
 
 
 def _load_config(path, seed=None):
-    with open(path) as fh:
-        raw = json.load(fh, parse_constant=_reject_constant)
+    """The config file's JSON object, with ``seed`` set when given; ValueError
+    for a file that cannot be read or parsed or holds no JSON object."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} holds a JSON {type(raw).__name__}, not an object")
     if seed is not None:
         raw.setdefault("statistics", {})["seed"] = seed
     return raw
@@ -65,7 +72,7 @@ def main(argv=None):
         try:
             cfg = ExperimentConfig.from_dict(_load_config(args.config))
         except (ValueError, KeyError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
+            print(f"invalid config: {exc}", file=sys.stderr)
             return 2
         print(f"ok: kind={cfg.kind} hash={cfg.config_hash()[:12]}")
         return 0

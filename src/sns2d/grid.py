@@ -13,29 +13,74 @@ It has two layouts:
   complex transform (``synthesize_packed`` and ``analyze_packed``).  The
   product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
   does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
-  needs only |u|^2 = Re^2 + Im^2 of the packed velocity.  Both call
-  pocketfft's binding under ``scipy.fft`` through ``_complex_transform``,
-  with the arguments ``ifft2(norm="forward")`` and ``fft2(overwrite_x=True)``
-  pass it, so the bits are theirs.  On the minimum-action descent's 64 x 64
-  grids scipy.fft's Python dispatch around that call took about a fifth of
-  each transform (fft2 34 us, the bare call 26 us, best of 7 x 2,000 calls
-  on a 2-core Xeon with scipy 1.17).  The test
-  ``test_fft_transforms_live_only_in_the_grid_module`` keeps the binding's
-  one call site here;
+  needs only |u|^2 = Re^2 + Im^2 of the packed velocity.  Both go through
+  ``_complex_transform``.  On the minimum-action descent's 64 x 64 grids
+  scipy.fft's Python dispatch around the transform took about a fifth of
+  it (fft2 34 us, the bare call 26 us, best of 7 x 2,000 calls on a 2-core
+  Xeon with scipy 1.17);
 - real grids, one per symbol row (``synthesize`` and ``analyze``), for
   ``SpectralField.to_grid``, which hands out the two velocity components,
   and ``tensor_product``.  The tensor stays real: the renorm run reports the
   roundoff-level gap (about 2e-17) between the Wick square's zero mode and a
   direct coefficient sum, and that recorded number moves with any change to
   the tensor's arithmetic.
+
+Every transform, and ``next_fast_len``, calls pocketfft's compiled binding
+``scipy.fft._pocketfft.pypocketfft`` with the arguments that scipy.fft's
+``fft2``, ``ifft2(norm="forward")``, ``irfft2`` and ``rfft2`` pass it, so the
+bits are scipy.fft's.  ``_load_pocketfft`` loads that one file by its path
+under scipy, without running ``scipy/__init__`` or ``scipy/fft/__init__``:
+importing scipy.fft took 0.24-0.27 s, with 80 ms of ``scipy.special`` and
+about 130 ms of numpy submodules that scipy's array-API layer touches, while
+the binding alone loads in about a millisecond.  The module is registered
+under its own name, so a later ``import scipy.fft`` uses it, and an earlier
+one's is reused.  There is no fallback: without scipy or the binding file
+the import of this module fails, naming where it looked.  Tests in
+``tests/test_grid_fields.py`` keep each binding function's one call site
+here and check that a fresh ``import sns2d`` loads no scipy package.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
-from scipy.fft._pocketfft.pypocketfft import c2c
+
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """pocketfft's binding module, from its file under the installed scipy
+    (or from ``sys.modules`` when scipy.fft or an earlier load has it)."""
+    if _POCKETFFT in sys.modules:
+        return sys.modules[_POCKETFFT]
+    scipy_spec = importlib.util.find_spec("scipy")
+    dirs = (scipy_spec.submodule_search_locations or []) if scipy_spec else []
+    where = [os.path.join(d, "fft", "_pocketfft") for d in dirs]
+    spec = importlib.machinery.PathFinder.find_spec(_POCKETFFT, where)
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            installed = f"scipy {version('scipy')} is installed"
+        except PackageNotFoundError:
+            installed = "scipy is not installed"
+        place = ", ".join(where) or "no directory: no scipy package was found"
+        raise ImportError(f"sns2d needs pocketfft's binding {_POCKETFFT}; looked in "
+                          f"{place}; {installed}", name=_POCKETFFT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_POCKETFFT] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+
+# scipy.fft.next_fast_len is this cache around the same function
+next_fast_len = functools.lru_cache(_pocketfft.good_size)
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,7 +157,7 @@ def _complex_transform(grids, forward, out=None):
     ``out`` when given (which may be ``grids`` itself): the call that
     ``fft2(grids)`` (forward) and ``ifft2(grids, norm="forward")`` make, on
     one thread."""
-    return c2c(grids, (grids.ndim - 2, grids.ndim - 1), forward, 0, out, 1)
+    return _pocketfft.c2c(grids, (grids.ndim - 2, grids.ndim - 1), forward, 0, out, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +254,8 @@ class TransformPlan:
         n, M = self.kmax, self.size
         # the k2 = 0 column holds k1 > 0 only; its k1 < 0 half is the conjugate
         work[..., M - n :, 0] = np.conj(work[..., n:0:-1, 0])
-        grids = irfft2(work, s=(M, M), overwrite_x=True)
+        # irfft2(work, s=(M, M)): scaled by 1 / M^2 (norm mode 2), undone here
+        grids = _pocketfft.c2r(work, (work.ndim - 2, work.ndim - 1), M, False, 2, None, 1)
         grids *= M * M
         return grids
 
@@ -220,7 +266,7 @@ class TransformPlan:
         coefficients, shape (...).
         """
         scale = 1.0 / (self.size * self.size)
-        spec = rfft2(phys)
+        spec = _pocketfft.r2c(phys, (phys.ndim - 2, phys.ndim - 1), True, 0, None, 1)
         # scale only the gathered coefficients, not the whole spectrum
         coeffs = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.pos, axis=-1)
         coeffs *= scale

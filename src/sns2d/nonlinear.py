@@ -45,20 +45,25 @@ buffer, and ``b_linearized_adjoint_core`` can read it from there: the
 adjoint sweep of the minimum-action descent reads the grids of the forward
 march that made its states.
 
-The packed transforms call pocketfft's binding directly (``sns2d.grid``):
-at the descent's 64 x 64 grids scipy.fft's Python dispatch cost about a
-fifth of each transform.  Every transform still lives in ``sns2d.grid``, which
-``test_fft_transforms_live_only_in_the_grid_module`` checks.
+Every transform, and ``next_fast_len`` for the padded grid sizes, comes
+from ``sns2d.grid``, which calls pocketfft's binding directly: at the
+descent's 64 x 64 grids scipy.fft's Python dispatch cost about a fifth of
+each transform, and importing scipy.fft cost 0.24-0.27 s of each process's
+start-up, where the binding, loaded from its file alone, takes about a
+millisecond.  Without the binding ``import sns2d`` fails, naming where it
+looked.  ``test_fft_transforms_live_only_in_the_grid_module`` checks that no
+module here imports scipy.fft, and
+``test_a_fresh_import_loads_the_binding_and_no_scipy_package`` that a fresh
+import loads no scipy package.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .fields import SpectralField, TensorField
-from .grid import stack_depth, transform_plan
+from .grid import next_fast_len, stack_depth, transform_plan
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .fields import SpectralField, TensorField
-from .grid import TWO_PI, grid_for, stack_depth, transform_plan
+from .grid import TWO_PI, grid_for, next_fast_len, stack_depth, transform_plan
 
 
 def leray_project(vector_coeffs: np.ndarray, cutoff: int) -> SpectralField:

@@ -1,9 +1,15 @@
 import ast
+import importlib.machinery
+import importlib.util
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.fft import fft2, ifft2
+from scipy.fft import fft2, ifft2, next_fast_len
 
 import sns2d
 import sns2d.grid as grid_module
@@ -168,7 +174,7 @@ def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
 
 
 _FFT_MODULES = ("scipy.fft", "numpy.fft", "scipy.fftpack")
-_FFT_ALLOWED = {"next_fast_len"}
+_BINDING = "scipy.fft._pocketfft.pypocketfft"
 
 
 def _fft_module(name):
@@ -176,32 +182,43 @@ def _fft_module(name):
     return any(name == m or name.startswith(m + ".") for m in _FFT_MODULES)
 
 
-def _fft_uses(tree):
-    """(line, name) of every FFT-module import or attribute other than next_fast_len.
+def _names_fft(text):
+    """Whether a string names an FFT module: by its dotted name, or as a
+    path with an fft or fftpack directory or a pocketfft file in it.  Prose,
+    such as a docstring, holds whitespace and names nothing."""
+    if _fft_module(text):
+        return True
+    if any(c.isspace() for c in text):
+        return False
+    return any(p in ("fft", "fftpack") or "pocketfft" in p for p in re.split(r"[./\\]", text))
 
-    A submodule of an FFT module counts as the module: ``from
-    scipy.fft._pocketfft.pypocketfft import c2c`` reaches a transform as
-    surely as ``from scipy.fft import fft2``, and so does importing one by
-    its name as a string.
+
+def _fft_uses(tree, strings=True):
+    """(line, name) of every way the module reaches an FFT module.
+
+    A submodule counts as its module: ``from scipy.fft._pocketfft.pypocketfft
+    import c2c`` reaches a transform as surely as ``from scipy.fft import
+    fft2``.  So does an attribute named fft, fftpack or after pocketfft, and
+    (with ``strings``) any string constant that names an FFT module, which
+    covers loading one by name or by path: ``importlib.import_module``,
+    ``PathFinder.find_spec``, ``spec_from_file_location`` and
+    ``sys.modules[...]``.
     """
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _fft_module(node.module or ""):
-            uses += [(node.lineno, a.name) for a in node.names if a.name not in _FFT_ALLOWED]
-        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "numpy"):
-            uses += [(node.lineno, a.name) for a in node.names if a.name in ("fft", "fftpack")]
+            uses += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            uses += [(node.lineno, a.name) for a in node.names
+                     if a.name in ("fft", "fftpack") or "pocketfft" in a.name]
         elif isinstance(node, ast.Import):
             uses += [(node.lineno, a.name) for a in node.names if _fft_module(a.name)]
-        elif isinstance(node, ast.Attribute) and node.attr not in _FFT_ALLOWED:
-            inner = node.value
-            if isinstance(inner, ast.Attribute) and inner.attr in ("fft", "fftpack"):
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("fft", "fftpack") or "pocketfft" in node.attr:
                 uses.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Call):
-            uses += [
-                (node.lineno, a.value)
-                for a in node.args
-                if isinstance(a, ast.Constant) and isinstance(a.value, str) and _fft_module(a.value)
-            ]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _names_fft(node.value):
+                uses.append((node.lineno, node.value))
     return uses
 
 
@@ -214,46 +231,73 @@ def _calls(func):
     ]
 
 
+def _lines(node):
+    return set(range(node.lineno, node.end_lineno + 1))
+
+
 def test_fft_transforms_live_only_in_the_grid_module():
     src = pathlib.Path(sns2d.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
-        if path.name != "grid.py":
-            uses = _fft_uses(ast.parse(path.read_text()))
-            offenders += [f"{path.name}:{line} {name}" for line, name in uses]
+        uses = _fft_uses(ast.parse(path.read_text()), strings=path.name != "grid.py")
+        offenders += [f"{path.name}:{line} {name}" for line, name in uses]
+    # no module imports scipy.fft in any form, grid.py included
     assert offenders == []
-    # in grid.py: one call of pocketfft's complex binding, in the helper that
-    # the packed synthesis and analysis call once each, and one call each of
-    # the real synthesis and analysis transforms
+
     tree = ast.parse((src / "grid.py").read_text())
-    imported = {a.asname or a.name: node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert imported["c2c"] == "scipy.fft._pocketfft.pypocketfft"
+    top = {node.targets[0].id: node for node in tree.body
+           if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
     funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
-    transforms = ("c2c", "fft2", "ifft2", "irfft2", "rfft2", "fftn", "ifftn", "fft", "ifft")
+    # one loader: the binding's name and directory appear only in it and in
+    # the name's constant, and only it finds, makes and runs a module
+    loader = funcs["_load_pocketfft"]
+    named = _fft_uses(tree)
+    assert {line for line, _ in named} <= _lines(loader) | _lines(top["_POCKETFFT"])
+    assert {name for _, name in named} == {_BINDING, "fft", "_pocketfft"}
+    loading = ("find_spec", "module_from_spec", "exec_module", "spec_from_file_location",
+               "import_module", "__import__")
+    loads = [sorted(c for c in _calls(node) if c in loading) for node in (tree, loader)]
+    assert loads[0] == loads[1] == ["exec_module", "find_spec", "find_spec", "module_from_spec"]
+    assert ast.unparse(top["_pocketfft"].value) == "_load_pocketfft()"
+    assert _calls(tree).count("_load_pocketfft") == 1
+
+    # one use each of the binding's functions, in the function (or, for
+    # good_size, the cache) standing for scipy.fft's; every read of the
+    # binding is one of these
+    scopes = {**funcs, **top}
+
+    def scope_of(line):
+        return min((name for name, node in scopes.items() if line in _lines(node)),
+                   key=lambda name: len(_lines(scopes[name])))
+
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_pocketfft"
+             and isinstance(node.ctx, ast.Load)]
     sites = sorted(
-        (name, called)
-        for name, f in funcs.items()
-        for called in _calls(f)
-        if called in transforms or called == "_complex_transform"
+        (scope_of(node.lineno), node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_pocketfft"
     )
     assert sites == [
         ("_complex_transform", "c2c"),
-        ("analyze", "rfft2"),
-        ("analyze_packed", "_complex_transform"),
-        ("synthesize", "irfft2"),
-        ("synthesize_packed", "_complex_transform"),
+        ("analyze", "r2c"),
+        ("next_fast_len", "good_size"),
+        ("synthesize", "c2r"),
     ]
-    # and no call outside a function
-    assert sorted(c for c in _calls(tree) if c in transforms) == ["c2c", "irfft2", "rfft2"]
+    assert len(reads) == len(sites)
+    # and the packed path reaches c2c through its helper only
+    helper_sites = sorted(name for name, f in funcs.items() if "_complex_transform" in _calls(f))
+    assert helper_sites == ["analyze_packed", "synthesize_packed"]
 
 
 def test_fft_guard_sees_each_way_of_reaching_a_transform():
     for text in (
         "from scipy.fft import fft2",
+        "from scipy.fft import next_fast_len",
         "from numpy.fft import irfft",
         "import scipy.fft",
         "from scipy import fft",
+        "fft = scipy.fft",
+        "fft = getattr(scipy, 'fft')",
         "y = np.fft.ifft2(x)",
         "y = scipy.fft.rfft2(x)",
         "from scipy.fft._pocketfft.pypocketfft import c2c",
@@ -262,10 +306,119 @@ def test_fft_guard_sees_each_way_of_reaching_a_transform():
         "import scipy.fft._pocketfft.pypocketfft as pfft",
         "y = scipy.fft._pocketfft.pypocketfft.c2c(x)",
         "pfft = importlib.import_module('scipy.fft._pocketfft.pypocketfft')",
+        # by path, and through the grid module's handle
+        "spec = PathFinder.find_spec('scipy.fft._pocketfft.pypocketfft', [where])",
+        "spec = spec_from_file_location('binding', os.path.join(d, 'fft', '_pocketfft', 'x.so'))",
+        "spec = spec_from_file_location('binding', d + '/pypocketfft.cpython-311.so')",
+        "spec = spec_from_file_location('binding', f'{d}/fft/_pocketfft/x.so')",
+        "pfft = sys.modules['scipy.fft._pocketfft.pypocketfft']",
+        "from .grid import _pocketfft",
+        "y = grid._pocketfft.c2c(x)",
     ):
         assert _fft_uses(ast.parse(text)), text
-    assert _fft_uses(ast.parse("from scipy.fft import next_fast_len")) == []
-    assert _fft_uses(ast.parse("import scipy.fftx")) == []
+    for text in (
+        "import scipy.fftx",
+        "x = 'scipy.fftx'",
+        "'Transforms go through the pocketfft binding under scipy.fft.'",
+        "from scipy.integrate import quad",
+        # the grid module's own reads of the binding are no import of it
+        "y = _pocketfft.c2c(x)",
+    ):
+        assert _fft_uses(ast.parse(text)) == [], text
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this sns2d."""
+    src = str(pathlib.Path(sns2d.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_fresh_import_loads_the_binding_and_no_scipy_package():
+    out = _fresh_python(
+        "import sys, sns2d, sns2d.experiments, sns2d.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert ast.literal_eval(out) == [_BINDING]
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_sns2d_and_scipy_fft_share_one_binding_in_either_import_order(scipy_first):
+    first, second = ("scipy.fft", "sns2d.grid") if scipy_first else ("sns2d.grid", "scipy.fft")
+    out = _fresh_python(f"""
+import sys
+import numpy as np
+import {first}
+import {second}
+import scipy.fft
+import sns2d.grid as grid
+
+binding = sys.modules["{_BINDING}"]
+same = []
+transform = grid._complex_transform
+
+def checked(grids, forward, out=None):
+    want = scipy.fft.ifft2(grids, norm="forward")
+    got = transform(grids, forward, out)
+    same.append(not forward and np.array_equal(got, want))
+    return got
+
+grid._complex_transform = checked
+plan = grid.transform_plan(8, 8, grid.grid_for(8).physical_size())
+rng = np.random.default_rng(3)
+coeffs = rng.standard_normal((2, plan.n_modes)) + 1j * rng.standard_normal((2, plan.n_modes))
+plan.synthesize_packed(coeffs)
+print(grid._pocketfft is binding, scipy.fft._pocketfft.basic.pfft is binding, same)
+""")
+    assert out.split() == ["True", "True", "[True]"]
+
+
+def test_the_binding_loader_fails_naming_where_it_looked(monkeypatch, tmp_path):
+    import scipy
+
+    find_spec = importlib.util.find_spec
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, _BINDING)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: fake if name == "scipy" else find_spec(name, *a))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "fft" / "_pocketfft"))) as info:
+        grid_module._load_pocketfft()
+    assert f"scipy {scipy.__version__} is installed" in str(info.value)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    with pytest.raises(ImportError, match="no scipy package was found"):
+        grid_module._load_pocketfft()
+    assert _BINDING not in sys.modules
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32])
+@pytest.mark.parametrize("size", ["factor 2", "factor 3", "odd"])
+def test_real_transforms_give_the_bits_of_scipy_fft(cutoff, size, rng):
+    # irfft2(..., s=(M, M)) * M^2 and rfft2, as the real path made them with
+    # scipy.fft: renorm's recorded wick_crosscheck_err depends on these bits
+    g = grid_for(cutoff)
+    M = {"factor 2": g.physical_size(2), "factor 3": g.physical_size(3), "odd": 2 * cutoff + 1}[size]
+    plan = transform_plan(cutoff, cutoff, M)
+    stack = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(3)])
+    for coeffs in (stack[0], stack):
+        for symbols in (None, plan.strain):
+            got = plan.synthesize(coeffs, symbols)
+            assert np.array_equal(got, synthesize_scaling_a_copy(plan, coeffs, symbols))
+        phys = plan.synthesize(coeffs)
+        got, mean = plan.analyze(phys, with_mean=True)
+        want, want_mean = analyze_scaling_the_spectrum(plan, phys, with_mean=True)
+        assert np.array_equal(got, want) and np.array_equal(mean, want_mean)
+        assert np.array_equal(plan.analyze(phys), want)
+
+
+def test_next_fast_len_is_scipy_fft_s():
+    for real in (False, True):
+        got = [grid_module.next_fast_len(n, real) for n in range(1, 1025)]
+        assert got == [next_fast_len(n, real) for n in range(1, 1025)]
 
 
 def _scipy_transform(grids, forward):

@@ -390,14 +390,17 @@ def test_every_kind_runs(tmp_path, kind):
     assert record.passed, summary
 
 
-def test_instanton_constrained_action_is_near_the_shell_closed_form(tmp_path):
-    # both ends lie in the shell |k|^2 = 2, where b vanishes along the path,
-    # so the endpoint-constrained minimum is the discrete per-mode closed
-    # form sum_k |r_k|^2 / (dt psi1^2 S_k), r = exp(-|k|^2 T) u0 - target
+def _shell_instanton(tmp_path, cutoff, dt, n_steps):
+    """The instanton summary from Taylor-Green 0.5 to 0.8 at the cutoff, and
+    the discrete closed form of its endpoint-constrained minimum.
+
+    Both ends lie in the shell |k|^2 = 2, where b vanishes along the path, so
+    the minimum is sum_k |r_k|^2 / (dt psi1^2 S_k), r = exp(-|k|^2 T) u0 -
+    target, S_k = sum_{m<n} exp(-2 |k|^2 dt m)."""
     raw = {
         "schema_version": 1,
         "kind": "instanton",
-        "numerics": {"cutoff": 8, "dt": 0.02, "t_final": 0.2},
+        "numerics": {"cutoff": cutoff, "dt": dt, "t_final": dt * n_steps},
         "statistics": {"replicas": 1, "seed": 0},
         "params": {
             "initial": {"kind": "taylor_green", "amplitude": 0.5},
@@ -411,13 +414,26 @@ def test_instanton_constrained_action_is_near_the_shell_closed_form(tmp_path):
     assert summary["converged"]
     action, weight, err = (summary[k] for k in ("action", "penalty_weight", "endpoint_error"))
     assert summary["constrained_action"] == action + 2.0 * weight * err**2
-    g, dt, n = grid_for(8), 0.02, 10
+    g = grid_for(cutoff)
     z = g.ksq * dt
     decay, psi1 = np.exp(-z), -np.expm1(-z) / z
-    S = np.sum(decay[None, :] ** (2 * np.arange(n)[:, None]), axis=0)
-    r = decay**n * taylor_green(8, 0.5).coeffs - taylor_green(8, 0.8).coeffs
-    closed = float(np.sum(np.abs(r) ** 2 / (dt * psi1**2 * S)))
-    assert abs(summary["constrained_action"] - closed) * 100 <= abs(action - closed)
+    S = np.sum(decay[None, :] ** (2 * np.arange(n_steps)[:, None]), axis=0)
+    r = decay**n_steps * taylor_green(cutoff, 0.5).coeffs - taylor_green(cutoff, 0.8).coeffs
+    return summary, float(np.sum(np.abs(r) ** 2 / (dt * psi1**2 * S)))
+
+
+def test_instanton_constrained_action_is_near_the_shell_closed_form(tmp_path):
+    summary, closed = _shell_instanton(tmp_path, 8, 0.02, 10)
+    assert abs(summary["constrained_action"] - closed) * 100 <= abs(summary["action"] - closed)
+
+
+def test_instanton_constrained_action_meets_the_shell_closed_form_at_cutoff_32(tmp_path):
+    # the minimum-action benchmark's case (about 1.3 s); both bounds were
+    # fixed before the run, against measured 2.9e-7 and 1,550x
+    summary, closed = _shell_instanton(tmp_path, 32, 0.01, 50)
+    gap = abs(summary["constrained_action"] - closed)
+    assert gap <= 1e-6 * closed
+    assert gap * 1000 <= abs(summary["action"] - closed)
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -574,6 +590,33 @@ def test_validate_rejects_a_misspelled_threshold(tmp_path):
     runs = tmp_path / "runs"
     assert _cli("run", "-c", str(cfg_path), "-o", str(runs)).returncode == 2
     assert not runs.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["run", "--seed", "3"],
+    ["sweep", "--axis", "noise.epsilon", "--values", "0.1,0.01"],
+])
+@pytest.mark.parametrize("content, match", [
+    (None, "cannot read"),
+    ("[1, 2]", "holds a JSON list, not an object"),
+    ('"ou_checks"', "holds a JSON str, not an object"),
+    ("{", "Expecting property name"),
+])
+def test_the_cli_refuses_an_unreadable_or_non_object_config_with_exit_2(
+    tmp_path, capsys, command, content, match
+):
+    cfg_path = tmp_path / "config.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    outdir = tmp_path / "runs"
+    args = command[:1] + ["-c", str(cfg_path)] + command[1:]
+    if command[0] != "validate":
+        args += ["-o", str(outdir)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config: ") and match in err[0], err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
