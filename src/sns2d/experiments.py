@@ -52,6 +52,7 @@ from .noise import (
     drawn_l2_powers,
     ks_pvalue,
     lp_log_moment_check,
+    mean_stderr,
     mode_square_sums,
     mode_variances,
     ou_transition,
@@ -59,6 +60,7 @@ from .noise import (
     schedule_from_dict,
     stationary_batch,
     stationary_std,
+    sweep_specs,
     unit_complex_normals,
     validate_scaling_condition,
     validate_vanishing_schedule,
@@ -601,8 +603,7 @@ def _run_renorm(ctx: _RunContext):
     # the heap, where they would stay resident under the next run's peak
     _trim_heap()
     for name, vals in zip(("m11", "m22"), diagonal):
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(R))
+        mean, se = mean_stderr(vals)
         rows.append(
             {"kind": f"wick_{name}", "delta": spec.delta, "cutoff": g.cutoff,
              "value": mean, "stderr": se, "zscore": abs(mean) / se}
@@ -656,11 +657,15 @@ def _wick_diagonal(g, spec, gen, replicas, keep, weights, shift):
     return out - shift
 
 
+def _moment_rows(reports):
+    """The rows of a moment kind's MomentReports and the max/min spread of
+    their ratios."""
+    ratios = [rep.ratio for rep in reports]
+    return [row for rep in reports for row in rep.rows()], float(np.max(ratios) / np.min(ratios))
+
+
 def _run_lp_moment(ctx: _RunContext):
     cfg, th = ctx.cfg, ctx.th
-    rows = []
-    ratios = []
-    worst_rel = 0.0
 
     def member(i, delta):
         spec = NoiseSpec(cfg.noise["epsilon"], delta, cfg.noise["gamma"])
@@ -673,13 +678,13 @@ def _run_lp_moment(ctx: _RunContext):
             grid_factor=cfg.numerics["grid_factor"],
         )
 
-    for rep in ctx.map_members(member, cfg.params["deltas"]):
-        rows.extend(rep.rows())
-        ratios.append(rep.ratio)
+    reports = ctx.map_members(member, cfg.params["deltas"])
+    worst_rel = 0.0
+    for rep in reports:
         if rep.closed_form is not None:
             rel = abs(rep.estimate - rep.closed_form) / rep.closed_form
             worst_rel = float(np.maximum(worst_rel, rel))
-    spread = float(np.max(ratios) / np.min(ratios))
+    rows, spread = _moment_rows(reports)
     summary = {
         "ratio_spread": spread,
         "max_closed_form_rel_err": worst_rel,
@@ -690,30 +695,16 @@ def _run_lp_moment(ctx: _RunContext):
 
 
 def _run_besov_moment(ctx: _RunContext):
-    cfg = ctx.cfg
-    schedule = cfg.schedule()
-    p = cfg.params
-    rows, ratios = [], []
-    for i, eps in enumerate(sorted(p["epsilons"], reverse=True)):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=cfg.noise["gamma"])
-        rep = besov_moment_check(
-            spec,
-            p["sigma"],
-            p["sigma_prime"],
-            p["p"],
-            p["kappa"],
-            cfg.numerics["t_final"],
-            ctx.integ.dt,
-            cfg.statistics["replicas"],
-            ctx.member(i),
-            ctx.cutoff,
+    cfg, p = ctx.cfg, ctx.cfg.params
+    rows, spread = _moment_rows([
+        besov_moment_check(
+            spec, p["sigma"], p["sigma_prime"], p["p"], p["kappa"], cfg.numerics["t_final"],
+            ctx.integ.dt, cfg.statistics["replicas"], ctx.member(i), ctx.cutoff,
             grid_factor=cfg.numerics["grid_factor"],
         )
-        rows.extend(rep.rows())
-        ratios.append(rep.ratio)
-    spread = float(np.max(ratios) / np.min(ratios))
-    summary = {"ratio_spread": spread, "passed": spread <= ctx.th["max_ratio_spread"]}
-    return rows, summary
+        for i, spec in enumerate(sweep_specs(cfg.schedule(), p["epsilons"], cfg.noise["gamma"]))
+    ])
+    return rows, {"ratio_spread": spread, "passed": spread <= ctx.th["max_ratio_spread"]}
 
 
 def _run_convergence(ctx: _RunContext, experiment, **options):
@@ -727,8 +718,7 @@ def _run_convergence(ctx: _RunContext, experiment, **options):
     )
     ctx.dump("skeleton", lambda: solve_skeleton(u0, phi, integ))
     schedule = cfg.schedule()
-    for i, eps in enumerate(sorted(cfg.noise["epsilons"], reverse=True)):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=cfg.noise["gamma"])
+    for i, spec in enumerate(sweep_specs(schedule, cfg.noise["epsilons"], cfg.noise["gamma"])):
         replica = ctx.stream("sweep").child(i).child(0)
         ctx.dump(f"controlled_{i}", lambda: solve_controlled(u0, phi, spec, integ, replica))
     report = experiment(
@@ -759,27 +749,25 @@ def _run_converge_besov(ctx: _RunContext):
 
 def _run_wick_decay(ctx: _RunContext):
     cfg = ctx.cfg
-    schedule = cfg.schedule()
     g = grid_for(ctx.cutoff)
     rule = ctx.integ.rule(g.cutoff)
     sigma = cfg.params["sigma"]
     R = cfg.statistics["replicas"]
-    rows, eps_sorted, means = [], sorted(cfg.params["epsilons"], reverse=True), []
-    for i, eps in enumerate(eps_sorted):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=cfg.noise["gamma"])
+    rows = []
+    specs = sweep_specs(cfg.schedule(), cfg.params["epsilons"], cfg.noise["gamma"])
+    for i, spec in enumerate(specs):
         gen = ctx.member(i).generator()
         vals = np.empty(R)
         for r in range(R):
             z = SpectralField(g, stationary_batch(g, spec, 0.0, gen, 1)[0])
             vals[r] = tensor_sobolev_norm(wick_square(z, spec, rule), sigma)
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(R))
-        means.append(mean)
+        mean, se = mean_stderr(vals)
         rows.append(
-            {"epsilon": eps, "delta": spec.delta, "mean_norm": mean, "stderr": se,
+            {"epsilon": spec.epsilon, "delta": spec.delta, "mean_norm": mean, "stderr": se,
              "replicas": R}
         )
-    return rows, ctx.slope_summary(*fit_loglog(eps_sorted, means), sigma=sigma)
+    slope = fit_loglog([s.epsilon for s in specs], [r["mean_norm"] for r in rows])
+    return rows, ctx.slope_summary(*slope, sigma=sigma)
 
 
 def _run_instanton(ctx: _RunContext):

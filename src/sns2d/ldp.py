@@ -4,6 +4,7 @@ convergence, tube-probability and Laplace-principle experiments."""
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .nonlinear import (
     padded_size,
     replicas_per_block,
 )
-from .noise import NoiseSpec, replica_values, require_stream
+from .noise import NoiseSpec, mean_stderr, replica_values, require_stream, sweep_specs
 from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, sobolev_norm
 
 
@@ -403,34 +404,27 @@ def fit_loglog(xs, ys):
     return slope, math.sqrt(s_sq / float(np.dot(xc, xc)))
 
 
-def _replica_blocks(u0, phi, spec, cfg, streams, value) -> np.ndarray:
-    """value(path) of the controlled path of each stream, marched in blocks
-    of ``replicas_per_block``."""
-    return replica_values(
-        streams,
-        replicas_per_block(u0.grid, cfg.rule(u0.grid.cutoff)),
-        lambda block: solve_controlled_block(u0, phi, spec, cfg, block),
-        value,
-    )
-
-
-def _sweep_distances(u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
-    """Replica r of member i (epsilons descending) runs on rng.child(i).child(r)."""
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+def _sweep_distances(norm, u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
+    """The convergence sweeps' shared tail: the mean distance(path, skeleton)
+    of each member's replicas, replica r of member i (epsilons descending) on
+    rng.child(i).child(r), and the log-log slope of the means."""
     stream = require_stream(rng)
     skeleton = solve_skeleton(u0, phi, cfg)
-    means, stderrs, deltas = [], [], []
-    for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)
-        deltas.append(spec.delta)
-        dists = _replica_blocks(
-            u0, phi, spec, cfg, [stream.child(i).child(r) for r in range(replicas)],
+    specs = sweep_specs(schedule, epsilons, gamma)
+    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))
+    stats = [
+        mean_stderr(replica_values(
+            stream.child(i), replicas, per_block,
+            partial(solve_controlled_block, u0, phi, spec, cfg),
             lambda traj: distance(traj, skeleton),
-        )
-        means.append(float(np.mean(dists)))
-        stderrs.append(float(np.std(dists, ddof=1) / math.sqrt(replicas)))
-    return sorted(epsilons, reverse=True), deltas, means, stderrs
+        ))
+        for i, spec in enumerate(specs)
+    ]
+    eps_s, means = [s.epsilon for s in specs], [m for m, _ in stats]
+    return ConvergenceReport(
+        norm, eps_s, [s.delta for s in specs], means, [se for _, se in stats], replicas,
+        *fit_loglog(eps_s, means),
+    )
 
 
 def h_convergence_experiment(
@@ -452,16 +446,15 @@ def h_convergence_experiment(
     condition eps * delta(eps)^(-eta) -> 0 (checked along the sweep; the
     latter can be overridden with force=True for negative controls).  The
     pathwise same-grid coupling upper-bounds the distributional convergence
-    being probed.
+    being probed.  Replica r of member i (epsilons descending) runs on
+    rng.child(i).child(r).
     """
     noise_mod.validate_vanishing_schedule(schedule, epsilons)
     noise_mod.validate_scaling_condition(schedule, epsilons, eta, force=force)
-    eps_s, deltas, means, stderrs = _sweep_distances(
-        u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
+    return _sweep_distances(
+        "H", u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
         distance=lambda a, b: a.sup_h_distance(b),
     )
-    slope, se = fit_loglog(eps_s, means)
-    return ConvergenceReport("H", eps_s, deltas, means, stderrs, replicas, slope, se)
 
 
 def besov_convergence_experiment(
@@ -476,9 +469,10 @@ def besov_convergence_experiment(
     gamma: float = 1.0,
     grid_factor: int = 2,
 ) -> ConvergenceReport:
-    """Same sweep measured in sup-in-time Besov norm; only delta(eps) -> 0 is
-    required of the schedule.  The initial condition must carry the Sobolev
-    regularity sigma + 1 - 2/p demanded of the Besov exponents."""
+    """Same sweep, on the same replica streams, measured in sup-in-time Besov
+    norm; only delta(eps) -> 0 is required of the schedule.  The initial
+    condition must carry the Sobolev regularity sigma + 1 - 2/p demanded of
+    the Besov exponents."""
     besov.validate()
     noise_mod.validate_vanishing_schedule(schedule, epsilons)
     theta = besov.min_initial_regularity()
@@ -489,12 +483,9 @@ def besov_convergence_experiment(
         powers = block_powers(a.grid, a.difference(b), besov.p, grid_factor)
         return float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
 
-    eps_s, deltas, means, stderrs = _sweep_distances(
-        u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance
-    )
-    slope, se = fit_loglog(eps_s, means)
-    return ConvergenceReport(
-        f"B^{besov.sigma}_{besov.p}", eps_s, deltas, means, stderrs, replicas, slope, se
+    return _sweep_distances(
+        f"B^{besov.sigma}_{besov.p}", u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
+        distance,
     )
 
 
@@ -570,14 +561,12 @@ def tube_probability(
     given sup-in-time H radius of the center trajectory (Wilson interval).
 
     When no path hits, p_hat = 0 and the upper confidence bound is the
-    informative part of the report.
+    informative part of the report.  Replica r runs on rng.child(r).
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    stream = require_stream(rng)
     zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(center.t_final, cfg.dt))
-    dists = _replica_blocks(
-        u0, zero, spec, cfg, [stream.child(r) for r in range(replicas)],
+    dists = replica_values(
+        rng, replicas, replicas_per_block(u0.grid, cfg.rule(u0.cutoff)),
+        partial(solve_controlled_block, u0, zero, spec, cfg),
         lambda traj: traj.sup_h_distance(center),
     )
     return _tube_from_distances(dists, radius)
@@ -640,19 +629,19 @@ def laplace_check(
     endpoint candidates between the free-decay endpoint and the functional's
     target (exact for constant functionals, a one-parameter probe otherwise).
     Flags the sweep when the exponential estimator's effective sample size
-    degenerates.
+    degenerates.  Replica r of member i (epsilons descending) runs on
+    rng.child(i).child(r).
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
     stream = require_stream(rng)
-    n = step_count(t_final, cfg.dt)
-    zero = ControlPath.zero(u0.cutoff, cfg.dt, n)
+    zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(t_final, cfg.dt))
+    specs = sweep_specs(schedule, epsilons, gamma)
+    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))
     lhs, ess_list = [], []
-    for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)
-        vals = _replica_blocks(
-            u0, zero, spec, cfg, [stream.child(i).child(r) for r in range(replicas)],
-            functional,
+    for i, spec in enumerate(specs):
+        eps = spec.epsilon
+        vals = replica_values(
+            stream.child(i), replicas, per_block,
+            partial(solve_controlled_block, u0, zero, spec, cfg), functional,
         )
         w = np.exp(-(vals - vals.min()) / eps)
         ess = float(w.sum() ** 2 / np.dot(w, w))
@@ -677,7 +666,7 @@ def laplace_check(
     # exponential reweighting degenerates when few paths carry all the mass
     flag = any(e < min(max(10.0, 0.01 * replicas), 0.5 * replicas) for e in ess_list)
     return LaplaceReport(
-        epsilons=sorted(epsilons, reverse=True),
+        epsilons=[s.epsilon for s in specs],
         lhs=lhs,
         ess=ess_list,
         rhs=rhs,

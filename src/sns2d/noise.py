@@ -13,6 +13,10 @@ step, while holding one piece of SAMPLES_PER_CALL reals and no half of the
 draw.  The L^p moment check at p != 2 draws its samples in row batches of
 SAMPLES_PER_CALL complex entries, each reduced before the next is drawn.
 
+Monte Carlo with one stream per replica goes through ``replica_values``,
+the one owner of that layout; ``mean_stderr`` is the one standard error and
+``sweep_specs`` the one list of a sweep's members.
+
 The KS p-value of the OU checks is Smirnov's exact two-sample formula for
 equal sizes (``ks_pvalue``), computed here as scipy's ``ks_2samp`` computes
 it, so that the checks do not import ``scipy.stats``.  Nothing here keeps
@@ -23,7 +27,7 @@ threads, which the harness does with the members of its ``ou_checks`` and
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,15 +155,37 @@ def require_stream(rng) -> RngStream:
     return rng
 
 
-def replica_values(streams, per_block, march_block, value) -> np.ndarray:
-    """value(path) of the replica of each stream, marched per_block replicas
-    at a time: march_block(streams) returns one path per stream of a block.
-    Only one block of paths is alive at a time."""
-    vals = np.empty(len(streams))
-    for lo in range(0, len(streams), per_block):
-        block = streams[lo : lo + per_block]
+def require_replicas(replicas: int):
+    """Refuse fewer than 2 replicas, which have no sample standard deviation."""
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
+
+
+def replica_values(member, replicas: int, per_block, march_block, value) -> np.ndarray:
+    """value(path) of each of the member's replicas: the one engine of the
+    per-replica-stream Monte Carlo.  Replica r draws from member.child(r);
+    the replicas are marched per_block at a time, march_block(streams)
+    returning one path per stream of a block, and only one block of paths is
+    alive at a time.  Refuses a bare seed or Generator and fewer than 2
+    replicas before it marches."""
+    member = require_stream(member)
+    require_replicas(replicas)
+    vals = np.empty(replicas)
+    for lo in range(0, replicas, per_block):
+        block = [member.child(r) for r in range(lo, min(lo + per_block, replicas))]
         vals[lo : lo + len(block)] = [value(path) for path in march_block(block)]
     return vals
+
+
+def mean_stderr(samples):
+    """(mean, standard error) of a Monte Carlo sample, as floats."""
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+
+
+def sweep_specs(schedule, epsilons, gamma=1.0) -> list:
+    """The NoiseSpec of each member of a sweep over epsilons: member i is the
+    i-th largest epsilon, with delta = schedule(epsilon)."""
+    return [NoiseSpec.at_epsilon(e, schedule, gamma=gamma) for e in sorted(epsilons, reverse=True)]
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -267,10 +293,14 @@ def covariance_weights(grid, spec: NoiseSpec) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + spec.delta * grid.ksq**spec.gamma)
 
 
+def _lambda_sq(grid, spec: NoiseSpec) -> np.ndarray:
+    """lambda_k^2 = 1 / (1 + delta |k|^(2 gamma)); covariance_weights squared rounds otherwise."""
+    return 1.0 / (1.0 + spec.delta * grid.ksq**spec.gamma)
+
+
 def mode_variances(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     """Stationary OU variance eps lambda_k^2 / (2(|k|^2 + alpha)) per stored mode."""
-    lam2 = 1.0 / (1.0 + spec.delta * grid.ksq**spec.gamma)
-    return spec.epsilon * lam2 / (2.0 * (grid.ksq + alpha))
+    return spec.epsilon * _lambda_sq(grid, spec) / (2.0 * (grid.ksq + alpha))
 
 
 def l2_moment_exact(grid, spec: NoiseSpec, alpha: float = 0.0) -> float:
@@ -295,8 +325,7 @@ def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
         raise ValueError(f"dt must be > 0, got {dt}")
     rate = grid.ksq + alpha
     decay = np.exp(-rate * dt)
-    lam2 = 1.0 / (1.0 + spec.delta * grid.ksq**spec.gamma)
-    var = spec.epsilon * lam2 * (-np.expm1(-2.0 * rate * dt)) / (2.0 * rate)
+    var = spec.epsilon * _lambda_sq(grid, spec) * (-np.expm1(-2.0 * rate * dt)) / (2.0 * rate)
     return decay, np.sqrt(var)
 
 
@@ -570,20 +599,24 @@ def wick_square(z: SpectralField, spec: NoiseSpec, rule) -> TensorField:
 # lattice sums with tail estimates
 
 
-def lattice_power_sum(exponent, delta=0.0, gamma=1.0, weight_power=1.0, cutoff=512):
-    """sum over k != 0 of |k|^exponent (1 + delta |k|^(2 gamma))^(-weight_power).
-
-    Returns (truncated sum, integral tail estimate beyond the cutoff).
-    """
-    from scipy.integrate import quad
-
+def lattice_sum(exponent, delta=0.0, gamma=1.0, weight_power=1.0, cutoff=512) -> float:
+    """sum over 0 < max|k_i| <= cutoff of |k|^exponent (1 + delta |k|^(2 gamma))^(-weight_power)."""
     r = np.arange(-cutoff, cutoff + 1)
     ksq = (r[:, None] ** 2 + r[None, :] ** 2).astype(np.float64)
     ksq[cutoff, cutoff] = np.inf
     vals = ksq ** (exponent / 2.0)
     if delta > 0:
         vals = vals / (1.0 + delta * ksq**gamma) ** weight_power
-    total = float(np.sum(vals))
+    return float(np.sum(vals))
+
+
+def lattice_power_sum(exponent, delta=0.0, gamma=1.0, weight_power=1.0, cutoff=512):
+    """sum over k != 0 of |k|^exponent (1 + delta |k|^(2 gamma))^(-weight_power).
+
+    Returns (lattice_sum, integral tail estimate beyond the cutoff); only the
+    tail needs scipy.integrate.
+    """
+    from scipy.integrate import quad
 
     def integrand(rr):
         v = rr ** (exponent + 1.0)
@@ -592,7 +625,7 @@ def lattice_power_sum(exponent, delta=0.0, gamma=1.0, weight_power=1.0, cutoff=5
         return 2.0 * np.pi * v
 
     tail, _ = quad(integrand, cutoff, np.inf, limit=200)
-    return total, float(tail)
+    return lattice_sum(exponent, delta, gamma, weight_power, cutoff), float(tail)
 
 
 def lambda_beta_bound(spec: NoiseSpec, beta: float, cutoff: int = 512):
@@ -631,19 +664,14 @@ class MomentReport:
     ratio: float
     closed_form: float = None
 
+    @classmethod
+    def of(cls, spec: NoiseSpec, samples, bound: float, closed_form: float = None):
+        """The report of a sample of the moment at spec against its bound."""
+        est, se = mean_stderr(samples)
+        return cls(spec.epsilon, spec.delta, len(samples), est, se, bound, est / bound, closed_form)
+
     def rows(self):
-        return [
-            {
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "replicas": self.replicas,
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "bound": self.bound,
-                "ratio": self.ratio,
-                "closed_form": self.closed_form,
-            }
-        ]
+        return [asdict(self)]
 
 
 def lp_log_moment_check(
@@ -659,10 +687,11 @@ def lp_log_moment_check(
     logarithmic bound (eps log((1 + delta)/delta))^(p/2).
 
     The process is stationary, so a fixed-time estimate represents every t.
-    For p = 2 the exact mode-variance sum is attached as closed_form.
+    For p = 2 the exact mode-variance sum is attached as closed_form.  The
+    samples are drawn in order from one generator, not one stream per
+    replica, so fewer than 2 replicas are refused here, before any draw.
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    require_replicas(replicas)
     g = grid_for(cutoff)
     gen = as_generator(rng)
     if p == 2:
@@ -679,19 +708,8 @@ def lp_log_moment_check(
                    for lo in range(0, replicas, rows))
         samples = np.concatenate([lp_powers(g, Z, p, grid_factor) for Z in batches])
         closed = None
-    est = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(replicas))
     bound = (spec.epsilon * math.log((1.0 + spec.delta) / spec.delta)) ** (p / 2.0)
-    return MomentReport(
-        epsilon=spec.epsilon,
-        delta=spec.delta,
-        replicas=replicas,
-        estimate=est,
-        stderr=se,
-        bound=bound,
-        ratio=est / bound,
-        closed_form=closed,
-    )
+    return MomentReport.of(spec, samples, bound, closed)
 
 
 def besov_moment_check(
@@ -711,10 +729,9 @@ def besov_moment_check(
 ) -> MomentReport:
     """Estimate E sup_{t <= T} |z(t)|_{B^sigma_p}^kappa against the mode-sum
     bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
-    Replica i draws its start and its steps from rng.child(i); the replicas
-    are marched in blocks of ``stack_depth`` of the Besov grid."""
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    Replica i draws its start and its steps from rng.child(i) through
+    ``replica_values``, in blocks of ``stack_depth`` of the Besov grid.  The
+    bound is the truncated lattice sum at tail_cutoff, with no tail."""
     if not (sigma < sigma_prime < 0):
         raise ValueError(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "
@@ -723,7 +740,6 @@ def besov_moment_check(
     from .dynamics import march, step_count
     from .spectral import besov_of_powers, block_powers
 
-    stream = require_stream(rng)
     g = grid_for(cutoff)
     n_steps = step_count(horizon, dt)
     _, std = ou_transition(g, spec, alpha, dt)
@@ -738,21 +754,8 @@ def besov_moment_check(
         return np.max(norms) ** kappa
 
     sups = replica_values(
-        [stream.child(i) for i in range(replicas)],
-        stack_depth(g.physical_size(grid_factor)),
-        march_block,
-        sup_power,
+        rng, replicas, stack_depth(g.physical_size(grid_factor)), march_block, sup_power
     )
-    s, tail = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
+    s = lattice_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
     bound = (spec.epsilon * s) ** (kappa / 2.0)
-    est = float(np.mean(sups))
-    se = float(np.std(sups, ddof=1) / math.sqrt(replicas))
-    return MomentReport(
-        epsilon=spec.epsilon,
-        delta=spec.delta,
-        replicas=replicas,
-        estimate=est,
-        stderr=se,
-        bound=bound,
-        ratio=est / bound,
-    )
+    return MomentReport.of(spec, sups, bound)

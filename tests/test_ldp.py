@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import pathlib
 import weakref
 
@@ -552,11 +553,11 @@ def test_besov_sweep_distance_is_the_sup_of_per_state_besov_norms():
     report = besov_convergence_experiment(
         u0, phi, besov, PowerSchedule(1.0), epsilons, replicas=3, cfg=cfg, rng=RngStream(7)
     )
-    _, _, means, _ = ldp._sweep_distances(
-        u0, phi, PowerSchedule(1.0), 1.0, epsilons, 3, cfg, RngStream(7),
+    reference = ldp._sweep_distances(
+        "B", u0, phi, PowerSchedule(1.0), 1.0, epsilons, 3, cfg, RngStream(7),
         distance=lambda a, b: a.sup_distance(b, lambda f: sns2d.besov_norm(f, -0.25, 4.0)),
     )
-    assert report.means == means
+    assert report.means == reference.means
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -834,6 +835,54 @@ def test_tube_blocks_are_each_replica_marched_alone():
     assert np.array_equal(rep.distances, dists)
 
 
+def _per_replica_values(u0, phi, spec, cfg, member, value):
+    """value(path) of 35 replicas of member, replica r marched alone on
+    member.child(r): at cutoff 8 the engine marches a block of 32 and one
+    of 3."""
+    paths = _oracles.controlled_per_replica(
+        u0, phi, spec, cfg, [member.child(r) for r in range(35)]
+    )
+    return np.array([value(Trajectory(u0.grid, cfg.dt, path)) for path in paths])
+
+
+def test_sweep_members_are_each_replica_marched_alone():
+    # the harness runs the sweep on stream (1,): replica r of member i is
+    # (1, i, r)
+    u0 = taylor_green(8, 0.4)
+    cfg = IntegratorConfig(dt=0.02)
+    phi = ControlPath.constant(SpectralField.from_modes(8, {(1, 0): 0.4}), 0.02, 5)
+    schedule, epsilons = PowerSchedule(0.5), [1e-1, 1e-2, 1e-3]
+    stream = RngStream(13).child(1)
+    report = h_convergence_experiment(u0, phi, schedule, 1.0, epsilons, 35, cfg, stream)
+    skeleton = solve_skeleton(u0, phi, cfg)
+    for i in range(2):
+        spec = NoiseSpec.at_epsilon(epsilons[i], schedule)
+        dists = _per_replica_values(
+            u0, phi, spec, cfg, stream.child(i), lambda traj: traj.sup_h_distance(skeleton)
+        )
+        assert report.means[i] == float(np.mean(dists))
+        assert report.stderrs[i] == float(np.std(dists, ddof=1) / math.sqrt(35))
+
+
+def test_laplace_members_are_each_replica_marched_alone():
+    u0 = SpectralField.zero(8)
+    cfg = IntegratorConfig(dt=0.02)
+    functional = ClippedEndpointDistance(taylor_green(8, 0.3))
+    schedule, epsilons = PowerSchedule(0.5), [0.2, 0.05]
+    stream = RngStream(14).child(1)
+    # one candidate: the zero control alone, no minimum-action solve
+    report = laplace_check(
+        functional, u0, schedule, epsilons, 35, cfg, 0.1, stream, n_candidates=1
+    )
+    zero = ControlPath.zero(8, 0.02, 5)
+    for i, eps in enumerate(epsilons):
+        spec = NoiseSpec.at_epsilon(eps, schedule)
+        vals = _per_replica_values(u0, zero, spec, cfg, stream.child(i), functional)
+        w = np.exp(-(vals - vals.min()) / eps)
+        assert report.ess[i] == float(w.sum() ** 2 / np.dot(w, w))
+        assert report.lhs[i] == -eps * (math.log(float(np.mean(w))) - vals.min() / eps)
+
+
 MARCHES = ("solve_controlled", "march")
 
 
@@ -886,3 +935,60 @@ def test_replica_loop_guard_sees_each_old_per_replica_loop():
         "_sweep_distances", "tube_probability", "laplace_check", "besov_moment_check",
         "comprehension",
     ]
+
+
+REFUSAL = "need at least 2 replicas"
+
+
+def _replica_statistics_sites(tree):
+    """How often tree holds each piece of the replica statistics: a ddof=1
+    keyword, a raise of the replica refusal and a NoiseSpec.at_epsilon
+    reference."""
+    nodes = list(ast.walk(tree))
+    return {
+        "ddof=1": sum(
+            isinstance(node, ast.keyword) and node.arg == "ddof"
+            and getattr(node.value, "value", None) == 1
+            for node in nodes
+        ),
+        "refusal": sum(
+            isinstance(node, ast.Raise)
+            and any(isinstance(c, ast.Constant) and REFUSAL in str(c.value)
+                    for c in ast.walk(node))
+            for node in nodes
+        ),
+        "at_epsilon": sum(
+            isinstance(node, ast.Attribute) and node.attr == "at_epsilon" for node in nodes
+        ),
+    }
+
+
+def test_the_replica_statistics_are_each_written_once():
+    src = pathlib.Path(sns2d.__file__).parent
+    total = {"ddof=1": 0, "refusal": 0, "at_epsilon": 0}
+    for path in sorted(src.glob("*.py")):
+        for key, n in _replica_statistics_sites(ast.parse(path.read_text())).items():
+            total[key] += n
+    assert total == {"ddof=1": 1, "refusal": 1, "at_epsilon": 1}
+
+
+def test_replica_statistics_guard_counts_each_copy():
+    old = (
+        "def _sweep_distances(epsilons, replicas, schedule):\n"
+        "    if replicas < 2:\n"
+        "        raise ValueError('need at least 2 replicas')\n"
+        "    for i, eps in enumerate(sorted(epsilons, reverse=True)):\n"
+        "        spec = NoiseSpec.at_epsilon(eps, schedule, gamma=gamma)\n"
+        "        se = float(np.std(dists, ddof=1) / math.sqrt(replicas))\n"
+        "def lp_log_moment_check(replicas, samples):\n"
+        "    if replicas < 2:\n"
+        "        raise ValueError(f'need at least 2 replicas, got {replicas}')\n"
+        "    se = samples.std(ddof=1)\n"
+        "    make = noise.NoiseSpec.at_epsilon\n"
+        "def not_counted(samples):\n"
+        "    'need at least 2 replicas'\n"
+        "    return np.std(samples, ddof=0)\n"
+    )
+    assert _replica_statistics_sites(ast.parse(old)) == {
+        "ddof=1": 2, "refusal": 2, "at_epsilon": 2,
+    }

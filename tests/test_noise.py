@@ -1,6 +1,8 @@
 import ast
 import math
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from sns2d.noise import (
     ks_pvalue,
     l2_moment_exact,
     lattice_power_sum,
+    lattice_sum,
     lp_log_moment_check,
     mode_square_sums,
     mode_variances,
@@ -494,6 +497,29 @@ def test_besov_moment_blocks_are_each_replica_marched_alone():
     assert stack_depth(grid_for(6).physical_size(2)) == 41
     args = (spec, -0.3, -0.1, 4.0, 2.0, 0.06, 0.02, 45, RngStream(6).child(1), 6)
     assert besov_moment_check(*args) == besov_moment_check_per_replica(*args)
+
+
+def test_a_besov_moment_check_loads_no_scipy_beyond_the_binding():
+    # its bound is the truncated lattice sum: the tail's quadrature, which
+    # it does not use, loaded about 350 scipy modules
+    src = pathlib.Path(sns2d.__file__).parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from sns2d.noise import NoiseSpec, RngStream, besov_moment_check\n"
+        "rep = besov_moment_check(NoiseSpec(0.1, 0.1), -0.75, -0.5, 4.0, 2.0, 0.06, 0.02,\n"
+        "                         4, RngStream(0), 6)\n"
+        "assert rep.bound > 0.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stdout) == ["scipy.fft._pocketfft.pypocketfft"]
+
+
+def test_the_lattice_sum_is_the_truncated_part_of_lattice_power_sum():
+    for args in ((-3.0,), (-1.5, 0.3, 1.2, 2.0)):
+        assert lattice_sum(*args, cutoff=40) == lattice_power_sum(*args, cutoff=40)[0]
 
 
 def _bits(z):
