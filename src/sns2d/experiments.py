@@ -337,7 +337,7 @@ CONTROLS = _Family(
     {"zero": (), "mode": ("k", "value"), "taylor_green": (), "random_ball": ()},
 )
 FUNCTIONALS = _Family(
-    {"value": (0.0, _NUMBER), "scale": (1.0, _NUMBER), "clip": (10.0, _NUMBER),
+    {"value": (0.0, _NUMBER), "scale": (1.0, _POSITIVE), "clip": (10.0, _NUMBER),
      "target": (None, INITIALS)},
     {"constant": (), "clipped_endpoint": ("target",)},
 )
@@ -857,7 +857,6 @@ def _run_laplace(ctx: _RunContext):
         cfg.numerics["t_final"],
         ctx.stream("sweep"),
         gamma=cfg.noise["gamma"],
-        n_candidates=cfg.params["candidates"],
     )
     summary = {
         "rhs": report.rhs,
@@ -1071,10 +1070,8 @@ KINDS = {
         params={
             "functional": ({"kind": "constant", "value": 0.0}, FUNCTIONALS),
             "epsilons": ([1e-1, 1e-2], _POSITIVE_LIST),
-            # the free-decay endpoint and at least one steered candidate
-            "candidates": (5, _count(2)),
         },
-        needs={"noise.schedule": None},
+        needs={"noise.schedule": None, **_PAIRED},
         check=_fill_functional,
         thresholds={"allow_variance_flag": True},
         run=_run_laplace,

@@ -599,6 +599,8 @@ def wick_square(z: SpectralField, spec: NoiseSpec, rule) -> TensorField:
 # lattice sums with tail estimates
 
 
+# besov_moment_check reads the same sum once per sweep member
+@functools.lru_cache(maxsize=None)
 def lattice_sum(exponent, delta=0.0, gamma=1.0, weight_power=1.0, cutoff=512) -> float:
     """sum over 0 < max|k_i| <= cutoff of |k|^exponent (1 + delta |k|^(2 gamma))^(-weight_power)."""
     r = np.arange(-cutoff, cutoff + 1)

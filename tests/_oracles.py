@@ -14,6 +14,11 @@ own parts and kept as references for faster forms of the same arithmetic:
 - ``trajectory_space_norm_two_pass``, the path-space norm from two
   ``besov_norm`` passes per state, the reference for the shared block powers
   of ``trajectory_space_norm``;
+- ``laplace_rhs_probe``, the variational side of the Laplace check searched
+  over minimum-action paths steered to endpoints on a segment, an upper
+  bound and the reference for ``laplace_check``'s one fixed-weight descent;
+  ``fixed_weight_infimum_linear``, that descent's value at b = 0 in closed
+  form;
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
@@ -81,6 +86,7 @@ from sns2d.dynamics import (
     _psi2,
     exp_weights,
     skeleton_forcing,
+    solve_skeleton,
     step_count,
 )
 from sns2d.fields import SpectralField
@@ -90,6 +96,7 @@ from sns2d.ldp import (
     OptimizerSettings,
     action_objective_and_gradient,
     control_action,
+    minimize_action,
 )
 from sns2d.noise import (
     MomentReport,
@@ -378,6 +385,35 @@ def trajectory_space_norm_two_pass(traj, besov, grid_factor=2):
     weights[0] = weights[-1] = 0.5 * traj.dt
     time_term = float(np.dot(weights, vals**besov.beta) ** (1.0 / besov.beta))
     return sup_term + time_term
+
+
+def laplace_rhs_probe(functional, u0, cfg, t_final, n_candidates=5, opt=OptimizerSettings()):
+    """inf_f (G(f) + I(f)) of a clipped endpoint functional, searched over the
+    zero control and the minimum-action paths steered to n_candidates - 1
+    endpoints on the segment from the free-decay endpoint to the target: the
+    least G + action among them, an upper bound on the infimum."""
+    zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(t_final, cfg.dt))
+    free = solve_skeleton(u0, zero, cfg)
+    best = functional(free)  # zero-control candidate, zero action
+    free_end, tgt = free.coeffs[-1], functional.target.coeffs
+    for s in np.linspace(0.0, 1.0, n_candidates)[1:]:
+        cand = SpectralField(u0.grid, (1.0 - s) * free_end + s * tgt)
+        phi_star, rep = minimize_action(u0, cand, t_final, cfg, opt)
+        best = min(best, functional(solve_skeleton(u0, phi_star, cfg)) + rep.action)
+    return best
+
+
+def fixed_weight_infimum_linear(u0, target, weight, t_final, dt):
+    """J*(a) = min_phi (1/2)|phi|^2 + a |u(T) - g|_H^2 of the exponential-Euler
+    march at b = 0, which splits per stored mode k into
+    2a |g_k - e^{-|k|^2 T} u0_k|^2 / (1 + 2a dt psi1(|k|^2 dt)^2 S_k),
+    S_k = sum_{m < n} e^{-2 |k|^2 dt m} over the n steps."""
+    ksq = u0.grid.ksq
+    n = step_count(t_final, dt)
+    _, psi1 = exp_weights(ksq * dt)
+    S = np.sum(np.exp(-2.0 * ksq[None, :] * dt * np.arange(n)[:, None]), axis=0)
+    r = target.coeffs - np.exp(-ksq * t_final) * u0.coeffs
+    return float(np.sum(2.0 * weight * np.abs(r) ** 2 / (1.0 + 2.0 * weight * dt * psi1**2 * S)))
 
 
 def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None,

@@ -466,7 +466,7 @@ def test_sweep_csv_rows_keep_four_columns_when_cells_hold_commas(tmp_path, axis,
         ("converge_besov", "36fe0da718bc"),
         ("converge_h", "15f1ed186b80"),
         ("instanton", "a67f6f7a8b0c"),
-        ("laplace", "3e7640aaf8d4"),
+        ("laplace", "e55cb8ac19d4"),
         ("renorm", "2ab91bdbaf74"),
         ("tube", "49f020b173e2"),
         ("wick_decay", "97bfdc5be9d8"),
@@ -703,12 +703,20 @@ def test_validate_exits_2_on_a_noise_config_that_run_fails_on(
         ("besov_moment", "params", "p", 0.5, "besov_moment: p must be a number >= 1, got 0.5"),
         ("besov_moment", "statistics", "replicas", 1,
          "besov_moment: statistics.replicas must be an integer >= 2, got 1"),
-        # run failed, or searched no candidate and passed
+        # run failed, or reported a finite infimum that is -inf (scale < 0)
         ("laplace", "params", "epsilons", [], "laplace: epsilons must be a non-empty list"),
         ("laplace", "params", "epsilons", [0.1, 0.0],
          "laplace: epsilons must be a non-empty list of numbers > 0"),
-        ("laplace", "params", "candidates", 0, "laplace: candidates must be an integer >= 2"),
-        ("laplace", "params", "candidates", 2.5, "laplace: candidates must be an integer >= 2"),
+        ("laplace", "statistics", "replicas", 1,
+         "laplace: statistics.replicas must be an integer >= 2, got 1"),
+        ("laplace", "params", "functional",
+         {"kind": "clipped_endpoint", "target": {"kind": "taylor_green"}, "scale": 0},
+         "laplace: functional.scale must be > 0, got 0"),
+        ("laplace", "params", "functional",
+         {"kind": "clipped_endpoint", "target": {"kind": "taylor_green"}, "scale": -1},
+         "laplace: functional.scale must be > 0, got -1"),
+        # the variational side is one fixed-weight descent: no candidates
+        ("laplace", "params", "candidates", 5, "params(laplace): unknown keys ['candidates']"),
         ("laplace", "params", "functional", {"kind": "clipped_endpoint"},
          "laplace: functional: kind 'clipped_endpoint' needs target"),
         # descriptors: an unknown kind, or a mode without its mode (TypeError)

@@ -626,7 +626,7 @@ def test_laplace_endpoint_functional_smoke():
     functional = ClippedEndpointDistance(target, scale=1.0, clip=5.0)
     report = laplace_check(
         functional, SpectralField.zero(6), PowerSchedule(0.5), [5e-2, 1e-2],
-        replicas=30, cfg=cfg, t_final=0.2, rng=RngStream(7), n_candidates=3,
+        replicas=30, cfg=cfg, t_final=0.2, rng=RngStream(7),
     )
     rows = report.rows()
     assert len(rows) == 2
@@ -634,6 +634,87 @@ def test_laplace_endpoint_functional_smoke():
     for row in rows:
         assert row["lhs"] >= -1e-9
         assert row["gap"] >= 0.0
+
+
+def _laplace_rhs(functional, u0, cfg, t_final):
+    """laplace_check's variational side, beside a cheap two-replica sweep."""
+    return laplace_check(
+        functional, u0, PowerSchedule(0.5), [0.1], 2, cfg, t_final, RngStream(0)
+    ).rhs
+
+
+def _random_field(cutoff, amplitude, decay, seed):
+    return SpectralField.random(
+        cutoff, np.random.default_rng(seed), amplitude=amplitude, decay=decay
+    )
+
+
+@pytest.mark.parametrize(
+    "u0, target, scale",
+    [
+        (lambda: SpectralField.zero(8), lambda: taylor_green(8, 0.5), 1.0),
+        (lambda: taylor_green(8, 0.5), lambda: _random_field(8, 0.5, 2.0, 7), 2.0),
+    ],
+    ids=["zero_to_taylor_green", "taylor_green_to_random"],
+)
+def test_laplace_rhs_at_b0_is_the_closed_form_infimum(u0, target, scale):
+    cfg = IntegratorConfig(dt=0.01, disable_nonlinearity=True)
+    u0, target = u0(), target()
+    rhs = _laplace_rhs(ClippedEndpointDistance(target, scale, clip=1e3), u0, cfg, 0.5)
+    exact = _oracles.fixed_weight_infimum_linear(u0, target, scale, 0.5, cfg.dt)
+    assert rhs == pytest.approx(exact, rel=1e-6)
+
+
+LAPLACE_PROBE_CASES = {
+    # name: (u0, functional, t_final, probe candidates)
+    "mode_target": (
+        lambda: SpectralField.zero(6),
+        lambda: ClippedEndpointDistance(SpectralField.from_modes(6, {(1, 0): 0.05}), 1.0, 5.0),
+        0.2, 5,
+    ),
+    "taylor_green_to_random": (
+        lambda: taylor_green(4, 0.5),
+        lambda: ClippedEndpointDistance(_random_field(4, 0.5, 2.0, 3), 2.0, 10.0),
+        0.1, 3,
+    ),
+    "random_to_random": (
+        lambda: _random_field(4, 0.5, 1.0, 4),
+        lambda: ClippedEndpointDistance(_random_field(4, 0.5, 1.0, 5), 1.0, 10.0),
+        0.1, 3,
+    ),
+    "clip_binds": (
+        lambda: taylor_green(4, 0.3),
+        lambda: ClippedEndpointDistance(_random_field(4, 1.0, 1.0, 6), 5.0, 0.05),
+        0.1, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAPLACE_PROBE_CASES))
+def test_laplace_rhs_is_at_most_the_candidate_probe(case):
+    make_u0, make_functional, t_final, n_candidates = LAPLACE_PROBE_CASES[case]
+    cfg = IntegratorConfig(dt=0.02)
+    u0, functional = make_u0(), make_functional()
+    rhs = _laplace_rhs(functional, u0, cfg, t_final)
+    probe = _oracles.laplace_rhs_probe(functional, u0, cfg, t_final, n_candidates)
+    assert rhs <= probe
+    if case == "clip_binds":
+        assert rhs == probe == functional.clip
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_laplace_rhs_derivative_in_the_weight_is_the_endpoint_mismatch(scale):
+    # envelope theorem: dJ*/da = |u*(T) - g|_H^2 at the fixed-weight minimizer
+    cfg = IntegratorConfig(dt=0.01)
+    u0, target = taylor_green(8, 0.5), _random_field(8, 0.5, 2.0, 7)
+    h = 1e-3 * scale
+    J_plus, J_minus = (
+        _laplace_rhs(ClippedEndpointDistance(target, a, clip=1e3), u0, cfg, 0.5)
+        for a in (scale + h, scale - h)
+    )
+    opt = OptimizerSettings(initial_penalty=scale, max_penalty_rounds=1)
+    _, rep = minimize_action(u0, target, 0.5, cfg, opt)
+    assert (J_plus - J_minus) / (2.0 * h) == pytest.approx(rep.endpoint_error**2, rel=1e-3)
 
 
 def test_zero_noise_member_has_zero_distance():
@@ -870,10 +951,7 @@ def test_laplace_members_are_each_replica_marched_alone():
     functional = ClippedEndpointDistance(taylor_green(8, 0.3))
     schedule, epsilons = PowerSchedule(0.5), [0.2, 0.05]
     stream = RngStream(14).child(1)
-    # one candidate: the zero control alone, no minimum-action solve
-    report = laplace_check(
-        functional, u0, schedule, epsilons, 35, cfg, 0.1, stream, n_candidates=1
-    )
+    report = laplace_check(functional, u0, schedule, epsilons, 35, cfg, 0.1, stream)
     zero = ControlPath.zero(8, 0.02, 5)
     for i, eps in enumerate(epsilons):
         spec = NoiseSpec.at_epsilon(eps, schedule)

@@ -522,6 +522,37 @@ def test_the_lattice_sum_is_the_truncated_part_of_lattice_power_sum():
         assert lattice_sum(*args, cutoff=40) == lattice_power_sum(*args, cutoff=40)[0]
 
 
+def test_a_besov_moment_sweep_builds_its_bound_lattice_once(tmp_path, monkeypatch):
+    from sns2d import noise
+    from sns2d.experiments import ExperimentConfig, run
+
+    builds = []
+
+    class CountingNumpy:
+        """numpy, counting the aranges that span the bound's 1025 x 1025 lattice."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            if args[:2] == (-512, 513):
+                builds.append(args)
+            return np.arange(*args, **kwargs)
+
+    getattr(noise.lattice_sum, "cache_clear", lambda: None)()
+    monkeypatch.setattr(noise, "np", CountingNumpy())
+    cfg = ExperimentConfig.from_dict({
+        "schema_version": 1,
+        "kind": "besov_moment",
+        "numerics": {"cutoff": 4, "dt": 0.02, "t_final": 0.04},
+        "noise": {"schedule": {"kind": "power", "exponent": 1.0}},
+        "statistics": {"replicas": 2, "seed": 0},
+        "params": {"epsilons": [0.1, 0.01, 0.001]},
+    })
+    run(cfg, str(tmp_path))
+    assert len(builds) == 1
+
+
 def _bits(z):
     return z.view(np.float64)
 
