@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -80,6 +81,20 @@ def test_residual_requires_two_steps():
     traj = Trajectory(f.grid, 0.1, np.tile(f.coeffs, (2, 1)))
     with pytest.raises(ValueError):
         residual(traj, DealiasRule.two_thirds(6))
+
+
+@pytest.mark.parametrize("cutoff, n_steps", [(8, 70), (16, 20), (6, 2)])
+def test_residual_is_the_per_state_loop(cutoff, n_steps):
+    # stacks of 32 states at cutoff 8 (two and a remainder of 7), of 8 at
+    # cutoff 16; neither end is a Taylor-Green state, so b(u, u) is far from roundoff
+    cfg = IntegratorConfig(dt=0.01)
+    traj = solve_skeleton(
+        generic_field(cutoff), varying_control(cutoff, cfg.dt, n_steps), cfg
+    )
+    rule = DealiasRule.two_thirds(cutoff)
+    assert np.array_equal(
+        residual(traj, rule).values, _oracles.residual_per_state(traj, rule).values
+    )
 
 
 def smooth_field(cutoff=8):
@@ -422,17 +437,19 @@ def test_minimize_action_sweeps_march_grids_one_march_at_a_time(
     u0, target, t_final, cfg, opt = _descent_case(name)
     if failing_line_searches:
         opt = dataclasses.replace(opt, min_step=1e-2)
-    alive, sweeps = [], []
+    alive, events = [], []
     march, gradient = ldp.control_states, ldp.adjoint_gradient
 
-    def tracked_march(*args):
+    def tracked_march(phi_vals, *args):
         assert [ref for ref in alive if ref() is not None] == []
-        states, velocity = march(*args)
+        states, velocity = march(phi_vals, *args)
         alive.append(weakref.ref(velocity))
+        events.append(("march", phi_vals.copy(), None))
         return states, velocity
 
     def checked_sweep(phi_vals, states, target, weight, cfg, velocity=None):
-        sweeps.append((weight, velocity is not None))
+        assert velocity is not None  # every sweep reads the grids of a march
+        events.append(("sweep", phi_vals.copy(), weight))
         grad = gradient(phi_vals, states, target, weight, cfg, velocity)
         want = _oracles.adjoint_gradient_allocating(phi_vals, states, target, weight, cfg)
         assert np.array_equal(grad, want)
@@ -442,12 +459,48 @@ def test_minimize_action_sweeps_march_grids_one_march_at_a_time(
     monkeypatch.setattr(ldp, "adjoint_gradient", checked_sweep)
     minimize_action(u0, target, t_final, cfg, opt)
     assert len(alive) > 1
-    # only a round's first sweep, after a round that accepted no step, goes without
-    # grids; the descent's first sweep reads the initial march's
-    assert sweeps[0][1]
-    for (before, _), (weight, has_grids) in zip(sweeps, sweeps[1:]):
-        assert has_grids or weight != before
-    assert any(not has_grids for _, has_grids in sweeps) == failing_line_searches
+    # the control swept last is marched again only for the first sweep of a
+    # round whose predecessor accepted no step, whose states went after its sweep
+    swept, remarches = None, 0  # (control, weight) of the latest sweep
+    for i, (kind, phi_vals, weight) in enumerate(events):
+        if kind == "sweep":
+            swept = phi_vals, weight
+        elif swept is not None and np.array_equal(phi_vals, swept[0]):
+            assert events[i + 1][0] == "sweep" and events[i + 1][2] != swept[1]
+            remarches += 1
+    assert (remarches > 0) == failing_line_searches
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"max_iterations": 3, "max_penalty_rounds": 1},
+        # round 0 ends on a failed line search, so round 1 marches its control again
+        {"max_iterations": 50, "max_penalty_rounds": 3, "min_step": 0.1},
+    ],
+)
+def test_minimize_action_holds_one_trial_and_one_march(settings):
+    # instanton32's ends and grid: N=32, 50 steps, 64 x 64 velocity grids
+    u0, target, cfg = taylor_green(32, 0.5), taylor_green(32, 0.8), IntegratorConfig(dt=0.01)
+    opt = OptimizerSettings(**settings)
+    # plans and caches
+    minimize_action(u0, target, 0.5, cfg, dataclasses.replace(opt, max_iterations=1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        minimize_action(u0, target, 0.5, cfg, opt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n_steps, n_modes = 50, u0.grid.n_modes
+    M = padded_size(u0.grid, cfg.rule(32))
+    control = n_steps * n_modes * 16
+    states = (n_steps + 1) * n_modes * 16
+    grids = n_steps * M * M * 16
+    # the control, its gradient, one trial, and the states and grids of the
+    # one march in flight; a rejected trial's march kept while the next trial
+    # is formed, with the accepted states kept through it, peaked at 15.2 MB
+    assert peak <= 3 * control + states + grids + 2**20
 
 
 @pytest.mark.parametrize(
@@ -634,6 +687,13 @@ def test_laplace_endpoint_functional_smoke():
     for row in rows:
         assert row["lhs"] >= -1e-9
         assert row["gap"] >= 0.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_clipped_endpoint_distance_refuses_a_scale_that_is_not_positive(scale):
+    # the Laplace check would otherwise refuse it as the optimizer's initial_penalty
+    with pytest.raises(ValueError, match="ClippedEndpointDistance scale must be > 0"):
+        ClippedEndpointDistance(taylor_green(4, 0.5), scale=scale)
 
 
 def _laplace_rhs(functional, u0, cfg, t_final):

@@ -7,13 +7,17 @@ gate's rule (``bench/gate.py``'s ``compare``): numbers within 1e-12
 relative, strings and booleans equal, ``config_hash`` left out.  Then the
 numbers must also be the recorded ones to the last bit: a change that moves
 an output by roundoff records the outputs again and declares the move.
+A planted swap of two normals in one member's stream shows that the exact
+pass sees a reordered draw.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from record_pinned import PINNED, REFERENCE, gate, run_pinned
+from sns2d.noise import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +36,39 @@ def test_a_pinned_config_reproduces_its_recorded_outputs(recorded, name):
     assert gate.compare(outputs, reference) == []
     # within the gate's tolerance, but not the same bits
     assert gate.compare(outputs, reference, rel_tol=0.0) == []
+
+
+class _SwappedDraw(np.random.Generator):
+    """A generator whose first standard_normal draw comes out with its first
+    two normals swapped: the same numbers, in another order."""
+
+    swaps = 0
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = super().standard_normal(*args, **kwargs)
+        if _SwappedDraw.swaps == 0:
+            first, second = (np.unravel_index(k, drawn.shape) for k in (0, 1))
+            drawn[first], drawn[second] = drawn[second], drawn[first]
+        _SwappedDraw.swaps += 1
+        return drawn
+
+
+def test_a_reordered_draw_is_caught_by_the_exact_comparison(recorded, monkeypatch):
+    name = "besov_moment"
+    reference = recorded["runs"][name]
+    assert gate.compare(run_pinned(name), reference, rel_tol=0.0) == []
+    # planted: two normals of one member's stream swapped, the first two of
+    # member 1's replica 0 (stream (1, 0) under the seed)
+    generator = RngStream.generator
+
+    def planted(stream):
+        gen = generator(stream)
+        return _SwappedDraw(gen.bit_generator) if stream.stream_id == (1, 0) else gen
+
+    monkeypatch.setattr(_SwappedDraw, "swaps", 0)
+    monkeypatch.setattr(RngStream, "generator", planted)
+    outputs = run_pinned(name)
+    assert _SwappedDraw.swaps > 0
+    differences = gate.compare(outputs, reference, rel_tol=0.0)
+    # member 1's row moves, and the summary with it; member 0's does not
+    assert differences and not any("row 0" in d for d in differences)
