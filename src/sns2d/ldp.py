@@ -63,11 +63,8 @@ def residual(f: Trajectory, rule: DealiasRule) -> ControlPath:
     dfdt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
     grid = f.grid
     out = np.empty_like(c)
-    # b_core on stacks of states, each row with the arithmetic of its own call
-    per_block = replicas_per_block(grid, rule)
-    for lo in range(0, n, per_block):
-        rows = slice(lo, min(lo + per_block, n))
-        out[rows] = dfdt[rows] + grid.ksq * c[rows] - b_core(c[rows], grid, rule)
+    for i in range(n):
+        out[i] = dfdt[i] + grid.ksq * c[i] - b_core(c[i], grid, rule)
     return ControlPath(grid, dt, out)
 
 
@@ -183,20 +180,15 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
     return march(grid, u0.coeffs, n, cfg.dt, forcing, cfg), velocity
 
 
-def _sum_abs_sq(values) -> float:
-    """sum |values|^2, the moduli squared in place."""
-    moduli = np.abs(values)
-    return float(np.sum(np.square(moduli, out=moduli)))
-
-
 def control_term(phi_vals, dt: float) -> float:
     """(1/2)|phi|^2_{L2H}, the term of ``penalized_objective`` that needs no march."""
-    return 0.5 * (dt * 2.0 * _sum_abs_sq(phi_vals))
+    return 0.5 * (dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2)))
 
 
 def endpoint_term(final, target: SpectralField, weight: float) -> float:
     """weight |u(T) - target|_H^2 from the marched final state u(T)."""
-    return weight * (2.0 * _sum_abs_sq(final - target.coeffs))
+    mismatch = final - target.coeffs
+    return weight * (2.0 * float(np.sum(np.abs(mismatch) ** 2)))
 
 
 def penalized_objective(phi_vals, final, target: SpectralField, weight: float, dt: float):
@@ -205,14 +197,13 @@ def penalized_objective(phi_vals, final, target: SpectralField, weight: float, d
 
 
 def adjoint_gradient(
-    phi_vals, states, target: SpectralField, weight: float, cfg: IntegratorConfig,
-    velocity=None,
+    phi_vals, states, target: SpectralField, weight: float, cfg: IntegratorConfig, velocity,
 ):
     """Gradient of ``penalized_objective`` in the discrete L^2(0,T;H) metric:
     one backward sweep of the adjoint of the exponential-Euler recursion
-    along the marched states.  ``velocity``, the grids of the march that made
-    the states (``control_states``), spares the sweep synthesizing them
-    again; without it each step synthesizes its state's velocity."""
+    along the marched states.  ``velocity`` is the grids of the march that
+    made the states (``control_states``), so the sweep does not synthesize
+    them again."""
     _require_adjoint_scheme(cfg)
     grid = target.grid
     dt = cfg.dt
@@ -230,8 +221,7 @@ def adjoint_gradient(
             np.multiply(decay, lam, out=lam)
             if not cfg.disable_nonlinearity:
                 nonlinear = b_linearized_adjoint_core(
-                    states[step], forced, grid, rule,
-                    None if velocity is None else velocity[step],
+                    states[step], forced, grid, rule, velocity[step]
                 )
                 lam += np.multiply(dt, nonlinear, out=nonlinear)
     return grad
@@ -288,9 +278,7 @@ def minimize_action(
     rejected trial's march is dropped as soon as it is rejected, and each
     trial phi - step * grad is formed in one reused buffer.  At its peak
     the descent holds the control, its gradient, one trial, and the states
-    and grids of the one march in flight.  Under tracemalloc a whole run of
-    the instanton32 config (N = 32, 50 steps) peaks at 10.5 MiB, the descent
-    alone at 9.9 MiB, and the run at N = 64 at 41.3 MiB.
+    and grids of the one march in flight.
     The first sweep of a penalty round whose predecessor's last iteration
     accepted no step (its line search failed, or its gradient vanished)
     finds the states gone: it marches the control swept last again, for the
@@ -327,13 +315,14 @@ def minimize_action(
                 grad = adjoint_gradient(phi_vals, states, target, weight, cfg, velocity)
                 # of the march only u(T) is read again; the rest goes before a trial marches
                 final, states, velocity = states[-1].copy(), None, None
-            gnorm_sq = dt * 2.0 * _sum_abs_sq(grad)
+            gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
             if gnorm_sq == 0.0:
                 break
             step_size = min(step_size * 2.0, opt.initial_step * 1e6)
             accepted = False
             while step_size >= opt.min_step:
-                # phi_vals - step_size * grad, formed in the one trial buffer
+                # phi_vals - step_size * grad in the one trial buffer: a fresh
+                # array per trial leaves the same traced peak but a larger RSS
                 np.subtract(phi_vals, np.multiply(step_size, grad, out=trial), out=trial)
                 bound = J - opt.armijo_constant * step_size * gnorm_sq
                 control = control_term(trial, dt)

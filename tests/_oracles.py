@@ -19,8 +19,6 @@ own parts and kept as references for faster forms of the same arithmetic:
   bound and the reference for ``laplace_check``'s one fixed-weight descent;
   ``fixed_weight_infimum_linear``, that descent's value at b = 0 in closed
   form;
-- ``residual_per_state``, the action's residual with one ``b_core`` call
-  per state, the reference for ``residual``'s stacked calls;
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
@@ -416,20 +414,6 @@ def fixed_weight_infimum_linear(u0, target, weight, t_final, dt):
     S = np.sum(np.exp(-2.0 * ksq[None, :] * dt * np.arange(n)[:, None]), axis=0)
     r = target.coeffs - np.exp(-ksq * t_final) * u0.coeffs
     return float(np.sum(2.0 * weight * np.abs(r) ** 2 / (1.0 + 2.0 * weight * dt * psi1**2 * S)))
-
-
-def residual_per_state(f, rule):
-    """f'(t) - A f(t) - b(f(t)) on the trajectory's grid, one ``b_core`` call
-    per state; centered differences, one-sided at the endpoints."""
-    c, dt, grid = f.coeffs, f.dt, f.grid
-    dfdt = np.empty_like(c)
-    dfdt[0] = (c[1] - c[0]) / dt
-    dfdt[-1] = (c[-1] - c[-2]) / dt
-    dfdt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
-    out = np.empty_like(c)
-    for i in range(c.shape[0]):
-        out[i] = dfdt[i] + grid.ksq * c[i] - b_core(c[i], grid, rule)
-    return ControlPath(grid, dt, out)
 
 
 def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None,
