@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/record_pinned.py
 
-Runs every config of ``PINNED`` at seed 0 and writes its ``results.csv`` and
-``summary.json`` content to ``tests/pinned_outputs.json``, one entry per
-config in the shape of ``bench/gate.py``'s ``reference_entry``.  Run it at
+Runs every config of ``PINNED`` at seed 0, and each config of ``RESEEDED`` at
+seeds 1 and 2, and writes its ``results.csv`` and ``summary.json`` content to
+``tests/pinned_outputs.json``, one entry per config and seed in the shape of
+``bench/gate.py``'s ``reference_entry``: seed 0 under ``runs``, the other
+seeds under ``other_seeds``.  Run it at
 the commit whose outputs later changes must reproduce; a change that moves a
 pinned output records them again and says so.
 """
@@ -20,6 +22,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 REFERENCE = HERE / "pinned_outputs.json"
 SEED = 0
+OTHER_SEEDS = (1, 2)
 
 
 def _gate():
@@ -72,39 +75,50 @@ PINNED = {
     **{name: f"tests/test_harness.py SMOKE_CONFIGS[{name!r}]" for name in _SMOKE},
     **{name: "tests/record_pinned.py" for name in _EXTRA},
 }
+# the configs rerun at OTHER_SEEDS; the instanton draws nothing, so another
+# seed gives the seed-0 numbers again
+RESEEDED = [name for name in PINNED if name != "bench/configs/instanton32.json"]
 
 
-def raw_config(name):
-    """The pinned config ``name`` as a raw dict, at seed 0."""
+def raw_config(name, seed=SEED):
+    """The pinned config ``name`` as a raw dict, at ``seed``."""
     if name in _FILES:
         raw = json.loads((ROOT / name).read_text())
     else:
         raw = json.loads(json.dumps(SMOKE_CONFIGS[name] if name in _SMOKE else _EXTRA[name]))
-    raw.setdefault("statistics", {})["seed"] = SEED
+    raw.setdefault("statistics", {})["seed"] = seed
     return raw
 
 
-def run_pinned(name, read=gate.read_outputs):
-    """read(run_dir) of one run of the pinned config ``name``."""
+def run_pinned(name, read=gate.read_outputs, seed=SEED):
+    """read(run_dir) of one run of the pinned config ``name`` at ``seed``."""
     from sns2d.experiments import ExperimentConfig, run
 
     with tempfile.TemporaryDirectory() as outdir:
-        return read(run(ExperimentConfig.from_dict(raw_config(name)), outdir).run_dir)
+        return read(run(ExperimentConfig.from_dict(raw_config(name, seed)), outdir).run_dir)
 
 
-def record():
+def _runs(names, seed):
+    """The JSON object of the runs of ``names`` at ``seed``, one entry per config."""
     entries = []
-    for name, source in PINNED.items():
-        entry = run_pinned(name, lambda run_dir: gate.reference_entry(run_dir, source))
+    for name in names:
+        source = PINNED[name]
+        entry = run_pinned(name, lambda run_dir: gate.reference_entry(run_dir, source), seed)
         head = json.dumps({k: entry[k] for k in ("config", "summary", "columns")}, sort_keys=True)
         # one table row per line keeps the file readable and its diffs small
         body = ",\n      ".join(json.dumps(r) for r in entry["rows"])
         entries.append(f'{json.dumps(name)}: {head[:-1]}, "rows": [\n      {body}\n    ]}}')
-    text = f'{{"seed": {SEED}, "runs": {{\n    ' + ",\n    ".join(entries) + "\n}}\n"
+    return "{\n    " + ",\n    ".join(entries) + "\n}"
+
+
+def record():
+    others = ", ".join(f'"{seed}": {_runs(RESEEDED, seed)}' for seed in OTHER_SEEDS)
+    text = f'{{"seed": {SEED}, "runs": {_runs(PINNED, SEED)}, "other_seeds": {{{others}}}}}\n'
     json.loads(text)
     REFERENCE.write_text(text)
 
 
 if __name__ == "__main__":
     record()
-    print(f"recorded {len(PINNED)} runs to {REFERENCE.relative_to(ROOT)}")
+    n_runs = len(PINNED) + len(OTHER_SEEDS) * len(RESEEDED)
+    print(f"recorded {n_runs} runs to {REFERENCE.relative_to(ROOT)}")

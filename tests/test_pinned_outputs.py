@@ -1,8 +1,8 @@
 """Every pinned config reproduces its recorded outputs.
 
-``record_pinned.py`` ran each config of its ``PINNED`` table at seed 0 and
-wrote the content of ``results.csv`` and ``summary.json`` to
-``pinned_outputs.json``.  Each is rerun here and compared by the benchmark
+``record_pinned.py`` ran each config of its ``PINNED`` table at seed 0, and
+each of its ``RESEEDED`` list at seeds 1 and 2, and wrote the content of
+``results.csv`` and ``summary.json`` to ``pinned_outputs.json``.  Each is rerun here and compared by the benchmark
 gate's rule (``bench/gate.py``'s ``compare``): numbers within 1e-12
 relative, strings and booleans equal, ``config_hash`` left out.  Then the
 numbers must also be the recorded ones to the last bit: a change that moves
@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from record_pinned import PINNED, REFERENCE, gate, run_pinned
+from record_pinned import OTHER_SEEDS, PINNED, REFERENCE, RESEEDED, gate, run_pinned
 from sns2d.noise import RngStream
 
 
@@ -28,14 +28,28 @@ def recorded():
 def test_every_pinned_config_has_a_recorded_run(recorded):
     assert recorded["seed"] == 0
     assert sorted(recorded["runs"]) == sorted(PINNED)
+    assert sorted(recorded["other_seeds"]) == [str(seed) for seed in OTHER_SEEDS]
+    for runs in recorded["other_seeds"].values():
+        assert sorted(runs) == sorted(RESEEDED)
+
+
+def _reproduces(outputs, reference):
+    assert gate.compare(outputs, reference) == []
+    # within the gate's tolerance, but not the same bits
+    assert gate.compare(outputs, reference, rel_tol=0.0) == []
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_a_pinned_config_reproduces_its_recorded_outputs(recorded, name):
-    outputs, reference = run_pinned(name), recorded["runs"][name]
-    assert gate.compare(outputs, reference) == []
-    # within the gate's tolerance, but not the same bits
-    assert gate.compare(outputs, reference, rel_tol=0.0) == []
+    _reproduces(run_pinned(name), recorded["runs"][name])
+
+
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+@pytest.mark.parametrize("name", sorted(RESEEDED))
+def test_a_pinned_config_reproduces_its_recorded_outputs_at_other_seeds(recorded, name, seed):
+    outputs = run_pinned(name, seed=seed)
+    _reproduces(outputs, recorded["other_seeds"][str(seed)][name])
+    assert outputs[2]["seed"] == seed
 
 
 class _SwappedDraw(np.random.Generator):
