@@ -18,6 +18,7 @@ from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
 from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
+from .spectral import h_norm_sq
 
 SCHEMES = ("exponential_euler", "etd2")
 
@@ -90,7 +91,7 @@ class ControlPath:
 
     def l2h_norm_sq(self) -> float:
         """Squared L^2(0, T; H) norm of the piecewise-constant control."""
-        return float(self.dt * 2.0 * np.sum(np.abs(self.values) ** 2))
+        return float(self.dt * h_norm_sq(self.values))
 
     @classmethod
     def zero(cls, cutoff: int, dt: float, n_steps: int) -> "ControlPath":
@@ -107,8 +108,7 @@ class ControlPath:
         g = grid_for(cutoff)
         gen = as_generator(rng)
         vals = unit_complex_normals(gen, (n_steps, g.n_modes), g.ksq ** (-decay / 2.0))
-        norm_sq = float(dt * 2.0 * np.sum(np.abs(vals) ** 2))
-        vals *= math.sqrt(gamma / norm_sq)
+        vals *= math.sqrt(gamma / float(dt * h_norm_sq(vals)))
         return cls(g, dt, vals)
 
 
@@ -152,7 +152,7 @@ class Trajectory:
 
     def sup_h_distance(self, other: "Trajectory") -> float:
         diff = self.difference(other)
-        return float(np.max(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2, axis=1))))
+        return float(np.max(np.sqrt(h_norm_sq(diff, axis=1))))
 
     def sup_distance(self, other: "Trajectory", norm_fn) -> float:
         diff = self.difference(other)
@@ -243,13 +243,21 @@ def march(
     return out
 
 
-def skeleton_forcing(grid, cfg: IntegratorConfig, values):
+def skeleton_forcing(grid, cfg: IntegratorConfig, values, velocity=None):
     """F(u, step) = b(u) + values[step], the forcing of the skeleton-type
-    marches (b dropped when cfg disables the nonlinearity)."""
+    marches (b dropped when cfg disables the nonlinearity).  A ``velocity``
+    buffer (n_steps, M, M) receives in velocity[step] the grid b_core
+    synthesized at that step."""
     if cfg.disable_nonlinearity:
         return lambda u, step: values[step]
     rule = cfg.rule(grid.cutoff)
-    return lambda u, step: b_core(u, grid, rule) + values[step]
+
+    def forcing(u, step):
+        F = b_core(u, grid, rule, None if velocity is None else velocity[step])
+        F += values[step]
+        return F
+
+    return forcing
 
 
 def step_count(t_final: float, dt: float) -> int:

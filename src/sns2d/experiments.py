@@ -30,7 +30,7 @@ from .dynamics import (
     solve_skeleton,
     step_count,
 )
-from .fields import SpectralField, field_file_cutoff, load_field, taylor_green
+from .fields import SpectralField, load_field, taylor_green
 from .grid import grid_for
 from .ldp import (
     ClippedEndpointDistance,
@@ -193,7 +193,7 @@ class ExperimentConfig:
                 )
         for path, descr in _descriptors(p, "params", "file"):
             try:
-                found = field_file_cutoff(descr["path"])
+                found = load_field(descr["path"]).cutoff
             except (OSError, ValueError) as exc:
                 raise ValueError(f"{self.kind}: {path}.path: {exc}") from None
             if found != cutoff:

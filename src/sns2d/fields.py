@@ -176,20 +176,9 @@ def save_field(field: SpectralField, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def field_file_cutoff(path) -> int:
-    """The cutoff a field file's header records; its rows are not read."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != f"# {FIELD_HEADER}":
-            raise ValueError(f"{path}: not a {FIELD_HEADER} file")
-        for ln in fh:
-            if ln.startswith("# cutoff="):
-                return int(ln.split("=", 1)[1])
-            if not ln.startswith("#"):
-                break
-    raise ValueError(f"{path}: missing cutoff header")
-
-
 def load_field(path) -> SpectralField:
+    """The field a ``save_field`` file holds; a row that is not a finite
+    coefficient of a stored mode of the header's cutoff raises ValueError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"# {FIELD_HEADER}":
@@ -207,6 +196,13 @@ def load_field(path) -> SpectralField:
         raise ValueError(f"{path}: missing cutoff header")
     g = grid_for(cutoff)
     c = np.zeros(g.n_modes, dtype=np.complex128)
-    for k1, k2, re, im in rows:
-        c[g.mode_index[(int(k1), int(k2))]] = float(re) + 1j * float(im)
+    for row in rows:
+        k1, k2, re, im = row
+        mode, value = (int(k1), int(k2)), float(re) + 1j * float(im)
+        if mode not in g.mode_index or not np.isfinite(value):
+            raise ValueError(
+                f"{path}: row {','.join(row)} is not a finite coefficient of a stored "
+                f"mode of cutoff {cutoff}"
+            )
+        c[g.mode_index[mode]] = value
     return SpectralField(g, c)

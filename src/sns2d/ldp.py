@@ -30,7 +30,7 @@ from .nonlinear import (
     replicas_per_block,
 )
 from .noise import NoiseSpec, mean_stderr, replica_values, require_stream, sweep_specs
-from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, sobolev_norm
+from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, h_norm_sq, sobolev_norm
 
 
 @dataclass
@@ -77,15 +77,10 @@ def action(f: Trajectory, rule: DealiasRule = None) -> ActionReport:
     if rule is None:
         rule = DealiasRule.two_thirds(f.grid.cutoff)
     res = residual(f, rule)
-    sq = 2.0 * np.sum(np.abs(res.values) ** 2, axis=1)
+    sq = h_norm_sq(res.values, axis=1)
     weights = np.full(sq.shape[0], f.dt)
     weights[0] = weights[-1] = 0.5 * f.dt
     return ActionReport(value=0.5 * float(np.dot(weights, sq)), residual_path=res, dt=f.dt)
-
-
-def control_action(phi: ControlPath) -> float:
-    """(1/2) |phi|^2 in the discrete L^2(0,T;H) norm."""
-    return 0.5 * phi.l2h_norm_sq()
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +160,23 @@ def control_states(phi_vals: np.ndarray, u0: SpectralField, cfg: IntegratorConfi
     _require_adjoint_scheme(cfg)
     grid = u0.grid
     n = phi_vals.shape[0]
-    if cfg.disable_nonlinearity:
-        forcing, velocity = skeleton_forcing(grid, cfg, phi_vals), None
-    else:
-        rule = cfg.rule(grid.cutoff)
-        M = padded_size(grid, rule)
+    velocity = None
+    if not cfg.disable_nonlinearity:
+        M = padded_size(grid, cfg.rule(grid.cutoff))
         velocity = np.empty((n, M, M), dtype=np.complex128)
-
-        def forcing(u, step):
-            F = b_core(u, grid, rule, velocity[step])
-            F += phi_vals[step]
-            return F
-
+    forcing = skeleton_forcing(grid, cfg, phi_vals, velocity)
     return march(grid, u0.coeffs, n, cfg.dt, forcing, cfg), velocity
 
 
 def control_term(phi_vals, dt: float) -> float:
     """(1/2)|phi|^2_{L2H}, the term of ``penalized_objective`` that needs no march."""
-    return 0.5 * (dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2)))
+    return 0.5 * (dt * float(h_norm_sq(phi_vals)))
 
 
 def endpoint_term(final, target: SpectralField, weight: float) -> float:
     """weight |u(T) - target|_H^2 from the marched final state u(T)."""
     mismatch = final - target.coeffs
-    return weight * (2.0 * float(np.sum(np.abs(mismatch) ** 2)))
+    return weight * float(h_norm_sq(mismatch))
 
 
 def penalized_objective(phi_vals, final, target: SpectralField, weight: float, dt: float):
@@ -315,7 +303,7 @@ def minimize_action(
                 grad = adjoint_gradient(phi_vals, states, target, weight, cfg, velocity)
                 # of the march only u(T) is read again; the rest goes before a trial marches
                 final, states, velocity = states[-1].copy(), None, None
-            gnorm_sq = dt * 2.0 * float(np.sum(np.abs(grad) ** 2))
+            gnorm_sq = dt * float(h_norm_sq(grad))
             if gnorm_sq == 0.0:
                 break
             step_size = min(step_size * 2.0, opt.initial_step * 1e6)
@@ -353,9 +341,8 @@ def minimize_action(
             break
         if round_idx < opt.max_penalty_rounds - 1:
             weight *= opt.penalty_growth
-    phi = ControlPath(grid, dt, phi_vals)
     report = MinimizeReport(
-        action=control_action(phi),
+        action=control_term(phi_vals, dt),
         endpoint_error=endpoint_err,
         objective=J,
         penalty_weight=weight,
@@ -363,7 +350,7 @@ def minimize_action(
         converged=converged,
         history=history,
     )
-    return phi, report
+    return ControlPath(grid, dt, phi_vals), report
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +398,16 @@ def fit_loglog(xs, ys):
     return slope, math.sqrt(s_sq / float(np.dot(xc, xc)))
 
 
+def controlled_values(u0, phi, spec: NoiseSpec, cfg: IntegratorConfig, member, replicas, value):
+    """value(path) of each of the member's controlled paths under phi at
+    spec, replica r on member.child(r), marched in blocks of as many as one
+    b_core synthesis holds."""
+    return replica_values(
+        member, replicas, replicas_per_block(u0.grid, cfg.rule(u0.cutoff)),
+        partial(solve_controlled_block, u0, phi, spec, cfg), value,
+    )
+
+
 def _sweep_distances(norm, u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
     """The convergence sweeps' shared tail: the mean distance(path, skeleton)
     of each member's replicas, replica r of member i (epsilons descending) on
@@ -418,12 +415,9 @@ def _sweep_distances(norm, u0, phi, schedule, gamma, epsilons, replicas, cfg, rn
     stream = require_stream(rng)
     skeleton = solve_skeleton(u0, phi, cfg)
     specs = sweep_specs(schedule, epsilons, gamma)
-    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))
     stats = [
-        mean_stderr(replica_values(
-            stream.child(i), replicas, per_block,
-            partial(solve_controlled_block, u0, phi, spec, cfg),
-            lambda traj: distance(traj, skeleton),
+        mean_stderr(controlled_values(
+            u0, phi, spec, cfg, stream.child(i), replicas, lambda traj: distance(traj, skeleton)
         ))
         for i, spec in enumerate(specs)
     ]
@@ -571,10 +565,8 @@ def tube_probability(
     informative part of the report.  Replica r runs on rng.child(r).
     """
     zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(center.t_final, cfg.dt))
-    dists = replica_values(
-        rng, replicas, replicas_per_block(u0.grid, cfg.rule(u0.cutoff)),
-        partial(solve_controlled_block, u0, zero, spec, cfg),
-        lambda traj: traj.sup_h_distance(center),
+    dists = controlled_values(
+        u0, zero, spec, cfg, rng, replicas, lambda traj: traj.sup_h_distance(center)
     )
     return _tube_from_distances(dists, radius)
 
@@ -653,14 +645,10 @@ def laplace_check(
         rhs = min(functional.clip, rep.objective)
     zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(t_final, cfg.dt))
     specs = sweep_specs(schedule, epsilons, gamma)
-    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))
     lhs, ess_list = [], []
     for i, spec in enumerate(specs):
         eps = spec.epsilon
-        vals = replica_values(
-            stream.child(i), replicas, per_block,
-            partial(solve_controlled_block, u0, zero, spec, cfg), functional,
-        )
+        vals = controlled_values(u0, zero, spec, cfg, stream.child(i), replicas, functional)
         w = np.exp(-(vals - vals.min()) / eps)
         ess = float(w.sum() ** 2 / np.dot(w, w))
         log_mean = math.log(float(np.mean(w))) - vals.min() / eps

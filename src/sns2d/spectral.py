@@ -41,9 +41,15 @@ def sobolev_norm(u: SpectralField, s: float = 0.0) -> float:
     return math.sqrt(2.0 * float(np.sum(np.abs(u.coeffs) ** 2 * u.grid.ksq**s)))
 
 
+def h_norm_sq(coeffs: np.ndarray, axis=None):
+    """|u|_H^2 = 2 sum_stored |c_k|^2 of raw half-lattice coefficients, the
+    conjugate half counted by the factor 2; summed over ``axis``."""
+    return 2.0 * np.sum(np.abs(coeffs) ** 2, axis=axis)
+
+
 def h_norm_of(coeffs: np.ndarray) -> float:
     """H norm from a raw half-lattice coefficient vector."""
-    return math.sqrt(2.0 * float(np.sum(np.abs(coeffs) ** 2)))
+    return math.sqrt(h_norm_sq(coeffs))
 
 
 def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols: np.ndarray = None):

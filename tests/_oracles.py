@@ -19,6 +19,11 @@ own parts and kept as references for faster forms of the same arithmetic:
   bound and the reference for ``laplace_check``'s one fixed-weight descent;
   ``fixed_weight_infimum_linear``, that descent's value at b = 0 in closed
   form;
+- ``gaussian_mode_variances``, ``gaussian_laplace_value`` and
+  ``continuous_shell_action``, the exact answers at b = 0: the per-mode
+  variance of a controlled path about its skeleton, the Laplace functional
+  of the unclipped endpoint distance, and the minimum continuous-time
+  control cost between two fields;
 - ``minimize_action_remarching``, the minimum-action descent that calls
   ``action_objective_and_gradient`` for every objective and gradient and so
   marches an accepted control again, the reference for ``minimize_action``;
@@ -95,7 +100,6 @@ from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
     action_objective_and_gradient,
-    control_action,
     minimize_action,
 )
 from sns2d.noise import (
@@ -416,6 +420,41 @@ def fixed_weight_infimum_linear(u0, target, weight, t_final, dt):
     return float(np.sum(2.0 * weight * np.abs(r) ** 2 / (1.0 + 2.0 * weight * dt * psi1**2 * S)))
 
 
+def gaussian_mode_variances(grid, spec, t):
+    """E|x_k|^2 = eps lambda_k^2 (1 - e^{-2|k|^2 t}) / (2|k|^2) per stored mode
+    k, lambda_k^2 = 1 / (1 + delta |k|^(2 gamma)): at b = 0 the controlled
+    path minus its skeleton is the Ornstein-Uhlenbeck process from 0, a
+    complex Gaussian per mode, independent across modes."""
+    ksq = grid.ksq
+    lam_sq = 1.0 / (1.0 + spec.delta * ksq**spec.gamma)
+    return spec.epsilon * lam_sq * -np.expm1(-2.0 * ksq * t) / (2.0 * ksq)
+
+
+def gaussian_laplace_value(u0, target, spec, scale, t_final):
+    """-eps log E exp(-a |u(T) - g|_H^2 / eps) for the uncontrolled path at
+    b = 0, per stored mode c |m_k - g_k|^2 / (1 + c v_k) + eps log(1 + c v_k)
+    with c = 2a, m_k = e^{-|k|^2 T} u0_k the mean and eps v_k the variance of
+    u_k(T): the first sum is the variational value, the second the exact
+    O(eps) gap."""
+    c = 2.0 * scale
+    v = gaussian_mode_variances(u0.grid, spec, t_final) / spec.epsilon
+    m = np.exp(-u0.grid.ksq * t_final) * u0.coeffs
+    return float(np.sum(
+        c * np.abs(m - target.coeffs) ** 2 / (1.0 + c * v) + spec.epsilon * np.log1p(c * v)
+    ))
+
+
+def continuous_shell_action(u0, target, t_final):
+    """min (1/2) int_0^T |phi|_H^2 dt over continuous-time controls that steer
+    du/dt = Au + phi from u0 to the target: sum_k |r_k|^2 / int_0^T
+    e^{-2|k|^2 s} ds, r = target - e^{-|k|^2 T} u0.  The exponential-Euler
+    march's minimum is sum_k |r_k|^2 / (dt psi1^2 S_k), larger per mode by
+    (z/2) / tanh(z/2), z = |k|^2 dt."""
+    ksq = u0.grid.ksq
+    r = target.coeffs - np.exp(-ksq * t_final) * u0.coeffs
+    return float(np.sum(np.abs(r) ** 2 * 2.0 * ksq / -np.expm1(-2.0 * ksq * t_final)))
+
+
 def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None,
                                bound_passes=None):
     """Gradient descent with backtracking on the endpoint-penalized action,
@@ -477,7 +516,7 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
             weight *= opt.penalty_growth
     phi = ControlPath(grid, dt, phi_vals)
     report = MinimizeReport(
-        action=control_action(phi),
+        action=0.5 * phi.l2h_norm_sq(),
         endpoint_error=endpoint_err,
         objective=J,
         penalty_weight=weight,

@@ -480,6 +480,15 @@ def test_field_serialization_roundtrip(tmp_path, random_field):
     assert np.array_equal(v.coeffs, u.coeffs)
 
 
+@pytest.mark.parametrize("row", ["2,1,inf,0.0", "1,-2,0.0,nan", "6,0,1.0,0.0", "0,-1,1.0,0.0"])
+def test_load_rejects_a_non_finite_or_unstored_row(tmp_path, row):
+    path = tmp_path / "field.csv"
+    save_field(taylor_green(5, 0.4), path)
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: row {row} is not a finite coefficient"):
+        load_field(path)
+
+
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("k1,k2\n1,2\n")

@@ -1040,6 +1040,23 @@ def test_cli_validate_exits_2_on_a_field_file_of_another_cutoff(tmp_path):
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("row", ["1,0,nan,0.0", "7,1,0.5,0.0", "-1,0,0.5,0.0"])
+def test_cli_validate_exits_2_on_a_field_file_that_run_cannot_load(tmp_path, capsys, row):
+    # run failed late: a NaN as "solution blew up ... reduce dt", a row off
+    # the stored modes with an uncaught KeyError
+    raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
+    field = tmp_path / "field.csv"
+    save_field(taylor_green(raw["numerics"]["cutoff"], 0.4), field)
+    field.write_text(field.read_text() + row + "\n")
+    raw["params"]["initial"] = {"kind": "file", "path": str(field)}
+    cfg_path = tmp_path / "file.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "-c", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config: "), err
+    assert "params.initial.path" in err[0] and f"row {row} " in err[0], err
+
+
 # --------------------------------------------------------------------------
 # members run side by side
 

@@ -31,13 +31,18 @@ from sns2d import (
     tube_probability,
 )
 from sns2d import ldp
-from sns2d.dynamics import Trajectory, solve_controlled, solve_skeleton
+from sns2d.dynamics import (
+    Trajectory,
+    solve_controlled,
+    solve_controlled_block,
+    solve_skeleton,
+    step_count,
+)
 from sns2d.grid import TransformPlan, grid_for
 from sns2d.ldp import (
     ClippedEndpointDistance,
     ConstantFunctional,
     action_objective_and_gradient,
-    control_action,
     fit_loglog,
     trajectory_space_norm,
     wilson_interval,
@@ -109,7 +114,8 @@ def test_action_duality_under_refinement():
     for dt in dts:
         phi = varying_control(8, dt, round(0.4 / dt))
         traj = solve_skeleton(u0, phi, IntegratorConfig(dt=dt))
-        gaps.append(abs(action(traj).value - control_action(phi)) / control_action(phi))
+        cost = 0.5 * phi.l2h_norm_sq()
+        gaps.append(abs(action(traj).value - cost) / cost)
     slope, _ = fit_loglog(dts, gaps)
     assert slope >= 1.0
     assert gaps[-1] < 0.02
@@ -255,7 +261,7 @@ def test_minimize_action_penalty_rounds_hit_endpoint():
     assert rep.converged
     assert rep.endpoint_error < 5e-3
     assert rep.action > 0.0
-    assert rep.action == pytest.approx(control_action(phi_star), rel=1e-12)
+    assert rep.action == pytest.approx(0.5 * phi_star.l2h_norm_sq(), rel=1e-12)
 
 
 def _descent_case(name):
@@ -706,6 +712,72 @@ def test_laplace_rhs_at_b0_is_the_closed_form_infimum(u0, target, scale):
     assert rhs == pytest.approx(exact, rel=1e-6)
 
 
+def test_controlled_paths_at_b0_have_the_exact_mean_square_about_the_skeleton():
+    # each path minus the skeleton is Gaussian: |x_k|^2 is exponential with
+    # mean s_k per mode, so |x|_H^2 has mean 2 sum s_k and variance 4 sum s_k^2
+    cfg = IntegratorConfig(dt=0.02, disable_nonlinearity=True)
+    u0 = taylor_green(8, 0.5)
+    phi = ControlPath.constant(SpectralField.from_modes(8, {(1, 0): 0.4}), 0.02, 10)
+    spec, replicas, z_bound = NoiseSpec(epsilon=0.1, delta=0.1), 400, 4.0
+    streams = [RngStream(3).child(r) for r in range(replicas)]
+    paths = solve_controlled_block(u0, phi, spec, cfg, streams)
+    # at eps = 0 the controlled run is the skeleton driven by Q phi
+    skeleton = solve_controlled(u0, phi, NoiseSpec(0.0, spec.delta), cfg, RngStream(0))
+    square = np.array([
+        2.0 * np.sum(np.abs(p.coeffs - skeleton.coeffs) ** 2, axis=1) for p in paths
+    ])
+    assert np.all(square[:, 0] == 0.0)
+    for n in range(1, phi.n_steps + 1):
+        s = _oracles.gaussian_mode_variances(u0.grid, spec, n * cfg.dt)
+        stderr = math.sqrt(4.0 * np.sum(s**2) / replicas)
+        assert abs(np.mean(square[:, n]) - 2.0 * np.sum(s)) <= z_bound * stderr, n
+
+
+def test_laplace_check_at_b0_meets_the_gaussian_closed_form():
+    # the clip is out of reach, so G = a |u(T) - g|_H^2 exactly; the
+    # delta-method stderr of -eps log mean(w) is eps sqrt((R/ESS - 1)/R)
+    cfg = IntegratorConfig(dt=0.02, disable_nonlinearity=True)
+    u0, target, scale, t_final = taylor_green(8, 0.5), taylor_green(8, 0.45), 1.0, 0.2
+    schedule, replicas, z_bound = PowerSchedule(1.0), 1000, 4.0
+    functional = ClippedEndpointDistance(target, scale, clip=1e6)
+    report = laplace_check(
+        functional, u0, schedule, [0.3, 0.1], replicas, cfg, t_final, RngStream(4)
+    )
+    assert not report.variance_flag
+    for eps, lhs, ess in zip(report.epsilons, report.lhs, report.ess):
+        assert ess >= 100
+        spec = NoiseSpec.at_epsilon(eps, schedule)
+        exact = _oracles.gaussian_laplace_value(u0, target, spec, scale, t_final)
+        stderr = eps * math.sqrt((replicas / ess - 1.0) / replicas)
+        assert abs(lhs - exact) <= z_bound * stderr, eps
+
+
+def test_continuous_over_discrete_shell_action_is_tanh_of_half_z_over_half_z():
+    # Taylor-Green 0.5 -> 0.8 stays on the shell |k|^2 = 2, so z = 2 dt for
+    # every mode the endpoints differ in
+    u0, target, t_final = taylor_green(4, 0.5), taylor_green(4, 0.8), 0.4
+    continuous = _oracles.continuous_shell_action(u0, target, t_final)
+    ksq = u0.grid.ksq
+    r = target.coeffs - np.exp(-ksq * t_final) * u0.coeffs
+    for dt in (0.2, 0.1, 0.05):
+        cfg = IntegratorConfig(dt=dt, disable_nonlinearity=True)
+        n = step_count(t_final, dt)
+        # the discrete minimizer: step m's control is r times the endpoint's
+        # gain dt psi1 e^{-z (n - 1 - m)} from it, over the sum of squared gains
+        lag = (n - 1 - np.arange(n))[:, None]
+        gain = -np.expm1(-ksq * dt) / ksq * np.exp(-ksq * dt * lag)
+        phi = ControlPath(u0.grid, dt, gain * r / np.sum(gain**2, axis=0))
+        end = solve_skeleton(u0, phi, cfg).coeffs[-1]
+        assert np.max(np.abs(end - target.coeffs)) < 1e-12
+        discrete = 0.5 * phi.l2h_norm_sq()
+        z = 2.0 * dt
+        assert continuous / discrete == pytest.approx(math.tanh(z / 2) / (z / 2), rel=1e-12)
+        # the descent converges to the discrete value, not to the continuous one
+        _, rep = minimize_action(u0, target, t_final, cfg)
+        assert rep.constrained_action == pytest.approx(discrete, rel=1e-4)
+        assert rep.constrained_action != pytest.approx(continuous, rel=5e-4)
+
+
 LAPLACE_PROBE_CASES = {
     # name: (u0, functional, t_final, probe candidates)
     "mode_target": (
@@ -1110,4 +1182,90 @@ def test_replica_statistics_guard_counts_each_copy():
     )
     assert _replica_statistics_sites(ast.parse(old)) == {
         "ddof=1": 2, "refusal": 2, "at_epsilon": 2,
+    }
+
+
+def _np_attr(node, name):
+    return isinstance(node, ast.Attribute) and node.attr == name and (
+        getattr(node.value, "id", None) == "np"
+    )
+
+
+def _is_squared_sum(node):
+    """np.sum(np.abs(x) ** 2, ...): the squared H norm written out."""
+    if not (isinstance(node, ast.Call) and _np_attr(node.func, "sum") and node.args):
+        return False
+    arg = node.args[0]
+    return (
+        isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Pow)
+        and isinstance(arg.left, ast.Call) and _np_attr(arg.left.func, "abs")
+        and getattr(arg.right, "value", None) == 2
+    )
+
+
+def _calls(tree, name):
+    return sum(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def _ldp_layer_sites(sources):
+    """For {module name: source} of the package: the squared-H-norm sums in
+    all modules, the replicas_per_block calls in ldp, and the control_states
+    functions of ldp with the b_core calls in them."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    states = [
+        node for node in ast.walk(trees["ldp"])
+        if isinstance(node, ast.FunctionDef) and node.name == "control_states"
+    ]
+    return {
+        "squared_sum": sum(
+            _is_squared_sum(node) for tree in trees.values() for node in ast.walk(tree)
+        ),
+        "replicas_per_block": _calls(trees["ldp"], "replicas_per_block"),
+        "control_states": len(states),
+        "b_core_in_control_states": sum(_calls(f, "b_core") for f in states),
+    }
+
+
+def test_the_ldp_layer_writes_each_quantity_once():
+    # one H norm (spectral.h_norm_sq), one controlled-path sampler
+    # (ldp.controlled_values), one skeleton forcing (dynamics.skeleton_forcing)
+    src = pathlib.Path(sns2d.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert _ldp_layer_sites(sources) == {
+        "squared_sum": 1, "replicas_per_block": 1, "control_states": 1,
+        "b_core_in_control_states": 0,
+    }
+    assert not hasattr(ldp, "control_action")
+
+
+def test_ldp_layer_guard_counts_each_copy():
+    old_ldp = (
+        "def control_states(phi_vals, u0, cfg):\n"
+        "    def forcing(u, step):\n"
+        "        F = b_core(u, grid, rule, velocity[step])\n"
+        "        return F\n"
+        "def control_term(phi_vals, dt):\n"
+        "    return 0.5 * (dt * 2.0 * float(np.sum(np.abs(phi_vals) ** 2)))\n"
+        "def action(res):\n"
+        "    sq = 2.0 * np.sum(np.abs(res.values) ** 2, axis=1)\n"
+        "def tube_probability(u0, cfg):\n"
+        "    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))\n"
+        "def laplace_check(u0, cfg):\n"
+        "    return replica_values(s, 8, nonlinear.replicas_per_block(g, r), m, f)\n"
+    )
+    old_spectral = (
+        "def sobolev_norm(u, s):\n"
+        "    return math.sqrt(2.0 * float(np.sum(np.abs(u.coeffs) ** 2 * u.grid.ksq**s)))\n"
+        "def h_norm_of(coeffs):\n"
+        "    return math.sqrt(2.0 * float(np.sum(np.abs(coeffs) ** 2)))\n"
+        "def per_block(grid, rule):\n"
+        "    return replicas_per_block(grid, rule)\n"
+    )
+    assert _ldp_layer_sites({"ldp": old_ldp, "spectral": old_spectral}) == {
+        "squared_sum": 3, "replicas_per_block": 2, "control_states": 1,
+        "b_core_in_control_states": 1,
     }
