@@ -4,29 +4,18 @@ large-deviation experiments."""
 
 __version__ = "0.1.0"
 
-from .fields import SpectralField, TensorField, load_field, save_field, taylor_green
+from .fields import SpectralField, TensorField, leray_project, load_field, save_field, taylor_green
 from .grid import SpectralGrid, grid_for
 from .spectral import (
     BesovParams,
     besov_norm,
     block_powers,
-    leray_project,
     lp_norm,
     sobolev_norm,
     tensor_sobolev_norm,
 )
-from .nonlinear import DealiasRule, tensor_product
-from .noise import (
-    NoiseSpec,
-    PowerSchedule,
-    RngStream,
-    besov_moment_check,
-    lambda_beta_bound,
-    lp_log_moment_check,
-    ou_step,
-    renorm_constant,
-    wick_square,
-)
+from .nonlinear import DealiasRule, tensor_product, wick_square
+from .noise import NoiseSpec, PowerSchedule, RngStream, lambda_beta_bound, ou_step, renorm_constant
 from .dynamics import (
     ControlPath,
     IntegratorConfig,
@@ -38,16 +27,14 @@ from .dynamics import (
     solve_skeleton,
     step_skeleton,
 )
-from .ldp import (
-    ActionReport,
+from .ldp import ActionReport, OptimizerSettings, action, minimize_action, residual
+from .montecarlo import (
     ConvergenceReport,
-    OptimizerSettings,
-    action,
     besov_convergence_experiment,
+    besov_moment_check,
     h_convergence_experiment,
     laplace_check,
-    minimize_action,
-    residual,
+    lp_log_moment_check,
     trajectory_space_norm,
     tube_probability,
 )

@@ -14,7 +14,8 @@ def _reject_constant(name):
 
 def _load_config(path, seed=None):
     """The config file's JSON object, with ``seed`` set when given; ValueError
-    for a file that cannot be read or parsed or holds no JSON object."""
+    for a file that cannot be read or parsed or holds no JSON object, and,
+    with a seed, for a ``statistics`` that is neither null nor a mapping."""
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
@@ -23,7 +24,12 @@ def _load_config(path, seed=None):
     if not isinstance(raw, dict):
         raise ValueError(f"{path} holds a JSON {type(raw).__name__}, not an object")
     if seed is not None:
-        raw.setdefault("statistics", {})["seed"] = seed
+        stats = raw.get("statistics")
+        if stats is None:  # as validate reads it
+            stats = raw["statistics"] = {}
+        if not isinstance(stats, dict):
+            raise ValueError(f"statistics: expected a mapping, got {type(stats).__name__}")
+        stats["seed"] = seed
     return raw
 
 

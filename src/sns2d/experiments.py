@@ -32,27 +32,28 @@ from .dynamics import (
 )
 from .fields import SpectralField, load_field, taylor_green
 from .grid import grid_for
-from .ldp import (
+from .ldp import OptimizerSettings, action_objective_and_gradient, minimize_action
+from .montecarlo import (
     ClippedEndpointDistance,
     ConstantFunctional,
-    OptimizerSettings,
     besov_convergence_experiment,
+    besov_moment_check,
     fit_loglog,
     h_convergence_experiment,
+    ks_pvalue,
     laplace_check,
-    minimize_action,
+    lp_log_moment_check,
+    mean_stderr,
+    sweep_specs,
     tube_probability,
 )
 from .noise import (
     NoiseSpec,
     RenormTailError,
     RngStream,
-    besov_moment_check,
     check_renorm_tail,
+    chunk_sizes,
     drawn_l2_powers,
-    ks_pvalue,
-    lp_log_moment_check,
-    mean_stderr,
     mode_square_sums,
     mode_variances,
     ou_transition,
@@ -60,12 +61,12 @@ from .noise import (
     schedule_from_dict,
     stationary_batch,
     stationary_std,
-    sweep_specs,
     unit_complex_normals,
     validate_scaling_condition,
     validate_vanishing_schedule,
-    wick_square,
+    wick_diagonal,
 )
+from .nonlinear import wick_square
 from .spectral import BesovParams, tensor_sobolev_norm
 
 SCHEMA_VERSION = 1
@@ -505,11 +506,6 @@ def _trim_heap():
     trim(0)
 
 
-def _chunks(total):
-    """Batch sizes of the chunked stationary draws: 2000 at a time."""
-    return [min(2000, total - done) for done in range(0, total, 2000)]
-
-
 def _run_ou_checks(ctx: _RunContext):
     cfg, th = ctx.cfg, ctx.th
     g = grid_for(ctx.cutoff)
@@ -521,7 +517,9 @@ def _run_ou_checks(ctx: _RunContext):
     # each member's batch array is made here, on the calling thread: one made
     # by a pool thread comes from that thread's arena, whose top malloc_trim
     # does not hand back
-    batches = [np.empty((_chunks(replicas)[0], g.n_modes), dtype=np.complex128) for _ in alphas]
+    batches = [
+        np.empty((chunk_sizes(replicas)[0], g.n_modes), dtype=np.complex128) for _ in alphas
+    ]
 
     def member(idx, alpha):
         s = ctx.member(idx)
@@ -536,7 +534,7 @@ def _run_ou_checks(ctx: _RunContext):
         # MiB higher.  The member holds it alone, so it is freed as the member
         # ends.  The steps and the fresh samples are reduced as they are drawn
         batch, batches[idx] = batches[idx], None
-        for m in _chunks(replicas):
+        for m in chunk_sizes(replicas):
             Z = stationary_batch(g, spec, alpha, gen_a, m, out=batch[:m])
             var_acc += mode_square_sums(Z)
             stepped.append(drawn_l2_powers(gen_a, m, step_std, decay, Z))
@@ -596,7 +594,7 @@ def _run_renorm(ctx: _RunContext):
     w22 = (g.k1**2 / g.ksq / (2.0 * np.pi**2))[keep]
     theta_trunc = renorm_constant(spec.delta, gamma, rule.effective_cutoff)
     R = p["wick_replicas"]
-    diagonal = _wick_diagonal(
+    diagonal = wick_diagonal(
         g, spec, ctx.stream("wick").generator(), R, keep, (w11, w22), spec.epsilon * theta_trunc
     )
     # the constants' lattice sums and the loop freed their temporaries into
@@ -635,26 +633,6 @@ def _run_renorm(ctx: _RunContext):
         and worst_cross <= th["crosscheck_tol"],
     }
     return rows, summary
-
-
-def _wick_diagonal(g, spec, gen, replicas, keep, weights, shift):
-    """sum_k w_k |Z_k|^2 - shift over the modes in keep, for each weight
-    vector w, of each of replicas stationary samples Z that gen draws in the
-    batches of _chunks: an array (len(weights), replicas).  Each piece of a
-    batch's parts adds its weighted squares into its rows' sums as it is
-    drawn, as ``drawn_l2_powers`` reduces them, so the loop holds one piece
-    of SAMPLES_PER_CALL reals, not the batch (17.4 MB at cutoff 16)."""
-    W = np.zeros((len(weights), g.n_modes))
-    W[:, keep] = weights
-    out = np.zeros((len(weights), replicas))
-    std = stationary_std(g, spec, 0.0)
-    done = 0
-    for m in _chunks(replicas):
-        for _, lo, c, piece in unit_complex_normals(gen, (m, g.n_modes), std, parts=True):
-            d, w = piece.shape
-            out[:, done + lo : done + lo + d] += W[:, c : c + w] @ np.square(piece, out=piece).T
-        done += m
-    return out - shift
 
 
 def _moment_rows(reports):
@@ -807,9 +785,6 @@ def _run_instanton(ctx: _RunContext):
     }
     nd = cfg.params["gradient_check_directions"]
     if nd:
-        from .ldp import action_objective_and_gradient
-        from .noise import unit_complex_normals
-
         gen = ctx.stream("gradient").generator()
         # check away from the minimizer, where the gradient is generic
         base = phi_star.values + unit_complex_normals(gen, phi_star.values.shape, 0.2)
@@ -872,29 +847,15 @@ def _run_tube(ctx: _RunContext):
     center = ctx.free_decay(u0)
     ctx.dump("center", lambda: center)
     radii = sorted(cfg.params["radii"])
-    first = tube_probability(
-        u0, center, radii[0], cfg.spec(), ctx.integ, cfg.statistics["replicas"],
+    reports = tube_probability(
+        u0, center, radii, cfg.spec(), ctx.integ, cfg.statistics["replicas"],
         ctx.stream("sweep"),
     )
-    rows = []
-    last_p = -1.0
-    monotone = True
-    for radius in radii:
-        rep = first.at_radius(radius)
-        monotone = monotone and rep.p_hat >= last_p
-        last_p = rep.p_hat
-        rows.append(
-            {
-                "radius": radius,
-                "p_hat": rep.p_hat,
-                "ci_low": rep.ci_low,
-                "ci_high": rep.ci_high,
-                "hits": rep.hits,
-                "replicas": rep.replicas,
-            }
-        )
-    summary = {"monotone_in_radius": monotone, "passed": monotone}
-    return rows, summary
+    rows = [{**dataclasses.asdict(rep), "radius": r} for r, rep in zip(radii, reports)]
+    # one sample of distances at sorted radii: never false (README, tube)
+    p_hats = [rep.p_hat for rep in reports]
+    monotone = all(b >= a for a, b in zip(p_hats, p_hats[1:]))
+    return rows, {"monotone_in_radius": monotone, "passed": monotone}
 
 
 def _check_regime(cfg, p):

@@ -1,8 +1,10 @@
-"""Divergence-free spectral velocity fields and Fourier tensor fields."""
+"""Divergence-free spectral velocity fields, the Leray projection onto them,
+and Fourier tensor fields."""
 
 import numpy as np
 
-from .grid import SpectralGrid, grid_for, transform_plan
+from .grid import TWO_PI, SpectralGrid, grid_for, transform_plan
+from .noise import unit_complex_normals
 
 
 class SpectralField:
@@ -61,8 +63,6 @@ class SpectralField:
     @classmethod
     def random(cls, cutoff, rng, amplitude=1.0, decay=0.0):
         """Random field with coefficients ~ amplitude * |k|^(-decay) * CN(0, 1)."""
-        from .noise import unit_complex_normals
-
         g = grid_for(cutoff)
         return cls(g, unit_complex_normals(rng, g.n_modes, amplitude * g.ksq ** (-decay / 2.0)))
 
@@ -115,9 +115,30 @@ def taylor_green(cutoff: int, amplitude: float = 1.0) -> SpectralField:
     ]:
         vhat[0, n + a, n + b] = s1
         vhat[1, n + a, n + b] = s2
-    from .spectral import leray_project
-
     return leray_project(vhat, cutoff)
+
+
+def leray_project(vector_coeffs: np.ndarray, cutoff: int) -> SpectralField:
+    """Project plain vector Fourier coefficients onto the divergence-free basis.
+
+    ``vector_coeffs`` has shape (2, S, S), S = 2*cutoff + 1, centered layout
+    (index [j, k1+N, k2+N]).  The k = 0 entry is ignored (zero-average
+    constraint) and only the stored half is read; for Hermitian input this is
+    the exact orthogonal projection onto divergence-free, zero-mean fields.
+    """
+    g = grid_for(cutoff)
+    S = 2 * cutoff + 1
+    vector_coeffs = np.asarray(vector_coeffs, dtype=np.complex128)
+    if vector_coeffs.shape != (2, S, S):
+        raise ValueError(
+            f"expected vector coefficients of shape (2, {S}, {S}), "
+            f"got {vector_coeffs.shape}"
+        )
+    v1 = vector_coeffs[0, g.k1 + cutoff, g.k2 + cutoff]
+    v2 = vector_coeffs[1, g.k1 + cutoff, g.k2 + cutoff]
+    # <u, e_k> with e_k = (i/2pi)(k_perp/|k|) exp(ik.x)
+    c = -TWO_PI * 1j * (v1 * g.k2 - v2 * g.k1) / g.kabs
+    return SpectralField(g, c)
 
 
 class TensorField:
@@ -178,7 +199,8 @@ def save_field(field: SpectralField, path):
 
 def load_field(path) -> SpectralField:
     """The field a ``save_field`` file holds; a row that is not a finite
-    coefficient of a stored mode of the header's cutoff raises ValueError."""
+    coefficient of a stored mode of the header's cutoff, or that repeats the
+    mode of an earlier row, raises ValueError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"# {FIELD_HEADER}":
@@ -196,13 +218,15 @@ def load_field(path) -> SpectralField:
         raise ValueError(f"{path}: missing cutoff header")
     g = grid_for(cutoff)
     c = np.zeros(g.n_modes, dtype=np.complex128)
+    seen = set()
     for row in rows:
         k1, k2, re, im = row
         mode, value = (int(k1), int(k2)), float(re) + 1j * float(im)
-        if mode not in g.mode_index or not np.isfinite(value):
+        if mode not in g.mode_index or mode in seen or not np.isfinite(value):
             raise ValueError(
                 f"{path}: row {','.join(row)} is not a finite coefficient of a stored "
-                f"mode of cutoff {cutoff}"
+                f"mode of cutoff {cutoff} that no earlier row gives"
             )
+        seen.add(mode)
         c[g.mode_index[mode]] = value
     return SpectralField(g, c)

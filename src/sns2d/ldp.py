@@ -1,14 +1,13 @@
-"""Large-deviation layer: action functional, minimum-action paths, and the
-convergence, tube-probability and Laplace-principle experiments."""
+"""Large-deviation layer: the action functional and the minimum-action
+(instanton) descent with its reports.  The Monte Carlo side of the
+small-noise limit is ``sns2d.montecarlo``."""
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise as noise_mod
 from .dynamics import (
     ControlPath,
     IntegrationBlowupError,
@@ -17,20 +16,11 @@ from .dynamics import (
     exp_weights,
     march,
     skeleton_forcing,
-    solve_controlled_block,
-    solve_skeleton,
     step_count,
 )
 from .fields import SpectralField
-from .nonlinear import (
-    DealiasRule,
-    b_core,
-    b_linearized_adjoint_core,
-    padded_size,
-    replicas_per_block,
-)
-from .noise import NoiseSpec, mean_stderr, replica_values, require_stream, sweep_specs
-from .spectral import BesovParams, besov_of_powers, block_powers, h_norm_of, h_norm_sq, sobolev_norm
+from .nonlinear import DealiasRule, b_core, b_linearized_adjoint_core, padded_size
+from .spectral import h_norm_of, h_norm_sq
 
 
 @dataclass
@@ -351,315 +341,3 @@ def minimize_action(
         history=history,
     )
     return ControlPath(grid, dt, phi_vals), report
-
-
-# ---------------------------------------------------------------------------
-# convergence experiments
-
-
-@dataclass
-class ConvergenceReport:
-    """Distance-versus-epsilon sweep with a fitted log-log decay slope."""
-
-    norm: str
-    epsilons: list
-    deltas: list
-    means: list
-    stderrs: list
-    replicas: int
-    slope: float
-    slope_stderr: float
-
-    def rows(self):
-        return [
-            {
-                "epsilon": e,
-                "delta": d,
-                "mean_distance": m,
-                "stderr": s,
-                "replicas": self.replicas,
-            }
-            for e, d, m, s in zip(self.epsilons, self.deltas, self.means, self.stderrs)
-        ]
-
-
-def fit_loglog(xs, ys):
-    """OLS slope of log(y) against log(x) with its standard error."""
-    x = np.log(np.asarray(xs, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
-    n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 sweep points to fit a slope")
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y) / np.dot(xc, xc))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    s_sq = float(np.dot(resid, resid)) / (n - 2)
-    return slope, math.sqrt(s_sq / float(np.dot(xc, xc)))
-
-
-def controlled_values(u0, phi, spec: NoiseSpec, cfg: IntegratorConfig, member, replicas, value):
-    """value(path) of each of the member's controlled paths under phi at
-    spec, replica r on member.child(r), marched in blocks of as many as one
-    b_core synthesis holds."""
-    return replica_values(
-        member, replicas, replicas_per_block(u0.grid, cfg.rule(u0.cutoff)),
-        partial(solve_controlled_block, u0, phi, spec, cfg), value,
-    )
-
-
-def _sweep_distances(norm, u0, phi, schedule, gamma, epsilons, replicas, cfg, rng, distance):
-    """The convergence sweeps' shared tail: the mean distance(path, skeleton)
-    of each member's replicas, replica r of member i (epsilons descending) on
-    rng.child(i).child(r), and the log-log slope of the means."""
-    stream = require_stream(rng)
-    skeleton = solve_skeleton(u0, phi, cfg)
-    specs = sweep_specs(schedule, epsilons, gamma)
-    stats = [
-        mean_stderr(controlled_values(
-            u0, phi, spec, cfg, stream.child(i), replicas, lambda traj: distance(traj, skeleton)
-        ))
-        for i, spec in enumerate(specs)
-    ]
-    eps_s, means = [s.epsilon for s in specs], [m for m, _ in stats]
-    return ConvergenceReport(
-        norm, eps_s, [s.delta for s in specs], means, [se for _, se in stats], replicas,
-        *fit_loglog(eps_s, means),
-    )
-
-
-def h_convergence_experiment(
-    u0: SpectralField,
-    phi: ControlPath,
-    schedule,
-    eta: float,
-    epsilons,
-    replicas: int,
-    cfg: IntegratorConfig,
-    rng,
-    gamma: float = 1.0,
-    force: bool = False,
-) -> ConvergenceReport:
-    """Coupled sup-in-time H distance between the controlled solution and the
-    skeleton solution across a noise sweep.
-
-    Requires the schedule to satisfy both delta(eps) -> 0 and the scaling
-    condition eps * delta(eps)^(-eta) -> 0 (checked along the sweep; the
-    latter can be overridden with force=True for negative controls).  The
-    pathwise same-grid coupling upper-bounds the distributional convergence
-    being probed.  Replica r of member i (epsilons descending) runs on
-    rng.child(i).child(r).
-    """
-    noise_mod.validate_vanishing_schedule(schedule, epsilons)
-    noise_mod.validate_scaling_condition(schedule, epsilons, eta, force=force)
-    return _sweep_distances(
-        "H", u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
-        distance=lambda a, b: a.sup_h_distance(b),
-    )
-
-
-def besov_convergence_experiment(
-    u0: SpectralField,
-    phi: ControlPath,
-    besov: BesovParams,
-    schedule,
-    epsilons,
-    replicas: int,
-    cfg: IntegratorConfig,
-    rng,
-    gamma: float = 1.0,
-    grid_factor: int = 2,
-) -> ConvergenceReport:
-    """Same sweep, on the same replica streams, measured in sup-in-time Besov
-    norm; only delta(eps) -> 0 is required of the schedule.  The initial
-    condition must carry the Sobolev regularity sigma + 1 - 2/p demanded of
-    the Besov exponents."""
-    besov.validate()
-    noise_mod.validate_vanishing_schedule(schedule, epsilons)
-    theta = besov.min_initial_regularity()
-    if not math.isfinite(sobolev_norm(u0, max(theta, 0.0))):
-        raise ValueError(f"initial condition lacks H^{theta} regularity")
-
-    def distance(a, b):
-        powers = block_powers(a.grid, a.difference(b), besov.p, grid_factor)
-        return float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
-
-    return _sweep_distances(
-        f"B^{besov.sigma}_{besov.p}", u0, phi, schedule, gamma, epsilons, replicas, cfg, rng,
-        distance,
-    )
-
-
-def trajectory_space_norm(
-    traj: Trajectory, besov: BesovParams, grid_factor: int = 2
-) -> float:
-    """sup_t |.|_{B^sigma_p} plus the L^beta(0,T) norm of |.|_{B^alpha_p}.
-
-    Both terms weight the same block powers, computed once per state."""
-    powers = block_powers(traj.grid, traj.coeffs, besov.p, grid_factor)
-    sup_term = float(np.max(besov_of_powers(powers, besov.sigma, besov.p)))
-    vals = besov_of_powers(powers, besov.alpha, besov.p)
-    weights = np.full(vals.size, traj.dt)
-    weights[0] = weights[-1] = 0.5 * traj.dt
-    time_term = float(np.dot(weights, vals**besov.beta) ** (1.0 / besov.beta))
-    return sup_term + time_term
-
-
-# ---------------------------------------------------------------------------
-# tube probabilities and the Laplace principle
-
-
-@dataclass
-class TubeReport:
-    radius: float
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    hits: int
-    replicas: int
-    distances: np.ndarray = None
-
-    def at_radius(self, radius: float) -> "TubeReport":
-        """Re-threshold the stored sample of sup distances (same paths)."""
-        return _tube_from_distances(self.distances, radius)
-
-
-def wilson_interval(hits: int, n: int, z: float = 1.96):
-    if n == 0:
-        raise ValueError("empty sample")
-    p = hits / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def _tube_from_distances(distances, radius):
-    n = distances.size
-    hits = int(np.sum(distances <= radius))
-    lo, hi = wilson_interval(hits, n)
-    return TubeReport(
-        radius=float(radius),
-        p_hat=hits / n,
-        ci_low=lo,
-        ci_high=hi,
-        hits=hits,
-        replicas=n,
-        distances=distances,
-    )
-
-
-def tube_probability(
-    u0: SpectralField,
-    center: Trajectory,
-    radius: float,
-    spec: NoiseSpec,
-    cfg: IntegratorConfig,
-    replicas: int,
-    rng,
-) -> TubeReport:
-    """Monte Carlo probability that the stochastic path stays within the
-    given sup-in-time H radius of the center trajectory (Wilson interval).
-
-    When no path hits, p_hat = 0 and the upper confidence bound is the
-    informative part of the report.  Replica r runs on rng.child(r).
-    """
-    zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(center.t_final, cfg.dt))
-    dists = controlled_values(
-        u0, zero, spec, cfg, rng, replicas, lambda traj: traj.sup_h_distance(center)
-    )
-    return _tube_from_distances(dists, radius)
-
-
-class ClippedEndpointDistance:
-    """Bounded continuous trajectory functional a * |u(T) - target|_H^2,
-    clipped at a ceiling (keeps exponential moments finite).  The scale must
-    be > 0: the Laplace check's variational side is a descent at weight scale."""
-
-    def __init__(self, target: SpectralField, scale: float = 1.0, clip: float = 10.0):
-        if not scale > 0:  # NaN included
-            raise ValueError(f"ClippedEndpointDistance scale must be > 0, got {scale!r}")
-        self.target = target
-        self.scale = scale
-        self.clip = clip
-
-    def __call__(self, traj: Trajectory) -> float:
-        d = h_norm_of(traj.coeffs[-1] - self.target.coeffs)
-        return min(self.clip, self.scale * d * d)
-
-
-class ConstantFunctional:
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, traj: Trajectory) -> float:
-        return self.value
-
-
-@dataclass
-class LaplaceReport:
-    epsilons: list
-    lhs: list
-    ess: list
-    rhs: float
-    variance_flag: bool
-
-    def rows(self):
-        return [
-            {"epsilon": e, "lhs": l, "rhs": self.rhs, "gap": abs(l - self.rhs), "ess": s}
-            for e, l, s in zip(self.epsilons, self.lhs, self.ess)
-        ]
-
-
-def laplace_check(
-    functional,
-    u0: SpectralField,
-    schedule,
-    epsilons,
-    replicas: int,
-    cfg: IntegratorConfig,
-    t_final: float,
-    rng,
-    gamma: float = 1.0,
-    opt: OptimizerSettings = OptimizerSettings(),
-) -> LaplaceReport:
-    """Monte Carlo Laplace functional -eps log E exp(-G(u)/eps) across a noise
-    sweep against the variational value inf_f (G(f) + I(f)).
-
-    For a constant G the infimum is the constant.  For the clipped endpoint
-    functional G(f) = min(c, a |f(T) - g|_H^2) it is min(c, J*(a)): the free
-    decay has I = 0, and J*(a) = min_phi (1/2)|phi|^2 + a |u(T) - g|_H^2 is
-    what one penalty round of ``minimize_action`` at the fixed weight a minimizes.
-    Flags the sweep when the exponential estimator's effective sample size
-    degenerates.  Replica r of member i (epsilons descending) runs on
-    rng.child(i).child(r).
-    """
-    stream = require_stream(rng)
-    if isinstance(functional, ConstantFunctional):
-        rhs = functional.value
-    else:
-        _, rep = minimize_action(
-            u0, functional.target, t_final, cfg,
-            replace(opt, initial_penalty=functional.scale, max_penalty_rounds=1),
-        )
-        rhs = min(functional.clip, rep.objective)
-    zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(t_final, cfg.dt))
-    specs = sweep_specs(schedule, epsilons, gamma)
-    lhs, ess_list = [], []
-    for i, spec in enumerate(specs):
-        eps = spec.epsilon
-        vals = controlled_values(u0, zero, spec, cfg, stream.child(i), replicas, functional)
-        w = np.exp(-(vals - vals.min()) / eps)
-        ess = float(w.sum() ** 2 / np.dot(w, w))
-        log_mean = math.log(float(np.mean(w))) - vals.min() / eps
-        lhs.append(-eps * log_mean)
-        ess_list.append(ess)
-    # exponential reweighting degenerates when few paths carry all the mass
-    flag = any(e < min(max(10.0, 0.01 * replicas), 0.5 * replicas) for e in ess_list)
-    return LaplaceReport(
-        epsilons=[s.epsilon for s in specs],
-        lhs=lhs,
-        ess=ess_list,
-        rhs=rhs,
-        variance_flag=flag,
-    )

@@ -9,30 +9,22 @@ Every normal is drawn by ``unit_complex_normals``, into one array or in
 parts.  Its part form hands out the scaled pieces of a draw's real half and
 then of its imaginary half as they are drawn, so that ``drawn_l2_powers``
 reduces each sample's squared L^2 norm, of a stationary draw or of an OU
-step, while holding one piece of SAMPLES_PER_CALL reals and no half of the
-draw.  The L^p moment check at p != 2 draws its samples in row batches of
-SAMPLES_PER_CALL complex entries, each reduced before the next is drawn.
+step, and ``wick_diagonal`` renorm's weighted Wick sums, while holding one
+piece of SAMPLES_PER_CALL reals and no half of the draw.  Only this module
+reads the parts, and it imports nothing of the package but ``grid``.
 
-Monte Carlo with one stream per replica goes through ``replica_values``,
-the one owner of that layout; ``mean_stderr`` is the one standard error and
-``sweep_specs`` the one list of a sweep's members.
-
-The KS p-value of the OU checks is Smirnov's exact two-sample formula for
-equal sizes (``ks_pvalue``), computed here as scipy's ``ks_2samp`` computes
-it, so that the checks do not import ``scipy.stats``.  Nothing here keeps
-state between calls: draws from separate generators may run on separate
-threads, which the harness does with the members of its ``ou_checks`` and
-``lp_moment`` runs.
+Nothing here keeps state between calls: draws from separate generators may
+run on separate threads, which the harness does with the members of its
+``ou_checks`` and ``lp_moment`` runs.
 """
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, TensorField
-from .grid import SAMPLES_PER_CALL, grid_for, stack_depth
+from .grid import SAMPLES_PER_CALL
 
 # 1/sqrt(2) as numpy's complex division by sqrt(2) applies it
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -153,39 +145,6 @@ def require_stream(rng) -> RngStream:
     if not isinstance(rng, RngStream):
         raise TypeError(f"expected an RngStream, got {type(rng).__name__}")
     return rng
-
-
-def require_replicas(replicas: int):
-    """Refuse fewer than 2 replicas, which have no sample standard deviation."""
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-
-
-def replica_values(member, replicas: int, per_block, march_block, value) -> np.ndarray:
-    """value(path) of each of the member's replicas: the one engine of the
-    per-replica-stream Monte Carlo.  Replica r draws from member.child(r);
-    the replicas are marched per_block at a time, march_block(streams)
-    returning one path per stream of a block, and only one block of paths is
-    alive at a time.  Refuses a bare seed or Generator and fewer than 2
-    replicas before it marches."""
-    member = require_stream(member)
-    require_replicas(replicas)
-    vals = np.empty(replicas)
-    for lo in range(0, replicas, per_block):
-        block = [member.child(r) for r in range(lo, min(lo + per_block, replicas))]
-        vals[lo : lo + len(block)] = [value(path) for path in march_block(block)]
-    return vals
-
-
-def mean_stderr(samples):
-    """(mean, standard error) of a Monte Carlo sample, as floats."""
-    return float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-
-
-def sweep_specs(schedule, epsilons, gamma=1.0) -> list:
-    """The NoiseSpec of each member of a sweep over epsilons: member i is the
-    i-th largest epsilon, with delta = schedule(epsilon)."""
-    return [NoiseSpec.at_epsilon(e, schedule, gamma=gamma) for e in sorted(epsilons, reverse=True)]
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -329,9 +288,10 @@ def ou_transition(grid, spec: NoiseSpec, alpha: float, dt: float):
     return decay, np.sqrt(var)
 
 
-def ou_step(z: SpectralField, spec: NoiseSpec, alpha: float, dt: float, rng) -> SpectralField:
-    """One exact OU transition: z <- decay * z + Gaussian with the exact
-    step variance, so stationarity is preserved exactly in law."""
+def ou_step(z, spec: NoiseSpec, alpha: float, dt: float, rng):
+    """One exact OU transition of the SpectralField z: z <- decay * z +
+    Gaussian with the exact step variance, so stationarity is preserved
+    exactly in law."""
     gen = as_generator(rng)
     decay, std = ou_transition(z.grid, spec, alpha, dt)
     g = unit_complex_normals(gen, z.grid.n_modes, std)
@@ -372,36 +332,29 @@ def mode_square_sums(Z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ks_pvalue(a, b) -> float:
-    """Two-sided two-sample Kolmogorov-Smirnov p-value of two samples of one
-    size n, by Smirnov's exact formula for equal sizes (Hodges, Ark. Mat. 3,
-    1958), at every n; NaN when a sample holds a NaN.
+def chunk_sizes(total):
+    """Batch sizes of the chunked stationary draws: 2000 at a time."""
+    return [min(2000, total - done) for done in range(0, total, 2000)]
 
-    h = n max |F_a - F_b| is the largest gap of the empirical distribution
-    functions in counts, and P(D >= h/n) = 2 sum_{k >= 1} (-1)^(k+1)
-    C(2n, n - kh) / C(2n, n) is summed in nested form from the smallest
-    term, as scipy.stats.ks_2samp computes it, to the same bits.  That
-    function uses the formula up to n = 10000 and an asymptotic one above.
-    """
-    a, b = np.sort(a), np.sort(b)
-    n = len(a)
-    if n == 0 or len(b) != n:
-        raise ValueError(f"need two non-empty samples of one size, got {len(a)} and {len(b)}")
-    if np.isnan(a[-1]) or np.isnan(b[-1]):  # a sort puts NaN last
-        return math.nan
-    both = np.concatenate([a, b])
-    gap = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
-    h = int(np.max(np.abs(gap)))
-    if h == 0:
-        return 1.0
-    # 2 A_0 (1 - A_1 (1 - A_2 (...))), A_k = C(2n, n - (k+1)h) / C(2n, n - kh)
-    prob = 0.0
-    for k in range(n // h, -1, -1):
-        ratio = 1.0
-        for j in range(h):
-            ratio = (n - k * h - j) * ratio / (n + k * h + j + 1)
-        prob = ratio * (1.0 - prob)
-    return min(max(2 * prob, 0.0), 1.0)
+
+def wick_diagonal(g, spec, gen, replicas, keep, weights, shift):
+    """sum_k w_k |Z_k|^2 - shift over the modes in keep, for each weight
+    vector w, of each of replicas stationary samples Z that gen draws in the
+    batches of chunk_sizes: an array (len(weights), replicas).  Each piece of
+    a batch's parts adds its weighted squares into its rows' sums as it is
+    drawn, as ``drawn_l2_powers`` reduces them, so the loop holds one piece
+    of SAMPLES_PER_CALL reals, not the batch (17.4 MB at cutoff 16)."""
+    W = np.zeros((len(weights), g.n_modes))
+    W[:, keep] = weights
+    out = np.zeros((len(weights), replicas))
+    std = stationary_std(g, spec, 0.0)
+    done = 0
+    for m in chunk_sizes(replicas):
+        for _, lo, c, piece in unit_complex_normals(gen, (m, g.n_modes), std, parts=True):
+            d, w = piece.shape
+            out[:, done + lo : done + lo + d] += W[:, c : c + w] @ np.square(piece, out=piece).T
+        done += m
+    return out - shift
 
 
 # ---------------------------------------------------------------------------
@@ -577,24 +530,6 @@ def renorm_constant(delta, gamma=1.0, cutoff=128, tail_tol=None) -> float:
     return _renorm_value(float(delta), float(gamma), int(cutoff), tail_tol is not None)
 
 
-def wick_square(z: SpectralField, spec: NoiseSpec, rule) -> TensorField:
-    """Renormalized square z x z - eps theta I.
-
-    The subtracted constant is the truncated-lattice theta at the rule's
-    effective cutoff, which is exactly the stationary mean of the squared
-    components per unit eps, so the zero-mode diagonal is centered.
-    """
-    from .nonlinear import tensor_product
-
-    t = tensor_product(z, z, rule)
-    theta = renorm_constant(spec.delta, spec.gamma, rule.effective_cutoff)
-    comps = t.comps.copy()
-    n = t.grid.cutoff
-    comps[0, 0, n, n] -= spec.epsilon * theta
-    comps[1, 1, n, n] -= spec.epsilon * theta
-    return TensorField(t.grid, comps)
-
-
 # ---------------------------------------------------------------------------
 # lattice sums with tail estimates
 
@@ -647,117 +582,3 @@ def lambda_beta_bound(spec: NoiseSpec, beta: float, cutoff: int = 512):
         cutoff=cutoff,
     )
     return spec.epsilon * s, spec.epsilon * tail
-
-
-# ---------------------------------------------------------------------------
-# moment checks
-
-
-@dataclass
-class MomentReport:
-    """Monte Carlo moment estimate paired with its computable bound."""
-
-    epsilon: float
-    delta: float
-    replicas: int
-    estimate: float
-    stderr: float
-    bound: float
-    ratio: float
-    closed_form: float = None
-
-    @classmethod
-    def of(cls, spec: NoiseSpec, samples, bound: float, closed_form: float = None):
-        """The report of a sample of the moment at spec against its bound."""
-        est, se = mean_stderr(samples)
-        return cls(spec.epsilon, spec.delta, len(samples), est, se, bound, est / bound, closed_form)
-
-    def rows(self):
-        return [asdict(self)]
-
-
-def lp_log_moment_check(
-    spec: NoiseSpec,
-    p: float,
-    replicas: int,
-    rng,
-    cutoff: int,
-    alpha: float = 0.0,
-    grid_factor: int = 2,
-) -> MomentReport:
-    """Estimate E |z|_{L^p}^p for the stationary process against the
-    logarithmic bound (eps log((1 + delta)/delta))^(p/2).
-
-    The process is stationary, so a fixed-time estimate represents every t.
-    For p = 2 the exact mode-variance sum is attached as closed_form.  The
-    samples are drawn in order from one generator, not one stream per
-    replica, so fewer than 2 replicas are refused here, before any draw.
-    """
-    require_replicas(replicas)
-    g = grid_for(cutoff)
-    gen = as_generator(rng)
-    if p == 2:
-        # each sample reduced as it is drawn: one piece of the draw alive
-        samples = drawn_l2_powers(gen, replicas, stationary_std(g, spec, alpha))
-        closed = l2_moment_exact(g, spec, alpha)
-    else:
-        from .spectral import lp_powers
-
-        # the stationary samples in row batches, each reduced before the
-        # next is drawn
-        rows = max(1, SAMPLES_PER_CALL // g.n_modes)
-        batches = (stationary_batch(g, spec, alpha, gen, min(rows, replicas - lo))
-                   for lo in range(0, replicas, rows))
-        samples = np.concatenate([lp_powers(g, Z, p, grid_factor) for Z in batches])
-        closed = None
-    bound = (spec.epsilon * math.log((1.0 + spec.delta) / spec.delta)) ** (p / 2.0)
-    return MomentReport.of(spec, samples, bound, closed)
-
-
-def besov_moment_check(
-    spec: NoiseSpec,
-    sigma: float,
-    sigma_prime: float,
-    p: float,
-    kappa: float,
-    horizon: float,
-    dt: float,
-    replicas: int,
-    rng,
-    cutoff: int,
-    alpha: float = 0.0,
-    grid_factor: int = 2,
-    tail_cutoff: int = 512,
-) -> MomentReport:
-    """Estimate E sup_{t <= T} |z(t)|_{B^sigma_p}^kappa against the mode-sum
-    bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
-    Replica i draws its start and its steps from rng.child(i) through
-    ``replica_values``, in blocks of ``stack_depth`` of the Besov grid.  The
-    bound is the truncated lattice sum at tail_cutoff, with no tail."""
-    if not (sigma < sigma_prime < 0):
-        raise ValueError(
-            f"need sigma < sigma_prime < 0, got sigma={sigma}, "
-            f"sigma_prime={sigma_prime}"
-        )
-    from .dynamics import march, step_count
-    from .spectral import besov_of_powers, block_powers
-
-    g = grid_for(cutoff)
-    n_steps = step_count(horizon, dt)
-    _, std = ou_transition(g, spec, alpha, dt)
-
-    def march_block(block):
-        gens = [s.generator() for s in block]
-        z0 = unit_complex_normals(gens, (len(gens), g.n_modes), stationary_std(g, spec, alpha))
-        return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)
-
-    def sup_power(path):
-        norms = besov_of_powers(block_powers(g, path, p, grid_factor), sigma, p)
-        return np.max(norms) ** kappa
-
-    sups = replica_values(
-        rng, replicas, stack_depth(g.physical_size(grid_factor)), march_block, sup_power
-    )
-    s = lattice_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
-    bound = (spec.epsilon * s) ** (kappa / 2.0)
-    return MomentReport.of(spec, sups, bound)

@@ -38,7 +38,8 @@ call:
                                 (1 synthesized when handed u's velocity grid)
 
 ``tensor_product`` forms the full tensor on real grids, 4 synthesized and
-4 analyzed.
+4 analyzed; ``wick_square`` subtracts the renormalization constant from
+its zero mode.
 
 ``b_core`` can synthesize the velocity grid w_u straight into a caller's
 buffer, and ``b_linearized_adjoint_core`` can read it from there: the
@@ -64,6 +65,7 @@ import numpy as np
 
 from .fields import SpectralField, TensorField
 from .grid import next_fast_len, stack_depth, transform_plan
+from .noise import NoiseSpec, renorm_constant
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,22 @@ def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> Ten
     comps[:, :, n - k1, n - k2] = np.conj(t)
     comps[:, :, n, n] = mean
     return TensorField(g, comps)
+
+
+def wick_square(z: SpectralField, spec: NoiseSpec, rule: DealiasRule) -> TensorField:
+    """Renormalized square z x z - eps theta I.
+
+    The subtracted constant is the truncated-lattice theta at the rule's
+    effective cutoff, which is exactly the stationary mean of the squared
+    components per unit eps, so the zero-mode diagonal is centered.
+    """
+    t = tensor_product(z, z, rule)
+    theta = renorm_constant(spec.delta, spec.gamma, rule.effective_cutoff)
+    comps = t.comps.copy()
+    n = t.grid.cutoff
+    comps[0, 0, n, n] -= spec.epsilon * theta
+    comps[1, 1, n, n] -= spec.epsilon * theta
+    return TensorField(t.grid, comps)
 
 
 def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) -> np.ndarray:

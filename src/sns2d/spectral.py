@@ -1,4 +1,4 @@
-"""Leray projection and norms: Sobolev, L^p and Besov."""
+"""Norms: Sobolev, L^p and Besov."""
 
 import functools
 import math
@@ -8,29 +8,6 @@ import numpy as np
 
 from .fields import SpectralField, TensorField
 from .grid import TWO_PI, grid_for, next_fast_len, stack_depth, transform_plan
-
-
-def leray_project(vector_coeffs: np.ndarray, cutoff: int) -> SpectralField:
-    """Project plain vector Fourier coefficients onto the divergence-free basis.
-
-    ``vector_coeffs`` has shape (2, S, S), S = 2*cutoff + 1, centered layout
-    (index [j, k1+N, k2+N]).  The k = 0 entry is ignored (zero-average
-    constraint) and only the stored half is read; for Hermitian input this is
-    the exact orthogonal projection onto divergence-free, zero-mean fields.
-    """
-    g = grid_for(cutoff)
-    S = 2 * cutoff + 1
-    vector_coeffs = np.asarray(vector_coeffs, dtype=np.complex128)
-    if vector_coeffs.shape != (2, S, S):
-        raise ValueError(
-            f"expected vector coefficients of shape (2, {S}, {S}), "
-            f"got {vector_coeffs.shape}"
-        )
-    v1 = vector_coeffs[0, g.k1 + cutoff, g.k2 + cutoff]
-    v2 = vector_coeffs[1, g.k1 + cutoff, g.k2 + cutoff]
-    # <u, e_k> with e_k = (i/2pi)(k_perp/|k|) exp(ik.x)
-    c = -TWO_PI * 1j * (v1 * g.k2 - v2 * g.k1) / g.kabs
-    return SpectralField(g, c)
 
 
 def sobolev_norm(u: SpectralField, s: float = 0.0) -> float:

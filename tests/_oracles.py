@@ -70,7 +70,7 @@ own parts and kept as references for faster forms of the same arithmetic:
   as 2 (sum Re^2 + sum Im^2), the reference for ``drawn_l2_powers``, which
   reduces the same sums piece by piece as the draw's parts are drawn;
 - ``wick_diagonal_whole``, renorm's Wick sums from each whole batch of
-  stationary samples, the reference for ``_wick_diagonal``, which reduces
+  stationary samples, the reference for ``wick_diagonal``, which reduces
   each batch piece by piece as its parts are drawn;
 - ``divergence_residual``, max |k . u_hat(k)| over the velocity that
   ``velocity_coeffs_direct`` reconstructs, relative to its largest
@@ -102,8 +102,8 @@ from sns2d.ldp import (
     action_objective_and_gradient,
     minimize_action,
 )
+from sns2d.montecarlo import MomentReport
 from sns2d.noise import (
-    MomentReport,
     as_generator,
     covariance_weights,
     l2_moment_exact,

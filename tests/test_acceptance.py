@@ -34,7 +34,8 @@ from sns2d import (
 from sns2d.dynamics import solve_skeleton
 from sns2d.experiments import ExperimentConfig, run
 from sns2d.grid import grid_for
-from sns2d.ldp import action_objective_and_gradient, fit_loglog
+from sns2d.ldp import action_objective_and_gradient
+from sns2d.montecarlo import fit_loglog
 from sns2d.noise import (
     l2_moment_exact,
     mode_variances,

@@ -32,7 +32,7 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.grid import grid_for
-from sns2d.ldp import ConstantFunctional, fit_loglog, laplace_check
+from sns2d.montecarlo import ConstantFunctional, fit_loglog, laplace_check
 from sns2d.noise import PowerSchedule, covariance_weights, ou_step, ou_transition
 from sns2d.nonlinear import b_core
 
@@ -610,11 +610,13 @@ def test_march_is_the_only_time_march_in_the_package():
         for name in _recurrence_loops(ast.parse(path.read_text()))
     ]
     assert found == ["dynamics.py:march"]
-    # the step weights are computed by exp_weights, not again in the ldp layer;
-    # laplace_check's np.exp is the exponential functional's weight
+    # the step weights are computed by exp_weights, not again in the ldp layer
+    # or its Monte Carlo; laplace_check's np.exp is the exponential
+    # functional's weight
     exp_calls = [
         (func.name, node.func.attr)
-        for func in ast.walk(ast.parse((src / "ldp.py").read_text()))
+        for name in ("ldp.py", "montecarlo.py")
+        for func in ast.walk(ast.parse((src / name).read_text()))
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -480,7 +480,9 @@ def test_field_serialization_roundtrip(tmp_path, random_field):
     assert np.array_equal(v.coeffs, u.coeffs)
 
 
-@pytest.mark.parametrize("row", ["2,1,inf,0.0", "1,-2,0.0,nan", "6,0,1.0,0.0", "0,-1,1.0,0.0"])
+@pytest.mark.parametrize(
+    "row", ["2,1,inf,0.0", "1,-2,0.0,nan", "6,0,1.0,0.0", "0,-1,1.0,0.0", "1,0,5.0,0.0"]
+)
 def test_load_rejects_a_non_finite_or_unstored_row(tmp_path, row):
     path = tmp_path / "field.csv"
     save_field(taylor_green(5, 0.4), path)

@@ -27,6 +27,7 @@ from sns2d.experiments import (
 )
 from sns2d.fields import save_field, taylor_green
 from sns2d.grid import SAMPLES_PER_CALL, grid_for
+from sns2d.noise import wick_diagonal
 from sns2d.spectral import lp_powers
 
 from _oracles import load_trajectory, wick_diagonal_whole
@@ -279,6 +280,23 @@ def test_cli_failing_threshold_exit_code(tmp_path):
     out = _cli("run", "-c", str(cfg_path), "-o", str(tmp_path / "runs"))
     assert out.returncode == 1
     assert "passed:  False" in out.stdout
+
+
+def test_cli_seed_override_reads_a_null_statistics_as_validate_does(tmp_path):
+    # --seed set statistics.seed into the null, a TypeError traceback
+    dirs = []
+    for stats in ({}, None):
+        cfg = minimal_ou_config()
+        cfg["statistics"] = stats
+        cfg["thresholds"] = {"max_variance_rel_err": 10.0, "min_ks_pvalue": 0.0}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in (["run"], ["sweep", "--axis", "noise.delta", "--values", "0.1"]):
+            outdir = tmp_path / f"{command[0]}-{stats}"
+            args = [command[0], "-c", str(cfg_path), "-o", str(outdir), "--seed", "11"]
+            assert cli_main(args + command[1:]) == 0
+            dirs.append(sorted(os.listdir(outdir)))
+    assert dirs[:2] == dirs[2:]
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
@@ -595,13 +613,16 @@ def test_validate_rejects_a_misspelled_threshold(tmp_path):
 @pytest.mark.parametrize("command", [
     ["validate"],
     ["run", "--seed", "3"],
-    ["sweep", "--axis", "noise.epsilon", "--values", "0.1,0.01"],
+    ["sweep", "--seed", "3", "--axis", "noise.epsilon", "--values", "0.1,0.01"],
 ])
 @pytest.mark.parametrize("content, match", [
     (None, "cannot read"),
     ("[1, 2]", "holds a JSON list, not an object"),
     ('"ou_checks"', "holds a JSON str, not an object"),
     ("{", "Expecting property name"),
+    # --seed set statistics.seed into the list, a TypeError traceback
+    ('{"schema_version": 1, "kind": "ou_checks", "statistics": [1]}',
+     "statistics: expected a mapping, got list"),
 ])
 def test_the_cli_refuses_an_unreadable_or_non_object_config_with_exit_2(
     tmp_path, capsys, command, content, match
@@ -922,7 +943,8 @@ def _stream_guard_offences(experiments_src, ldp_src):
 def test_streams_come_only_from_the_run_context():
     src = pathlib.Path(experiments.__file__).parent
     offences = _stream_guard_offences(
-        (src / "experiments.py").read_text(), (src / "ldp.py").read_text()
+        (src / "experiments.py").read_text(),
+        (src / "ldp.py").read_text() + (src / "montecarlo.py").read_text(),
     )
     assert offences == []
 
@@ -1040,10 +1062,11 @@ def test_cli_validate_exits_2_on_a_field_file_of_another_cutoff(tmp_path):
     assert not runs.exists()
 
 
-@pytest.mark.parametrize("row", ["1,0,nan,0.0", "7,1,0.5,0.0", "-1,0,0.5,0.0"])
+@pytest.mark.parametrize("row", ["1,0,nan,0.0", "7,1,0.5,0.0", "-1,0,0.5,0.0", "1,0,5.0,0.0"])
 def test_cli_validate_exits_2_on_a_field_file_that_run_cannot_load(tmp_path, capsys, row):
     # run failed late: a NaN as "solution blew up ... reduce dt", a row off
-    # the stored modes with an uncaught KeyError
+    # the stored modes with an uncaught KeyError; a repeated mode loaded its
+    # last row
     raw = json.loads(json.dumps(SMOKE_CONFIGS["tube"]))
     field = tmp_path / "field.csv"
     save_field(taylor_green(raw["numerics"]["cutoff"], 0.4), field)
@@ -1151,7 +1174,7 @@ def test_renorm_wick_sums_in_row_blocks_are_the_whole_batch_sums(replicas):
     keep = (np.abs(g.k1) <= 10) & (np.abs(g.k2) <= 10)
     weights = ((g.k2**2 / g.ksq)[keep], (g.k1**2 / g.ksq)[keep])
     gens = [experiments.RngStream(3, (100,)).generator() for _ in range(2)]
-    blocked = experiments._wick_diagonal(g, spec, gens[0], replicas, keep, weights, 0.0)
+    blocked = wick_diagonal(g, spec, gens[0], replicas, keep, weights, 0.0)
     whole = wick_diagonal_whole(g, spec, gens[1], replicas, keep, weights, 0.0)
     # the same draws, in the same order; a product over a block's rows
     # rounds a few of them in the last bits (at most 2e-15 relative, measured)

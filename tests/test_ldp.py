@@ -30,7 +30,7 @@ from sns2d import (
     taylor_green,
     tube_probability,
 )
-from sns2d import ldp
+from sns2d import ldp, montecarlo
 from sns2d.dynamics import (
     Trajectory,
     solve_controlled,
@@ -39,10 +39,10 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.grid import TransformPlan, grid_for
-from sns2d.ldp import (
+from sns2d.ldp import action_objective_and_gradient
+from sns2d.montecarlo import (
     ClippedEndpointDistance,
     ConstantFunctional,
-    action_objective_and_gradient,
     fit_loglog,
     trajectory_space_norm,
     wilson_interval,
@@ -593,7 +593,7 @@ def test_besov_sweep_distance_is_the_sup_of_per_state_besov_norms():
     report = besov_convergence_experiment(
         u0, phi, besov, PowerSchedule(1.0), epsilons, replicas=3, cfg=cfg, rng=RngStream(7)
     )
-    reference = ldp._sweep_distances(
+    reference = montecarlo._sweep_distances(
         "B", u0, phi, PowerSchedule(1.0), 1.0, epsilons, 3, cfg, RngStream(7),
         distance=lambda a, b: a.sup_distance(b, lambda f: sns2d.besov_norm(f, -0.25, 4.0)),
     )
@@ -635,13 +635,15 @@ def test_tube_probability_monotone_and_saturating():
     cfg = IntegratorConfig(dt=0.02)
     center = solve_skeleton(u0, ControlPath.zero(6, 0.02, 15), cfg)
     spec = NoiseSpec(epsilon=0.01, delta=0.1, gamma=1.0)
-    rep = tube_probability(u0, center, 0.05, spec, cfg, replicas=40, rng=RngStream(31))
-    assert rep.replicas == 40
-    probs = [rep.at_radius(r).p_hat for r in (0.01, 0.05, 0.2, 1.0, np.inf)]
+    radii = (0.01, 0.05, 0.2, 0.5, 1.0, np.inf)
+    reps = tube_probability(u0, center, radii, spec, cfg, replicas=40, rng=RngStream(31))
+    assert [rep.radius for rep in reps] == list(radii)
+    assert all(rep.replicas == 40 for rep in reps)
+    probs = [rep.p_hat for rep in reps]
     assert all(b >= a for a, b in zip(probs, probs[1:]))
     assert probs[-1] == 1.0
     # small noise concentrates around the deterministic path
-    assert rep.at_radius(0.5).p_hat == 1.0
+    assert probs[radii.index(0.5)] == 1.0
 
 
 # ----------------------------------------------------------------- Laplace
@@ -750,6 +752,38 @@ def test_laplace_check_at_b0_meets_the_gaussian_closed_form():
         exact = _oracles.gaussian_laplace_value(u0, target, spec, scale, t_final)
         stderr = eps * math.sqrt((replicas / ess - 1.0) / replicas)
         assert abs(lhs - exact) <= z_bound * stderr, eps
+
+
+def _laplace_zscore_of_direct_samples(u0, target, spec, scale, t_final, gen, variance_factor):
+    """|lhs - closed form| over the delta-method stderr, where lhs is the
+    Laplace functional -eps log mean exp(-a |u(T) - g|_H^2 / eps) of 8,000
+    direct Gaussian samples of u(T) at b = 0: mean e^{-|k|^2 T} u0_k and
+    per-mode variance variance_factor times gaussian_mode_variances."""
+    eps, replicas = spec.epsilon, 8000
+    mean = np.exp(-u0.grid.ksq * t_final) * u0.coeffs
+    var = variance_factor * _oracles.gaussian_mode_variances(u0.grid, spec, t_final)
+    xi = gen.standard_normal((2, replicas, mean.size))
+    ends = mean + np.sqrt(var / 2.0) * (xi[0] + 1j * xi[1])
+    G = scale * 2.0 * np.sum(np.abs(ends - target.coeffs) ** 2, axis=1)
+    w = np.exp(-(G - G.min()) / eps)
+    ess = w.sum() ** 2 / np.dot(w, w)
+    lhs = -eps * (math.log(np.mean(w)) - G.min() / eps)
+    stderr = eps * math.sqrt((replicas / ess - 1.0) / replicas)
+    exact = _oracles.gaussian_laplace_value(u0, target, spec, scale, t_final)
+    return abs(lhs - exact) / stderr
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1])
+def test_the_gaussian_laplace_closed_form_meets_direct_samples(eps):
+    # N = 8, Taylor-Green 0.5 -> 0.45, a = 1, T = 0.2, delta = eps; the
+    # z-bound is fixed before the run, and the same draws with a 5% larger
+    # variance fail it (z 8.3-11.7 at eps = 0.3, 6.1-9.2 at eps = 0.1, seeds 0-9)
+    u0, target, scale, t_final = taylor_green(8, 0.5), taylor_green(8, 0.45), 1.0, 0.2
+    z_bound = 4.0
+    spec = NoiseSpec.at_epsilon(eps, PowerSchedule(1.0))
+    args = (u0, target, spec, scale, t_final)
+    assert _laplace_zscore_of_direct_samples(*args, np.random.default_rng(5), 1.0) <= z_bound
+    assert _laplace_zscore_of_direct_samples(*args, np.random.default_rng(5), 1.05) > z_bound
 
 
 def test_continuous_over_discrete_shell_action_is_tanh_of_half_z_over_half_z():
@@ -872,7 +906,7 @@ def test_tube_escape_probability_decreases_with_noise():
     escapes = []
     for i, eps in enumerate((0.05, 0.005)):
         spec = NoiseSpec(epsilon=eps, delta=0.1, gamma=1.0)
-        rep = tube_probability(u0, center, radius, spec, cfg, 60, RngStream(41 + i))
+        [rep] = tube_probability(u0, center, [radius], spec, cfg, 60, RngStream(41 + i))
         escapes.append(1.0 - rep.p_hat)
     assert escapes[1] <= escapes[0]
 
@@ -958,7 +992,7 @@ def test_monte_carlo_entry_points_take_only_a_stream(rng):
             u0, phi, BesovParams(-0.25, 4.0, 0.3, 3.0), PowerSchedule(1.0), eps, 2, cfg, rng
         ),
         lambda: tube_probability(
-            u0, solve_skeleton(u0, phi, cfg), 0.1, NoiseSpec(0.01, 0.1), cfg, 2, rng
+            u0, solve_skeleton(u0, phi, cfg), [0.1], NoiseSpec(0.01, 0.1), cfg, 2, rng
         ),
         lambda: laplace_check(
             ConstantFunctional(0.0), u0, PowerSchedule(0.5), eps, 2, cfg, 0.06, rng
@@ -980,7 +1014,7 @@ def _monte_carlo_calls():
     eps = [1e-1, 1e-2, 1e-3]
     spec = NoiseSpec(0.01, 0.1)
     rng = RngStream(23)
-    tube_width = lambda rep: rep.ci_high - rep.ci_low
+    tube_width = lambda reps: reps[0].ci_high - reps[0].ci_low
     return {
         "h_convergence": lambda n: h_convergence_experiment(
             u0, phi, PowerSchedule(0.5), 1.0, eps, n, cfg, rng
@@ -993,7 +1027,7 @@ def _monte_carlo_calls():
         ).stderr,
         "lp_moment": lambda n: lp_log_moment_check(spec, 3.0, n, rng, 4).stderr,
         "tube": lambda n: tube_width(
-            tube_probability(u0, solve_skeleton(u0, phi, cfg), 0.1, spec, cfg, n, rng)
+            tube_probability(u0, solve_skeleton(u0, phi, cfg), [0.1], spec, cfg, n, rng)
         ),
         "laplace": lambda n: laplace_check(
             ConstantFunctional(0.1), u0, PowerSchedule(0.5), eps[:1], n, cfg, 0.06, rng
@@ -1021,12 +1055,20 @@ def test_tube_blocks_are_each_replica_marched_alone():
     center = solve_skeleton(u0, ControlPath.zero(8, 0.02, 5), cfg)
     spec = NoiseSpec(epsilon=0.01, delta=0.1, gamma=1.0)
     stream = RngStream(12).child(1)
-    rep = tube_probability(u0, center, 0.05, spec, cfg, 35, stream)
     paths = _oracles.controlled_per_replica(
         u0, ControlPath.zero(8, 0.02, 5), spec, cfg, [stream.child(r) for r in range(35)]
     )
-    dists = [Trajectory(center.grid, 0.02, p).sup_h_distance(center) for p in paths]
-    assert np.array_equal(rep.distances, dists)
+    dists = np.array([Trajectory(center.grid, 0.02, p).sup_h_distance(center) for p in paths])
+    blocked = montecarlo.controlled_values(
+        u0, ControlPath.zero(8, 0.02, 5), spec, cfg, stream, 35,
+        lambda traj: traj.sup_h_distance(center),
+    )
+    assert np.array_equal(blocked, dists)
+    # hits at each solo distance and just below it: equal counts at both
+    # pin the blocked distances to the solo ones bit for bit, as a set
+    radii = np.concatenate([dists, np.nextafter(dists, -np.inf)])
+    reps = tube_probability(u0, center, radii, spec, cfg, 35, stream)
+    assert [rep.hits for rep in reps] == [int(np.sum(dists <= r)) for r in radii]
 
 
 def _per_replica_values(u0, phi, spec, cfg, member, value):
@@ -1097,7 +1139,7 @@ def _replica_march_loops(tree):
 
 def test_replicas_are_marched_in_blocks_not_one_by_one():
     src = pathlib.Path(sns2d.__file__).parent
-    for name in ("ldp.py", "noise.py"):
+    for name in ("ldp.py", "montecarlo.py", "noise.py"):
         assert _replica_march_loops(ast.parse((src / name).read_text())) == [], name
 
 
@@ -1161,6 +1203,9 @@ def test_the_replica_statistics_are_each_written_once():
         for key, n in _replica_statistics_sites(ast.parse(path.read_text())).items():
             total[key] += n
     assert total == {"ddof=1": 1, "refusal": 1, "at_epsilon": 1}
+    # and each in the Monte Carlo module
+    montecarlo_src = (src / "montecarlo.py").read_text()
+    assert _replica_statistics_sites(ast.parse(montecarlo_src)) == total
 
 
 def test_replica_statistics_guard_counts_each_copy():
@@ -1213,8 +1258,8 @@ def _calls(tree, name):
 
 def _ldp_layer_sites(sources):
     """For {module name: source} of the package: the squared-H-norm sums in
-    all modules, the replicas_per_block calls in ldp, and the control_states
-    functions of ldp with the b_core calls in them."""
+    all modules, the replicas_per_block calls in ldp and montecarlo, and the
+    control_states functions of ldp with the b_core calls in them."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     states = [
         node for node in ast.walk(trees["ldp"])
@@ -1224,7 +1269,10 @@ def _ldp_layer_sites(sources):
         "squared_sum": sum(
             _is_squared_sum(node) for tree in trees.values() for node in ast.walk(tree)
         ),
-        "replicas_per_block": _calls(trees["ldp"], "replicas_per_block"),
+        "replicas_per_block": sum(
+            _calls(trees[name], "replicas_per_block")
+            for name in ("ldp", "montecarlo") if name in trees
+        ),
         "control_states": len(states),
         "b_core_in_control_states": sum(_calls(f, "b_core") for f in states),
     }
@@ -1232,7 +1280,7 @@ def _ldp_layer_sites(sources):
 
 def test_the_ldp_layer_writes_each_quantity_once():
     # one H norm (spectral.h_norm_sq), one controlled-path sampler
-    # (ldp.controlled_values), one skeleton forcing (dynamics.skeleton_forcing)
+    # (montecarlo.controlled_values), one skeleton forcing (dynamics.skeleton_forcing)
     src = pathlib.Path(sns2d.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
     assert _ldp_layer_sites(sources) == {
@@ -1254,6 +1302,8 @@ def test_ldp_layer_guard_counts_each_copy():
         "    sq = 2.0 * np.sum(np.abs(res.values) ** 2, axis=1)\n"
         "def tube_probability(u0, cfg):\n"
         "    per_block = replicas_per_block(u0.grid, cfg.rule(u0.cutoff))\n"
+    )
+    old_montecarlo = (
         "def laplace_check(u0, cfg):\n"
         "    return replica_values(s, 8, nonlinear.replicas_per_block(g, r), m, f)\n"
     )
@@ -1265,7 +1315,8 @@ def test_ldp_layer_guard_counts_each_copy():
         "def per_block(grid, rule):\n"
         "    return replicas_per_block(grid, rule)\n"
     )
-    assert _ldp_layer_sites({"ldp": old_ldp, "spectral": old_spectral}) == {
+    sources = {"ldp": old_ldp, "montecarlo": old_montecarlo, "spectral": old_spectral}
+    assert _ldp_layer_sites(sources) == {
         "squared_sum": 3, "replicas_per_block": 2, "control_states": 1,
         "b_core_in_control_states": 1,
     }

@@ -23,16 +23,14 @@ from sns2d import (
     wick_square,
 )
 from sns2d.grid import grid_for
+from sns2d.montecarlo import besov_moment_check, ks_pvalue, lp_log_moment_check
 from sns2d.noise import (
     RenormTailError,
-    besov_moment_check,
     covariance_weights,
     drawn_l2_powers,
-    ks_pvalue,
     l2_moment_exact,
     lattice_power_sum,
     lattice_sum,
-    lp_log_moment_check,
     mode_square_sums,
     mode_variances,
     ou_transition,
@@ -506,7 +504,8 @@ def test_a_besov_moment_check_loads_no_scipy_beyond_the_binding():
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "from sns2d.noise import NoiseSpec, RngStream, besov_moment_check\n"
+        "from sns2d.montecarlo import besov_moment_check\n"
+        "from sns2d.noise import NoiseSpec, RngStream\n"
         "rep = besov_moment_check(NoiseSpec(0.1, 0.1), -0.75, -0.5, 4.0, 2.0, 0.06, 0.02,\n"
         "                         4, RngStream(0), 6)\n"
         "assert rep.bound > 0.0\n"
