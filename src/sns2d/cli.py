@@ -104,9 +104,13 @@ def main(argv=None):
         except ValueError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
-        records, errors = sweep(
-            raw, args.axis, _parse_values(args.values), args.outdir, args.workers
-        )
+        try:
+            records, errors = sweep(
+                raw, args.axis, _parse_values(args.values), args.outdir, args.workers
+            )
+        except OSError as exc:
+            print(f"sweep failed: {exc}", file=sys.stderr)
+            return 1
         for rec in records:
             print(f"{rec.run_dir}: passed={rec.passed}")
         for value, msg in errors:

@@ -9,6 +9,7 @@ term.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import noise as noise_mod
 from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
-from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
+from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals, usable_cores
 from .spectral import h_norm_sq
 
 SCHEMES = ("exponential_euler", "etd2")
@@ -182,6 +183,69 @@ def _psi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def draw_chunks(n_steps: int) -> list:
+    """The steps of noise the draw-ahead thread of a march of n_steps draws
+    per hand-off, in order: about sqrt(n_steps) each, which balances the
+    march's first wait, for one chunk, against the number of hand-offs."""
+    chunk = math.isqrt(max(n_steps - 1, 0)) + 1
+    return [min(chunk, n_steps - lo) for lo in range(0, n_steps, chunk)]
+
+
+class _DrawAhead:
+    """The step noise of one march, drawn ahead of it on a helper thread.
+
+    For each chunk of steps of ``draw_chunks`` the thread makes one
+    ``unit_complex_normals(..., steps=True)`` call, which writes the noise of
+    those steps straight into their slots of the march's output, and then
+    records that the slots are filled.  The thread allocates no array: its
+    scratch is made here, on the calling thread.  ``close`` stops it after
+    its current chunk and joins it."""
+
+    def __init__(self, gens, slots, std, chunks):
+        self._filled = 0  # slots 1.._filled hold their noise
+        self._error = None
+        self._stop = False
+        self._ready = threading.Condition()
+        buf = np.empty((len(gens), max(chunks), 2, slots.shape[-1]))
+        self._thread = threading.Thread(
+            target=self._draw, args=(gens, slots, std, chunks, buf), daemon=True
+        )
+        self._thread.start()
+
+    def _draw(self, gens, slots, std, chunks, buf):
+        lo = 1
+        try:
+            for k in chunks:
+                if self._stop:
+                    return
+                unit_complex_normals(
+                    gens, (len(gens), k, slots.shape[-1]), std,
+                    out=slots[:, lo : lo + k], steps=True, buf=buf[:, :k],
+                )
+                lo += k
+                with self._ready:
+                    self._filled = lo - 1
+                    self._ready.notify()
+        except BaseException as exc:  # handed to the march
+            with self._ready:
+                self._error = exc
+                self._ready.notify()
+
+    def wait(self, slot):
+        """Return once slot holds its noise; raise the helper's error."""
+        if self._filled >= slot:
+            return
+        with self._ready:
+            while self._filled < slot and self._error is None:
+                self._ready.wait()
+        if self._filled < slot:
+            raise self._error
+
+    def close(self):
+        self._stop = True
+        self._thread.join()
+
+
 def march(
     grid,
     u0,
@@ -208,6 +272,17 @@ def march(
     within cfg.blowup_threshold (finite only, without cfg); the first step
     where a row fails raises, naming the lowest failing row.  Returns the
     states, (n_steps + 1, n_modes), or (R, n_steps + 1, n_modes) for a block.
+
+    With noise, rows and more than one chunk of steps, and two or more
+    usable cores, a helper thread draws the noise ahead of the march, in
+    the chunks of steps of ``draw_chunks``, into the output slots of those
+    steps; the march forms the deterministic part of each step in a buffer
+    of its own, waits for the step's slot and adds that part to the noise
+    there.  Addition commutes, so every state has the bits of the serial
+    march, which runs on one core.  Each generator draws its rows' steps in
+    the same order either way; after a blow-up the helper may have drawn a
+    chunk past the failing step.  The helper is joined before the march
+    returns or raises, and an error it meets is raised here.
     """
     n_modes = grid.n_modes
     z = (grid.ksq if rate is None else rate) * dt
@@ -224,22 +299,36 @@ def march(
     out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
     out[..., 0, :] = u0
     u = out[..., 0, :]
-    for step in range(n_steps):
-        # the step is formed in its own slot; decay stays the first operand
-        unew = np.multiply(decay, u, out=out[..., step + 1, :])
-        if forcing is not None:
-            F = forcing(u, step)
-            unew += gain * F
-            if etd2:
-                unew += gain2 * (forcing(unew, step) - F)
-        rows = unew.reshape(n_rows, n_modes)
-        if noise_std is not None:
-            rows += unit_complex_normals(gens, rows.shape, noise_std)
-        for r, row in enumerate(rows):
-            nrm_sq = 2.0 * np.vdot(row, row).real
-            if not nrm_sq <= limit_sq:  # also catches NaN
-                raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
-        u = unew
+    ahead = None
+    chunks = draw_chunks(n_steps) if noise_std is not None and n_rows > 0 else []
+    if len(chunks) > 1 and usable_cores() > 1:
+        step_buf = np.empty_like(u)
+        ahead = _DrawAhead(gens, out.reshape(n_rows, n_steps + 1, n_modes), noise_std, chunks)
+    try:
+        for step in range(n_steps):
+            # the step is formed in its own slot, or beside the slot that the
+            # helper fills with its noise; decay stays the first operand
+            unew = np.multiply(decay, u, out=out[..., step + 1, :] if ahead is None else step_buf)
+            if forcing is not None:
+                F = forcing(u, step)
+                unew += gain * F
+                if etd2:
+                    unew += gain2 * (forcing(unew, step) - F)
+            if ahead is not None:
+                ahead.wait(step + 1)
+                unew = out[..., step + 1, :]
+                unew += step_buf
+            elif noise_std is not None:
+                noisy = unew.reshape(n_rows, n_modes)
+                noisy += unit_complex_normals(gens, noisy.shape, noise_std)
+            for r, row in enumerate(unew.reshape(n_rows, n_modes)):
+                nrm_sq = 2.0 * np.vdot(row, row).real
+                if not nrm_sq <= limit_sq:  # also catches NaN
+                    raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
+            u = unew
+    finally:
+        if ahead is not None:
+            ahead.close()
     return out
 
 

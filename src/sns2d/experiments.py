@@ -62,6 +62,7 @@ from .noise import (
     stationary_batch,
     stationary_std,
     unit_complex_normals,
+    usable_cores,
     validate_scaling_condition,
     validate_vanishing_schedule,
     wick_diagonal,
@@ -452,7 +453,7 @@ class _RunContext:
         raised, once every member has finished and ``_trim_heap`` has handed
         back what the threads freed."""
         items = list(enumerate(values))
-        workers = min(len(items), len(os.sched_getaffinity(0)))
+        workers = min(len(items), usable_cores())
         if workers <= 1:
             return [fn(i, v) for i, v in items]
         from concurrent.futures import ThreadPoolExecutor
@@ -1130,12 +1131,9 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def run(config: ExperimentConfig, outdir: str) -> RunRecord:
-    """Execute one experiment; writes results into <outdir>/<kind>-<hash12>.
-
-    The directory is created only once the runner's outputs are formatted, so
-    a run that raises or returns a non-finite value leaves nothing behind.  An
-    outdir that cannot take it is refused before the run."""
+def _require_writable(outdir: str):
+    """Refuse, with an OSError, an outdir that does not exist and cannot be
+    created, or is not a writable directory."""
     probe = os.path.abspath(outdir)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -1143,6 +1141,15 @@ def run(config: ExperimentConfig, outdir: str) -> RunRecord:
         raise OSError(
             f"cannot create a run directory under {outdir!r}: {probe!r} is not a writable directory"
         )
+
+
+def run(config: ExperimentConfig, outdir: str) -> RunRecord:
+    """Execute one experiment; writes results into <outdir>/<kind>-<hash12>.
+
+    The directory is created only once the runner's outputs are formatted, so
+    a run that raises or returns a non-finite value leaves nothing behind.  An
+    outdir that cannot take it is refused before the run."""
+    _require_writable(outdir)
     h = config.config_hash()
     ctx = _RunContext(config)
     rows, summary = KINDS[config.kind].run(ctx)
@@ -1200,9 +1207,12 @@ def sweep(raw_config: dict, axis: str, values, outdir: str, workers: int = 1):
     Member failures are recorded per member and do not abort the others.
     Each member writes only into its own hash-named directory, so the pool
     members share no state and the merged output is order-independent.
+    outdir, made here if need be, receives sweep.csv even when every member
+    fails; one that cannot take it is refused before any member runs.
     """
     import concurrent.futures
 
+    _require_writable(outdir)
     jobs = []
     for v in values:
         raw = copy.deepcopy(raw_config)
@@ -1230,6 +1240,7 @@ def sweep(raw_config: dict, axis: str, values, outdir: str, workers: int = 1):
         for v, r in records
     ] + [{"axis": axis, "value": v, "run_dir": "ERROR: " + msg, "passed": False} for v, msg in errors]
     if merged:
+        os.makedirs(outdir, exist_ok=True)
         write_csv_atomic(os.path.join(outdir, "sweep.csv"), merged)
     return [r for _, r in records], errors
 

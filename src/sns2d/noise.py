@@ -15,11 +15,13 @@ reads the parts, and it imports nothing of the package but ``grid``.
 
 Nothing here keeps state between calls: draws from separate generators may
 run on separate threads, which the harness does with the members of its
-``ou_checks`` and ``lp_moment`` runs.
+``ou_checks`` and ``lp_moment`` runs, and a noisy march with its step noise,
+drawn ahead on a helper thread.  Both size themselves by ``usable_cores``.
 """
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +159,13 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(rng)}")
 
 
-def unit_complex_normals(gen, shape, std=None, parts=False, out=None):
+def usable_cores() -> int:
+    """Cores this process may run on: the harness's member pool and the
+    march's draw-ahead thread run only where there are two or more."""
+    return len(os.sched_getaffinity(0))
+
+
+def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=False, buf=None):
     """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
     std: a scalar or one real per entry of the last axis.  This is the one
     place in the package that draws normals.
@@ -170,7 +178,17 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None):
     its row's own (2, *shape[1:]) stream.  The normals pass through one
     buffer of at most SAMPLES_PER_CALL reals; no complex temporary is made.
     out, a C-ordered complex128 array of that shape, receives the result in
-    place of a new array.
+    place of a new array; with a generator per row, only each row of out
+    need be C-ordered, such as a block march's slots out[:, s:s + k].
+
+    With steps=True the draw is k steps of a block march at once: shape is
+    (rows, k, n), gen one generator per row, and each generator draws its
+    row's k per-step (2, n) streams one after the other in one call, so a
+    row's k steps are the k one-step draws (rows, n) would give it, bit for
+    bit.  The normals land in buf, a float64 array (rows, k, 2, n) whose
+    rows are C-ordered, made here when not given: a caller that draws on
+    another thread passes one made on its own, so that the thread allocates
+    no array.
 
     With parts=True, gen is one generator and the result is an iterator over
     (part, first row, first column, piece) of that same array, flattened to
@@ -210,19 +228,43 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None):
             return iter(())
         buf = np.empty(min(rows, SAMPLES_PER_CALL // width) * width)
         return ((part, *p) for part in (0, 1) for p in pieces(gen, rows, buf))
+    per_row = not isinstance(gen, np.random.Generator)
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
-    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-ordered complex128 array of shape {shape}")
+    elif (
+        out.shape != shape
+        or out.dtype != np.complex128
+        or not (out.flags.c_contiguous or per_row and out[:1].flags.c_contiguous)
+    ):
+        raise ValueError(
+            f"out must be a C-ordered complex128 array of shape {shape}"
+            + (", or one whose rows are" if per_row else "")
+        )
+    gens = list(gen) if per_row else [gen]
+    if per_row and len(gens) != shape[0]:
+        raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
+    if steps:
+        if not per_row or len(shape) != 3:
+            raise ValueError("a draw of steps takes one generator per row of (rows, k, n)")
+        raw = shape[:2] + (2, n)
+        if buf is None:
+            buf = np.empty(raw)
+        elif buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
+            raise ValueError(
+                f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
+            )
+        for g, stream in zip(gens, buf):
+            g.standard_normal(out=stream)
+        buf *= _INV_SQRT2
+        if scale is not None:
+            buf *= scale
+        out.real = buf[:, :, 0]
+        out.imag = buf[:, :, 1]
+        return out
     if out.size == 0:
         return out
-    if isinstance(gen, np.random.Generator):
-        gens, streams = [gen], out.reshape(1, -1, n)
-    else:
-        gens = list(gen)
-        if len(gens) != shape[0]:
-            raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
-        streams = out.reshape(len(gens), -1, n)
+    # a view: each row of out is C-ordered
+    streams = out.reshape(len(gens), -1, n)
     rows = streams.shape[1]
     if 2 * rows * n <= SAMPLES_PER_CALL:
         # whole streams, as many generators' as the buffer holds per fill

@@ -1,12 +1,16 @@
 import ast
 import dataclasses
 import math
+import os
 import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import sns2d
+import sns2d.dynamics as dynamics
 from sns2d import (
     ControlPath,
     IntegratorConfig,
@@ -26,6 +30,7 @@ from sns2d import (
 from sns2d.dynamics import (
     IntegrationBlowupError,
     Trajectory,
+    draw_chunks,
     march,
     save_trajectory,
     skeleton_forcing,
@@ -531,6 +536,161 @@ def test_march_guard_raises_on_non_finite_state_without_config():
     assert err.value.t == pytest.approx(0.3)
     huge = march(g, np.full(g.n_modes, 1e8), 1, 0.1)
     assert np.all(np.isfinite(huge))
+
+
+# --------------------------------------------------------------------------
+# the step noise drawn ahead on a helper thread
+
+
+def _on_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_helpers(monkeypatch):
+    """A list to which every draw-ahead helper started from now on is added."""
+    started = []
+
+    class Counted(dynamics._DrawAhead):
+        def __init__(self, *args):
+            started.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
+    return started
+
+
+def _noisy_march_case(scheme, rows, n_steps, dt=0.01):
+    """(args, kwargs) of a noisy march at N=8 under a control, from one start
+    (rows 0, as in ``_march_case``) or a block, with fresh generators on
+    each call."""
+    cfg = IntegratorConfig(dt=dt, scheme=scheme)
+    g = grid_for(8)
+    starts = np.stack([generic_field(8, seed=s).coeffs for s in range(rows or 1)])
+    control = ControlPath.constant(taylor_green(8, 0.5), dt, n_steps).values
+    _, std = ou_transition(g, NoiseSpec(0.05, 0.1), 0.0, dt)
+    gens = [np.random.default_rng(40 + r) for r in range(rows or 1)]
+    kwargs = {"noise_std": std, "gen": gens if rows else gens[0]}
+    forcing = skeleton_forcing(g, cfg, control)
+    return (g, starts if rows else starts[0], n_steps, dt, forcing, cfg), kwargs
+
+
+def test_draw_chunks_cover_the_steps_in_chunks_of_about_their_square_root():
+    assert draw_chunks(0) == []
+    assert draw_chunks(1) == [1]
+    assert draw_chunks(7) == [3, 3, 1]
+    assert draw_chunks(50) == [8] * 6 + [2]
+    for n in range(1, 400):
+        chunks = draw_chunks(n)
+        assert sum(chunks) == n and max(chunks) == math.ceil(math.sqrt(n))
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 50])
+@pytest.mark.parametrize("rows", [0, 1, 8])
+@pytest.mark.parametrize("scheme", ["exponential_euler", "etd2"])
+def test_the_draw_ahead_march_is_the_serial_march_bit_for_bit(monkeypatch, scheme, rows, n_steps):
+    paths, states = [], []
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        started = _count_helpers(monkeypatch)
+        threads = threading.active_count()
+        args, kwargs = _noisy_march_case(scheme, rows, n_steps)
+        paths.append(march(*args, **kwargs))
+        assert threading.active_count() == threads
+        # one helper on two cores, where there are two chunks or more
+        assert len(started) == (cores == 2 and len(draw_chunks(n_steps)) > 1)
+        gens = kwargs["gen"] if rows else [kwargs["gen"]]
+        states.append([g.bit_generator.state for g in gens])
+    assert paths[0].tobytes() == paths[1].tobytes()
+    assert states[0] == states[1]
+
+
+def test_marches_without_noise_or_rows_start_no_helper(monkeypatch):
+    _on_cores(monkeypatch, 2)
+    started = _count_helpers(monkeypatch)
+    u0 = generic_field()
+    phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 20)
+    solve_skeleton(u0, phi, IntegratorConfig(dt=0.01))
+    duhamel_gamma(phi)
+    solve_controlled(u0, phi, NoiseSpec(0.0, 0.1), IntegratorConfig(dt=0.01), RngStream(3))
+    # an empty block of Ornstein-Uhlenbeck paths
+    g = u0.grid
+    _, std = ou_transition(g, NoiseSpec(0.05, 0.1), 0.0, 0.01)
+    empty = march(g, np.zeros((0, g.n_modes)), 20, 0.01, noise_std=std, gen=[])
+    assert empty.shape == (0, 21, g.n_modes)
+    assert started == []
+
+
+def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(monkeypatch):
+    (g, starts, n, dt, forcing, cfg), kwargs = _noisy_march_case("exponential_euler", 8, 50)
+
+    def planted(u, step):
+        F = forcing(u, step)
+        if step == 20:  # rows 6 and 3 leave the ball at step 21
+            F[[3, 6]] *= 1e9
+        return F
+
+    errors = []
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        started = _count_helpers(monkeypatch)
+        threads = threading.active_count()
+        _, kwargs = _noisy_march_case("exponential_euler", 8, 50)
+        # a slow draw keeps the helper busy with a later chunk when the march raises
+        kwargs["gen"][0] = _PlantedGenerator(kwargs["gen"][0], delay=0.02)
+        with pytest.raises(IntegrationBlowupError) as err:
+            march(g, starts, n, dt, planted, cfg, **kwargs)
+        assert threading.active_count() == threads
+        assert len(started) == cores - 1
+        errors.append((err.value.row, err.value.t, err.value.norm))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == (3, 21 * dt)
+
+
+class _PlantedGenerator:
+    """A generator whose standard_normal draws as gen's, each call after a
+    pause of delay seconds, and raises at its call number fail_at."""
+
+    def __init__(self, gen, fail_at=None, delay=0.0):
+        self.gen, self.fail_at, self.delay, self.calls = gen, fail_at, delay, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("planted draw failure")
+        time.sleep(self.delay)
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_draw_failure_on_the_helper_is_raised_by_the_march(monkeypatch, cores):
+    _on_cores(monkeypatch, cores)
+    started = _count_helpers(monkeypatch)
+    args, kwargs = _noisy_march_case("etd2", 8, 50)
+    # row 5 draws its first chunk of 8 steps on the helper, or 8 single steps
+    kwargs["gen"][5] = _PlantedGenerator(kwargs["gen"][5], fail_at=1 if cores == 2 else 8)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="planted draw failure"):
+        march(*args, **kwargs)
+    assert threading.active_count() == threads
+    assert len(started) == cores - 1
+
+
+def test_an_interrupt_in_the_march_joins_the_helper(monkeypatch):
+    _on_cores(monkeypatch, 2)
+    started = _count_helpers(monkeypatch)
+    (g, starts, n, dt, forcing, cfg), kwargs = _noisy_march_case("exponential_euler", 8, 50)
+    kwargs["gen"][0] = _PlantedGenerator(kwargs["gen"][0], delay=0.02)
+
+    def interrupted(u, step):
+        if step == 1:
+            raise KeyboardInterrupt
+        return forcing(u, step)
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        march(g, starts, n, dt, interrupted, cfg, **kwargs)
+    assert threading.active_count() == threads
+    assert len(started) == 1
 
 
 def _next_slot(node):

@@ -15,6 +15,7 @@ import types
 import numpy as np
 import pytest
 
+import sns2d.dynamics as dynamics
 import sns2d.experiments as experiments
 from sns2d.cli import main as cli_main
 from sns2d.experiments import (
@@ -208,6 +209,39 @@ def test_sweep_members_and_partial_failure(tmp_path):
     assert os.path.isfile(tmp_path / "sweep.csv")
     text = (tmp_path / "sweep.csv").read_text()
     assert "ERROR" in text
+
+
+def test_cli_sweep_whose_members_all_fail_writes_its_table_into_a_new_outdir(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(lp_moment_config()))
+    outdir = tmp_path / "new" / "runs"
+    out = _cli("sweep", "-c", str(cfg_path), "-o", str(outdir),
+               "--axis", "noise.epsilon", "--values=-1.0,-2.0")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert [line.split(": FAILED (")[0] for line in out.stderr.splitlines()] == [
+        "noise.epsilon=-1.0", "noise.epsilon=-2.0",
+    ]
+    with open(outdir / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["value"] for r in rows] == ["-1.0", "-2.0"]
+    assert all(r["run_dir"].startswith("ERROR: ") and r["passed"] == "False" for r in rows)
+
+
+def test_a_sweep_refuses_an_outdir_under_a_file_before_any_member_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_sweep_member", lambda job: pytest.fail("a member ran"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    with pytest.raises(OSError, match="is not a writable directory"):
+        sweep(lp_moment_config(), "noise.epsilon", [0.5], str(blocker / "runs"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(lp_moment_config()))
+    out = _cli("sweep", "-c", str(cfg_path), "-o", str(blocker),
+               "--axis", "noise.epsilon", "--values", "0.5")
+    assert out.returncode == 1
+    assert out.stderr.startswith("sweep failed: ") and "is not a writable directory" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert blocker.read_text() == "keep"
 
 
 def test_report_merges_and_rejects_mixed_kinds(tmp_path):
@@ -1107,6 +1141,40 @@ def test_members_on_one_core_and_on_two_write_the_same_bytes(tmp_path, monkeypat
         threads = threading.active_count()
         record = run(cfg, str(tmp_path / str(cores)))
         assert threading.active_count() == threads
+        files = (record.results_csv, record.summary_json)
+        outputs.append([pathlib.Path(f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
+def _count_helpers(monkeypatch):
+    """A list to which every draw-ahead helper started from now on is added."""
+    started = []
+
+    class Counted(dynamics._DrawAhead):
+        def __init__(self, *args):
+            started.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
+    return started
+
+
+MARCHING_KINDS = ["besov_moment", "converge_besov", "converge_h", "laplace", "tube"]
+
+
+@pytest.mark.parametrize("kind", MARCHING_KINDS)
+def test_marches_on_one_core_and_on_two_write_the_same_bytes(tmp_path, monkeypatch, kind):
+    # on two cores each noisy march draws its step noise on a helper thread
+    cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS[kind])
+    outputs = []
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        started = _count_helpers(monkeypatch)
+        threads = threading.active_count()
+        record = run(cfg, str(tmp_path / str(cores)))
+        assert threading.active_count() == threads
+        assert bool(started) == (cores == 2)
+        monkeypatch.undo()
         files = (record.results_csv, record.summary_json)
         outputs.append([pathlib.Path(f).read_bytes() for f in files])
     assert outputs[0] == outputs[1]

@@ -721,6 +721,55 @@ def test_one_generator_per_row_draws_each_row_alone(shape):
         unit_complex_normals(gens[1:], shape)
 
 
+# k steps of 3 rows at N=16 into a march's slots, whose rows alone are
+# C-ordered; one row of one step; rows of 20000, longer than SAMPLES_PER_CALL,
+# which a one-step draw takes in pieces
+@pytest.mark.parametrize("shape", [(3, 7, 544), (1, 1, 61), (2, 3, 20000)])
+@pytest.mark.parametrize("std", ["none", "per_mode", "scalar"])
+def test_a_draw_of_k_steps_is_k_one_step_draws_bit_for_bit(shape, std):
+    rows, k, n = shape
+    std = {"none": None, "per_mode": np.linspace(0.1, 3.0, n), "scalar": 0.37}[std]
+
+    def gens():
+        return [RngStream(9).child(r).generator() for r in range(rows)]
+
+    one_step = gens()
+    want = np.stack([unit_complex_normals(one_step, (rows, n), std) for _ in range(k)], axis=1)
+    slots = np.full((rows, k + 3, n), np.nan, dtype=np.complex128)
+    buf = np.full((rows, k + 2, 2, n), np.nan)  # a leading slice of it is used
+    chunk = gens()
+    got = unit_complex_normals(
+        chunk, shape, std, out=slots[:, 1 : k + 1], steps=True, buf=buf[:, :k]
+    )
+    assert np.shares_memory(got, slots)
+    assert slots[:, 1 : k + 1].tobytes() == want.tobytes()
+    assert np.isnan(slots[:, 0]).all() and np.isnan(slots[:, k + 1 :]).all()
+    assert [g.bit_generator.state for g in chunk] == [g.bit_generator.state for g in one_step]
+    # and with the kernel's own output and buffer
+    assert unit_complex_normals(gens(), shape, std, steps=True).tobytes() == want.tobytes()
+
+
+def test_a_draw_of_steps_takes_a_generator_per_row_and_rows_in_c_order():
+    gens = [np.random.default_rng(r) for r in range(2)]
+    with pytest.raises(ValueError, match="one generator per row"):
+        unit_complex_normals(np.random.default_rng(0), (2, 3, 5), steps=True)
+    with pytest.raises(ValueError, match="one generator per row"):
+        unit_complex_normals(gens, (2, 5), steps=True)
+    strided = np.empty((2, 3, 10), dtype=np.complex128)[:, :, ::2]
+    for steps in (False, True):
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 5\), or one whose rows are"):
+            unit_complex_normals(gens, (2, 3, 5), out=strided, steps=steps)
+    for buf in (np.empty((2, 3, 5, 2)), np.empty((2, 3, 2, 5), dtype=np.float32),
+                np.empty((2, 3, 2, 10))[..., ::2]):
+        with pytest.raises(ValueError, match=r"buf must be a C-ordered float64 array"):
+            unit_complex_normals(gens, (2, 3, 5), steps=True, buf=buf)
+    # a draw without steps into slots whose rows are C-ordered
+    slots = np.zeros((2, 5, 5), dtype=np.complex128)
+    unit_complex_normals([np.random.default_rng(r) for r in range(2)], (2, 3, 5), out=slots[:, 1:4])
+    want = unit_complex_normals([np.random.default_rng(r) for r in range(2)], (2, 3, 5))
+    assert slots[:, 1:4].tobytes() == want.tobytes()
+
+
 def test_draw_wrappers_are_the_assembled_draw_bit_for_bit():
     spec = NoiseSpec(epsilon=0.3, delta=0.05, gamma=1.0)
     g = grid_for(16)
