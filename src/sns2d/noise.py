@@ -186,9 +186,8 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
     row's k per-step (2, n) streams one after the other in one call, so a
     row's k steps are the k one-step draws (rows, n) would give it, bit for
     bit.  The normals land in buf, a float64 array (rows, k, 2, n) whose
-    rows are C-ordered, made here when not given: a caller that draws on
-    another thread passes one made on its own, so that the thread allocates
-    no array.
+    rows are C-ordered: the caller makes it, so that a draw on another
+    thread allocates no array there.
 
     With parts=True, gen is one generator and the result is an iterator over
     (part, first row, first column, piece) of that same array, flattened to
@@ -247,9 +246,7 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
         if not per_row or len(shape) != 3:
             raise ValueError("a draw of steps takes one generator per row of (rows, k, n)")
         raw = shape[:2] + (2, n)
-        if buf is None:
-            buf = np.empty(raw)
-        elif buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
+        if buf is None or buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
             raise ValueError(
                 f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
             )

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import sys
 import threading
 import time
 
@@ -602,6 +603,36 @@ def test_the_draw_ahead_march_is_the_serial_march_bit_for_bit(monkeypatch, schem
         states.append([g.bit_generator.state for g in gens])
     assert paths[0].tobytes() == paths[1].tobytes()
     assert states[0] == states[1]
+
+
+def test_draw_ahead_marches_on_more_threads_than_cores_keep_the_serial_bits(monkeypatch):
+    schemes = ["exponential_euler", "etd2"] * 2
+    _on_cores(monkeypatch, 1)
+    cases = (_noisy_march_case(scheme, 8, 50) for scheme in schemes)
+    want = [march(*args, **kwargs) for args, kwargs in cases]
+    _on_cores(monkeypatch, 2)
+    started = _count_helpers(monkeypatch)
+    got = [None] * len(schemes)
+
+    def work(i):
+        args, kwargs = _noisy_march_case(schemes[i], 8, 50)
+        got[i] = march(*args, **kwargs)
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(schemes))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert len(started) == len(schemes)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
 def test_marches_without_noise_or_rows_start_no_helper(monkeypatch):

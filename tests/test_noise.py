@@ -745,21 +745,23 @@ def test_a_draw_of_k_steps_is_k_one_step_draws_bit_for_bit(shape, std):
     assert slots[:, 1 : k + 1].tobytes() == want.tobytes()
     assert np.isnan(slots[:, 0]).all() and np.isnan(slots[:, k + 1 :]).all()
     assert [g.bit_generator.state for g in chunk] == [g.bit_generator.state for g in one_step]
-    # and with the kernel's own output and buffer
-    assert unit_complex_normals(gens(), shape, std, steps=True).tobytes() == want.tobytes()
+    # and into the kernel's own output
+    got = unit_complex_normals(gens(), shape, std, steps=True, buf=np.empty((rows, k, 2, n)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_a_draw_of_steps_takes_a_generator_per_row_and_rows_in_c_order():
     gens = [np.random.default_rng(r) for r in range(2)]
+    buf = np.empty((2, 3, 2, 5))
     with pytest.raises(ValueError, match="one generator per row"):
-        unit_complex_normals(np.random.default_rng(0), (2, 3, 5), steps=True)
+        unit_complex_normals(np.random.default_rng(0), (2, 3, 5), steps=True, buf=buf)
     with pytest.raises(ValueError, match="one generator per row"):
-        unit_complex_normals(gens, (2, 5), steps=True)
+        unit_complex_normals(gens, (2, 5), steps=True, buf=buf)
     strided = np.empty((2, 3, 10), dtype=np.complex128)[:, :, ::2]
     for steps in (False, True):
         with pytest.raises(ValueError, match=r"shape \(2, 3, 5\), or one whose rows are"):
-            unit_complex_normals(gens, (2, 3, 5), out=strided, steps=steps)
-    for buf in (np.empty((2, 3, 5, 2)), np.empty((2, 3, 2, 5), dtype=np.float32),
+            unit_complex_normals(gens, (2, 3, 5), out=strided, steps=steps, buf=buf)
+    for buf in (None, np.empty((2, 3, 5, 2)), np.empty((2, 3, 2, 5), dtype=np.float32),
                 np.empty((2, 3, 2, 10))[..., ::2]):
         with pytest.raises(ValueError, match=r"buf must be a C-ordered float64 array"):
             unit_complex_normals(gens, (2, 3, 5), steps=True, buf=buf)
