@@ -246,7 +246,12 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
         if not per_row or len(shape) != 3:
             raise ValueError("a draw of steps takes one generator per row of (rows, k, n)")
         raw = shape[:2] + (2, n)
-        if buf is None or buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
+        if (
+            buf is None
+            or buf.shape != raw
+            or buf.dtype != np.float64
+            or not buf[:1].flags.c_contiguous
+        ):
             raise ValueError(
                 f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
             )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sns2d.dynamics as dynamics
 from sns2d import SpectralField
 
 
@@ -15,3 +16,17 @@ def random_field(rng):
         return SpectralField.random(cutoff, rng, amplitude=amplitude, decay=decay)
 
     return make
+
+
+@pytest.fixture
+def draw_ahead_helpers(monkeypatch):
+    """The list of draw-ahead helpers that marches start during the test."""
+    started = []
+
+    class Counted(dynamics._DrawAhead):
+        def __init__(self, *args):
+            started.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
+    return started

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import sns2d
-import sns2d.dynamics as dynamics
 from sns2d import (
     ControlPath,
     IntegratorConfig,
@@ -547,19 +546,6 @@ def _on_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _count_helpers(monkeypatch):
-    """A list to which every draw-ahead helper started from now on is added."""
-    started = []
-
-    class Counted(dynamics._DrawAhead):
-        def __init__(self, *args):
-            started.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
-    return started
-
-
 def _noisy_march_case(scheme, rows, n_steps, dt=0.01):
     """(args, kwargs) of a noisy march at N=8 under a control, from one start
     (rows 0, as in ``_march_case``) or a block, with fresh generators on
@@ -588,30 +574,32 @@ def test_draw_chunks_cover_the_steps_in_chunks_of_about_their_square_root():
 @pytest.mark.parametrize("n_steps", [1, 7, 50])
 @pytest.mark.parametrize("rows", [0, 1, 8])
 @pytest.mark.parametrize("scheme", ["exponential_euler", "etd2"])
-def test_the_draw_ahead_march_is_the_serial_march_bit_for_bit(monkeypatch, scheme, rows, n_steps):
+def test_the_draw_ahead_march_is_the_serial_march_bit_for_bit(
+    monkeypatch, draw_ahead_helpers, scheme, rows, n_steps
+):
     paths, states = [], []
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
-        started = _count_helpers(monkeypatch)
         threads = threading.active_count()
         args, kwargs = _noisy_march_case(scheme, rows, n_steps)
         paths.append(march(*args, **kwargs))
         assert threading.active_count() == threads
-        # one helper on two cores, where there are two chunks or more
-        assert len(started) == (cores == 2 and len(draw_chunks(n_steps)) > 1)
         gens = kwargs["gen"] if rows else [kwargs["gen"]]
         states.append([g.bit_generator.state for g in gens])
+    # one helper, on two cores, where there are two chunks or more
+    assert len(draw_ahead_helpers) == (len(draw_chunks(n_steps)) > 1)
     assert paths[0].tobytes() == paths[1].tobytes()
     assert states[0] == states[1]
 
 
-def test_draw_ahead_marches_on_more_threads_than_cores_keep_the_serial_bits(monkeypatch):
+def test_draw_ahead_marches_on_more_threads_than_cores_keep_the_serial_bits(
+    monkeypatch, draw_ahead_helpers
+):
     schemes = ["exponential_euler", "etd2"] * 2
     _on_cores(monkeypatch, 1)
     cases = (_noisy_march_case(scheme, 8, 50) for scheme in schemes)
     want = [march(*args, **kwargs) for args, kwargs in cases]
     _on_cores(monkeypatch, 2)
-    started = _count_helpers(monkeypatch)
     got = [None] * len(schemes)
 
     def work(i):
@@ -631,13 +619,12 @@ def test_draw_ahead_marches_on_more_threads_than_cores_keep_the_serial_bits(monk
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
-    assert len(started) == len(schemes)
+    assert len(draw_ahead_helpers) == len(schemes)
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
-def test_marches_without_noise_or_rows_start_no_helper(monkeypatch):
+def test_marches_without_noise_or_rows_start_no_helper(monkeypatch, draw_ahead_helpers):
     _on_cores(monkeypatch, 2)
-    started = _count_helpers(monkeypatch)
     u0 = generic_field()
     phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 20)
     solve_skeleton(u0, phi, IntegratorConfig(dt=0.01))
@@ -648,10 +635,12 @@ def test_marches_without_noise_or_rows_start_no_helper(monkeypatch):
     _, std = ou_transition(g, NoiseSpec(0.05, 0.1), 0.0, 0.01)
     empty = march(g, np.zeros((0, g.n_modes)), 20, 0.01, noise_std=std, gen=[])
     assert empty.shape == (0, 21, g.n_modes)
-    assert started == []
+    assert draw_ahead_helpers == []
 
 
-def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(monkeypatch):
+def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(
+    monkeypatch, draw_ahead_helpers
+):
     (g, starts, n, dt, forcing, cfg), kwargs = _noisy_march_case("exponential_euler", 8, 50)
 
     def planted(u, step):
@@ -663,7 +652,6 @@ def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(mo
     errors = []
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
-        started = _count_helpers(monkeypatch)
         threads = threading.active_count()
         _, kwargs = _noisy_march_case("exponential_euler", 8, 50)
         # a slow draw keeps the helper busy with a later chunk when the march raises
@@ -671,7 +659,7 @@ def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(mo
         with pytest.raises(IntegrationBlowupError) as err:
             march(g, starts, n, dt, planted, cfg, **kwargs)
         assert threading.active_count() == threads
-        assert len(started) == cores - 1
+        assert len(draw_ahead_helpers) == cores - 1
         errors.append((err.value.row, err.value.t, err.value.norm))
     assert errors[0] == errors[1]
     assert errors[0][:2] == (3, 21 * dt)
@@ -693,9 +681,10 @@ class _PlantedGenerator:
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_a_draw_failure_on_the_helper_is_raised_by_the_march(monkeypatch, cores):
+def test_a_draw_failure_on_the_helper_is_raised_by_the_march(
+    monkeypatch, draw_ahead_helpers, cores
+):
     _on_cores(monkeypatch, cores)
-    started = _count_helpers(monkeypatch)
     args, kwargs = _noisy_march_case("etd2", 8, 50)
     # row 5 draws its first chunk of 8 steps on the helper, or 8 single steps
     kwargs["gen"][5] = _PlantedGenerator(kwargs["gen"][5], fail_at=1 if cores == 2 else 8)
@@ -703,12 +692,11 @@ def test_a_draw_failure_on_the_helper_is_raised_by_the_march(monkeypatch, cores)
     with pytest.raises(RuntimeError, match="planted draw failure"):
         march(*args, **kwargs)
     assert threading.active_count() == threads
-    assert len(started) == cores - 1
+    assert len(draw_ahead_helpers) == cores - 1
 
 
-def test_an_interrupt_in_the_march_joins_the_helper(monkeypatch):
+def test_an_interrupt_in_the_march_joins_the_helper(monkeypatch, draw_ahead_helpers):
     _on_cores(monkeypatch, 2)
-    started = _count_helpers(monkeypatch)
     (g, starts, n, dt, forcing, cfg), kwargs = _noisy_march_case("exponential_euler", 8, 50)
     kwargs["gen"][0] = _PlantedGenerator(kwargs["gen"][0], delay=0.02)
 
@@ -721,7 +709,7 @@ def test_an_interrupt_in_the_march_joins_the_helper(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         march(g, starts, n, dt, interrupted, cfg, **kwargs)
     assert threading.active_count() == threads
-    assert len(started) == 1
+    assert len(draw_ahead_helpers) == 1
 
 
 def _next_slot(node):

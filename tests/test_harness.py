@@ -15,7 +15,6 @@ import types
 import numpy as np
 import pytest
 
-import sns2d.dynamics as dynamics
 import sns2d.experiments as experiments
 from sns2d.cli import main as cli_main
 from sns2d.experiments import (
@@ -1146,35 +1145,22 @@ def test_members_on_one_core_and_on_two_write_the_same_bytes(tmp_path, monkeypat
     assert outputs[0] == outputs[1]
 
 
-def _count_helpers(monkeypatch):
-    """A list to which every draw-ahead helper started from now on is added."""
-    started = []
-
-    class Counted(dynamics._DrawAhead):
-        def __init__(self, *args):
-            started.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
-    return started
-
-
 MARCHING_KINDS = ["besov_moment", "converge_besov", "converge_h", "laplace", "tube"]
 
 
 @pytest.mark.parametrize("kind", MARCHING_KINDS)
-def test_marches_on_one_core_and_on_two_write_the_same_bytes(tmp_path, monkeypatch, kind):
+def test_marches_on_one_core_and_on_two_write_the_same_bytes(
+    tmp_path, monkeypatch, draw_ahead_helpers, kind
+):
     # on two cores each noisy march draws its step noise on a helper thread
     cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS[kind])
     outputs = []
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
-        started = _count_helpers(monkeypatch)
-        threads = threading.active_count()
+        threads, helpers = threading.active_count(), len(draw_ahead_helpers)
         record = run(cfg, str(tmp_path / str(cores)))
         assert threading.active_count() == threads
-        assert bool(started) == (cores == 2)
-        monkeypatch.undo()
+        assert (len(draw_ahead_helpers) > helpers) == (cores == 2)
         files = (record.results_csv, record.summary_json)
         outputs.append([pathlib.Path(f).read_bytes() for f in files])
     assert outputs[0] == outputs[1]
