@@ -184,48 +184,55 @@ def _psi2(z: np.ndarray) -> np.ndarray:
 
 
 def draw_chunks(n_steps: int) -> list:
-    """The steps of noise the draw-ahead thread of a march of n_steps draws
-    per hand-off, in order: about sqrt(n_steps) each, which balances the
-    march's first wait, for one chunk, against the number of hand-offs."""
+    """The steps of noise a march of n_steps draws per call, in order: about
+    sqrt(n_steps) each, which balances the draw-ahead thread's first wait,
+    for one chunk, against the number of hand-offs."""
     chunk = math.isqrt(max(n_steps - 1, 0)) + 1
     return [min(chunk, n_steps - lo) for lo in range(0, n_steps, chunk)]
 
 
 class _DrawAhead:
-    """The step noise of one march, drawn ahead of it on a helper thread.
+    """The step noise of one march, in the chunks of ``draw_chunks``.
 
-    For each chunk of steps of ``draw_chunks`` the thread makes one
-    ``unit_complex_normals(..., steps=True)`` call, which writes the noise of
-    those steps straight into their slots of the march's output, and then
-    records that the slots are filled.  The thread allocates no array: its
-    scratch is made here, on the calling thread.  ``close`` stops it after
-    its current chunk and joins it."""
+    For each chunk one ``unit_complex_normals`` call writes the noise of
+    those steps straight into their slots of the march's output.  With
+    ``ahead`` a helper thread makes the calls ahead of the march; without,
+    ``wait`` makes each as the march reaches its chunk.  The one scratch
+    buffer is made here, on the calling thread, so the helper allocates no
+    array.  ``close`` stops the helper after its current chunk and joins it."""
 
-    def __init__(self, gens, slots, std, chunks):
+    def __init__(self, gens, slots, std, chunks, ahead):
+        buf = np.empty((len(gens), max(chunks), 2, slots.shape[-1]))
+        self._fills = self._fill(gens, slots, std, chunks, buf)
         self._filled = 0  # slots 1.._filled hold their noise
         self._error = None
         self._stop = False
-        self._ready = threading.Condition()
-        buf = np.empty((len(gens), max(chunks), 2, slots.shape[-1]))
-        self._thread = threading.Thread(
-            target=self._draw, args=(gens, slots, std, chunks, buf), daemon=True
-        )
-        self._thread.start()
+        self._thread = None
+        if ahead:
+            self._ready = threading.Condition()
+            self._thread = threading.Thread(target=self._draw, daemon=True)
+            self._thread.start()
 
-    def _draw(self, gens, slots, std, chunks, buf):
+    @staticmethod
+    def _fill(gens, slots, std, chunks, buf):
+        """Draw the chunks in turn, yielding the last slot filled."""
         lo = 1
+        for k in chunks:
+            unit_complex_normals(
+                gens, (len(gens), k, slots.shape[-1]), std,
+                out=slots[:, lo : lo + k], buf=buf[:, :k],
+            )
+            lo += k
+            yield lo - 1
+
+    def _draw(self):
         try:
-            for k in chunks:
+            for filled in self._fills:
+                with self._ready:
+                    self._filled = filled
+                    self._ready.notify()
                 if self._stop:
                     return
-                unit_complex_normals(
-                    gens, (len(gens), k, slots.shape[-1]), std,
-                    out=slots[:, lo : lo + k], steps=True, buf=buf[:, :k],
-                )
-                lo += k
-                with self._ready:
-                    self._filled = lo - 1
-                    self._ready.notify()
         except BaseException as exc:  # handed to the march
             with self._ready:
                 self._error = exc
@@ -235,6 +242,9 @@ class _DrawAhead:
         """Return once slot holds its noise; raise the helper's error."""
         if self._filled >= slot:
             return
+        if self._thread is None:
+            self._filled = next(self._fills)
+            return
         with self._ready:
             while self._filled < slot and self._error is None:
                 self._ready.wait()
@@ -242,8 +252,9 @@ class _DrawAhead:
             raise self._error
 
     def close(self):
-        self._stop = True
-        self._thread.join()
+        if self._thread is not None:
+            self._stop = True
+            self._thread.join()
 
 
 def march(
@@ -253,39 +264,38 @@ def march(
     dt,
     forcing=None,
     cfg: IntegratorConfig = None,
-    rate=None,
     noise_std=None,
     gen=None,
 ):
     """The exponential step behind every time march (Cox and Matthews 2002).
 
-    Each step is u <- exp(-rate dt) u + dt psi1(rate dt) F(u, step), plus the
-    ETD2 correction when cfg selects it, plus noise_std * xi with one
-    ``unit_complex_normals(gen, n_modes)`` draw.  rate defaults to |k|^2;
-    forcing=None drops F (a pure Ornstein-Uhlenbeck or free-decay march).
+    Each step is u <- exp(-|k|^2 dt) u + dt psi1(|k|^2 dt) F(u, step), plus
+    the ETD2 correction when cfg selects it, plus noise_std * xi, a
+    ``unit_complex_normals`` draw; forcing=None drops F (a pure
+    Ornstein-Uhlenbeck or free-decay march).
 
     u0 is one start (n_modes,) or a block of starts (R, n_modes) marched in
     lockstep, forcing then taking and returning (R, n_modes) stacks.  gen is
     one generator per row of a block (a lone generator for one start); each
-    step draws row by row in row order, so every row keeps the draws it has
-    when marched alone.  After each step every row must have a finite H norm
-    within cfg.blowup_threshold (finite only, without cfg); the first step
-    where a row fails raises, naming the lowest failing row.  Returns the
-    states, (n_steps + 1, n_modes), or (R, n_steps + 1, n_modes) for a block.
+    row draws its steps in order from its own generator, so every row keeps
+    the draws it has when marched alone.  After each step every row must
+    have a finite H norm within cfg.blowup_threshold (finite only, without
+    cfg); the first step where a row fails raises, naming the lowest failing
+    row.  Returns the states, (n_steps + 1, n_modes), or
+    (R, n_steps + 1, n_modes) for a block.
 
-    With noise, rows and more than one chunk of steps, and two or more
-    usable cores, a helper thread draws the noise ahead of the march, in
-    the chunks of steps of ``draw_chunks``, into the output slots of those
-    steps; the march forms the deterministic part of each step in a buffer
-    of its own, waits for the step's slot and adds that part to the noise
-    there.  Addition commutes, so every state has the bits of the serial
-    march, which runs on one core.  Each generator draws its rows' steps in
-    the same order either way; after a blow-up the helper may have drawn a
-    chunk past the failing step.  The helper is joined before the march
-    returns or raises, and an error it meets is raised here.
+    The noise is drawn in the chunks of steps of ``draw_chunks``, one call
+    per chunk, into the output slots of those steps; the march forms the
+    deterministic part of each step in a buffer of its own and adds it to
+    the noise in the step's slot.  With two or more chunks and two or more
+    usable cores a helper thread draws the chunks ahead of the march; else
+    the march draws each chunk as it reaches it.  Either way every state has
+    the same bits.  After a blow-up the helper may have drawn a chunk past
+    the failing step.  It is joined before the march returns or raises, and
+    an error it meets is raised here.
     """
     n_modes = grid.n_modes
-    z = (grid.ksq if rate is None else rate) * dt
+    z = grid.ksq * dt
     decay, psi1 = exp_weights(z)
     gain = dt * psi1
     etd2 = cfg is not None and cfg.scheme == "etd2"
@@ -299,36 +309,36 @@ def march(
     out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
     out[..., 0, :] = u0
     u = out[..., 0, :]
-    ahead = None
+    noise = None
     chunks = draw_chunks(n_steps) if noise_std is not None and n_rows > 0 else []
-    if len(chunks) > 1 and usable_cores() > 1:
+    if chunks:
         step_buf = np.empty_like(u)
-        ahead = _DrawAhead(gens, out.reshape(n_rows, n_steps + 1, n_modes), noise_std, chunks)
+        noise = _DrawAhead(
+            gens, out.reshape(n_rows, n_steps + 1, n_modes), noise_std, chunks,
+            len(chunks) > 1 and usable_cores() > 1,
+        )
     try:
         for step in range(n_steps):
-            # the step is formed in its own slot, or beside the slot that the
-            # helper fills with its noise; decay stays the first operand
-            unew = np.multiply(decay, u, out=out[..., step + 1, :] if ahead is None else step_buf)
+            # the step is formed in its own slot, or beside the slot that
+            # holds its noise; decay stays the first operand
+            unew = np.multiply(decay, u, out=out[..., step + 1, :] if noise is None else step_buf)
             if forcing is not None:
                 F = forcing(u, step)
                 unew += gain * F
                 if etd2:
                     unew += gain2 * (forcing(unew, step) - F)
-            if ahead is not None:
-                ahead.wait(step + 1)
+            if noise is not None:
+                noise.wait(step + 1)
                 unew = out[..., step + 1, :]
                 unew += step_buf
-            elif noise_std is not None:
-                noisy = unew.reshape(n_rows, n_modes)
-                noisy += unit_complex_normals(gens, noisy.shape, noise_std)
             for r, row in enumerate(unew.reshape(n_rows, n_modes)):
                 nrm_sq = 2.0 * np.vdot(row, row).real
                 if not nrm_sq <= limit_sq:  # also catches NaN
                     raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)
             u = unew
     finally:
-        if ahead is not None:
-            ahead.close()
+        if noise is not None:
+            noise.close()
     return out
 
 
@@ -438,10 +448,13 @@ def solve_controlled_block(
     as one block; each path is the one its stream gives alone.
 
     A blow-up raises at the first step where any path fails and names the
-    lowest-index failing path's seed and stream.
+    lowest-index failing path's seed and stream.  No streams, no paths: an
+    empty block returns [] and marches nothing.
     """
     streams = [require_stream(s) for s in streams]
     _check_control(u0, phi, cfg)
+    if not streams:
+        return []
     grid = u0.grid
     lam = noise_mod.covariance_weights(grid, spec)
     forced = phi.values * lam[None, :]

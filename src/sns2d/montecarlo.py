@@ -158,7 +158,6 @@ def lp_log_moment_check(
     replicas: int,
     rng,
     cutoff: int,
-    alpha: float = 0.0,
     grid_factor: int = 2,
 ) -> MomentReport:
     """Estimate E |z|_{L^p}^p for the stationary process against the
@@ -174,13 +173,13 @@ def lp_log_moment_check(
     gen = as_generator(rng)
     if p == 2:
         # each sample reduced as it is drawn: one piece of the draw alive
-        samples = drawn_l2_powers(gen, replicas, stationary_std(g, spec, alpha))
-        closed = l2_moment_exact(g, spec, alpha)
+        samples = drawn_l2_powers(gen, replicas, stationary_std(g, spec))
+        closed = l2_moment_exact(g, spec)
     else:
         # the stationary samples in row batches, each reduced before the
         # next is drawn
         rows = max(1, SAMPLES_PER_CALL // g.n_modes)
-        batches = (stationary_batch(g, spec, alpha, gen, min(rows, replicas - lo))
+        batches = (stationary_batch(g, spec, 0.0, gen, min(rows, replicas - lo))
                    for lo in range(0, replicas, rows))
         samples = np.concatenate([lp_powers(g, Z, p, grid_factor) for Z in batches])
         closed = None
@@ -199,15 +198,13 @@ def besov_moment_check(
     replicas: int,
     rng,
     cutoff: int,
-    alpha: float = 0.0,
     grid_factor: int = 2,
-    tail_cutoff: int = 512,
 ) -> MomentReport:
     """Estimate E sup_{t <= T} |z(t)|_{B^sigma_p}^kappa against the mode-sum
     bound (eps sum_k |k|^(2(sigma' - 1)))^(kappa/2) for sigma < sigma' < 0.
     Replica i draws its start and its steps from rng.child(i) through
     ``replica_values``, in blocks of ``stack_depth`` of the Besov grid.  The
-    bound is the truncated lattice sum at tail_cutoff, with no tail."""
+    bound is the truncated lattice sum at cutoff 512, with no tail."""
     if not (sigma < sigma_prime < 0):
         raise ValueError(
             f"need sigma < sigma_prime < 0, got sigma={sigma}, "
@@ -215,12 +212,12 @@ def besov_moment_check(
         )
     g = grid_for(cutoff)
     n_steps = step_count(horizon, dt)
-    _, std = ou_transition(g, spec, alpha, dt)
+    _, std = ou_transition(g, spec, 0.0, dt)
 
     def march_block(block):
         gens = [s.generator() for s in block]
-        z0 = unit_complex_normals(gens, (len(gens), g.n_modes), stationary_std(g, spec, alpha))
-        return march(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gens)
+        z0 = unit_complex_normals(gens, (len(gens), g.n_modes), stationary_std(g, spec))
+        return march(g, z0, n_steps, dt, noise_std=std, gen=gens)
 
     def sup_power(path):
         norms = besov_of_powers(block_powers(g, path, p, grid_factor), sigma, p)
@@ -229,7 +226,7 @@ def besov_moment_check(
     sups = replica_values(
         rng, replicas, stack_depth(g.physical_size(grid_factor)), march_block, sup_power
     )
-    s = lattice_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
+    s = lattice_sum(2.0 * (sigma_prime - 1.0), cutoff=512)
     bound = (spec.epsilon * s) ** (kappa / 2.0)
     return MomentReport.of(spec, sups, bound)
 

@@ -6,17 +6,21 @@ correlation scale (delta -> 0 approaches space-time white noise) and the
 overall strength is sqrt(epsilon).
 
 Every normal is drawn by ``unit_complex_normals``, into one array or in
-parts.  Its part form hands out the scaled pieces of a draw's real half and
-then of its imaginary half as they are drawn, so that ``drawn_l2_powers``
-reduces each sample's squared L^2 norm, of a stationary draw or of an OU
-step, and ``wick_diagonal`` renorm's weighted Wick sums, while holding one
-piece of SAMPLES_PER_CALL reals and no half of the draw.  Only this module
-reads the parts, and it imports nothing of the package but ``grid``.
+parts.  With a generator per row it has one layout: each row draws its steps'
+(2, n) streams in turn, one step for a (rows, n) draw and a chunk of a
+march's steps for (rows, k, n).  Its part form hands out the scaled pieces
+of a draw's real half and then of its imaginary half as they are drawn, so
+that ``drawn_l2_powers`` reduces each sample's squared L^2 norm, of a
+stationary draw or of an OU step, and ``wick_diagonal`` renorm's weighted
+Wick sums, while holding one piece of SAMPLES_PER_CALL reals and no half of
+the draw.  Only this module reads the parts, and it imports nothing of the
+package but ``grid``.
 
 Nothing here keeps state between calls: draws from separate generators may
 run on separate threads, which the harness does with the members of its
 ``ou_checks`` and ``lp_moment`` runs, and a noisy march with its step noise,
-drawn ahead on a helper thread.  Both size themselves by ``usable_cores``.
+drawn ahead on a helper thread where there are two cores or more.  Both
+size themselves by ``usable_cores``.
 """
 
 import functools
@@ -165,7 +169,7 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=False, buf=None):
+def unit_complex_normals(gen, shape, std=None, parts=False, out=None, buf=None):
     """Complex normals with E|z|^2 = 1 (independent real/imag parts), times
     std: a scalar or one real per entry of the last axis.  This is the one
     place in the package that draws normals.
@@ -174,20 +178,18 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
     parts first, then imaginary parts.  Each part is scaled by 1/sqrt(2) and
     then by std, the same two roundings as (xi[0] + 1j*xi[1]) / sqrt(2)
     times std in complex arithmetic, so the result is that one bit for bit.
-    gen may also be one generator per row of the leading axis, each drawing
-    its row's own (2, *shape[1:]) stream.  The normals pass through one
-    buffer of at most SAMPLES_PER_CALL reals; no complex temporary is made.
-    out, a C-ordered complex128 array of that shape, receives the result in
-    place of a new array; with a generator per row, only each row of out
-    need be C-ordered, such as a block march's slots out[:, s:s + k].
+    The normals pass through one buffer of at most SAMPLES_PER_CALL reals;
+    no complex temporary is made.  out, a C-ordered complex128 array of that
+    shape, receives the result in place of a new array.
 
-    With steps=True the draw is k steps of a block march at once: shape is
-    (rows, k, n), gen one generator per row, and each generator draws its
-    row's k per-step (2, n) streams one after the other in one call, so a
-    row's k steps are the k one-step draws (rows, n) would give it, bit for
-    bit.  The normals land in buf, a float64 array (rows, k, 2, n) whose
-    rows are C-ordered: the caller makes it, so that a draw on another
-    thread allocates no array there.
+    gen may also be one generator per row of the leading axis.  For a shape
+    (rows, k, n) each row's generator draws its k per-step (2, n) streams in
+    turn, in one call, so a row's k steps are the k one-step draws (rows, n)
+    would give it, bit for bit; (rows, n) is k = 1 (the axes between count
+    as steps, in C order).  The normals land in buf, a float64 array
+    (rows, k, 2, n) whose rows are C-ordered, made here when not given: a
+    draw on another thread is handed one made on the calling thread.  Only
+    each row of out need be C-ordered, such as a march's slots out[:, s:s + k].
 
     With parts=True, gen is one generator and the result is an iterator over
     (part, first row, first column, piece) of that same array, flattened to
@@ -200,34 +202,33 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     n = shape[-1]
     scale = None if std is None else np.asarray(std, dtype=np.float64)
-    width = min(n, SAMPLES_PER_CALL)
+    per_row = not isinstance(gen, np.random.Generator)
 
-    def pieces(g, rows, buf):
-        """Draw one part of g's (rows, n) stream through buf: (first row,
-        first column, piece) of whole rows, or of one row where a row
-        outgrows SAMPLES_PER_CALL."""
-        depth = min(rows, SAMPLES_PER_CALL // width)
-        col_scale = None if scale is None else np.broadcast_to(scale, (n,))
-        for lo in range(0, rows, depth):
-            d = min(depth, rows - lo)
-            for c in range(0, n, width):
-                w = min(width, n - c)
-                piece = buf[: d * w].reshape(d, w)
-                g.standard_normal(out=piece)
-                piece *= _INV_SQRT2
-                if col_scale is not None:
-                    piece *= col_scale[c : c + w]
-                yield lo, c, piece
-
-    if parts:
-        if not isinstance(gen, np.random.Generator):
-            raise TypeError("a draw in parts takes one generator")
+    def halves():
+        """(part, first row, first column, piece) of gen's draw, as drawn."""
         rows = math.prod(shape[:-1])
         if rows * n == 0:
-            return iter(())
-        buf = np.empty(min(rows, SAMPLES_PER_CALL // width) * width)
-        return ((part, *p) for part in (0, 1) for p in pieces(gen, rows, buf))
-    per_row = not isinstance(gen, np.random.Generator)
+            return
+        width = min(n, SAMPLES_PER_CALL)
+        depth = min(rows, SAMPLES_PER_CALL // width)
+        piece_buf = np.empty(depth * width)
+        col_scale = None if scale is None else np.broadcast_to(scale, (n,))
+        for part in (0, 1):
+            for lo in range(0, rows, depth):
+                d = min(depth, rows - lo)
+                for c in range(0, n, width):
+                    w = min(width, n - c)
+                    piece = piece_buf[: d * w].reshape(d, w)
+                    gen.standard_normal(out=piece)
+                    piece *= _INV_SQRT2
+                    if col_scale is not None:
+                        piece *= col_scale[c : c + w]
+                    yield part, lo, c, piece
+
+    if parts:
+        if per_row:
+            raise TypeError("a draw in parts takes one generator")
+        return halves()
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif (
@@ -239,55 +240,36 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, steps=Fals
             f"out must be a C-ordered complex128 array of shape {shape}"
             + (", or one whose rows are" if per_row else "")
         )
-    gens = list(gen) if per_row else [gen]
-    if per_row and len(gens) != shape[0]:
-        raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
-    if steps:
-        if not per_row or len(shape) != 3:
-            raise ValueError("a draw of steps takes one generator per row of (rows, k, n)")
-        raw = shape[:2] + (2, n)
-        if (
-            buf is None
-            or buf.shape != raw
-            or buf.dtype != np.float64
-            or not buf[:1].flags.c_contiguous
-        ):
+    if not per_row and 2 * out.size > SAMPLES_PER_CALL:
+        flat = out.reshape(-1, n)
+        for part, lo, c, piece in halves():
+            half = flat.imag if part else flat.real
+            half[lo : lo + len(piece), c : c + piece.shape[1]] = piece
+        return out
+    if per_row:
+        gens = list(gen)
+        if len(gens) != shape[0]:
+            raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
+        raw = (shape[0], math.prod(shape[1:-1]), 2, n)
+        if buf is None:
+            buf = np.empty(raw)
+        elif buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
             raise ValueError(
                 f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
             )
         for g, stream in zip(gens, buf):
             g.standard_normal(out=stream)
-        buf *= _INV_SQRT2
-        if scale is not None:
-            buf *= scale
-        out.real = buf[:, :, 0]
-        out.imag = buf[:, :, 1]
-        return out
-    if out.size == 0:
-        return out
-    # a view: each row of out is C-ordered
-    streams = out.reshape(len(gens), -1, n)
-    rows = streams.shape[1]
-    if 2 * rows * n <= SAMPLES_PER_CALL:
-        # whole streams, as many generators' as the buffer holds per fill
-        per_fill = SAMPLES_PER_CALL // (2 * rows * n)
-        buf = np.empty((min(len(gens), per_fill), 2, rows, n))
-        for lo in range(0, len(gens), per_fill):
-            piece = buf[: len(gens) - lo]
-            for g, stream in zip(gens[lo : lo + per_fill], piece):
-                g.standard_normal(out=stream)
-            piece *= _INV_SQRT2
-            if scale is not None:
-                piece *= scale
-            block = streams[lo : lo + len(piece)]
-            block.real = piece[:, 0]
-            block.imag = piece[:, 1]
-        return out
-    buf = np.empty(min(rows, SAMPLES_PER_CALL // width) * width)
-    for g, flat in zip(gens, streams):
-        for part in (flat.real, flat.imag):
-            for lo, c, piece in pieces(g, rows, buf):
-                part[lo : lo + len(piece), c : c + piece.shape[1]] = piece
+        # a view: each row of out is C-ordered
+        dest, re, im = out.reshape(raw[:2] + (n,)), buf[:, :, 0], buf[:, :, 1]
+    else:
+        # the whole (2, *shape) stream in one call
+        buf = gen.standard_normal((2,) + shape)
+        dest, re, im = out, buf[0], buf[1]
+    buf *= _INV_SQRT2
+    if scale is not None:
+        buf *= scale
+    dest.real = re
+    dest.imag = im
     return out
 
 

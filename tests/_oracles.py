@@ -551,13 +551,13 @@ def adjoint_gradient_allocating(phi_vals, states, target, weight, cfg, velocity=
     return grad
 
 
-def march_allocating(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None,
-                     noise_std=None, gen=None):
+def march_allocating(grid, u0, n_steps, dt, forcing=None, cfg=None, noise_std=None,
+                     gen=None):
     """``march`` forming each step in a new array and copying it into its
     slot: one start (n_modes,) or a block (R, n_modes) with one generator
     per row.  Raises IntegrationBlowupError naming the lowest failing row."""
     n_modes = grid.n_modes
-    z = (grid.ksq if rate is None else rate) * dt
+    z = grid.ksq * dt
     decay, psi1 = exp_weights(z)
     gain = dt * psi1
     etd2 = cfg is not None and cfg.scheme == "etd2"
@@ -634,18 +634,18 @@ def l2_powers_whole(W):
     return 2.0 * (np.sum(W.real**2, axis=1) + np.sum(W.imag**2, axis=1))
 
 
-def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, alpha=0.0, grid_factor=2):
+def lp_log_moment_check_whole(spec, p, replicas, rng, cutoff, grid_factor=2):
     """lp_log_moment_check holding all of its stationary samples Z at once."""
     g = grid_for(cutoff)
     gen = as_generator(rng)
     if p == 2:
-        samples = l2_powers_whole(stationary_batch(g, spec, alpha, gen, replicas))
-        closed = l2_moment_exact(g, spec, alpha)
+        samples = l2_powers_whole(stationary_batch(g, spec, 0.0, gen, replicas))
+        closed = l2_moment_exact(g, spec)
     else:
         # the check's layout: row batches of SAMPLES_PER_CALL complex entries
         rows = max(1, SAMPLES_PER_CALL // g.n_modes)
         Z = np.concatenate([
-            stationary_batch(g, spec, alpha, gen, min(rows, replicas - lo))
+            stationary_batch(g, spec, 0.0, gen, min(rows, replicas - lo))
             for lo in range(0, replicas, rows)
         ])
         samples = lp_powers(g, Z, p, grid_factor)
@@ -672,13 +672,12 @@ def wick_diagonal_whole(g, spec, gen, replicas, keep, weights, shift):
     return np.array([np.concatenate(acc) for acc in sums])
 
 
-def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, rate=None, noise_std=None,
-                gen=None):
+def march_alone(grid, u0, n_steps, dt, forcing=None, cfg=None, noise_std=None, gen=None):
     """One state (n_modes,) marched by the exponential step, one draw from gen
     per step; (n_steps + 1, n_modes).  Raises IntegrationBlowupError at the
     first state outside the blow-up threshold."""
     n_modes = grid.n_modes
-    z = (grid.ksq if rate is None else rate) * dt
+    z = grid.ksq * dt
     decay, psi1 = exp_weights(z)
     gain = dt * psi1
     etd2 = cfg is not None and cfg.scheme == "etd2"
@@ -721,21 +720,20 @@ def controlled_per_replica(u0, phi, spec, cfg, streams):
 
 
 def besov_moment_check_per_replica(spec, sigma, sigma_prime, p, kappa, horizon, dt,
-                                   replicas, rng, cutoff, alpha=0.0, grid_factor=2,
-                                   tail_cutoff=512):
+                                   replicas, rng, cutoff, grid_factor=2):
     """``besov_moment_check`` with each replica's start and steps drawn and
     marched on its own."""
     g = grid_for(cutoff)
     n_steps = step_count(horizon, dt)
-    _, std = ou_transition(g, spec, alpha, dt)
+    _, std = ou_transition(g, spec, 0.0, dt)
     sups = np.empty(replicas)
     for i in range(replicas):
         gen = rng.child(i).generator()
-        z0 = unit_complex_normals_assembled(gen, g.n_modes, stationary_std(g, spec, alpha))
-        path = march_alone(g, z0, n_steps, dt, rate=g.ksq + alpha, noise_std=std, gen=gen)
+        z0 = unit_complex_normals_assembled(gen, g.n_modes, stationary_std(g, spec))
+        path = march_alone(g, z0, n_steps, dt, noise_std=std, gen=gen)
         norms = [besov_norm(SpectralField(g, c), sigma, p, grid_factor) for c in path]
         sups[i] = np.max(norms) ** kappa
-    s, _ = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=tail_cutoff)
+    s, _ = lattice_power_sum(2.0 * (sigma_prime - 1.0), cutoff=512)
     bound = (spec.epsilon * s) ** (kappa / 2.0)
     est = float(np.mean(sups))
     return MomentReport(

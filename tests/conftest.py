@@ -20,13 +20,15 @@ def random_field(rng):
 
 @pytest.fixture
 def draw_ahead_helpers(monkeypatch):
-    """The list of draw-ahead helpers that marches start during the test."""
+    """The list of draw-ahead helpers that marches start during the test.  A
+    march that draws its chunks itself (one core, or one chunk) starts none."""
     started = []
 
     class Counted(dynamics._DrawAhead):
         def __init__(self, *args):
-            started.append(self)
             super().__init__(*args)
+            if self._thread is not None:
+                started.append(self)
 
     monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
     return started

@@ -6,15 +6,25 @@ Runs every config of ``PINNED`` at seed 0, and each config of ``RESEEDED`` at
 seeds 1 and 2, and writes its ``results.csv`` and ``summary.json`` content to
 ``tests/pinned_outputs.json``, one entry per config and seed in the shape of
 ``bench/gate.py``'s ``reference_entry``: seed 0 under ``runs``, the other
-seeds under ``other_seeds``.  Run it at
-the commit whose outputs later changes must reproduce; a change that moves a
-pinned output records them again and says so.
+seeds under ``other_seeds``.  Beside them it records numpy's version and
+the SIMD targets its kernels dispatch to (``numpy_dispatch``): numpy picks
+its ``exp``, ``log`` and reduction kernels by CPU at import, and they differ
+in the last bits.  Run it at the commit whose outputs later changes must
+reproduce; a change that moves a pinned output records them again and says
+so.
 """
 
 import importlib.util
 import json
 import pathlib
 import tempfile
+
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
 
 from test_harness import SMOKE_CONFIGS
 
@@ -90,6 +100,14 @@ def raw_config(name, seed=SEED):
     return raw
 
 
+def numpy_dispatch():
+    """numpy's version and the dispatch targets in use: the entries of
+    ``__cpu_dispatch__`` that ``__cpu_features__`` enables on this CPU."""
+    features = _multiarray_umath.__cpu_features__
+    targets = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
+    return {"version": np.__version__, "dispatch": targets}
+
+
 def run_pinned(name, read=gate.read_outputs, seed=SEED):
     """read(run_dir) of one run of the pinned config ``name`` at ``seed``."""
     from sns2d.experiments import ExperimentConfig, run
@@ -113,7 +131,9 @@ def _runs(names, seed):
 
 def record():
     others = ", ".join(f'"{seed}": {_runs(RESEEDED, seed)}' for seed in OTHER_SEEDS)
-    text = f'{{"seed": {SEED}, "runs": {_runs(PINNED, SEED)}, "other_seeds": {{{others}}}}}\n'
+    numpy = json.dumps(numpy_dispatch())
+    runs = _runs(PINNED, SEED)
+    text = f'{{"seed": {SEED}, "numpy": {numpy}, "runs": {runs}, "other_seeds": {{{others}}}}}\n'
     json.loads(text)
     REFERENCE.write_text(text)
 

@@ -468,17 +468,14 @@ def test_trajectory_metadata_records_stream():
 def test_march_ou_path_matches_repeated_ou_steps():
     g = taylor_green(6, 1.0).grid
     spec = NoiseSpec(epsilon=0.3, delta=0.1, gamma=1.0)
-    alpha, dt = 0.7, 0.05
+    dt = 0.05
     z0 = SpectralField.random(6, np.random.default_rng(1), amplitude=0.2)
-    _, std = ou_transition(g, spec, alpha, dt)
-    path = march(
-        g, z0.coeffs, 4, dt, rate=g.ksq + alpha, noise_std=std,
-        gen=np.random.default_rng(5),
-    )
+    _, std = ou_transition(g, spec, 0.0, dt)
+    path = march(g, z0.coeffs, 4, dt, noise_std=std, gen=np.random.default_rng(5))
     gen = np.random.default_rng(5)
     z = z0
     for i in range(1, 5):
-        z = ou_step(z, spec, alpha, dt, gen)
+        z = ou_step(z, spec, 0.0, dt, gen)
         assert np.array_equal(path[i], z.coeffs)
 
 
@@ -638,6 +635,29 @@ def test_marches_without_noise_or_rows_start_no_helper(monkeypatch, draw_ahead_h
     assert draw_ahead_helpers == []
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 0.0])
+def test_an_empty_block_has_no_paths_and_starts_no_helper(
+    monkeypatch, draw_ahead_helpers, epsilon
+):
+    _on_cores(monkeypatch, 2)
+    phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 5)
+    spec = NoiseSpec(epsilon, 0.1)
+    threads = threading.active_count()
+    assert solve_controlled_block(generic_field(), phi, spec, IntegratorConfig(dt=0.01), []) == []
+    assert threading.active_count() == threads
+    assert draw_ahead_helpers == []
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 50])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_march_draws_each_chunk_of_steps_in_one_call_per_row(monkeypatch, cores, n_steps):
+    _on_cores(monkeypatch, cores)
+    args, kwargs = _noisy_march_case("exponential_euler", 8, n_steps)
+    kwargs["gen"] = [_PlantedGenerator(g) for g in kwargs["gen"]]
+    march(*args, **kwargs)
+    assert [g.calls for g in kwargs["gen"]] == [len(draw_chunks(n_steps))] * 8
+
+
 def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(
     monkeypatch, draw_ahead_helpers
 ):
@@ -667,7 +687,8 @@ def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(
 
 class _PlantedGenerator:
     """A generator whose standard_normal draws as gen's, each call after a
-    pause of delay seconds, and raises at its call number fail_at."""
+    pause of delay seconds, and raises at its call number fail_at; calls
+    counts them."""
 
     def __init__(self, gen, fail_at=None, delay=0.0):
         self.gen, self.fail_at, self.delay, self.calls = gen, fail_at, delay, 0
@@ -686,8 +707,9 @@ def test_a_draw_failure_on_the_helper_is_raised_by_the_march(
 ):
     _on_cores(monkeypatch, cores)
     args, kwargs = _noisy_march_case("etd2", 8, 50)
-    # row 5 draws its first chunk of 8 steps on the helper, or 8 single steps
-    kwargs["gen"][5] = _PlantedGenerator(kwargs["gen"][5], fail_at=1 if cores == 2 else 8)
+    # row 5's first call draws its first chunk of 8 steps, on the helper or
+    # in the march
+    kwargs["gen"][5] = _PlantedGenerator(kwargs["gen"][5], fail_at=1)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="planted draw failure"):
         march(*args, **kwargs)

@@ -704,26 +704,26 @@ def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
     assert a.bit_generator.state == b.bit_generator.state
 
 
-# 4 whole streams in one buffer fill; 40 in fills of 15, 15 and 10; streams
-# too long for the buffer, drawn in pieces
+# rows of 3 and of 20 steps, each row its steps' one-step draws in turn;
+# 40 rows of one step, each row its own (2, 544) stream
 @pytest.mark.parametrize("shape", [(4, 3, 61), (40, 1, 544), (3, 20, 544)])
 def test_one_generator_per_row_draws_each_row_alone(shape):
-    rows, n = shape[0], shape[-1]
+    rows, k, n = shape
     std = np.linspace(0.5, 2.0, n)
     gens = [RngStream(9).child(r).generator() for r in range(rows)]
     block = unit_complex_normals(gens, shape, std)
-    alone = np.stack([
-        unit_complex_normals_assembled(RngStream(9).child(r).generator(), shape[1:], std)
-        for r in range(rows)
-    ])
+    alone = []
+    for r in range(rows):
+        gen = RngStream(9).child(r).generator()
+        alone.append([unit_complex_normals_assembled(gen, n, std) for _ in range(k)])
+    alone = np.array(alone)
     assert np.array_equal(_bits(block), _bits(alone))
     with pytest.raises(ValueError, match=f"{rows - 1} generators for {rows} rows"):
         unit_complex_normals(gens[1:], shape)
 
 
 # k steps of 3 rows at N=16 into a march's slots, whose rows alone are
-# C-ordered; one row of one step; rows of 20000, longer than SAMPLES_PER_CALL,
-# which a one-step draw takes in pieces
+# C-ordered; one row of one step; rows of 20000, longer than SAMPLES_PER_CALL
 @pytest.mark.parametrize("shape", [(3, 7, 544), (1, 1, 61), (2, 3, 20000)])
 @pytest.mark.parametrize("std", ["none", "per_mode", "scalar"])
 def test_a_draw_of_k_steps_is_k_one_step_draws_bit_for_bit(shape, std):
@@ -738,34 +738,31 @@ def test_a_draw_of_k_steps_is_k_one_step_draws_bit_for_bit(shape, std):
     slots = np.full((rows, k + 3, n), np.nan, dtype=np.complex128)
     buf = np.full((rows, k + 2, 2, n), np.nan)  # a leading slice of it is used
     chunk = gens()
-    got = unit_complex_normals(
-        chunk, shape, std, out=slots[:, 1 : k + 1], steps=True, buf=buf[:, :k]
-    )
+    got = unit_complex_normals(chunk, shape, std, out=slots[:, 1 : k + 1], buf=buf[:, :k])
     assert np.shares_memory(got, slots)
     assert slots[:, 1 : k + 1].tobytes() == want.tobytes()
     assert np.isnan(slots[:, 0]).all() and np.isnan(slots[:, k + 1 :]).all()
     assert [g.bit_generator.state for g in chunk] == [g.bit_generator.state for g in one_step]
-    # and into the kernel's own output
-    got = unit_complex_normals(gens(), shape, std, steps=True, buf=np.empty((rows, k, 2, n)))
+    # and into the kernel's own output, through a buffer given or its own
+    got = unit_complex_normals(gens(), shape, std, buf=np.empty((rows, k, 2, n)))
     assert got.tobytes() == want.tobytes()
+    assert unit_complex_normals(gens(), shape, std).tobytes() == want.tobytes()
 
 
 def test_a_draw_of_steps_takes_a_generator_per_row_and_rows_in_c_order():
     gens = [np.random.default_rng(r) for r in range(2)]
     buf = np.empty((2, 3, 2, 5))
-    with pytest.raises(ValueError, match="one generator per row"):
-        unit_complex_normals(np.random.default_rng(0), (2, 3, 5), steps=True, buf=buf)
-    with pytest.raises(ValueError, match="one generator per row"):
-        unit_complex_normals(gens, (2, 5), steps=True, buf=buf)
+    # a one-step draw is k = 1: a buffer of 3 steps is not its shape
+    with pytest.raises(ValueError, match=r"float64 array of shape \(2, 1, 2, 5\)"):
+        unit_complex_normals(gens, (2, 5), buf=buf)
     strided = np.empty((2, 3, 10), dtype=np.complex128)[:, :, ::2]
-    for steps in (False, True):
-        with pytest.raises(ValueError, match=r"shape \(2, 3, 5\), or one whose rows are"):
-            unit_complex_normals(gens, (2, 3, 5), out=strided, steps=steps, buf=buf)
-    for buf in (None, np.empty((2, 3, 5, 2)), np.empty((2, 3, 2, 5), dtype=np.float32),
+    with pytest.raises(ValueError, match=r"shape \(2, 3, 5\), or one whose rows are"):
+        unit_complex_normals(gens, (2, 3, 5), out=strided, buf=buf)
+    for buf in (np.empty((2, 3, 5, 2)), np.empty((2, 3, 2, 5), dtype=np.float32),
                 np.empty((2, 3, 2, 10))[..., ::2]):
         with pytest.raises(ValueError, match=r"buf must be a C-ordered float64 array"):
-            unit_complex_normals(gens, (2, 3, 5), steps=True, buf=buf)
-    # a draw without steps into slots whose rows are C-ordered
+            unit_complex_normals(gens, (2, 3, 5), buf=buf)
+    # a draw without a buffer into slots whose rows are C-ordered
     slots = np.zeros((2, 5, 5), dtype=np.complex128)
     unit_complex_normals([np.random.default_rng(r) for r in range(2)], (2, 3, 5), out=slots[:, 1:4])
     want = unit_complex_normals([np.random.default_rng(r) for r in range(2)], (2, 3, 5))
@@ -871,6 +868,45 @@ def test_normals_are_drawn_only_by_the_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == KERNEL
     ]
     assert kernels == ["noise.py"]
+
+
+def _kernel_call_sites(tree):
+    """The innermost function around each kernel call in tree, in source
+    order."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if _is_kernel_call(child):
+                sites.append((child.lineno, where))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, None)
+    return [where for _, where in sorted(sites)]
+
+
+def test_a_march_draws_its_step_noise_at_one_call_site():
+    # besides the random control of ControlPath.random_in_ball, dynamics.py
+    # draws only the chunks of a march's step noise, in _DrawAhead._fill
+    tree = ast.parse((pathlib.Path(sns2d.__file__).parent / "dynamics.py").read_text())
+    assert _kernel_call_sites(tree) == ["random_in_ball", "_fill"]
+
+
+def test_the_call_site_guard_sees_a_second_step_draw():
+    forked = (
+        "class ControlPath:\n"
+        "    def random_in_ball(cls, cutoff, dt, n_steps, gamma, rng, decay=1.0):\n"
+        "        vals = unit_complex_normals(gen, (n_steps, g.n_modes), std)\n"
+        "class _DrawAhead:\n"
+        "    def _fill(gens, slots, std, chunks, buf):\n"
+        "        for k in chunks:\n"
+        "            unit_complex_normals(gens, (len(gens), k, n), std, out=slots, buf=buf)\n"
+        "def march(grid, u0, n_steps, dt, noise_std=None, gen=None):\n"
+        "    for step in range(n_steps):\n"
+        "        if ahead is None:\n"
+        "            noisy += unit_complex_normals(gens, noisy.shape, noise_std)\n"
+    )
+    assert _kernel_call_sites(ast.parse(forked)) == ["random_in_ball", "_fill", "march"]
 
 
 def test_draw_guard_sees_each_old_draw_site():

@@ -7,6 +7,9 @@ gate's rule (``bench/gate.py``'s ``compare``): numbers within 1e-12
 relative, strings and booleans equal, ``config_hash`` left out.  Then the
 numbers must also be the recorded ones to the last bit: a change that moves
 an output by roundoff records the outputs again and declares the move.
+The exact pass's failure names numpy's version and dispatch targets, as
+recorded and as now, where the two differ: numpy picks its kernels by CPU,
+and another dispatch moves last bits without any change to the program.
 A planted swap of two normals in one member's stream shows that the exact
 pass sees a reordered draw.
 """
@@ -16,7 +19,15 @@ import json
 import numpy as np
 import pytest
 
-from record_pinned import OTHER_SEEDS, PINNED, REFERENCE, RESEEDED, gate, run_pinned
+from record_pinned import (
+    OTHER_SEEDS,
+    PINNED,
+    REFERENCE,
+    RESEEDED,
+    gate,
+    numpy_dispatch,
+    run_pinned,
+)
 from sns2d.noise import RngStream
 
 
@@ -27,28 +38,40 @@ def recorded():
 
 def test_every_pinned_config_has_a_recorded_run(recorded):
     assert recorded["seed"] == 0
+    assert sorted(recorded["numpy"]) == ["dispatch", "version"]
     assert sorted(recorded["runs"]) == sorted(PINNED)
     assert sorted(recorded["other_seeds"]) == [str(seed) for seed in OTHER_SEEDS]
     for runs in recorded["other_seeds"].values():
         assert sorted(runs) == sorted(RESEEDED)
 
 
-def _reproduces(outputs, reference):
+def _dispatch_note(recorded):
+    """How the numpy that recorded the outputs differs from this one."""
+    now = numpy_dispatch()
+    if now == recorded:
+        return "recorded under this numpy and dispatch"
+    return (
+        f"recorded under numpy {recorded['version']} dispatching to {recorded['dispatch']}, "
+        f"rerun under numpy {now['version']} dispatching to {now['dispatch']}"
+    )
+
+
+def _reproduces(outputs, reference, dispatch):
     assert gate.compare(outputs, reference) == []
     # within the gate's tolerance, but not the same bits
-    assert gate.compare(outputs, reference, rel_tol=0.0) == []
+    assert gate.compare(outputs, reference, rel_tol=0.0) == [], _dispatch_note(dispatch)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_a_pinned_config_reproduces_its_recorded_outputs(recorded, name):
-    _reproduces(run_pinned(name), recorded["runs"][name])
+    _reproduces(run_pinned(name), recorded["runs"][name], recorded["numpy"])
 
 
 @pytest.mark.parametrize("seed", OTHER_SEEDS)
 @pytest.mark.parametrize("name", sorted(RESEEDED))
 def test_a_pinned_config_reproduces_its_recorded_outputs_at_other_seeds(recorded, name, seed):
     outputs = run_pinned(name, seed=seed)
-    _reproduces(outputs, recorded["other_seeds"][str(seed)][name])
+    _reproduces(outputs, recorded["other_seeds"][str(seed)][name], recorded["numpy"])
     assert outputs[2]["seed"] == seed
 
 
@@ -86,3 +109,20 @@ def test_a_reordered_draw_is_caught_by_the_exact_comparison(recorded, monkeypatc
     differences = gate.compare(outputs, reference, rel_tol=0.0)
     # member 1's row moves, and the summary with it; member 0's does not
     assert differences and not any("row 0" in d for d in differences)
+
+
+def test_an_exact_failure_names_the_recorded_and_the_current_dispatch(recorded):
+    reference = recorded["runs"]["besov_moment"]
+    rows = [list(row) for row in reference["rows"]]
+    col = reference["columns"].index("estimate")
+    rows[0][col] = repr(float(np.nextafter(float(rows[0][col]), np.inf)))
+    # one ulp off: within the gate's tolerance, not the same bits
+    outputs = (reference["columns"], rows, reference["summary"])
+    now = numpy_dispatch()
+    other = {"version": "1.26.4", "dispatch": ["AVX2"]}
+    with pytest.raises(AssertionError) as err:
+        _reproduces(outputs, reference, other)
+    assert "numpy 1.26.4 dispatching to ['AVX2']" in str(err.value)
+    assert f"numpy {now['version']} dispatching to {now['dispatch']}" in str(err.value)
+    with pytest.raises(AssertionError, match="recorded under this numpy and dispatch"):
+        _reproduces(outputs, reference, now)
