@@ -281,7 +281,10 @@ def march(
     the draws it has when marched alone.  After each step every row must
     have a finite H norm within cfg.blowup_threshold (finite only, without
     cfg); the first step where a row fails raises, naming the lowest failing
-    row.  Returns the states, (n_steps + 1, n_modes), or
+    row.  A block's rows are screened by one reduction, and only a step
+    where some row comes within 1e-12 of the limit, or is not finite, checks
+    each row's ``vdot`` as a single row is checked, so every verdict is the
+    single row's.  Returns the states, (n_steps + 1, n_modes), or
     (R, n_steps + 1, n_modes) for a block.
 
     The noise is drawn in the chunks of steps of ``draw_chunks``, one call
@@ -305,6 +308,9 @@ def march(
     n_rows = 1 if single else u0.shape[0]
     gens = [gen] if single else gen
     limit_sq = math.inf if cfg is None else cfg.blowup_threshold**2
+    # a block's rows pass at once when one reduction puts every squared norm
+    # this far under the limit, beyond the roundoff between it and vdot's
+    screen_sq = 0.5 * limit_sq * (1.0 - 1e-12)
     # one contiguous (n_steps + 1, n_modes) path per row
     out = np.empty(u0.shape[:-1] + (n_steps + 1, n_modes), dtype=np.complex128)
     out[..., 0, :] = u0
@@ -331,7 +337,12 @@ def march(
                 noise.wait(step + 1)
                 unew = out[..., step + 1, :]
                 unew += step_buf
-            for r, row in enumerate(unew.reshape(n_rows, n_modes)):
+            rows = unew.reshape(n_rows, n_modes)
+            if n_rows > 1:
+                parts = rows.view(np.float64)
+                if (np.einsum("ij,ij->i", parts, parts) <= screen_sq).all():
+                    rows = ()
+            for r, row in enumerate(rows):
                 nrm_sq = 2.0 * np.vdot(row, row).real
                 if not nrm_sq <= limit_sq:  # also catches NaN
                     raise IntegrationBlowupError((step + 1) * dt, math.sqrt(abs(nrm_sq)), row=r)

@@ -21,6 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
+
 from . import __version__
 from .dynamics import (
     ControlPath,
@@ -1111,6 +1116,17 @@ def _atomic_write(path, text):
         raise
 
 
+def numpy_dispatch() -> dict:
+    """numpy's version and the dispatch targets in use: the entries of
+    ``__cpu_dispatch__`` that ``__cpu_features__`` enables on this CPU.
+    numpy picks its ``exp``, ``log`` and reduction kernels by CPU at import,
+    and they differ in the last bits, so a run's outputs are reproducible
+    bit for bit only under the same numpy and dispatch."""
+    features = _multiarray_umath.__cpu_features__
+    targets = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
+    return {"version": np.__version__, "dispatch": targets}
+
+
 @dataclass
 class RunRecord:
     kind: str
@@ -1126,6 +1142,7 @@ class RunRecord:
     )
     results_csv: str = ""
     summary_json: str = ""
+    numpy: dict = dataclasses.field(default_factory=numpy_dispatch)
 
     def to_dict(self):
         return dataclasses.asdict(self)

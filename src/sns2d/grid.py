@@ -13,8 +13,9 @@ It has two layouts:
   complex transform (``synthesize_packed`` and ``analyze_packed``).  The
   product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
   does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
-  needs only |u|^2 = Re^2 + Im^2 of the packed velocity.  Both go through
-  ``_complex_transform``.  On the minimum-action descent's 64 x 64 grids
+  needs only |u|^2 = Re^2 + Im^2 of the packed velocity; the block powers
+  synthesize each block from its own modes through a ``ModeBlocks``
+  layout.  Both go through ``_complex_transform``.  On the minimum-action descent's 64 x 64 grids
   scipy.fft's Python dispatch around the transform took about a fifth of
   it (fft2 34 us, the bare call 26 us, best of 7 x 2,000 calls on a 2-core
   Xeon with scipy 1.17);
@@ -46,6 +47,7 @@ import importlib.util
 import os
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,6 +168,20 @@ def grid_for(cutoff: int) -> SpectralGrid:
     return SpectralGrid(cutoff)
 
 
+@dataclass(frozen=True, eq=False)
+class ModeBlocks:
+    """Disjoint sets of a plan's kept modes, each synthesized onto a velocity
+    grid of its own: what ``synthesize_packed`` takes, in place of a stack
+    (blocks, 2, n_kept) of velocity pairs each masked to one set, to give
+    the grids of that stack without forming or scattering its zeros.
+    ``TransformPlan.mode_blocks`` makes them."""
+
+    modes: np.ndarray  # the stored-mode indices of the sets' modes, set after set
+    symbols: np.ndarray  # (2, n): the packed velocity pair at those modes
+    pos: np.ndarray  # (2 n,): their flat positions in (blocks, size, size), at k, then at -k
+    blocks: int
+
+
 class TransformPlan:
     """FFT synthesis and analysis on a size x size grid.
 
@@ -215,19 +231,21 @@ class TransformPlan:
                       "full": (self.full_pos, size * size),
                       "modes": (np.flatnonzero(keep), grid.n_modes)}
         self._positions = {}
-        # zeroed full grids per stack size, reused by the plan's calls in each
-        # thread: the plan is shared, and two threads' syntheses must not
-        # scatter into one grid.  Only the kept modes' positions, at k and
-        # -k, are ever written, and every call writes all of them
+        # zeroed full grids per layout and stack size, reused by the plan's
+        # calls in each thread: the plan is shared, and two threads'
+        # syntheses must not scatter into one grid.  A layout's calls write
+        # only its positions, and every call writes all of them
         self._scratch = threading.local()
 
     def _scatter(self, out, vals, layout):
         """Write each row of vals (..., n_kept) into the same row of out at the
         kept modes' positions in ``layout``: "grid", the rfft2 layout,
-        "modes", the stored modes, or "full", the fft2 layout, whose rows
-        (..., 2 n_kept) hold the values at k and then at -k.  One 1-D
-        scatter fills the whole stack; a scatter along the last axis of a
-        stack runs several times slower."""
+        "modes", the stored modes, "full", the fft2 layout, whose rows
+        (..., 2 n_kept) hold the values at k and then at -k, or a
+        ``ModeBlocks`` of the plan, whose rows are its modes' values at k
+        and at -k and fill (blocks, size, size) grids.  One 1-D scatter
+        fills the whole stack; a scatter along the last axis of a stack runs
+        several times slower."""
         n_rows = vals.size // vals.shape[-1]
         if (layout, n_rows) not in self._positions:
             pos, width = self._rows[layout]
@@ -279,7 +297,23 @@ class TransformPlan:
         s1, s2 = symbols
         return np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
 
-    def synthesize_packed(self, coeffs: np.ndarray, symbols: np.ndarray = None,
+    def mode_blocks(self, sets) -> ModeBlocks:
+        """The ``ModeBlocks`` of ``sets``, disjoint boolean masks over the kept
+        modes, one velocity grid per set."""
+        members = [np.flatnonzero(s) for s in sets]
+        which = np.concatenate(members)
+        plane = np.repeat(np.arange(len(members)) * self.size**2, [len(m) for m in members])
+        n_kept = self.k.shape[1]
+        pos = np.concatenate([plane + self.full_pos[which], plane + self.full_pos[n_kept + which]])
+        modes = np.arange(self.n_modes)[self.keep][which]
+        symbols = self.velocity_packed[:, which]
+        for a in (modes, symbols, pos):
+            a.flags.writeable = False
+        blocks = ModeBlocks(modes, symbols, pos, len(members))
+        self._rows[blocks] = (pos, len(members) * self.size**2)
+        return blocks
+
+    def synthesize_packed(self, coeffs: np.ndarray, symbols=None,
                           out: np.ndarray = None) -> np.ndarray:
         """Complex grids f1 + i f2 of the real grid pair f1, f2 that
         ``synthesize`` makes from a pair of symbol rows: the layout of the
@@ -291,22 +325,30 @@ class TransformPlan:
         whose leading axes index further output grids.  Returns the
         broadcast of coeffs.shape[:-1] and symbols.shape[:-2], then (size,
         size), written into ``out`` (complex, of that shape) when given.
+        ``symbols`` may also be a ``ModeBlocks`` of this plan, which returns
+        (..., blocks, size, size): each velocity value is formed once, and
+        each grid holds only its own set's modes.
         """
         if symbols is None:
             symbols = self.velocity_packed
-        kept = self._kept(coeffs)
+        if isinstance(symbols, ModeBlocks):
+            layout, shape = symbols, coeffs.shape[:-1] + (symbols.blocks,)
+            kept, symbols = coeffs.take(layout.modes, axis=-1), layout.symbols
+        else:
+            layout, shape, kept = "full", None, self._kept(coeffs)
         vals = np.concatenate(
             (kept * symbols[..., 0, :], np.conj(kept) * symbols[..., 1, :]), axis=-1
         )
+        shape = vals.shape[:-1] if shape is None else shape
         n_rows = vals.size // vals.shape[-1]
         M = self.size
         grids = vars(self._scratch).setdefault("full", {})
-        if n_rows not in grids:
-            grids[n_rows] = np.zeros((n_rows, M, M), dtype=np.complex128)
-        work = grids[n_rows]
-        self._scatter(work, vals, "full")
+        if (layout, n_rows) not in grids:
+            grids[layout, n_rows] = np.zeros(shape + (M, M), dtype=np.complex128)
+        work = grids[layout, n_rows]
+        self._scatter(work, vals, layout)
         # unnormalized inverse: the sum over k itself, with no M^2 to undo
-        return _complex_transform(work.reshape(vals.shape[:-1] + (M, M)), False, out)
+        return _complex_transform(work.reshape(shape + (M, M)), False, out)
 
     def packed_weights(self, c1, c2) -> np.ndarray:
         """Weights (2, n_kept) with which ``analyze_packed`` returns

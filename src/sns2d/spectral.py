@@ -29,16 +29,23 @@ def h_norm_of(coeffs: np.ndarray) -> float:
     return math.sqrt(h_norm_sq(coeffs))
 
 
-def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols: np.ndarray = None):
+def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols=None, grids=None,
+                     speed_sq=None):
     """Uniform-grid quadrature of |u(x)|^p over D for each complex velocity
-    grid u1 + i u2 that ``plan.synthesize_packed(coeffs, symbols)`` returns;
-    one value per grid."""
+    grid u1 + i u2 that ``plan.synthesize_packed(coeffs, symbols, grids)``
+    returns; one value per grid.  ``grids`` (complex) and ``speed_sq`` (real)
+    of the grids' shape are reused when given, and ``grids`` is overwritten."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    z = plan.synthesize_packed(coeffs, symbols)
-    # (|u|^2)^(p/2): at p = 4 numpy squares instead of calling pow
-    speed_sq = z.real**2 + z.imag**2
-    return np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
+    z = plan.synthesize_packed(coeffs, symbols, grids)
+    # Re^2 and Im^2 in place, then |u|^2 = Re^2 + Im^2
+    parts = z.view(np.float64)
+    np.square(parts, out=parts)
+    speed_sq = np.add(parts[..., 0::2], parts[..., 1::2], out=speed_sq)
+    # (|u|^2)^(p/2) in place: at p = 4 numpy squares instead of calling pow
+    speed_sq **= p / 2
+    # np.sum's own reduction, without its Python wrappers
+    return np.add.reduce(speed_sq, axis=(-2, -1)) * (TWO_PI / plan.size) ** 2
 
 
 def lp_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
@@ -88,10 +95,10 @@ def _block_mask(ksq: np.ndarray, q: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _BlockGroup:
     """Consecutive dyadic blocks of one cutoff, all integrated on one plan's
-    grid.  ``stacks`` pairs the block indices (a slice) with the packed
-    velocity symbols (blocks, 2, n_kept) of at most ``stack_depth(plan.size)``
-    of the blocks, and each synthesis call takes ``states`` states times one
-    stack."""
+    grid.  ``stacks`` pairs the block indices (a slice) with the
+    ``grid.ModeBlocks`` of at most ``stack_depth(plan.size)`` of the blocks,
+    each block's own modes at k and -k in its grid's (size, size) layout,
+    and each synthesis call takes ``states`` states times one stack."""
 
     plan: object
     stacks: tuple
@@ -118,7 +125,7 @@ def block_grid_size(cutoff: int, q: int, p: float, grid_factor: int = 2) -> int:
 @functools.lru_cache(maxsize=None)
 def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
     """The dyadic blocks of grid_for(cutoff) grouped by ``block_grid_size``,
-    one cached plan and symbol stack per group.
+    one cached plan and block layout per group.
 
     Grid sizes grow with q, so each group is a run of consecutive blocks.  A
     group whose blocks fit one call of ``stack_depth`` grids stacks
@@ -131,15 +138,14 @@ def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
     for size in sorted(set(sizes)):
         lo, hi = sizes.index(size), len(sizes) - sizes[::-1].index(size)
         plan = transform_plan(cutoff, min(2 ** (hi - 1), cutoff), size)
-        masks = np.stack([_block_mask(ksq[plan.keep], q) for q in range(lo, hi)])
-        symbols = masks[:, None, :] * plan.velocity_packed
-        symbols.flags.writeable = False
+        kept_ksq = ksq[plan.keep]
         depth = stack_depth(size)
-        stacks = tuple(
-            (slice(lo + i, min(lo + i + depth, hi)), symbols[i : i + depth])
-            for i in range(0, hi - lo, depth)
-        )
-        groups.append(_BlockGroup(plan, stacks, max(1, depth // (hi - lo))))
+        stacks = []
+        for first in range(lo, hi, depth):
+            cols = slice(first, min(first + depth, hi))
+            masks = [_block_mask(kept_ksq, q) for q in range(cols.start, cols.stop)]
+            stacks.append((cols, plan.mode_blocks(masks)))
+        groups.append(_BlockGroup(plan, tuple(stacks), max(1, depth // (hi - lo))))
     return tuple(groups)
 
 
@@ -149,16 +155,32 @@ def block_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np
 
     Each block is integrated on its ``block_grid_size`` grid; each synthesis
     call of a ``_block_groups`` group holds its ``states`` states times one
-    block stack.  An empty block contributes an exact 0.
+    block stack, and scatters each block's own modes only.  The complex and
+    real grids of the largest call are made once and reused by every call,
+    so no array spans all the states.  An empty block contributes an exact
+    0.
     """
-    flat = np.asarray(coeffs).reshape(-1, 1, grid.n_modes)
+    flat = np.asarray(coeffs).reshape(-1, grid.n_modes)
     n_blocks = block_count(grid.cutoff)
     out = np.empty((flat.shape[0], n_blocks))
-    for group in _block_groups(grid.cutoff, grid_factor, p):
+    groups = _block_groups(grid.cutoff, grid_factor, p)
+    # the grids of the largest call, complex and real, reused by every call
+    cells = max(
+        min(group.states, len(flat)) * blocks.blocks * group.plan.size**2
+        for group in groups for _, blocks in group.stacks
+    )
+    grids, speed_sq = np.empty(cells, dtype=np.complex128), np.empty(cells)
+    for group in groups:
+        size = group.plan.size
         for i in range(0, len(flat), group.states):
-            rows = slice(i, i + group.states)
-            for cols, symbols in group.stacks:
-                out[rows, cols] = _power_integrals(group.plan, flat[rows], p, symbols)
+            states = flat[i : i + group.states]
+            for cols, blocks in group.stacks:
+                shape = (len(states), blocks.blocks, size, size)
+                n = math.prod(shape)
+                out[i : i + len(states), cols] = _power_integrals(
+                    group.plan, states, p, blocks,
+                    grids[:n].reshape(shape), speed_sq[:n].reshape(shape),
+                )
     return out.reshape(np.shape(coeffs)[:-1] + (n_blocks,))
 
 

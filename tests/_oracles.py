@@ -47,6 +47,11 @@ own parts and kept as references for faster forms of the same arithmetic:
   |u|^p quadrature on the real grid pair u1, u2, one block at a time for
   the block powers, the references for ``lp_norm`` and ``block_powers`` on
   packed complex grids;
+- ``block_powers_masked_stacks``, the block powers from one symbol stack per
+  block group, each block's velocity pair masked to its modes, every kept
+  mode formed and scattered once per block and every grid allocated, the
+  reference for ``block_powers``, which forms each mode once and scatters
+  each block's own modes into reused grids;
 - ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
   transform plan's synthesis and analysis with the normalization applied to
   a full new array, the references for ``TransformPlan``'s in-place scaling;
@@ -95,7 +100,7 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.fields import SpectralField
-from sns2d.grid import SAMPLES_PER_CALL, grid_for, transform_plan
+from sns2d.grid import SAMPLES_PER_CALL, grid_for, stack_depth, transform_plan
 from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
@@ -768,6 +773,31 @@ def block_powers_real_grids(grid, coeffs, p, grid_factor=2):
         mask = _block_mask(grid.ksq[plan.keep], q)
         powers.append(power_integrals_real_grids(plan, coeffs, p, mask * plan.velocity))
     return np.array(powers)
+
+
+def block_powers_masked_stacks(grid, coeffs, p, grid_factor=2):
+    """``block_powers`` from masked symbol stacks: the blocks of each
+    ``block_grid_size`` group on one plan, their velocity pairs masked to
+    each block's modes, in stacks of ``stack_depth`` blocks; a call takes
+    ``max(1, stack_depth // blocks)`` states times one stack."""
+    cutoff = grid.cutoff
+    sizes = [block_grid_size(cutoff, q, p, grid_factor) for q in range(block_count(cutoff))]
+    flat = np.asarray(coeffs).reshape(-1, 1, grid.n_modes)
+    out = np.empty((flat.shape[0], len(sizes)))
+    for size in sorted(set(sizes)):
+        lo, hi = sizes.index(size), len(sizes) - sizes[::-1].index(size)
+        plan = transform_plan(cutoff, min(2 ** (hi - 1), cutoff), size)
+        masks = np.stack([_block_mask(grid.ksq[plan.keep], q) for q in range(lo, hi)])
+        symbols = masks[:, None, :] * plan.velocity_packed
+        depth = stack_depth(size)
+        states = max(1, depth // (hi - lo))
+        for i in range(0, len(flat), states):
+            for b in range(0, hi - lo, depth):
+                z = plan.synthesize_packed(flat[i : i + states], symbols[b : b + depth])
+                speed_sq = z.real**2 + z.imag**2
+                integrals = np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / size) ** 2
+                out[i : i + states, lo + b : lo + b + depth] = integrals
+    return out.reshape(np.shape(coeffs)[:-1] + (len(sizes),))
 
 
 def divergence_residual(field):

@@ -7,9 +7,10 @@ seeds 1 and 2, and writes its ``results.csv`` and ``summary.json`` content to
 ``tests/pinned_outputs.json``, one entry per config and seed in the shape of
 ``bench/gate.py``'s ``reference_entry``: seed 0 under ``runs``, the other
 seeds under ``other_seeds``.  Beside them it records numpy's version and
-the SIMD targets its kernels dispatch to (``numpy_dispatch``): numpy picks
-its ``exp``, ``log`` and reduction kernels by CPU at import, and they differ
-in the last bits.  Run it at the commit whose outputs later changes must
+the SIMD targets its kernels dispatch to (``sns2d.experiments.numpy_dispatch``,
+which each run also writes into its ``record.json``): numpy picks its
+``exp``, ``log`` and reduction kernels by CPU at import, and they differ in
+the last bits.  Run it at the commit whose outputs later changes must
 reproduce; a change that moves a pinned output records them again and says
 so.
 """
@@ -19,13 +20,7 @@ import json
 import pathlib
 import tempfile
 
-import numpy as np
-
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy 1.x
-    from numpy.core import _multiarray_umath
-
+from sns2d.experiments import numpy_dispatch
 from test_harness import SMOKE_CONFIGS
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -98,14 +93,6 @@ def raw_config(name, seed=SEED):
         raw = json.loads(json.dumps(SMOKE_CONFIGS[name] if name in _SMOKE else _EXTRA[name]))
     raw.setdefault("statistics", {})["seed"] = seed
     return raw
-
-
-def numpy_dispatch():
-    """numpy's version and the dispatch targets in use: the entries of
-    ``__cpu_dispatch__`` that ``__cpu_features__`` enables on this CPU."""
-    features = _multiarray_umath.__cpu_features__
-    targets = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
-    return {"version": np.__version__, "dispatch": targets}
 
 
 def run_pinned(name, read=gate.read_outputs, seed=SEED):

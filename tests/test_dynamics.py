@@ -535,6 +535,69 @@ def test_march_guard_raises_on_non_finite_state_without_config():
     assert np.all(np.isfinite(huge))
 
 
+def _counting_vdot(monkeypatch):
+    """A list that np.vdot appends each call's row to."""
+    calls = []
+    vdot = np.vdot
+
+    def counted(a, b):
+        calls.append(a)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counted)
+    return calls
+
+
+def test_a_block_screens_its_rows_at_once_and_checks_a_row_near_the_limit_alone(monkeypatch):
+    g = grid_for(16)
+    starts = np.stack([generic_field(16, seed=s).coeffs for s in range(8)])
+    calls = _counting_vdot(monkeypatch)
+    # far under the limit: no row is checked alone; a single start is
+    free = march(g, starts, 5, 0.01, cfg=IntegratorConfig(dt=0.01))
+    assert calls == []
+    march(g, starts[0], 5, 0.01, cfg=IntegratorConfig(dt=0.01))
+    assert len(calls) == 5
+    # a free decay's first step is decay * u; the largest row sits within
+    # 1e-14 of the limit, under it and then over it
+    after = np.exp(-g.ksq * 0.01) * starts
+    top = max(range(8), key=lambda r: 2.0 * np.vdot(after[r], after[r]).real)
+    top_sq = 2.0 * np.vdot(after[top], after[top]).real
+    calls.clear()
+    at = IntegratorConfig(dt=0.01, blowup_threshold=math.sqrt(top_sq * (1 + 1e-14)))
+    assert np.array_equal(march(g, starts, 1, 0.01, cfg=at), free[:, :2])
+    assert len(calls) == 8  # the screen passed the step to the per-row check
+    over = IntegratorConfig(dt=0.01, blowup_threshold=math.sqrt(top_sq * (1 - 1e-14)))
+    with pytest.raises(IntegrationBlowupError) as alone:
+        march(g, starts[top], 1, 0.01, cfg=over)
+    with pytest.raises(IntegrationBlowupError) as err:
+        march(g, starts, 1, 0.01, cfg=over)
+    assert (err.value.row, err.value.t, err.value.norm) == (top, alone.value.t, alone.value.norm)
+    # a NaN row fails the screen and is named by the per-row check
+    starts[5] = np.nan
+    with pytest.raises(IntegrationBlowupError) as err:
+        march(g, starts, 1, 0.01)
+    assert err.value.row == 5 and math.isnan(err.value.norm)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("rows", [0, 8])
+@pytest.mark.parametrize("scheme", ["exponential_euler", "etd2"])
+def test_a_march_leaves_the_arrays_its_forcing_returns_untouched(scheme, rows, noise):
+    # duhamel_gamma and phi_eps hand out rows of the caller's control
+    (g, starts, n, dt, _, cfg), kwargs = _march_case(scheme, rows, noise)
+    rng = np.random.default_rng(7)
+    shape = (n,) + starts.shape
+    control = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = control.copy()
+    march(g, starts, n, dt, lambda u, step: control[step], cfg, **kwargs)
+    assert np.array_equal(control, kept)
+    if rows == 0 and not noise:
+        phi = ControlPath(g, dt, control)
+        duhamel_gamma(phi)
+        phi_eps(phi, NoiseSpec(0.05, 0.1))
+        assert np.array_equal(phi.values, kept)
+
+
 # --------------------------------------------------------------------------
 # the step noise drawn ahead on a helper thread
 

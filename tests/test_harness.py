@@ -19,6 +19,7 @@ import sns2d.experiments as experiments
 from sns2d.cli import main as cli_main
 from sns2d.experiments import (
     ExperimentConfig,
+    numpy_dispatch,
     report,
     run,
     set_by_path,
@@ -154,6 +155,9 @@ def test_run_produces_outputs_and_passes(tmp_path):
     assert os.path.isfile(record.summary_json)
     assert os.path.isfile(os.path.join(record.run_dir, "config.json"))
     assert os.path.isfile(os.path.join(record.run_dir, "record.json"))
+    # the sidecar names the numpy and dispatch the outputs' bits come from
+    with open(os.path.join(record.run_dir, "record.json")) as fh:
+        assert json.load(fh)["numpy"] == numpy_dispatch()
     with open(record.summary_json) as fh:
         summary = json.load(fh)
     assert summary["kind"] == "ou_checks"

@@ -11,10 +11,17 @@ The exact pass's failure names numpy's version and dispatch targets, as
 recorded and as now, where the two differ: numpy picks its kernels by CPU,
 and another dispatch moves last bits without any change to the program.
 A planted swap of two normals in one member's stream shows that the exact
-pass sees a reordered draw.
+pass sees a reordered draw.  A few seed-0 configs are also rerun in a
+subprocess with numpy's AVX-512 kernels switched off, the dispatch of an
+AVX2-only host, so that a second dispatch is exercised wherever the CPU has
+the targets to switch off.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,3 +133,47 @@ def test_an_exact_failure_names_the_recorded_and_the_current_dispatch(recorded):
     assert f"numpy {now['version']} dispatching to {now['dispatch']}" in str(err.value)
     with pytest.raises(AssertionError, match="recorded under this numpy and dispatch"):
         _reproduces(outputs, reference, now)
+
+
+# numpy's AVX-512 targets; switched off, numpy dispatches as on an AVX2-only host
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# seed-0 configs rerun under that dispatch, and whether each is expected to
+# keep its bits there: the slope fits of the convergence sweeps go through
+# numpy's log and reductions and move in the last bits, the OU laws do not
+_UNDER_AVX2 = {
+    "configs/converge_h.json": False,
+    "configs/converge_besov.json": False,
+    "configs/ou_checks.json": True,
+}
+_RERUN = """
+import json, sys
+from record_pinned import REFERENCE, gate, numpy_dispatch, run_pinned
+runs = json.loads(REFERENCE.read_text())["runs"]
+cases = {}
+for name in sys.argv[1:]:
+    outputs = run_pinned(name)
+    cases[name] = [gate.compare(outputs, runs[name]),
+                   gate.compare(outputs, runs[name], rel_tol=0.0)]
+print(json.dumps({"numpy": numpy_dispatch(), "cases": cases}))
+"""
+
+
+def test_pinned_configs_hold_to_1e_12_under_avx2_kernels():
+    now = numpy_dispatch()
+    if not set(_AVX512) <= set(now["dispatch"]):
+        pytest.skip(f"this CPU has no {' '.join(_AVX512)} dispatch to switch off")
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    # the setting acts on the subprocess only
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512),
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", _RERUN, *_UNDER_AVX2], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    rerun = json.loads(done.stdout.splitlines()[-1])
+    reduced = [t for t in now["dispatch"] if t not in _AVX512]
+    assert rerun["numpy"] == {"version": now["version"], "dispatch": reduced}
+    for name, (close, exact) in rerun["cases"].items():
+        assert close == [], name
+        assert (exact == []) == _UNDER_AVX2[name], (name, exact)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sns2d.spectral import (
 
 from _oracles import (
     besov_norm_per_block,
+    block_powers_masked_stacks,
     block_powers_real_grids,
     dyadic_block,
     fractional_power,
@@ -304,10 +306,10 @@ def _recorded_besov_calls(monkeypatch, cutoff, p, n_states):
     calls = []
     synthesize_packed = TransformPlan.synthesize_packed
 
-    def counted(plan, coeffs, symbols=None):
+    def counted(plan, coeffs, symbols=None, out=None):
         states = coeffs.size // coeffs.shape[-1]
-        calls.append((plan.size, states * symbols.shape[0], symbols.shape[0]))
-        return synthesize_packed(plan, coeffs, symbols)
+        calls.append((plan.size, states * symbols.blocks, symbols.blocks))
+        return synthesize_packed(plan, coeffs, symbols, out)
 
     monkeypatch.setattr(TransformPlan, "synthesize_packed", counted)
     path = np.stack([_field(s, cutoff).coeffs for s in range(n_states)])
@@ -380,6 +382,38 @@ def test_stacked_block_powers_rows_are_each_state_alone(cutoff):
             assert np.array_equal(stacked[i], block_powers(grid_for(cutoff), row, p))
         cube = block_powers(grid_for(cutoff), path[:10].reshape(2, 5, -1), p)
         assert np.array_equal(cube.reshape(10, -1), stacked[:10])
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+def test_block_powers_are_the_masked_stacks_bit_for_bit(cutoff):
+    # each block's own modes in reused grids give the bits of the symbol
+    # stacks masked to each block; 13 states leave a short last call
+    path = np.stack([_field(s, cutoff).coeffs for s in range(13)])
+    path[4] = 0.0
+    path[9] = np.nan
+    for p in (2.5, 3.0, 4.0, 6.0):
+        got = block_powers(grid_for(cutoff), path, p)
+        want = block_powers_masked_stacks(grid_for(cutoff), path, p)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(got[4] == 0.0) and np.all(np.isnan(got[9]))
+        assert np.all(np.isfinite(np.delete(got, 9, axis=0)))
+
+
+def test_block_powers_of_a_path_hold_one_call_of_grids():
+    # N = 16, p = 4: the largest call is 25 states of block 2 on its 18 x 18
+    # grid, 8,100 cells of one complex and one real grid; one call's values
+    # and temporaries take well under 128 KiB.  An array of every state's
+    # values, (51, 544) complex, alone would take the path's 443,904 bytes
+    path = np.stack([_field(s, 16).coeffs for s in range(51)])
+    block_powers(grid_for(16), path, 4.0)  # the plans' cached grids
+    tracemalloc.start()
+    try:
+        block_powers(grid_for(16), path, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 24 * 25 * 18 * 18 + 128 * 1024
+    assert peak <= bound < path.nbytes
 
 
 @pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
