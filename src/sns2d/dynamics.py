@@ -90,10 +90,6 @@ class ControlPath:
     def t_final(self) -> float:
         return self.n_steps * self.dt
 
-    def l2h_norm_sq(self) -> float:
-        """Squared L^2(0, T; H) norm of the piecewise-constant control."""
-        return float(self.dt * h_norm_sq(self.values))
-
     @classmethod
     def zero(cls, cutoff: int, dt: float, n_steps: int) -> "ControlPath":
         g = grid_for(cutoff)

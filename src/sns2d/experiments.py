@@ -7,9 +7,11 @@ directory named by the config hash; (config, seed) determines every numeric
 output byte.
 """
 
+import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -1238,18 +1240,14 @@ def sweep(raw_config: dict, axis: str, values, outdir: str, workers: int = 1):
     records, errors = [], []
     # the pool forks all its workers at the first submit, so none may idle
     workers = min(workers, len(jobs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_sweep_member, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    records.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - reported per member
-                    errors.append((job[0], str(exc)))
-    else:
-        for job in jobs:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        # one call per member: its pool future's result, or the member itself
+        calls = [functools.partial(_sweep_member, job) if pool is None
+                 else pool.submit(_sweep_member, job).result for job in jobs]
+        for job, call in zip(jobs, calls):
             try:
-                records.append(_sweep_member(job))
+                records.append(call())
             except Exception as exc:  # noqa: BLE001 - reported per member
                 errors.append((job[0], str(exc)))
     merged = [

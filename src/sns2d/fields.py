@@ -4,7 +4,7 @@ and Fourier tensor fields."""
 import numpy as np
 
 from .grid import TWO_PI, SpectralGrid, grid_for, transform_plan
-from .noise import unit_complex_normals
+from .noise import as_generator, unit_complex_normals
 
 
 class SpectralField:
@@ -62,9 +62,11 @@ class SpectralField:
 
     @classmethod
     def random(cls, cutoff, rng, amplitude=1.0, decay=0.0):
-        """Random field with coefficients ~ amplitude * |k|^(-decay) * CN(0, 1)."""
+        """Random field with coefficients ~ amplitude * |k|^(-decay) * CN(0, 1),
+        drawn from rng: an RngStream, a Generator or an int seed."""
         g = grid_for(cutoff)
-        return cls(g, unit_complex_normals(rng, g.n_modes, amplitude * g.ksq ** (-decay / 2.0)))
+        std = amplitude * g.ksq ** (-decay / 2.0)
+        return cls(g, unit_complex_normals(as_generator(rng), g.n_modes, std))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)

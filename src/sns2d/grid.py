@@ -10,7 +10,8 @@ a uniform physical grid; every physical-space computation goes through it.
 It has two layouts:
 
 - complex grids f1 + i f2 that each carry a pair of real grids in one
-  complex transform (``synthesize_packed`` and ``analyze_packed``).  The
+  complex transform (``synthesize_packed``, and ``analyze_packed``, which
+  weights each grid's transform at k and at -k by one pair).  The
   product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
   does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
   needs only |u|^2 = Re^2 + Im^2 of the packed velocity; the block powers
@@ -205,7 +206,7 @@ class TransformPlan:
         keep = (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax)
         # the stored-mode indices of the kept modes; np.take gathers them
         # about twice as fast as a boolean mask selects them
-        self.keep = slice(None) if keep.all() else np.flatnonzero(keep)
+        self.keep = np.flatnonzero(keep)
         k1, k2 = grid.k1[keep], grid.k2[keep]
         self.n_modes = grid.n_modes
         self.kmax = kmax
@@ -229,7 +230,7 @@ class TransformPlan:
         self.strain_packed = self._packed_symbols(self.strain)
         self._rows = {"grid": (self.pos, self.shape[0] * self.shape[1]),
                       "full": (self.full_pos, size * size),
-                      "modes": (np.flatnonzero(keep), grid.n_modes)}
+                      "modes": (self.keep, grid.n_modes)}
         self._positions = {}
         # zeroed full grids per layout and stack size, reused by the plan's
         # calls in each thread: the plan is shared, and two threads'
@@ -252,9 +253,6 @@ class TransformPlan:
             self._positions[layout, n_rows] = (np.arange(n_rows)[:, None] * width + pos).ravel()
         out.reshape(-1)[self._positions[layout, n_rows]] = vals.reshape(-1)
 
-    def _kept(self, coeffs):
-        return coeffs if isinstance(self.keep, slice) else np.take(coeffs, self.keep, axis=-1)
-
     def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
         """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per
         row j: the layout of ``to_grid`` and ``tensor_product``.
@@ -266,7 +264,7 @@ class TransformPlan:
         """
         if symbols is None:
             symbols = self.velocity
-        vals = self._kept(coeffs)[..., None, :] * symbols
+        vals = np.take(coeffs, self.keep, axis=-1)[..., None, :] * symbols
         work = np.zeros(vals.shape[:-1] + self.shape, dtype=np.complex128)
         self._scatter(work, vals, "grid")
         n, M = self.kmax, self.size
@@ -305,7 +303,7 @@ class TransformPlan:
         plane = np.repeat(np.arange(len(members)) * self.size**2, [len(m) for m in members])
         n_kept = self.k.shape[1]
         pos = np.concatenate([plane + self.full_pos[which], plane + self.full_pos[n_kept + which]])
-        modes = np.arange(self.n_modes)[self.keep][which]
+        modes = self.keep[which]
         symbols = self.velocity_packed[:, which]
         for a in (modes, symbols, pos):
             a.flags.writeable = False
@@ -335,7 +333,7 @@ class TransformPlan:
             layout, shape = symbols, coeffs.shape[:-1] + (symbols.blocks,)
             kept, symbols = coeffs.take(layout.modes, axis=-1), layout.symbols
         else:
-            layout, shape, kept = "full", None, self._kept(coeffs)
+            layout, shape, kept = "full", None, np.take(coeffs, self.keep, axis=-1)
         vals = np.concatenate(
             (kept * symbols[..., 0, :], np.conj(kept) * symbols[..., 1, :]), axis=-1
         )
@@ -361,12 +359,12 @@ class TransformPlan:
         return np.stack([scale * (c1 - 1j * c2), scale * (c1 + 1j * c2)])
 
     def analyze_packed(self, grids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_j alpha_j(k) F_j(k) + beta_j(k) conj(F_j(-k)) on the kept modes,
-        F_j = fft2 of complex grid j, scattered onto all stored modes.
+        """alpha(k) F(k) + beta(k) conj(F(-k)) on the kept modes, F = fft2 of
+        each complex grid, scattered onto all stored modes.
 
-        ``grids`` (..., J, size, size) is overwritten; ``weights`` (J, 2,
-        n_kept) holds (alpha_j, beta_j), as ``packed_weights`` gives them.
-        Returns (..., n_modes), zero outside the band.
+        ``grids`` (..., size, size) is overwritten; ``weights`` (2, n_kept)
+        holds (alpha, beta), as ``packed_weights`` gives them.  Returns
+        (..., n_modes), zero outside the band.
         """
         spec = _complex_transform(grids, True, grids)
         at = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.full_pos, axis=-1)
@@ -375,15 +373,12 @@ class TransformPlan:
         # in place and in one operand order: numpy's complex product is not
         # commutative to the last bit, and a product with a temporary second
         # operand may be evaluated with the operands swapped
-        plus *= weights[:, 0]
+        plus *= weights[0]
         minus = np.conj(minus, out=minus)
-        minus *= weights[:, 1]
+        minus *= weights[1]
         plus += minus
-        kept = plus[..., 0, :] if weights.shape[0] == 1 else plus.sum(axis=-2)
-        if isinstance(self.keep, slice):
-            return kept
-        out = np.zeros(kept.shape[:-1] + (self.n_modes,), dtype=np.complex128)
-        self._scatter(out, kept, "modes")
+        out = np.zeros(plus.shape[:-1] + (self.n_modes,), dtype=np.complex128)
+        self._scatter(out, plus, "modes")
         return out
 
 

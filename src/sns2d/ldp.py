@@ -233,7 +233,6 @@ def minimize_action(
     t_final: float,
     cfg: IntegratorConfig,
     opt: OptimizerSettings = OptimizerSettings(),
-    phi0: ControlPath = None,
 ):
     """Gradient descent with backtracking on the endpoint-penalized action.
 
@@ -241,7 +240,8 @@ def minimize_action(
     configured tolerance; returns (control, MinimizeReport) where the report
     carries the discrete action (1/2)|phi*|^2 of the minimizer.
 
-    The initial control is marched, then every line-search trial whose
+    The descent starts from the zero control over the horizon's steps.
+    That control is marched, then every line-search trial whose
     control term alone does not already fail the Armijo test.  The endpoint
     term is >= 0, so the objective of a trial that does would fail it too,
     and the trial is rejected unmarched: every accept or reject is the one a
@@ -264,15 +264,7 @@ def minimize_action(
     """
     _require_adjoint_scheme(cfg)
     grid = u0.grid
-    n = step_count(t_final, cfg.dt)
-    if phi0 is not None and (phi0.n_steps != n or abs(phi0.dt - cfg.dt) > 1e-12 * cfg.dt):
-        raise ValueError(
-            f"initial control has {phi0.n_steps} steps of dt={phi0.dt}; the horizon "
-            f"t_final={t_final} needs {n} steps of dt={cfg.dt}"
-        )
-    phi_vals = (
-        phi0.values.copy() if phi0 is not None else np.zeros((n, grid.n_modes), dtype=np.complex128)
-    )
+    phi_vals = np.zeros((step_count(t_final, cfg.dt), grid.n_modes), dtype=np.complex128)
     dt = cfg.dt
     weight = opt.initial_penalty
     history = []

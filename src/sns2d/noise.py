@@ -240,36 +240,31 @@ def unit_complex_normals(gen, shape, std=None, parts=False, out=None, buf=None):
             f"out must be a C-ordered complex128 array of shape {shape}"
             + (", or one whose rows are" if per_row else "")
         )
-    if not per_row and 2 * out.size > SAMPLES_PER_CALL:
+    if not per_row:
         flat = out.reshape(-1, n)
         for part, lo, c, piece in halves():
             half = flat.imag if part else flat.real
             half[lo : lo + len(piece), c : c + piece.shape[1]] = piece
         return out
-    if per_row:
-        gens = list(gen)
-        if len(gens) != shape[0]:
-            raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
-        raw = (shape[0], math.prod(shape[1:-1]), 2, n)
-        if buf is None:
-            buf = np.empty(raw)
-        elif buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
-            raise ValueError(
-                f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
-            )
-        for g, stream in zip(gens, buf):
-            g.standard_normal(out=stream)
-        # a view: each row of out is C-ordered
-        dest, re, im = out.reshape(raw[:2] + (n,)), buf[:, :, 0], buf[:, :, 1]
-    else:
-        # the whole (2, *shape) stream in one call
-        buf = gen.standard_normal((2,) + shape)
-        dest, re, im = out, buf[0], buf[1]
+    gens = list(gen)
+    if len(gens) != shape[0]:
+        raise ValueError(f"{len(gens)} generators for {shape[0]} rows")
+    raw = (shape[0], math.prod(shape[1:-1]), 2, n)
+    if buf is None:
+        buf = np.empty(raw)
+    elif buf.shape != raw or buf.dtype != np.float64 or not buf[:1].flags.c_contiguous:
+        raise ValueError(
+            f"buf must be a C-ordered float64 array of shape {raw}, or one whose rows are"
+        )
+    for g, stream in zip(gens, buf):
+        g.standard_normal(out=stream)
     buf *= _INV_SQRT2
     if scale is not None:
         buf *= scale
-    dest.real = re
-    dest.imag = im
+    # a view: each row of out is C-ordered
+    dest = out.reshape(raw[:2] + (n,))
+    dest.real = buf[:, :, 0]
+    dest.imag = buf[:, :, 1]
     return out
 
 

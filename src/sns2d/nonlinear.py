@@ -29,8 +29,8 @@ velocity w_u = u1 + i u2 and the complex strain sigma = s + i t:
 
 so one complex grid does the work of two real ones (the plan's packed
 path).  The -P div or P that follows each product is folded into the
-weights of the packed analysis.  Complex grids transformed per field and
-call:
+weights of the packed analysis, one weighted pair per analyzed grid.
+Complex grids transformed per field and call:
 
     b_core                      1 synthesized, 1 analyzed
     b_bilinear_core             2 synthesized, 2 analyzed
@@ -109,10 +109,10 @@ def _plan_for(grid, rule: DealiasRule):
 
 @functools.lru_cache(maxsize=None)
 def _weights(plan):
-    """``analyze_packed`` weights (3, 2, n_kept) on the plan's kept modes:
+    """Three ``analyze_packed`` weight pairs, (3, 2, n_kept), on the kept modes:
 
     0: -P div [[a, c], [c, -a]] from the packed grid 2a + 2ic;
-    1: -P div [[0, r/2], [-r/2, 0]] from the real grid r;
+    1: -P div [[0, r/2], [-r/2, 0]] from the real grid r, as a complex grid;
     2: P (r1, r2) from the packed grid r1 + i r2.
     """
     k1, k2 = plan.k
@@ -140,7 +140,7 @@ def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.nda
     # w_u w_u = (u1^2 - u2^2) + 2i u1 u2 = 2a + 2ic, as b_bilinear_core forms it at v = u
     wu = plan.synthesize_packed(coeffs, out=velocity)
     square = np.multiply(wu, wu, out=wu) if velocity is None else wu * wu
-    return plan.analyze_packed(square[..., None, :, :], _weights(plan)[:1])
+    return plan.analyze_packed(square, _weights(plan)[0])
 
 
 def replicas_per_block(grid, rule: DealiasRule) -> int:
@@ -163,7 +163,9 @@ def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> 
     # w_u w_v = 2a + i (u1 v2 + u2 v1) packs the symmetric part of u x v;
     # r = u1 v2 - u2 v1 = Im(conj(w_u) w_v), exactly 0 at v = u, the rest
     r = wu.real * wv.imag - wu.imag * wv.real
-    return plan.analyze_packed(np.stack((wu * wv, r), axis=-3), _weights(plan)[:2])
+    weights = _weights(plan)
+    return (plan.analyze_packed(wu * wv, weights[0])
+            + plan.analyze_packed(r.astype(np.complex128), weights[1]))
 
 
 def tensor_product(u: SpectralField, v: SpectralField, rule: DealiasRule) -> TensorField:
@@ -214,4 +216,4 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) ->
     sigma = plan.synthesize_packed(cw, plan.strain_packed)
     # conj(w_u) sigma = (u1 s + u2 t) + i (u1 t - u2 s) = r1 + i r2
     r = np.multiply(np.conj(wu), sigma, out=sigma)
-    return plan.analyze_packed(r[..., None, :, :], _weights(plan)[2:])
+    return plan.analyze_packed(r, _weights(plan)[2])

@@ -105,6 +105,7 @@ from sns2d.ldp import (
     MinimizeReport,
     OptimizerSettings,
     action_objective_and_gradient,
+    control_term,
     minimize_action,
 )
 from sns2d.montecarlo import MomentReport
@@ -521,7 +522,7 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
             weight *= opt.penalty_growth
     phi = ControlPath(grid, dt, phi_vals)
     report = MinimizeReport(
-        action=0.5 * phi.l2h_norm_sq(),
+        action=control_term(phi.values, phi.dt),
         endpoint_error=endpoint_err,
         objective=J,
         penalty_weight=weight,

@@ -34,7 +34,7 @@ from sns2d import (
 from sns2d.dynamics import solve_skeleton
 from sns2d.experiments import ExperimentConfig, run
 from sns2d.grid import grid_for
-from sns2d.ldp import action_objective_and_gradient
+from sns2d.ldp import action_objective_and_gradient, control_term
 from sns2d.montecarlo import fit_loglog
 from sns2d.noise import (
     l2_moment_exact,
@@ -235,7 +235,7 @@ def test_06_skeleton_action_duality():
     for dt in dts:
         phi = _varying_control(16, dt, round(0.5 / dt))
         traj = solve_skeleton(u0, phi, IntegratorConfig(dt=dt, scheme="etd2"))
-        tgt = 0.5 * phi.l2h_norm_sq()
+        tgt = control_term(phi.values, phi.dt)
         gaps.append(abs(action(traj).value - tgt) / tgt)
     slope, _ = fit_loglog(dts, gaps)
     assert slope >= 1.0

@@ -37,6 +37,7 @@ from sns2d.dynamics import (
     step_count,
 )
 from sns2d.grid import grid_for
+from sns2d.ldp import control_term
 from sns2d.montecarlo import ConstantFunctional, fit_loglog, laplace_check
 from sns2d.noise import PowerSchedule, covariance_weights, ou_step, ou_transition
 from sns2d.nonlinear import b_core
@@ -84,9 +85,9 @@ def test_control_path_refuses_a_step_that_is_not_positive(dt):
 
 def test_control_path_norms_and_ball(rng):
     phi = ControlPath.random_in_ball(6, 0.02, 25, gamma=1.7, rng=rng)
-    assert phi.l2h_norm_sq() == pytest.approx(1.7, rel=1e-12)
-    assert phi.l2h_norm_sq() <= 1.7 * (1.0 + 1e-12)
-    assert not phi.l2h_norm_sq() <= 1.6 * (1.0 + 1e-12)
+    assert 2 * control_term(phi.values, phi.dt) == pytest.approx(1.7, rel=1e-12)
+    assert 2 * control_term(phi.values, phi.dt) <= 1.7 * (1.0 + 1e-12)
+    assert not 2 * control_term(phi.values, phi.dt) <= 1.6 * (1.0 + 1e-12)
     assert phi.t_final == pytest.approx(0.5)
 
 
@@ -110,7 +111,7 @@ def test_duhamel_smoothing_ratio_bounded(rng):
         phi = ControlPath.random_in_ball(8, 0.01, 50, 1.0, np.random.default_rng(seed))
         traj = duhamel_gamma(phi)
         sup = max(sobolev_norm(traj.state(i), 0.9) for i in range(traj.n_steps + 1))
-        worst = max(worst, sup / math.sqrt(phi.l2h_norm_sq()))
+        worst = max(worst, sup / math.sqrt(2 * control_term(phi.values, phi.dt)))
     assert worst < 2.0
 
 

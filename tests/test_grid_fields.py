@@ -15,6 +15,7 @@ import sns2d
 import sns2d.grid as grid_module
 from sns2d import SpectralField, grid_for, save_field, load_field, taylor_green
 from sns2d.grid import transform_plan
+from sns2d.noise import RngStream
 from sns2d.nonlinear import (
     DealiasRule,
     _plan_for,
@@ -65,6 +66,14 @@ def test_from_modes_folds_conjugate_half():
     assert np.allclose(u.coeffs, v.coeffs)
     with pytest.raises(KeyError):
         SpectralField.from_modes(4, {(5, 0): 1.0})
+
+
+def test_a_random_field_takes_a_generator_a_stream_or_a_seed():
+    # the rng forms ControlPath.random_in_ball takes, each the same draw
+    want = SpectralField.random(8, RngStream(3).generator(), amplitude=0.5, decay=1.0)
+    for rng in (RngStream(3), 3, np.int64(3)):
+        got = SpectralField.random(8, rng, amplitude=0.5, decay=1.0)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_arithmetic_and_cutoff_mismatch(random_field):
@@ -165,7 +174,7 @@ def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
             assert np.max(np.abs(z.imag - real[:, 1])) <= 1e-14 * scale
             # weights (1, 0) and (0, 1) split the pair back into its coefficients
             for j, (c1, c2) in enumerate(((ones, 0.0), (0.0, ones))):
-                got = plan.analyze_packed(z.copy()[:, None], plan.packed_weights(c1, c2)[None])
+                got = plan.analyze_packed(z.copy(), plan.packed_weights(c1, c2))
                 want = plan.analyze(real[:, j])
                 assert np.max(np.abs(got[:, plan.keep] - want)) <= 1e-14 * np.max(np.abs(want))
                 outside = np.ones(g.n_modes, dtype=bool)

@@ -202,9 +202,11 @@ def lp_moment_config():
     }
 
 
-def test_sweep_members_and_partial_failure(tmp_path):
+# members in this process, and on a pool of two workers
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_members_and_partial_failure(tmp_path, workers):
     records, errors = sweep(
-        lp_moment_config(), "noise.epsilon", [0.5, 0.1, -1.0], str(tmp_path)
+        lp_moment_config(), "noise.epsilon", [0.5, 0.1, -1.0], str(tmp_path), workers=workers
     )
     assert len(records) == 2
     assert len(errors) == 1
@@ -212,6 +214,12 @@ def test_sweep_members_and_partial_failure(tmp_path):
     assert os.path.isfile(tmp_path / "sweep.csv")
     text = (tmp_path / "sweep.csv").read_text()
     assert "ERROR" in text
+    # the failing member on its own row, the other two finished on theirs
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = {r["value"]: r for r in csv.DictReader(fh)}
+    assert sorted(rows) == ["-1.0", "0.1", "0.5"]
+    assert rows["-1.0"]["run_dir"].startswith("ERROR: ")
+    assert all(os.path.isdir(rows[v]["run_dir"]) for v in ("0.1", "0.5"))
 
 
 def test_cli_sweep_whose_members_all_fail_writes_its_table_into_a_new_outdir(tmp_path):

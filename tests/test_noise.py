@@ -704,6 +704,27 @@ def test_unit_complex_normals_leave_the_generator_where_the_full_draw_does():
     assert a.bit_generator.state == b.bit_generator.state
 
 
+class _CountedDraw(np.random.Generator):
+    """A generator that records the size of each standard_normal call."""
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = super().standard_normal(*args, **kwargs)
+        self.sizes.append(drawn.size)
+        return drawn
+
+
+def test_a_small_one_generator_draw_reads_its_stream_in_halves():
+    # one path for every one-generator draw: the real half's piece, then the
+    # imaginary half's, even where the whole (2, 1, 544) stream fits one call
+    gen = _CountedDraw(np.random.PCG64(5))
+    gen.sizes = []
+    z = unit_complex_normals(gen, (1, 544), np.linspace(0.1, 3.0, 544))
+    assert gen.sizes == [544, 544]
+    want = unit_complex_normals_assembled(np.random.Generator(np.random.PCG64(5)), (1, 544),
+                                          np.linspace(0.1, 3.0, 544))
+    assert np.array_equal(_bits(z), _bits(want))
+
+
 # rows of 3 and of 20 steps, each row its steps' one-step draws in turn;
 # 40 rows of one step, each row its own (2, 544) stream
 @pytest.mark.parametrize("shape", [(4, 3, 61), (40, 1, 544), (3, 20, 544)])

@@ -13,8 +13,9 @@ and another dispatch moves last bits without any change to the program.
 A planted swap of two normals in one member's stream shows that the exact
 pass sees a reordered draw.  A few seed-0 configs are also rerun in a
 subprocess with numpy's AVX-512 kernels switched off, the dispatch of an
-AVX2-only host, so that a second dispatch is exercised wherever the CPU has
-the targets to switch off.
+AVX2-only host, and again with its X86_V3 (AVX2) kernels off too, which
+leaves no SIMD target, so that two more dispatches are exercised wherever
+the CPU has the targets to switch off.
 """
 
 import json
@@ -137,13 +138,22 @@ def test_an_exact_failure_names_the_recorded_and_the_current_dispatch(recorded):
 
 # numpy's AVX-512 targets; switched off, numpy dispatches as on an AVX2-only host
 _AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-# seed-0 configs rerun under that dispatch, and whether each is expected to
-# keep its bits there: the slope fits of the convergence sweeps go through
-# numpy's log and reductions and move in the last bits, the OU laws do not
-_UNDER_AVX2 = {
-    "configs/converge_h.json": False,
-    "configs/converge_besov.json": False,
-    "configs/ou_checks.json": True,
+# the targets switched off for each reduced dispatch, and whether each
+# seed-0 config rerun under it is expected to keep its bits there: the
+# slope fits of the convergence sweeps go through numpy's log and reductions
+# and move in the last bits under either; the OU laws move only once the
+# X86_V3 kernels are off too
+_REDUCED = {
+    "avx2": (_AVX512, {
+        "configs/converge_h.json": False,
+        "configs/converge_besov.json": False,
+        "configs/ou_checks.json": True,
+    }),
+    "no_simd": (("X86_V3",) + _AVX512, {
+        "configs/converge_h.json": False,
+        "configs/converge_besov.json": False,
+        "configs/ou_checks.json": False,
+    }),
 }
 _RERUN = """
 import json, sys
@@ -158,22 +168,25 @@ print(json.dumps({"numpy": numpy_dispatch(), "cases": cases}))
 """
 
 
-def test_pinned_configs_hold_to_1e_12_under_avx2_kernels():
+@pytest.mark.parametrize("dispatch", sorted(_REDUCED))
+def test_pinned_configs_hold_to_1e_12_under_a_reduced_dispatch(dispatch):
+    off, keeps_bits = _REDUCED[dispatch]
     now = numpy_dispatch()
-    if not set(_AVX512) <= set(now["dispatch"]):
-        pytest.skip(f"this CPU has no {' '.join(_AVX512)} dispatch to switch off")
+    if not set(off) <= set(now["dispatch"]):
+        pytest.skip(f"this CPU has no {' '.join(off)} dispatch to switch off")
     here = pathlib.Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     # the setting acts on the subprocess only
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512),
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
            "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     done = subprocess.run(
-        [sys.executable, "-c", _RERUN, *_UNDER_AVX2], env=env, capture_output=True,
+        [sys.executable, "-c", _RERUN, *keeps_bits], env=env, capture_output=True,
         text=True, timeout=300, check=True,
     )
     rerun = json.loads(done.stdout.splitlines()[-1])
-    reduced = [t for t in now["dispatch"] if t not in _AVX512]
+    reduced = [t for t in now["dispatch"] if t not in off]
     assert rerun["numpy"] == {"version": now["version"], "dispatch": reduced}
+    assert sorted(rerun["cases"]) == sorted(keeps_bits)
     for name, (close, exact) in rerun["cases"].items():
         assert close == [], name
-        assert (exact == []) == _UNDER_AVX2[name], (name, exact)
+        assert (exact == []) == keeps_bits[name], (name, exact)
