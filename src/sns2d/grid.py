@@ -14,9 +14,11 @@ It has two layouts:
   weights each grid's transform at k and at -k by one pair).  The
   product kernels ``b_core``, ``b(u, v)`` and the adjoint use them, and so
   does the |u|^p quadrature of ``lp_norm`` and the Besov block powers, which
-  needs only |u|^2 = Re^2 + Im^2 of the packed velocity; the block powers
-  synthesize each block from its own modes through a ``ModeBlocks``
-  layout.  Both go through ``_complex_transform``.  On the minimum-action descent's 64 x 64 grids
+  needs only |u|^2 = Re^2 + Im^2 of the packed velocity.  Every synthesis
+  scatters one ``PackedLayout``: the plan's ``velocity_layout`` and
+  ``strain_layout`` put every kept mode on one grid, and a ``mode_blocks``
+  layout puts each of its sets on a grid of its own.  Both go through
+  ``_complex_transform``.  On the minimum-action descent's 64 x 64 grids
   scipy.fft's Python dispatch around the transform took about a fifth of
   it (fft2 34 us, the bare call 26 us, best of 7 x 2,000 calls on a 2-core
   Xeon with scipy 1.17);
@@ -45,6 +47,7 @@ here and check that a fresh ``import sns2d`` loads no scipy package.
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -170,17 +173,18 @@ def grid_for(cutoff: int) -> SpectralGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ModeBlocks:
-    """Disjoint sets of a plan's kept modes, each synthesized onto a velocity
-    grid of its own: what ``synthesize_packed`` takes, in place of a stack
-    (blocks, 2, n_kept) of velocity pairs each masked to one set, to give
-    the grids of that stack without forming or scattering its zeros.
-    ``TransformPlan.mode_blocks`` makes them."""
+class PackedLayout:
+    """Where ``synthesize_packed`` puts a packed symbol pair's values: some of
+    a plan's kept modes, on grids (*axes, size, size).  ``axes == ()`` puts
+    every kept mode on one grid (the plan's ``velocity_layout`` and
+    ``strain_layout``); ``axes == (blocks,)`` puts each of ``mode_blocks``'
+    disjoint sets on a grid of its own, without forming or scattering the
+    zeros of the other sets' modes."""
 
-    modes: np.ndarray  # the stored-mode indices of the sets' modes, set after set
-    symbols: np.ndarray  # (2, n): the packed velocity pair at those modes
-    pos: np.ndarray  # (2 n,): their flat positions in (blocks, size, size), at k, then at -k
-    blocks: int
+    modes: np.ndarray  # the stored-mode indices of the layout's modes, grid after grid
+    symbols: np.ndarray  # (2, n): the grids' coefficients at k and at -k per unit coefficient
+    pos: np.ndarray  # (2 n,): their flat positions in (*axes, size, size), at k, then at -k
+    axes: tuple
 
 
 class TransformPlan:
@@ -226,32 +230,52 @@ class TransformPlan:
         # the kept modes, then their negatives, on the full (size, size) grid
         self.full_pos = np.concatenate([(k1 % size) * size + k2 % size,
                                         (-k1 % size) * size + -k2 % size])
-        self.velocity_packed = self._packed_symbols(self.velocity)
-        self.strain_packed = self._packed_symbols(self.strain)
         self._rows = {"grid": (self.pos, self.shape[0] * self.shape[1]),
-                      "full": (self.full_pos, size * size),
                       "modes": (self.keep, grid.n_modes)}
         self._positions = {}
-        # zeroed full grids per layout and stack size, reused by the plan's
+        # zeroed grids per packed layout and stack size, reused by the plan's
         # calls in each thread: the plan is shared, and two threads'
         # syntheses must not scatter into one grid.  A layout's calls write
         # only its positions, and every call writes all of them
         self._scratch = threading.local()
+        every = [np.arange(k1.size)]
+        self.velocity_layout = self._layout(self.velocity, every, ())
+        self.strain_layout = self._layout(self.strain, every, ())
 
     def _scatter(self, out, vals, layout):
-        """Write each row of vals (..., n_kept) into the same row of out at the
-        kept modes' positions in ``layout``: "grid", the rfft2 layout,
-        "modes", the stored modes, "full", the fft2 layout, whose rows
-        (..., 2 n_kept) hold the values at k and then at -k, or a
-        ``ModeBlocks`` of the plan, whose rows are its modes' values at k
-        and at -k and fill (blocks, size, size) grids.  One 1-D scatter
-        fills the whole stack; a scatter along the last axis of a stack runs
-        several times slower."""
+        """Write each row of vals (..., n) into the same row of out at the
+        positions of ``layout``: "grid", the kept modes in the rfft2 layout,
+        "modes", the kept modes among the stored ones, or a ``PackedLayout``
+        of the plan, whose rows hold its modes' values at k and at -k and
+        fill its (*axes, size, size) grids.  One 1-D scatter fills the whole
+        stack; a scatter along the last axis of a stack runs several times
+        slower."""
         n_rows = vals.size // vals.shape[-1]
         if (layout, n_rows) not in self._positions:
             pos, width = self._rows[layout]
             self._positions[layout, n_rows] = (np.arange(n_rows)[:, None] * width + pos).ravel()
         out.reshape(-1)[self._positions[layout, n_rows]] = vals.reshape(-1)
+
+    def _layout(self, symbols, members, axes) -> PackedLayout:
+        """The ``PackedLayout`` of the symbol pair s1, s2 (2, n_kept) that puts
+        the kept modes members[j] (index arrays) on grid j of ``axes``.  A
+        complex grid has no Hermitian symmetry: its coefficient per unit
+        coefficient is s1 + i s2 at k and, times conj(coeffs), conj(s1) +
+        i conj(s2) at -k."""
+        s1, s2 = symbols
+        packed = np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
+        which = np.concatenate(members)
+        plane = np.repeat(np.arange(len(members)) * self.size**2, [len(m) for m in members])
+        n_kept = self.k.shape[1]
+        layout = PackedLayout(
+            self.keep[which], packed[:, which],
+            np.concatenate([plane + self.full_pos[which], plane + self.full_pos[n_kept + which]]),
+            axes,
+        )
+        for a in (layout.modes, layout.symbols, layout.pos):
+            a.flags.writeable = False
+        self._rows[layout] = (layout.pos, math.prod(axes) * self.size**2)
+        return layout
 
     def synthesize(self, coeffs: np.ndarray, symbols: np.ndarray = None) -> np.ndarray:
         """Real grids sum_k symbols[j, k] coeffs[k] exp(i k.x) + conj, one per
@@ -288,59 +312,31 @@ class TransformPlan:
         coeffs *= scale
         return (coeffs, spec[..., 0, 0] * scale) if with_mean else coeffs
 
-    @staticmethod
-    def _packed_symbols(symbols):
-        """The pair of symbol rows s1, s2 as the complex grid's coefficients
-        at k, s1 + i s2, and at -k (times conj(coeffs)), conj(s1) + i conj(s2)."""
-        s1, s2 = symbols
-        return np.stack([s1 + 1j * s2, np.conj(s1) + 1j * np.conj(s2)])
-
-    def mode_blocks(self, sets) -> ModeBlocks:
-        """The ``ModeBlocks`` of ``sets``, disjoint boolean masks over the kept
-        modes, one velocity grid per set."""
+    def mode_blocks(self, sets) -> PackedLayout:
+        """The velocity ``PackedLayout`` of ``sets``, disjoint boolean masks
+        over the kept modes, one grid per set: axes (len(sets),)."""
         members = [np.flatnonzero(s) for s in sets]
-        which = np.concatenate(members)
-        plane = np.repeat(np.arange(len(members)) * self.size**2, [len(m) for m in members])
-        n_kept = self.k.shape[1]
-        pos = np.concatenate([plane + self.full_pos[which], plane + self.full_pos[n_kept + which]])
-        modes = self.keep[which]
-        symbols = self.velocity_packed[:, which]
-        for a in (modes, symbols, pos):
-            a.flags.writeable = False
-        blocks = ModeBlocks(modes, symbols, pos, len(members))
-        self._rows[blocks] = (pos, len(members) * self.size**2)
-        return blocks
+        return self._layout(self.velocity, members, (len(members),))
 
-    def synthesize_packed(self, coeffs: np.ndarray, symbols=None,
+    def synthesize_packed(self, coeffs: np.ndarray, layout: PackedLayout,
                           out: np.ndarray = None) -> np.ndarray:
         """Complex grids f1 + i f2 of the real grid pair f1, f2 that
         ``synthesize`` makes from a pair of symbol rows: the layout of the
         nonlinear kernels and of the L^p and Besov quadrature.
 
-        ``coeffs`` is (..., n_modes); ``symbols`` is a packed pair (2,
-        n_kept), ``velocity_packed`` (the default, u1 + i u2) or
-        ``strain_packed`` (s + i t), or a stack of pairs (..., 2, n_kept)
-        whose leading axes index further output grids.  Returns the
-        broadcast of coeffs.shape[:-1] and symbols.shape[:-2], then (size,
-        size), written into ``out`` (complex, of that shape) when given.
-        ``symbols`` may also be a ``ModeBlocks`` of this plan, which returns
-        (..., blocks, size, size): each velocity value is formed once, and
-        each grid holds only its own set's modes.
+        ``coeffs`` is (..., n_modes) and ``layout`` a ``PackedLayout`` of
+        this plan: ``velocity_layout`` (u1 + i u2), ``strain_layout`` (s +
+        i t) or a ``mode_blocks`` layout.  Each value is formed once, at its
+        layout's modes only.  Returns (..., *layout.axes, size, size),
+        written into ``out`` (complex, of that shape) when given.
         """
-        if symbols is None:
-            symbols = self.velocity_packed
-        if isinstance(symbols, ModeBlocks):
-            layout, shape = symbols, coeffs.shape[:-1] + (symbols.blocks,)
-            kept, symbols = coeffs.take(layout.modes, axis=-1), layout.symbols
-        else:
-            layout, shape, kept = "full", None, np.take(coeffs, self.keep, axis=-1)
-        vals = np.concatenate(
-            (kept * symbols[..., 0, :], np.conj(kept) * symbols[..., 1, :]), axis=-1
-        )
-        shape = vals.shape[:-1] if shape is None else shape
+        kept = coeffs.take(layout.modes, axis=-1)
+        vals = np.concatenate((kept * layout.symbols[0], np.conj(kept) * layout.symbols[1]),
+                              axis=-1)
+        shape = coeffs.shape[:-1] + layout.axes
         n_rows = vals.size // vals.shape[-1]
         M = self.size
-        grids = vars(self._scratch).setdefault("full", {})
+        grids = vars(self._scratch).setdefault("packed", {})
         if (layout, n_rows) not in grids:
             grids[layout, n_rows] = np.zeros(shape + (M, M), dtype=np.complex128)
         work = grids[layout, n_rows]

@@ -46,16 +46,13 @@ def residual(f: Trajectory, rule: DealiasRule) -> ControlPath:
         raise ValueError("need at least 2 steps to form the residual")
     c = f.coeffs
     dt = f.dt
-    n = c.shape[0]
     dfdt = np.empty_like(c)
     dfdt[0] = (c[1] - c[0]) / dt
     dfdt[-1] = (c[-1] - c[-2]) / dt
     dfdt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
     grid = f.grid
-    out = np.empty_like(c)
-    for i in range(n):
-        out[i] = dfdt[i] + grid.ksq * c[i] - b_core(c[i], grid, rule)
-    return ControlPath(grid, dt, out)
+    # b_core gives each state of the stack the arithmetic of a call of its own
+    return ControlPath(grid, dt, dfdt + grid.ksq * c - b_core(c, grid, rule))
 
 
 def action(f: Trajectory, rule: DealiasRule = None) -> ActionReport:

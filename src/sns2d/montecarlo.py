@@ -15,7 +15,7 @@ it, so that the checks do not import ``scipy.stats``.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -387,10 +387,11 @@ class TubeReport:
     replicas: int
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.96):
+def wilson_interval(hits: int, n: int):
+    """The 95% Wilson score interval (z = 1.96) of hits out of n."""
     if n == 0:
         raise ValueError("empty sample")
-    p = hits / n
+    p, z = hits / n, 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -478,7 +479,6 @@ def laplace_check(
     t_final: float,
     rng,
     gamma: float = 1.0,
-    opt: OptimizerSettings = OptimizerSettings(),
 ) -> LaplaceReport:
     """Monte Carlo Laplace functional -eps log E exp(-G(u)/eps) across a noise
     sweep against the variational value inf_f (G(f) + I(f)).
@@ -497,7 +497,7 @@ def laplace_check(
     else:
         _, rep = minimize_action(
             u0, functional.target, t_final, cfg,
-            replace(opt, initial_penalty=functional.scale, max_penalty_rounds=1),
+            OptimizerSettings(initial_penalty=functional.scale, max_penalty_rounds=1),
         )
         rhs = min(functional.clip, rep.objective)
     zero = ControlPath.zero(u0.cutoff, cfg.dt, step_count(t_final, cfg.dt))

@@ -283,9 +283,9 @@ def mode_variances(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:
     return spec.epsilon * _lambda_sq(grid, spec) / (2.0 * (grid.ksq + alpha))
 
 
-def l2_moment_exact(grid, spec: NoiseSpec, alpha: float = 0.0) -> float:
+def l2_moment_exact(grid, spec: NoiseSpec) -> float:
     """E |z|_{L^2}^2 for the stationary process at the grid truncation."""
-    return 2.0 * float(np.sum(mode_variances(grid, spec, alpha)))
+    return 2.0 * float(np.sum(mode_variances(grid, spec)))
 
 
 def stationary_std(grid, spec: NoiseSpec, alpha: float = 0.0) -> np.ndarray:

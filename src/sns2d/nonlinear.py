@@ -138,7 +138,7 @@ def b_core(coeffs: np.ndarray, grid, rule: DealiasRule, velocity=None) -> np.nda
     """
     plan = _plan_for(grid, rule)
     # w_u w_u = (u1^2 - u2^2) + 2i u1 u2 = 2a + 2ic, as b_bilinear_core forms it at v = u
-    wu = plan.synthesize_packed(coeffs, out=velocity)
+    wu = plan.synthesize_packed(coeffs, plan.velocity_layout, velocity)
     square = np.multiply(wu, wu, out=wu) if velocity is None else wu * wu
     return plan.analyze_packed(square, _weights(plan)[0])
 
@@ -159,7 +159,7 @@ def b_bilinear_core(cu: np.ndarray, cv: np.ndarray, grid, rule: DealiasRule) -> 
     """b(u, v) on raw coefficients, one field each (n_modes,) or stacks of
     the same shape."""
     plan = _plan_for(grid, rule)
-    wu, wv = plan.synthesize_packed(np.stack((cu, cv)))
+    wu, wv = plan.synthesize_packed(np.stack((cu, cv)), plan.velocity_layout)
     # w_u w_v = 2a + i (u1 v2 + u2 v1) packs the symmetric part of u x v;
     # r = u1 v2 - u2 v1 = Im(conj(w_u) w_v), exactly 0 at v = u, the rest
     r = wu.real * wv.imag - wu.imag * wv.real
@@ -211,9 +211,9 @@ def b_linearized_adjoint_core(cu, cw, grid, rule: DealiasRule, velocity=None) ->
     for synthesizing ``cu`` again; the result is the same bit for bit.
     """
     plan = _plan_for(grid, rule)
-    wu = plan.synthesize_packed(cu) if velocity is None else velocity
+    wu = plan.synthesize_packed(cu, plan.velocity_layout) if velocity is None else velocity
     # grad w + grad w^T = [[s, t], [t, -s]] packed as sigma = s + i t
-    sigma = plan.synthesize_packed(cw, plan.strain_packed)
+    sigma = plan.synthesize_packed(cw, plan.strain_layout)
     # conj(w_u) sigma = (u1 s + u2 t) + i (u1 t - u2 s) = r1 + i r2
     r = np.multiply(np.conj(wu), sigma, out=sigma)
     return plan.analyze_packed(r, _weights(plan)[2])

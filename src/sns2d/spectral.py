@@ -29,15 +29,14 @@ def h_norm_of(coeffs: np.ndarray) -> float:
     return math.sqrt(h_norm_sq(coeffs))
 
 
-def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols=None, grids=None,
-                     speed_sq=None):
+def _power_integrals(plan, coeffs: np.ndarray, p: float, layout, grids, speed_sq):
     """Uniform-grid quadrature of |u(x)|^p over D for each complex velocity
-    grid u1 + i u2 that ``plan.synthesize_packed(coeffs, symbols, grids)``
-    returns; one value per grid.  ``grids`` (complex) and ``speed_sq`` (real)
-    of the grids' shape are reused when given, and ``grids`` is overwritten."""
+    grid u1 + i u2 that ``plan.synthesize_packed(coeffs, layout, grids)``
+    returns; one value per grid.  ``grids`` (complex, overwritten) and
+    ``speed_sq`` (real) have the grids' shape."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    z = plan.synthesize_packed(coeffs, symbols, grids)
+    z = plan.synthesize_packed(coeffs, layout, grids)
     # Re^2 and Im^2 in place, then |u|^2 = Re^2 + Im^2
     parts = z.view(np.float64)
     np.square(parts, out=parts)
@@ -50,18 +49,9 @@ def _power_integrals(plan, coeffs: np.ndarray, p: float, symbols=None, grids=Non
 
 def lp_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
     """|u|_Lp^p of one state (n_modes,) or of each state of a stack
-    (..., n_modes) of ``grid``; shape (...).
-
-    Each synthesis call takes at most ``stack_depth`` states, and each row
-    gets the arithmetic of a call of its own.
-    """
-    plan = transform_plan(grid.cutoff, grid.cutoff, grid.physical_size(grid_factor))
-    flat = np.asarray(coeffs).reshape(-1, grid.n_modes)
-    depth = stack_depth(plan.size)
-    out = np.empty(len(flat))
-    for i in range(0, len(flat), depth):
-        out[i : i + depth] = _power_integrals(plan, flat[i : i + depth], p)
-    return out.reshape(np.shape(coeffs)[:-1])
+    (..., n_modes) of ``grid``; shape (...).  The one-block case of the
+    block quadrature: each row gets the arithmetic of a call of its own."""
+    return _group_powers(_lp_group(grid.cutoff, grid_factor), grid, coeffs, p)[..., 0]
 
 
 def lp_norm(u: SpectralField, p: float, grid_factor: int = 2) -> float:
@@ -96,9 +86,9 @@ def _block_mask(ksq: np.ndarray, q: int) -> np.ndarray:
 class _BlockGroup:
     """Consecutive dyadic blocks of one cutoff, all integrated on one plan's
     grid.  ``stacks`` pairs the block indices (a slice) with the
-    ``grid.ModeBlocks`` of at most ``stack_depth(plan.size)`` of the blocks,
-    each block's own modes at k and -k in its grid's (size, size) layout,
-    and each synthesis call takes ``states`` states times one stack."""
+    ``mode_blocks`` layout of at most ``stack_depth(plan.size)`` of the
+    blocks, each block's own modes at k and -k on a (size, size) grid of its
+    own, and each synthesis call takes ``states`` states times one stack."""
 
     plan: object
     stacks: tuple
@@ -149,39 +139,48 @@ def _block_groups(cutoff: int, grid_factor: int, p: float) -> tuple:
     return tuple(groups)
 
 
-def block_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
-    """|block_q u|_Lp^p of each dyadic block of one state (n_modes,) or of a
-    stack of states (..., n_modes) of ``grid``; shape (..., Q).
+@functools.lru_cache(maxsize=None)
+def _lp_group(cutoff: int, grid_factor: int) -> tuple:
+    """``lp_powers``' one group: every kept mode as one block on the shared
+    grid ``physical_size(grid_factor)``, ``stack_depth`` states per call."""
+    plan = transform_plan(cutoff, cutoff, grid_for(cutoff).physical_size(grid_factor))
+    every = plan.mode_blocks([np.ones(plan.keep.size, dtype=bool)])
+    return (_BlockGroup(plan, ((slice(0, 1), every),), stack_depth(plan.size)),)
 
-    Each block is integrated on its ``block_grid_size`` grid; each synthesis
-    call of a ``_block_groups`` group holds its ``states`` states times one
-    block stack, and scatters each block's own modes only.  The complex and
-    real grids of the largest call are made once and reused by every call,
-    so no array spans all the states.  An empty block contributes an exact
-    0.
-    """
+
+def _group_powers(groups, grid, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """|block|_Lp^p of each block of ``groups`` for the states (..., n_modes)
+    of ``grid``; shape (..., blocks).  Each call of a group takes its
+    ``states`` states times one block stack, into the complex and real grids
+    of the largest call, made once: no array spans all the states."""
     flat = np.asarray(coeffs).reshape(-1, grid.n_modes)
-    n_blocks = block_count(grid.cutoff)
+    n_blocks = groups[-1].stacks[-1][0].stop
     out = np.empty((flat.shape[0], n_blocks))
-    groups = _block_groups(grid.cutoff, grid_factor, p)
-    # the grids of the largest call, complex and real, reused by every call
     cells = max(
-        min(group.states, len(flat)) * blocks.blocks * group.plan.size**2
-        for group in groups for _, blocks in group.stacks
+        min(group.states, len(flat)) * math.prod(layout.axes) * group.plan.size**2
+        for group in groups for _, layout in group.stacks
     )
     grids, speed_sq = np.empty(cells, dtype=np.complex128), np.empty(cells)
     for group in groups:
         size = group.plan.size
         for i in range(0, len(flat), group.states):
             states = flat[i : i + group.states]
-            for cols, blocks in group.stacks:
-                shape = (len(states), blocks.blocks, size, size)
+            for cols, layout in group.stacks:
+                shape = (len(states),) + layout.axes + (size, size)
                 n = math.prod(shape)
                 out[i : i + len(states), cols] = _power_integrals(
-                    group.plan, states, p, blocks,
+                    group.plan, states, p, layout,
                     grids[:n].reshape(shape), speed_sq[:n].reshape(shape),
                 )
     return out.reshape(np.shape(coeffs)[:-1] + (n_blocks,))
+
+
+def block_powers(grid, coeffs: np.ndarray, p: float, grid_factor: int = 2) -> np.ndarray:
+    """|block_q u|_Lp^p of each dyadic block of one state (n_modes,) or of a
+    stack of states (..., n_modes) of ``grid``; shape (..., Q).  Each block
+    is integrated on its ``block_grid_size`` grid from its own modes only;
+    an empty block contributes an exact 0."""
+    return _group_powers(_block_groups(grid.cutoff, grid_factor, p), grid, coeffs, p)
 
 
 def besov_of_powers(powers: np.ndarray, sigma: float, p: float) -> np.ndarray:

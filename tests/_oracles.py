@@ -47,11 +47,16 @@ own parts and kept as references for faster forms of the same arithmetic:
   |u|^p quadrature on the real grid pair u1, u2, one block at a time for
   the block powers, the references for ``lp_norm`` and ``block_powers`` on
   packed complex grids;
+- ``packed_synthesis_full_band``, the complex grids of a symbol pair (or a
+  stack of pairs) formed at every kept mode, scattered at k and at -k into
+  new full grids and transformed by ``scipy.fft.ifft2``, the reference for
+  ``synthesize_packed`` with the plan's velocity and strain layouts;
 - ``block_powers_masked_stacks``, the block powers from one symbol stack per
-  block group, each block's velocity pair masked to its modes, every kept
-  mode formed and scattered once per block and every grid allocated, the
-  reference for ``block_powers``, which forms each mode once and scatters
-  each block's own modes into reused grids;
+  block group, each block's velocity pair masked to its modes and
+  synthesized by ``packed_synthesis_full_band``, every kept mode formed and
+  scattered once per block and every grid allocated, the reference for
+  ``block_powers``, which forms each mode once and scatters each block's own
+  modes into reused grids;
 - ``synthesize_scaling_a_copy`` and ``analyze_scaling_the_spectrum``, the
   transform plan's synthesis and analysis with the normalization applied to
   a full new array, the references for ``TransformPlan``'s in-place scaling;
@@ -86,7 +91,7 @@ own parts and kept as references for faster forms of the same arithmetic:
 import math
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from scipy.fft import ifft2, irfft2, rfft2
 
 from sns2d.dynamics import (
     TRAJ_HEADER,
@@ -461,7 +466,7 @@ def continuous_shell_action(u0, target, t_final):
     return float(np.sum(np.abs(r) ** 2 * 2.0 * ksq / -np.expm1(-2.0 * ksq * t_final)))
 
 
-def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(), phi0=None,
+def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings(),
                                bound_passes=None):
     """Gradient descent with backtracking on the endpoint-penalized action,
     one full ``action_objective_and_gradient`` call per objective: a trial,
@@ -472,9 +477,7 @@ def minimize_action_remarching(u0, target, t_final, cfg, opt=OptimizerSettings()
     bound."""
     grid = u0.grid
     n = step_count(t_final, cfg.dt)
-    phi_vals = (
-        phi0.values.copy() if phi0 is not None else np.zeros((n, grid.n_modes), dtype=np.complex128)
-    )
+    phi_vals = np.zeros((n, grid.n_modes), dtype=np.complex128)
     dt = cfg.dt
     weight = opt.initial_penalty
     history = []
@@ -610,7 +613,7 @@ def control_states_allocating(phi_vals, u0, cfg):
     velocity = np.empty((n, plan.size, plan.size), dtype=np.complex128)
 
     def forcing(u, step):
-        velocity[step] = plan.synthesize_packed(u)
+        velocity[step] = plan.synthesize_packed(u, plan.velocity_layout)
         return b_core(u, grid, rule) + phi_vals[step]
 
     return march_allocating(grid, u0.coeffs, n, cfg.dt, forcing, cfg), velocity
@@ -776,6 +779,24 @@ def block_powers_real_grids(grid, coeffs, p, grid_factor=2):
     return np.array(powers)
 
 
+def packed_synthesis_full_band(plan, coeffs, symbols):
+    """Complex grids f1 + i f2 of the real grid pair that ``plan.synthesize``
+    makes from the symbol pair s1, s2 (..., 2, n_kept): at every kept mode
+    kept s1 + i kept s2 at k and conj(kept) (conj(s1) + i conj(s2)) at -k,
+    scattered at ``plan.full_pos`` into new zero grids and transformed by
+    ``ifft2(norm="forward")``.  The leading axes of coeffs (..., n_modes)
+    and of symbols broadcast."""
+    s1, s2 = symbols[..., 0, :], symbols[..., 1, :]
+    kept = np.take(coeffs, plan.keep, axis=-1)
+    vals = np.concatenate(
+        (kept * (s1 + 1j * s2), np.conj(kept) * (np.conj(s1) + 1j * np.conj(s2))), axis=-1
+    )
+    M = plan.size
+    grids = np.zeros(vals.shape[:-1] + (M * M,), dtype=np.complex128)
+    grids[..., plan.full_pos] = vals
+    return ifft2(grids.reshape(vals.shape[:-1] + (M, M)), norm="forward")
+
+
 def block_powers_masked_stacks(grid, coeffs, p, grid_factor=2):
     """``block_powers`` from masked symbol stacks: the blocks of each
     ``block_grid_size`` group on one plan, their velocity pairs masked to
@@ -789,12 +810,12 @@ def block_powers_masked_stacks(grid, coeffs, p, grid_factor=2):
         lo, hi = sizes.index(size), len(sizes) - sizes[::-1].index(size)
         plan = transform_plan(cutoff, min(2 ** (hi - 1), cutoff), size)
         masks = np.stack([_block_mask(grid.ksq[plan.keep], q) for q in range(lo, hi)])
-        symbols = masks[:, None, :] * plan.velocity_packed
+        symbols = masks[:, None, :] * plan.velocity
         depth = stack_depth(size)
         states = max(1, depth // (hi - lo))
         for i in range(0, len(flat), states):
             for b in range(0, hi - lo, depth):
-                z = plan.synthesize_packed(flat[i : i + states], symbols[b : b + depth])
+                z = packed_synthesis_full_band(plan, flat[i : i + states], symbols[b : b + depth])
                 speed_sq = z.real**2 + z.imag**2
                 integrals = np.sum(speed_sq ** (p / 2), axis=(-2, -1)) * (TWO_PI / size) ** 2
                 out[i : i + states, lo + b : lo + b + depth] = integrals

@@ -25,7 +25,12 @@ from sns2d.nonlinear import (
 )
 from sns2d.spectral import block_powers
 
-from _oracles import analyze_scaling_the_spectrum, divergence_residual, synthesize_scaling_a_copy
+from _oracles import (
+    analyze_scaling_the_spectrum,
+    divergence_residual,
+    packed_synthesis_full_band,
+    synthesize_scaling_a_copy,
+)
 
 
 def test_half_lattice_covers_exactly_half():
@@ -164,10 +169,10 @@ def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
              _plan_for(g, DealiasRule.two_thirds(cutoff)))
     for plan in plans:
         ones = np.ones(plan.k.shape[1])
-        for symbols, packed in ((plan.velocity, plan.velocity_packed),
-                                (plan.strain, plan.strain_packed)):
+        for symbols, layout in ((plan.velocity, plan.velocity_layout),
+                                (plan.strain, plan.strain_layout)):
             real = plan.synthesize(stack, symbols)
-            z = plan.synthesize_packed(stack, packed)
+            z = plan.synthesize_packed(stack, layout)
             assert z.shape == real.shape[:1] + real.shape[2:]
             scale = np.max(np.abs(real))
             assert np.max(np.abs(z.real - real[:, 0])) <= 1e-14 * scale
@@ -180,6 +185,21 @@ def test_packed_grids_carry_the_real_grid_pair(cutoff, rng):
                 outside = np.ones(g.n_modes, dtype=bool)
                 outside[plan.keep] = False
                 assert not np.any(got[:, outside])
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["two_thirds", "none"])
+def test_packed_layouts_are_the_full_band_synthesis_bit_for_bit(cutoff, kind, rng):
+    # the velocity and strain layouts form, scatter and transform what the
+    # full-band scatter at every kept mode and ifft2 do
+    plan = _plan_for(grid_for(cutoff), DealiasRule.make(kind, cutoff))
+    stack = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(3)])
+    for symbols, layout in ((plan.velocity, plan.velocity_layout),
+                            (plan.strain, plan.strain_layout)):
+        assert layout.axes == ()
+        for coeffs in (stack[0], stack):
+            want = packed_synthesis_full_band(plan, coeffs, symbols)
+            assert np.array_equal(plan.synthesize_packed(coeffs, layout), want)
 
 
 _FFT_MODULES = ("scipy.fft", "numpy.fft", "scipy.fftpack")
@@ -379,7 +399,7 @@ grid._complex_transform = checked
 plan = grid.transform_plan(8, 8, grid.grid_for(8).physical_size())
 rng = np.random.default_rng(3)
 coeffs = rng.standard_normal((2, plan.n_modes)) + 1j * rng.standard_normal((2, plan.n_modes))
-plan.synthesize_packed(coeffs)
+plan.synthesize_packed(coeffs, plan.velocity_layout)
 print(grid._pocketfft is binding, scipy.fft._pocketfft.basic.pfft is binding, same)
 """)
     assert out.split() == ["True", "True", "[True]"]

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import math
 import pathlib
 import tracemalloc
@@ -901,7 +902,7 @@ def test_tube_escape_probability_decreases_with_noise():
     assert escapes[1] <= escapes[0]
 
 
-def test_residual_of_heat_flow_is_minus_nonlinearity():
+def test_residual_of_heat_flow_is_minus_nonlinearity(rng):
     # path generated with the nonlinearity disabled: f' - Af = O(dt^2), so
     # the full residual reduces to -b(f) along the path
     from sns2d.nonlinear import b_core
@@ -922,6 +923,17 @@ def test_residual_of_heat_flow_is_minus_nonlinearity():
         1e-30,
     )
     assert worst < 5e-3 * max(scale, 1.0)
+    # one b_core call on the whole path gives each state the bits of a call
+    # of its own
+    for cutoff, kind in itertools.product((8, 16, 32), ("two_thirds", "none")):
+        rule = DealiasRule.make(kind, cutoff)
+        c = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(6)])
+        dfdt = np.empty_like(c)
+        dfdt[0], dfdt[-1] = (c[1] - c[0]) / dt, (c[-1] - c[-2]) / dt
+        dfdt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
+        g = grid_for(cutoff)
+        per_state = [dfdt[i] + g.ksq * c[i] - b_core(c[i], g, rule) for i in range(len(c))]
+        assert np.array_equal(residual(Trajectory(g, dt, c), rule).values, per_state)
 
 
 def test_laplace_endpoint_gap_shrinks_with_noise():

@@ -255,7 +255,7 @@ def test_adjoint_reads_the_velocity_grids_b_core_writes(cutoff, kind, rng):
     velocity = np.empty((3, M, M), dtype=np.complex128)
     assert np.array_equal(b_core(u, g, rule, velocity), b_core(u, g, rule))
     plan = transform_plan(cutoff, rule.effective_cutoff, M)
-    assert np.array_equal(velocity, plan.synthesize_packed(u))
+    assert np.array_equal(velocity, plan.synthesize_packed(u, plan.velocity_layout))
     # the complex grid u1 + i u2 carries the two real velocity grids
     real = plan.synthesize(u)
     assert _max_relative(velocity.real, real[:, 0]) <= 1e-14

@@ -141,18 +141,24 @@ _AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 # the targets switched off for each reduced dispatch, and whether each
 # seed-0 config rerun under it is expected to keep its bits there: the
 # slope fits of the convergence sweeps go through numpy's log and reductions
-# and move in the last bits under either; the OU laws move only once the
-# X86_V3 kernels are off too
+# and move in the last bits under either; the OU laws, and the stderr of
+# the L^p moment at p = 3, move only once the X86_V3 kernels are off too.
+# The Besov moment keeps its bits under both; it and the L^p moment run the
+# block quadrature
 _REDUCED = {
     "avx2": (_AVX512, {
         "configs/converge_h.json": False,
         "configs/converge_besov.json": False,
         "configs/ou_checks.json": True,
+        "lp_moment_p3": True,
+        "besov_moment": True,
     }),
     "no_simd": (("X86_V3",) + _AVX512, {
         "configs/converge_h.json": False,
         "configs/converge_besov.json": False,
         "configs/ou_checks.json": False,
+        "lp_moment_p3": False,
+        "besov_moment": True,
     }),
 }
 _RERUN = """

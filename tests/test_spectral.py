@@ -306,10 +306,10 @@ def _recorded_besov_calls(monkeypatch, cutoff, p, n_states):
     calls = []
     synthesize_packed = TransformPlan.synthesize_packed
 
-    def counted(plan, coeffs, symbols=None, out=None):
+    def counted(plan, coeffs, layout, out=None):
         states = coeffs.size // coeffs.shape[-1]
-        calls.append((plan.size, states * symbols.blocks, symbols.blocks))
-        return synthesize_packed(plan, coeffs, symbols, out)
+        calls.append((plan.size, states * layout.axes[0], layout.axes[0]))
+        return synthesize_packed(plan, coeffs, layout, out)
 
     monkeypatch.setattr(TransformPlan, "synthesize_packed", counted)
     path = np.stack([_field(s, cutoff).coeffs for s in range(n_states)])
