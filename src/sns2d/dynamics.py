@@ -5,7 +5,8 @@ Every time march goes through one exponential-step kernel, ``march``: the
 Stokes part is applied exactly per mode and, for the stochastic equations,
 the linear-plus-noise part is advanced with the exact Ornstein-Uhlenbeck
 transition, so time discretization error enters only through the nonlinear
-term.
+term.  A march with noise draws it ahead of itself on one helper thread, the
+same on every core count.
 """
 
 import math
@@ -18,7 +19,7 @@ from . import noise as noise_mod
 from .fields import SpectralField
 from .grid import grid_for
 from .nonlinear import DealiasRule, b_core
-from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals, usable_cores
+from .noise import NoiseSpec, as_generator, require_stream, unit_complex_normals
 from .spectral import h_norm_sq
 
 SCHEMES = ("exponential_euler", "etd2")
@@ -180,77 +181,62 @@ def _psi2(z: np.ndarray) -> np.ndarray:
 
 
 def draw_chunks(n_steps: int) -> list:
-    """The steps of noise a march of n_steps draws per call, in order: about
-    sqrt(n_steps) each, which balances the draw-ahead thread's first wait,
-    for one chunk, against the number of hand-offs."""
+    """The steps of noise a march of n_steps draws per call, in order, on its
+    draw-ahead helper: about sqrt(n_steps) each, which balances the march's
+    first wait, for one chunk, against the number of hand-offs."""
     chunk = math.isqrt(max(n_steps - 1, 0)) + 1
     return [min(chunk, n_steps - lo) for lo in range(0, n_steps, chunk)]
 
 
 class _DrawAhead:
-    """The step noise of one march, in the chunks of ``draw_chunks``.
+    """The step noise of one march, drawn ahead of it on one helper thread.
 
-    For each chunk one ``unit_complex_normals`` call writes the noise of
-    those steps straight into their slots of the march's output.  With
-    ``ahead`` a helper thread makes the calls ahead of the march; without,
-    ``wait`` makes each as the march reaches its chunk.  The one scratch
-    buffer is made here, on the calling thread, so the helper allocates no
-    array.  ``close`` stops the helper after its current chunk and joins it."""
+    For each chunk of ``draw_chunks`` one ``unit_complex_normals`` call
+    writes the noise of those steps straight into their slots of the march's
+    output; the helper then hands the chunk's last slot, or the error a draw
+    raised, to the march through a queue.  The one scratch buffer is made
+    here, on the calling thread, so the helper allocates no array.  ``close``
+    stops the helper after its current chunk and joins it."""
 
-    def __init__(self, gens, slots, std, chunks, ahead):
+    def __init__(self, gens, slots, std, chunks):
+        import queue
+
         buf = np.empty((len(gens), max(chunks), 2, slots.shape[-1]))
-        self._fills = self._fill(gens, slots, std, chunks, buf)
         self._filled = 0  # slots 1.._filled hold their noise
-        self._error = None
+        self._handed = queue.SimpleQueue()
         self._stop = False
-        self._thread = None
-        if ahead:
-            self._ready = threading.Condition()
-            self._thread = threading.Thread(target=self._draw, daemon=True)
-            self._thread.start()
+        self._thread = threading.Thread(
+            target=self._fill, args=(gens, slots, std, chunks, buf), daemon=True
+        )
+        self._thread.start()
 
-    @staticmethod
-    def _fill(gens, slots, std, chunks, buf):
-        """Draw the chunks in turn, yielding the last slot filled."""
-        lo = 1
-        for k in chunks:
-            unit_complex_normals(
-                gens, (len(gens), k, slots.shape[-1]), std,
-                out=slots[:, lo : lo + k], buf=buf[:, :k],
-            )
-            lo += k
-            yield lo - 1
-
-    def _draw(self):
+    def _fill(self, gens, slots, std, chunks, buf):
+        """Draw the chunks in turn, handing over the last slot filled."""
         try:
-            for filled in self._fills:
-                with self._ready:
-                    self._filled = filled
-                    self._ready.notify()
+            lo = 1
+            for k in chunks:
                 if self._stop:
                     return
+                unit_complex_normals(
+                    gens, (len(gens), k, slots.shape[-1]), std,
+                    out=slots[:, lo : lo + k], buf=buf[:, :k],
+                )
+                lo += k
+                self._handed.put(lo - 1)
         except BaseException as exc:  # handed to the march
-            with self._ready:
-                self._error = exc
-                self._ready.notify()
+            self._handed.put(exc)
 
     def wait(self, slot):
         """Return once slot holds its noise; raise the helper's error."""
-        if self._filled >= slot:
-            return
-        if self._thread is None:
-            self._filled = next(self._fills)
-            return
-        with self._ready:
-            while self._filled < slot and self._error is None:
-                self._ready.wait()
-        if self._filled < slot:
-            raise self._error
+        while self._filled < slot:
+            filled = self._handed.get()
+            if isinstance(filled, BaseException):
+                raise filled
+            self._filled = filled
 
     def close(self):
-        if self._thread is not None:
-            self._stop = True
-            self._thread.join()
+        self._stop = True
+        self._thread.join()
 
 
 def march(
@@ -286,12 +272,12 @@ def march(
     The noise is drawn in the chunks of steps of ``draw_chunks``, one call
     per chunk, into the output slots of those steps; the march forms the
     deterministic part of each step in a buffer of its own and adds it to
-    the noise in the step's slot.  With two or more chunks and two or more
-    usable cores a helper thread draws the chunks ahead of the march; else
-    the march draws each chunk as it reaches it.  Either way every state has
-    the same bits.  After a blow-up the helper may have drawn a chunk past
-    the failing step.  It is joined before the march returns or raises, and
-    an error it meets is raised here.
+    the noise in the step's slot.  One helper thread draws the chunks ahead
+    of the march, on any number of cores and for one chunk too, so every
+    machine runs the same threads and every state has the same bits.  After
+    a blow-up the helper may have drawn a chunk past the failing step.  It
+    is joined before the march returns or raises, and an error it meets is
+    raised here.
     """
     n_modes = grid.n_modes
     z = grid.ksq * dt
@@ -315,10 +301,7 @@ def march(
     chunks = draw_chunks(n_steps) if noise_std is not None and n_rows > 0 else []
     if chunks:
         step_buf = np.empty_like(u)
-        noise = _DrawAhead(
-            gens, out.reshape(n_rows, n_steps + 1, n_modes), noise_std, chunks,
-            len(chunks) > 1 and usable_cores() > 1,
-        )
+        noise = _DrawAhead(gens, out.reshape(n_rows, n_steps + 1, n_modes), noise_std, chunks)
     try:
         for step in range(n_steps):
             # the step is formed in its own slot, or beside the slot that

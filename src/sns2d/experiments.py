@@ -453,19 +453,16 @@ class _RunContext:
     @staticmethod
     def map_members(fn, values) -> list:
         """[fn(i, value) for i, value in enumerate(values)] on a pool of
-        threads, one per usable core up to one per member; serially on one
-        core.  numpy's draws and array arithmetic release the GIL, so
-        members whose arrays and streams are their own run in parallel and
-        give the serial results.  The lowest-indexed member's error is
-        raised, once every member has finished and ``_trim_heap`` has handed
-        back what the threads freed."""
-        items = list(enumerate(values))
-        workers = min(len(items), usable_cores())
-        if workers <= 1:
-            return [fn(i, v) for i, v in items]
+        threads, one per usable core up to one per member, and one on one
+        core: the members never run on the calling thread.  numpy's draws
+        and array arithmetic release the GIL, so members whose arrays and
+        streams are their own run in parallel and give the serial results.
+        The lowest-indexed member's error is raised, once every member has
+        finished and ``_trim_heap`` has handed back what the threads freed."""
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
+        items = list(enumerate(values))
+        with ThreadPoolExecutor(max(1, min(len(items), usable_cores()))) as pool:
             futures = [pool.submit(fn, i, v) for i, v in items]
         _trim_heap()
         return [f.result() for f in futures]

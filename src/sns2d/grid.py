@@ -215,6 +215,7 @@ class TransformPlan:
         self.n_modes = grid.n_modes
         self.kmax = kmax
         self.size = size
+        self.depth = stack_depth(size)  # grids per packed transform
         self.shape = (size, size // 2 + 1)
         self.pos = (k1 % size) * self.shape[1] + k2
         self.k = np.stack([k1, k2]).astype(np.float64)
@@ -233,7 +234,7 @@ class TransformPlan:
         self._rows = {"grid": (self.pos, self.shape[0] * self.shape[1]),
                       "modes": (self.keep, grid.n_modes)}
         self._positions = {}
-        # zeroed grids per packed layout and stack size, reused by the plan's
+        # zeroed grids per packed layout and slice size, reused by the plan's
         # calls in each thread: the plan is shared, and two threads'
         # syntheses must not scatter into one grid.  A layout's calls write
         # only its positions, and every call writes all of them
@@ -328,14 +329,25 @@ class TransformPlan:
         this plan: ``velocity_layout`` (u1 + i u2), ``strain_layout`` (s +
         i t) or a ``mode_blocks`` layout.  Each value is formed once, at its
         layout's modes only.  Returns (..., *layout.axes, size, size),
-        written into ``out`` (complex, of that shape) when given.
+        written into ``out`` (complex and C-ordered, of that shape) when
+        given.  More than ``depth`` grids go in slices of at most that many
+        (one state's at least), so no scratch the plan keeps outgrows them.
         """
+        M = self.size
+        n_rows = coeffs.size // coeffs.shape[-1]
+        depth = max(1, self.depth // math.prod(layout.axes))
+        if n_rows > depth:
+            if out is None:
+                out = np.empty(coeffs.shape[:-1] + layout.axes + (M, M), dtype=np.complex128)
+            stack = out.reshape((n_rows,) + layout.axes + (M, M))
+            rows = coeffs.reshape(-1, coeffs.shape[-1])
+            for lo in range(0, n_rows, depth):
+                self.synthesize_packed(rows[lo : lo + depth], layout, stack[lo : lo + depth])
+            return out
         kept = coeffs.take(layout.modes, axis=-1)
         vals = np.concatenate((kept * layout.symbols[0], np.conj(kept) * layout.symbols[1]),
                               axis=-1)
         shape = coeffs.shape[:-1] + layout.axes
-        n_rows = vals.size // vals.shape[-1]
-        M = self.size
         grids = vars(self._scratch).setdefault("packed", {})
         if (layout, n_rows) not in grids:
             grids[layout, n_rows] = np.zeros(shape + (M, M), dtype=np.complex128)
@@ -360,8 +372,15 @@ class TransformPlan:
 
         ``grids`` (..., size, size) is overwritten; ``weights`` (2, n_kept)
         holds (alpha, beta), as ``packed_weights`` gives them.  Returns
-        (..., n_modes), zero outside the band.
+        (..., n_modes), zero outside the band, in slices of ``depth`` grids.
         """
+        M, depth = self.size, self.depth
+        if grids.size > depth * M * M:
+            out = np.empty(grids.shape[:-2] + (self.n_modes,), dtype=np.complex128)
+            stack, rows = grids.reshape(-1, M, M), out.reshape(-1, self.n_modes)
+            for lo in range(0, len(stack), depth):
+                rows[lo : lo + depth] = self.analyze_packed(stack[lo : lo + depth], weights)
+            return out
         spec = _complex_transform(grids, True, grids)
         at = np.take(spec.reshape(spec.shape[:-2] + (-1,)), self.full_pos, axis=-1)
         n = at.shape[-1] // 2

@@ -19,8 +19,8 @@ package but ``grid``.
 Nothing here keeps state between calls: draws from separate generators may
 run on separate threads, which the harness does with the members of its
 ``ou_checks`` and ``lp_moment`` runs, and a noisy march with its step noise,
-drawn ahead on a helper thread where there are two cores or more.  Both
-size themselves by ``usable_cores``.
+drawn ahead on one helper thread on every machine.  ``usable_cores`` sizes
+the member pool only.
 """
 
 import functools
@@ -164,8 +164,8 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the harness's member pool and the
-    march's draw-ahead thread run only where there are two or more."""
+    """Cores this process may run on: the size of the harness's member pool,
+    up to one thread per member.  Nothing else depends on it."""
     return len(os.sched_getaffinity(0))
 
 

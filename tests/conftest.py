@@ -20,15 +20,14 @@ def random_field(rng):
 
 @pytest.fixture
 def draw_ahead_helpers(monkeypatch):
-    """The list of draw-ahead helpers that marches start during the test.  A
-    march that draws its chunks itself (one core, or one chunk) starts none."""
+    """The list of draw-ahead helpers that marches start during the test: one
+    per march with noise and at least one row, on any number of cores."""
     started = []
 
     class Counted(dynamics._DrawAhead):
         def __init__(self, *args):
             super().__init__(*args)
-            if self._thread is not None:
-                started.append(self)
+            started.append(self)
 
     monkeypatch.setattr(dynamics, "_DrawAhead", Counted)
     return started

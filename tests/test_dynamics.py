@@ -638,54 +638,74 @@ def test_draw_chunks_cover_the_steps_in_chunks_of_about_their_square_root():
 def test_the_draw_ahead_march_is_the_serial_march_bit_for_bit(
     monkeypatch, draw_ahead_helpers, scheme, rows, n_steps
 ):
-    paths, states = [], []
+    def states(kwargs):
+        return [g.bit_generator.state for g in (kwargs["gen"] if rows else [kwargs["gen"]])]
+
+    # the serial march draws each step's noise in the march itself
+    args, kwargs = _noisy_march_case(scheme, rows, n_steps)
+    want = _oracles.march_allocating(*args, **kwargs).tobytes()
+    want_states = states(kwargs)
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
         threads = threading.active_count()
         args, kwargs = _noisy_march_case(scheme, rows, n_steps)
-        paths.append(march(*args, **kwargs))
+        assert march(*args, **kwargs).tobytes() == want
         assert threading.active_count() == threads
-        gens = kwargs["gen"] if rows else [kwargs["gen"]]
-        states.append([g.bit_generator.state for g in gens])
-    # one helper, on two cores, where there are two chunks or more
-    assert len(draw_ahead_helpers) == (len(draw_chunks(n_steps)) > 1)
-    assert paths[0].tobytes() == paths[1].tobytes()
-    assert states[0] == states[1]
+        assert states(kwargs) == want_states
+    # one helper per march, on one core and on two, for one chunk too
+    assert len(draw_ahead_helpers) == 2
+
+
+def test_one_core_draws_a_noisy_block_ahead_on_one_helper(monkeypatch, draw_ahead_helpers):
+    # one core runs the threads and the code of two: the march's own steps
+    # and one helper drawing its noise
+    _on_cores(monkeypatch, 1)
+    args, kwargs = _noisy_march_case("exponential_euler", 8, 50)
+    want = _oracles.march_allocating(*args, **kwargs)
+    threads = threading.active_count()
+    args, kwargs = _noisy_march_case("exponential_euler", 8, 50)
+    kwargs["gen"] = [_PlantedGenerator(g) for g in kwargs["gen"]]
+    got = march(*args, **kwargs)
+    assert threading.active_count() == threads
+    assert len(draw_ahead_helpers) == 1
+    drawn_on = {ident for g in kwargs["gen"] for ident in g.threads}
+    assert len(drawn_on) == 1 and threading.get_ident() not in drawn_on
+    assert got.tobytes() == want.tobytes()
 
 
 def test_draw_ahead_marches_on_more_threads_than_cores_keep_the_serial_bits(
     monkeypatch, draw_ahead_helpers
 ):
     schemes = ["exponential_euler", "etd2"] * 2
-    _on_cores(monkeypatch, 1)
     cases = (_noisy_march_case(scheme, 8, 50) for scheme in schemes)
-    want = [march(*args, **kwargs) for args, kwargs in cases]
-    _on_cores(monkeypatch, 2)
+    want = [_oracles.march_allocating(*args, **kwargs).tobytes() for args, kwargs in cases]
     got = [None] * len(schemes)
 
     def work(i):
         args, kwargs = _noisy_march_case(schemes[i], 8, 50)
-        got[i] = march(*args, **kwargs)
+        got[i] = march(*args, **kwargs).tobytes()
 
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(schemes))]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-            assert not w.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-    assert len(draw_ahead_helpers) == len(schemes)
-    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        got[:] = [None] * len(schemes)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(len(schemes))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert got == want
+    assert len(draw_ahead_helpers) == 2 * len(schemes)
 
 
-def test_marches_without_noise_or_rows_start_no_helper(monkeypatch, draw_ahead_helpers):
-    _on_cores(monkeypatch, 2)
+def test_marches_without_noise_or_rows_start_no_helper(draw_ahead_helpers):
     u0 = generic_field()
     phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 20)
     solve_skeleton(u0, phi, IntegratorConfig(dt=0.01))
@@ -700,10 +720,7 @@ def test_marches_without_noise_or_rows_start_no_helper(monkeypatch, draw_ahead_h
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.0])
-def test_an_empty_block_has_no_paths_and_starts_no_helper(
-    monkeypatch, draw_ahead_helpers, epsilon
-):
-    _on_cores(monkeypatch, 2)
+def test_an_empty_block_has_no_paths_and_starts_no_helper(draw_ahead_helpers, epsilon):
     phi = ControlPath.constant(taylor_green(8, 0.5), 0.01, 5)
     spec = NoiseSpec(epsilon, 0.1)
     threads = threading.active_count()
@@ -733,7 +750,11 @@ def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(
             F[[3, 6]] *= 1e9
         return F
 
-    errors = []
+    # the serial march draws each step's noise in the march itself
+    with pytest.raises(IntegrationBlowupError) as err:
+        _oracles.march_allocating(g, starts, n, dt, planted, cfg, **kwargs)
+    want = (err.value.row, err.value.t, err.value.norm)
+    assert want[:2] == (3, 21 * dt)
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
         threads = threading.active_count()
@@ -743,22 +764,22 @@ def test_a_blowup_under_the_draw_ahead_is_the_serial_one_and_joins_the_helper(
         with pytest.raises(IntegrationBlowupError) as err:
             march(g, starts, n, dt, planted, cfg, **kwargs)
         assert threading.active_count() == threads
-        assert len(draw_ahead_helpers) == cores - 1
-        errors.append((err.value.row, err.value.t, err.value.norm))
-    assert errors[0] == errors[1]
-    assert errors[0][:2] == (3, 21 * dt)
+        assert len(draw_ahead_helpers) == cores
+        assert (err.value.row, err.value.t, err.value.norm) == want
 
 
 class _PlantedGenerator:
     """A generator whose standard_normal draws as gen's, each call after a
     pause of delay seconds, and raises at its call number fail_at; calls
-    counts them."""
+    counts them and threads lists the thread of each."""
 
     def __init__(self, gen, fail_at=None, delay=0.0):
         self.gen, self.fail_at, self.delay, self.calls = gen, fail_at, delay, 0
+        self.threads = []
 
     def standard_normal(self, *args, **kwargs):
         self.calls += 1
+        self.threads.append(threading.get_ident())
         if self.calls == self.fail_at:
             raise RuntimeError("planted draw failure")
         time.sleep(self.delay)
@@ -771,18 +792,16 @@ def test_a_draw_failure_on_the_helper_is_raised_by_the_march(
 ):
     _on_cores(monkeypatch, cores)
     args, kwargs = _noisy_march_case("etd2", 8, 50)
-    # row 5's first call draws its first chunk of 8 steps, on the helper or
-    # in the march
+    # row 5's first call draws its first chunk of 8 steps, on the helper
     kwargs["gen"][5] = _PlantedGenerator(kwargs["gen"][5], fail_at=1)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="planted draw failure"):
         march(*args, **kwargs)
     assert threading.active_count() == threads
-    assert len(draw_ahead_helpers) == cores - 1
+    assert len(draw_ahead_helpers) == 1
 
 
-def test_an_interrupt_in_the_march_joins_the_helper(monkeypatch, draw_ahead_helpers):
-    _on_cores(monkeypatch, 2)
+def test_an_interrupt_in_the_march_joins_the_helper(draw_ahead_helpers):
     (g, starts, n, dt, forcing, cfg), kwargs = _noisy_march_case("exponential_euler", 8, 50)
     kwargs["gen"][0] = _PlantedGenerator(kwargs["gen"][0], delay=0.02)
 

@@ -200,6 +200,12 @@ def test_packed_layouts_are_the_full_band_synthesis_bit_for_bit(cutoff, kind, rn
         for coeffs in (stack[0], stack):
             want = packed_synthesis_full_band(plan, coeffs, symbols)
             assert np.array_equal(plan.synthesize_packed(coeffs, layout), want)
+    # a block layout takes more states than one stack holds in slices, each
+    # state with the bits of a call of its own
+    blocks = plan.mode_blocks([plan.keep % 2 == 0, plan.keep % 2 == 1])
+    many = np.stack([SpectralField.random(cutoff, rng).coeffs for _ in range(plan.depth + 1)])
+    want = np.stack([plan.synthesize_packed(c, blocks) for c in many])
+    assert np.array_equal(plan.synthesize_packed(many, blocks), want)
 
 
 _FFT_MODULES = ("scipy.fft", "numpy.fft", "scipy.fftpack")
@@ -471,7 +477,8 @@ def test_complex_transform_gives_the_bits_of_scipy_fft(shape, rng):
 
 def test_every_packed_transform_the_plans_make_gives_the_bits_of_scipy_fft(monkeypatch, rng):
     # the stacks of b_core's replica blocks (N=16), the descent's kernels
-    # (N=32) and the Besov block groups (N=16)
+    # (N=32), three states, more than one stack (N=32, in slices of two and
+    # one) and the Besov block groups (N=16)
     shapes = set()
     transform = grid_module._complex_transform
 
@@ -495,8 +502,9 @@ def test_every_packed_transform_the_plans_make_gives_the_bits_of_scipy_fft(monke
     b_bilinear_core(u, w, g32, rule32)
     b_linearized_adjoint_core(u, w, g32, rule32, velocity)
     b_linearized_adjoint_core(u, w, g32, rule32)
+    b_core(np.stack((u, w, u)), g32, rule32)
     block_powers(g16, block[:2], 4.0)
-    assert {(8, 32, 32), (64, 64), (2, 64, 64), (2, 3, 33, 33)} <= shapes
+    assert {(8, 32, 32), (64, 64), (2, 64, 64), (1, 64, 64), (2, 3, 33, 33)} <= shapes
     assert {5, 9, 18} <= {shape[-1] for shape in shapes}
 
 

@@ -15,7 +15,10 @@ import types
 import numpy as np
 import pytest
 
+import sns2d.dynamics as dynamics
 import sns2d.experiments as experiments
+import sns2d.ldp as ldp
+import sns2d.montecarlo as montecarlo
 from sns2d.cli import main as cli_main
 from sns2d.experiments import (
     ExperimentConfig,
@@ -31,7 +34,7 @@ from sns2d.grid import SAMPLES_PER_CALL, grid_for
 from sns2d.noise import wick_diagonal
 from sns2d.spectral import lp_powers
 
-from _oracles import load_trajectory, wick_diagonal_whole
+from _oracles import load_trajectory, march_allocating, wick_diagonal_whole
 
 
 def minimal_ou_config(seed=1):
@@ -1164,18 +1167,25 @@ MARCHING_KINDS = ["besov_moment", "converge_besov", "converge_h", "laplace", "tu
 def test_marches_on_one_core_and_on_two_write_the_same_bytes(
     tmp_path, monkeypatch, draw_ahead_helpers, kind
 ):
-    # on two cores each noisy march draws its step noise on a helper thread
+    # on any number of cores each noisy march draws its step noise on a
+    # helper thread; the serial march draws each step's in the march itself
     cfg = ExperimentConfig.from_dict(SMOKE_CONFIGS[kind])
-    outputs = []
+
+    def written(name):
+        record = run(cfg, str(tmp_path / name))
+        return [pathlib.Path(f).read_bytes() for f in (record.results_csv, record.summary_json)]
+
+    with monkeypatch.context() as m:
+        for module in (dynamics, ldp, montecarlo):
+            m.setattr(module, "march", march_allocating)
+        want = written("serial")
+    assert draw_ahead_helpers == []
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
         threads, helpers = threading.active_count(), len(draw_ahead_helpers)
-        record = run(cfg, str(tmp_path / str(cores)))
+        assert written(str(cores)) == want
         assert threading.active_count() == threads
-        assert (len(draw_ahead_helpers) > helpers) == (cores == 2)
-        files = (record.results_csv, record.summary_json)
-        outputs.append([pathlib.Path(f).read_bytes() for f in files])
-    assert outputs[0] == outputs[1]
+        assert len(draw_ahead_helpers) > helpers
 
 
 def test_pooled_lp_powers_are_the_serial_ones(monkeypatch):
@@ -1318,6 +1328,28 @@ def test_an_ou_checks_run_does_not_import_scipy_stats(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_one_core_runs_the_members_on_one_pool_thread(monkeypatch):
+    _on_cores(monkeypatch, 1)
+    ran = []
+
+    def member(i, value):
+        ran.append((i, threading.get_ident()))
+        if value is None:
+            raise ValueError(f"member {i}")
+        return value * i
+
+    threads = threading.active_count()
+    assert experiments._RunContext.map_members(member, [1.5, 2.0, 3.0]) == [0.0, 2.0, 6.0]
+    with pytest.raises(ValueError, match="^member 1$"):
+        experiments._RunContext.map_members(member, [1.5, None, 3.0, None])
+    assert threading.active_count() == threads
+    # every member ran, in order, on one thread of a pool of one
+    assert [i for i, _ in ran] == [0, 1, 2, 0, 1, 2, 3]
+    idents = {ident for _, ident in ran[:3]}, {ident for _, ident in ran[3:]}
+    assert [len(one) for one in idents] == [1, 1]
+    assert threading.get_ident() not in idents[0] | idents[1]
 
 
 def test_the_lowest_indexed_failing_member_is_raised(monkeypatch):

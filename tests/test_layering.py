@@ -18,8 +18,9 @@ LAYERS = (
 )
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 # scipy.integrate for the renorm and lattice-sum tails, ctypes for
-# malloc_trim, the pools of the harness, and the binding's version probe
-LAZY = ("scipy.integrate", "ctypes", "concurrent.futures", "importlib.metadata")
+# malloc_trim, the pools of the harness, the march's draw-ahead queue, and
+# the binding's version probe
+LAZY = ("scipy.integrate", "ctypes", "concurrent.futures", "queue", "importlib.metadata")
 
 
 def _siblings(node):

@@ -49,7 +49,7 @@ from sns2d.montecarlo import (
     wilson_interval,
 )
 from sns2d.noise import unit_complex_normals
-from sns2d.nonlinear import padded_size
+from sns2d.nonlinear import _plan_for, padded_size
 
 import _oracles
 
@@ -934,6 +934,27 @@ def test_residual_of_heat_flow_is_minus_nonlinearity(rng):
         g = grid_for(cutoff)
         per_state = [dfdt[i] + g.ksq * c[i] - b_core(c[i], g, rule) for i in range(len(c))]
         assert np.array_equal(residual(Trajectory(g, dt, c), rule).values, per_state)
+
+
+def test_the_action_of_a_long_path_leaves_the_plan_one_stack_of_scratch(rng):
+    # one b_core call on a 201-state path at cutoff 32 is taken in slices of
+    # stack_depth grids, two states and then one, so the plan caches no
+    # scratch grid or scatter position array for the whole path: a path of
+    # three states makes every one the long path needs
+    g = grid_for(32)
+    rule = DealiasRule.two_thirds(32)
+    plan = _plan_for(g, rule)
+
+    def held():
+        grids = vars(plan._scratch).get("packed", {})
+        return sum(a.nbytes for a in [*grids.values(), *plan._positions.values()])
+
+    states = np.stack([SpectralField.random(32, rng).coeffs for _ in range(201)])
+    ldp.action(Trajectory(g, 0.01, states[:3]), rule)
+    before = held()
+    report = ldp.action(Trajectory(g, 0.01, states), rule)
+    assert held() - before <= 256 * 1024
+    assert math.isfinite(report.value)
 
 
 def test_laplace_endpoint_gap_shrinks_with_noise():

@@ -11,11 +11,12 @@ The exact pass's failure names numpy's version and dispatch targets, as
 recorded and as now, where the two differ: numpy picks its kernels by CPU,
 and another dispatch moves last bits without any change to the program.
 A planted swap of two normals in one member's stream shows that the exact
-pass sees a reordered draw.  A few seed-0 configs are also rerun in a
+pass sees a reordered draw.  Every seed-0 config is also rerun in a
 subprocess with numpy's AVX-512 kernels switched off, the dispatch of an
 AVX2-only host, and again with its X86_V3 (AVX2) kernels off too, which
 leaves no SIMD target, so that two more dispatches are exercised wherever
-the CPU has the targets to switch off.
+the CPU has the targets to switch off; the test states which configs keep
+their bits under each.
 """
 
 import json
@@ -138,27 +139,17 @@ def test_an_exact_failure_names_the_recorded_and_the_current_dispatch(recorded):
 
 # numpy's AVX-512 targets; switched off, numpy dispatches as on an AVX2-only host
 _AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-# the targets switched off for each reduced dispatch, and whether each
-# seed-0 config rerun under it is expected to keep its bits there: the
-# slope fits of the convergence sweeps go through numpy's log and reductions
-# and move in the last bits under either; the OU laws, and the stderr of
-# the L^p moment at p = 3, move only once the X86_V3 kernels are off too.
-# The Besov moment keeps its bits under both; it and the L^p moment run the
-# block quadrature
+# the targets switched off for each reduced dispatch, and the seed-0 configs
+# whose outputs move in the last bits under it; every other pinned seed-0
+# config keeps its bits there.  The slope fits of the convergence sweeps go
+# through numpy's log and reductions and move under either; the OU laws, and
+# the stderr of the L^p moment at p = 3, move only once the X86_V3 kernels
+# are off too.  Each config rerun holds to 1e-12 under both
 _REDUCED = {
-    "avx2": (_AVX512, {
-        "configs/converge_h.json": False,
-        "configs/converge_besov.json": False,
-        "configs/ou_checks.json": True,
-        "lp_moment_p3": True,
-        "besov_moment": True,
-    }),
+    "avx2": (_AVX512, {"configs/converge_h.json", "configs/converge_besov.json"}),
     "no_simd": (("X86_V3",) + _AVX512, {
-        "configs/converge_h.json": False,
-        "configs/converge_besov.json": False,
-        "configs/ou_checks.json": False,
-        "lp_moment_p3": False,
-        "besov_moment": True,
+        "configs/converge_h.json", "configs/converge_besov.json",
+        "configs/ou_checks.json", "lp_moment_p3",
     }),
 }
 _RERUN = """
@@ -176,7 +167,8 @@ print(json.dumps({"numpy": numpy_dispatch(), "cases": cases}))
 
 @pytest.mark.parametrize("dispatch", sorted(_REDUCED))
 def test_pinned_configs_hold_to_1e_12_under_a_reduced_dispatch(dispatch):
-    off, keeps_bits = _REDUCED[dispatch]
+    off, moves = _REDUCED[dispatch]
+    keeps_bits = {name: name not in moves for name in PINNED}
     now = numpy_dispatch()
     if not set(off) <= set(now["dispatch"]):
         pytest.skip(f"this CPU has no {' '.join(off)} dispatch to switch off")
